@@ -3,13 +3,16 @@
 Q(sqrt2, ..., sqrt17) has Galois group C2^7, so 127 quadratic subfields of
 which only 7 ever need a direct root test; twist closure multiplies out
 the other 120.  The cheap phases (ramified-prime shortcut, Frobenius
-sieve) handle this size instantly.  The expensive phase is certificate
-reconstruction: every completion of this field has degree <= 2, so a
-single completion delivers only 2k p-adic digits at precision k, while
-the certificates have coefficients around 90 digits times 128 slots.
-Recovering them needs several thousand digits of precision, and exact
-pure-Python LLL at dimension 128 with entries that size is a
-many-hour-to-days job, so the full scan is not attempted by default.
+sieve) handle this size instantly.  The expensive phase is the root test.
+Its best prime, p = 47, splits the field into 64 completions of degree 2,
+so the knapsack that picks a root per completion has 63 unknowns.  The
+fixed bit budget that settles the degree-32 field at dimension 23 gives a
+dimension-87 lattice of 17-bit entries here, which is too thin for LLL to
+single out the 0/1 solution: one root test reaches the precision cap
+(k = 1024) unproven after about 5 minutes, of which LLL takes half a
+minute and p-adic arithmetic at high precision the rest.  So the full
+scan is not attempted by default, and it ends with unproven exclusions
+rather than wrong answers.
 
 Run with: python3 demos/stretch_degree128.py            (cheap phases only)
           python3 demos/stretch_degree128.py --full     (attempt everything)

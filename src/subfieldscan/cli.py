@@ -273,8 +273,6 @@ def _config_from_args(args) -> ScanConfig:
         seed=seed,
         sieve_prime_bound=args.sieve_bound,
         sieve_max_rows=args.sieve_count,
-        combo_limit=args.combo_limit,
-        strategy=args.strategy,
         max_precision=args.max_precision,
         threads=args.threads,
     )
@@ -285,10 +283,7 @@ def _add_scan_args(sp):
     sp.add_argument("--json", help="write the JSON report here")
     sp.add_argument("--sieve-bound", type=int, default=10_000)
     sp.add_argument("--sieve-count", type=int, default=40)
-    sp.add_argument("--combo-limit", type=int, default=1024)
     sp.add_argument("--max-precision", type=int, default=None)
-    sp.add_argument("--strategy", choices=["auto", "combinatorial", "lattice"],
-                    default="auto")
     sp.add_argument("--seed", type=int, default=None,
                     help="default 0, or SUBFIELD_SCAN_SEED if set")
     sp.add_argument("--threads", type=int, default=1)

@@ -13,13 +13,10 @@ class ScanConfig:
     seed: int = 0
     sieve_prime_bound: int = 10_000
     sieve_max_rows: int = 40
-    combo_limit: int = 1024
-    strategy: str = "auto"                 # auto | combinatorial | lattice
     max_precision: int | None = None       # cap on p-adic digits, overrides the heuristic
     select_prime_bound: int = 50_000
     absence_prime_bound: int = 10_000
     threads: int = 1
-    use_rational_reconstruction: bool = False
     factor_budget: FactorBudget = FactorBudget()
 
     def precision_schedule(self, p: int, n: int) -> list[int]:

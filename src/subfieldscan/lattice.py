@@ -1,4 +1,4 @@
-"""Exact lattice reduction: integer-arithmetic LLL and Babai nearest-plane.
+"""Exact lattice reduction: integer-arithmetic LLL.
 
 The LLL implementation keeps the Gram-Schmidt data in the classical
 all-integer form (Gram determinants d_i and scaled coefficients
@@ -107,26 +107,3 @@ def gram_schmidt(basis: list[list[int]]):
             v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
         bstar.append(v)
     return bstar, mu
-
-
-def _round_half_up(x: Fraction) -> int:
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
-
-
-def babai_nearest(reduced: list[list[int]], target: list[int]) -> list[int]:
-    """Nearest-plane rounding of target against an LLL-reduced basis.
-
-    Returns a lattice vector within the usual 2^(n/2) factor of the closest
-    one (and exactly the closest when the target is near the lattice
-    relative to the Gram-Schmidt norms).
-    """
-    bstar, _ = gram_schmidt(reduced)
-    v = [Fraction(x) for x in target]
-    for i in range(len(reduced) - 1, -1, -1):
-        denom = _dot(bstar[i], bstar[i])
-        c = _round_half_up(_dot(v, bstar[i]) / denom)
-        if c:
-            v = [x - c * y for x, y in zip(v, reduced[i])]
-    out = [x - y for x, y in zip(target, v)]
-    assert all(x.denominator == 1 for x in out)
-    return [int(x) for x in out]

@@ -8,22 +8,18 @@ congruence that verify_certificate rechecks from scratch.  Negative
 answers are "not found up to the precision cap" and are NOT proofs of
 absence; the scan layer upgrades them with Frobenius witnesses when it can.
 
-Two strategies share the same modular setup (a prime p where f mod p is
-squarefree and h mod p splits into distinct roots):
-
-* combinatorial: Hensel-lift the CRT idempotents of the factorization of
-  f mod p, lift the scalar roots of h, and enumerate the assignments of
-  roots to components (the first component's root choice is fixed, which
-  is complete because roots of h in L biject with the scalar roots in any
-  fixed completion).
-* lattice: lift a single factor of maximal degree, read off the scaled
-  root modulo (p**k, F1), and reconstruct its global coefficient vector
-  with LLL plus Babai rounding on the divisibility lattice.
+The reconstruction is a knapsack in the style of van Hoeij (J. Number
+Theory 95, 2002; relative form: Belabas, JSC 37, 2004).  At a prime p
+where f mod p is squarefree and h mod p splits into distinct roots, a root
+of h in L is fixed by which root of h mod p it reduces to in each p-adic
+completion of L.  Pinning the first completion to the smallest root leaves
+a 0/1 choice per other completion, which LLL recovers from the leading
+bits of a few fixed combinations of the coefficients: a lattice of
+dimension about r plus a few, with small entries, whatever the precision.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -31,12 +27,12 @@ from . import modp
 from .arith import inverse_mod, iter_primes
 from .config import ScanConfig
 from .errors import NoPrimeFound
-from .lattice import babai_nearest, lll_reduce
+from .lattice import lll_reduce
 from .poly import Poly, is_squarefree_q, xgcd_q
 
 PROVED = "proved"
 NOT_FOUND = "not_found"
-COMBO_OVERFLOW = "combo_overflow"
+KNAPSACK = "knapsack"
 
 
 class NumberField:
@@ -102,10 +98,7 @@ def select_prime(field: NumberField, h: Poly, rng: random.Random,
     for p in iter_primes(3, prime_bound):
         if int(field.f.lc) % p == 0:
             continue
-        try:
-            if not modp.squarefree_mod_p(field.f, p):
-                continue
-        except Exception:
+        if not modp.squarefree_mod_p(field.f, p):
             continue
         roots = modp.roots_mod_p(h, p)
         if len(roots) != h.degree:
@@ -204,121 +197,112 @@ class _IdempotentLift:
         return self.idems
 
 
-def _attempt_certificate(field: NumberField, h: Poly, x_vec: list[int], m: int) -> RootCertificate | None:
-    """Scale x by f', center-lift, and run the exact check.
+# -- knapsack reconstruction ------------------------------------------------------
 
-    Skips the exact check when the centered coefficients are too close to
-    the modulus to plausibly be the true values at this precision.
+
+def knapsack_size(n: int, nvar: int) -> tuple[int, int]:
+    """(c, s): how many coefficient combinations the knapsack lattice keeps,
+    and how many bits of each one's fractional position, for nvar
+    indicators.  c * s stays at least 2 * nvar + 48 bits, which sets the
+    0/1 solution well apart from the other short vectors for up to about
+    16 completions."""
+    c = min(n, max(4, nvar // 3 + 2))
+    s = max(16, -(-(2 * nvar + 48) // c))
+    return c, s
+
+
+def _projection(n: int, c: int) -> list[list[int]]:
+    """c fixed pseudo-random weight rows in {-1, 0, 1}**n.
+
+    A combination of the coefficients of a small vector is small too.  The
+    leading coefficients alone (the traces of x, theta*x, ...) are not
+    enough: in fields with symmetries, such as multiquadratic and
+    cyclotomic ones, some signed sums of completions vanish in all of them
+    exactly, and two 0/1 choices then look the same.
     """
-    f_m = modp.from_poly(field.f, m)
-    fp_m = modp.from_poly(field.fprime, m)
-    y = modp.mulmod(fp_m, x_vec, f_m, m)
-    yc = modp.center_lift(y, m)
-    if any(abs(c) > m // 16 for c in yc):
-        return None
-    cert = RootCertificate(tuple(yc + [0] * (field.n - len(yc)))[: field.n], h)
-    if verify_certificate(field, h, cert):
-        return cert
-    return None
+    rng = random.Random(1009 * n + c)
+    return [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(c)]
 
 
-def _attempt_certificate_rr(field: NumberField, h: Poly, x_vec: list[int], m: int) -> RootCertificate | None:
-    """Fallback reconstruction: recover the rational coefficients of the
-    unscaled root coefficient-wise, then verify exactly over Q."""
-    from .arith import rational_reconstruction
-    from fractions import Fraction
-
-    coeffs = []
-    for c in x_vec + [0] * (field.n - len(x_vec)):
-        r = rational_reconstruction(c % m, m)
-        if r is None:
-            return None
-        coeffs.append(r)
-    x = Poly(coeffs)
-    hx = Poly()
-    for hc in reversed(h.coeffs):
-        hx = (hx * x) % field.f
-        if hc != 0:
-            hx = hx + Poly([Fraction(hc)])
-    if hx:
-        return None
-    y = (x * field.fprime) % field.f
-    if not y.is_integral():
-        return None
-    cert = RootCertificate(tuple(int(c) for c in y.coeffs) + (0,) * (field.n - len(y.coeffs)), h)
-    return cert if verify_certificate(field, h, cert) else None
+def _fraction_bits(vec: list[int], weights: list[list[int]], s: int, m: int) -> list[int]:
+    """Each weighted sum x of vec modulo m, as the nearest integer to
+    2**s * x / m."""
+    out = []
+    for row in weights:
+        x = sum(a * v for a, v in zip(row, vec)) % m
+        out.append(((x << (s + 1)) + m) // (2 * m))
+    return out
 
 
-# -- strategy A: CRT over modular factors ---------------------------------------
+def _knapsack_basis(y0_bits: list[int], w_bits: list[list[int]], s: int) -> list[list[int]]:
+    """Rows: one per indicator (identity block, then its bits), the marker
+    row of y0, and one row of 2**s per bit column, closing it modulo 2**s."""
+    nvar, c = len(w_bits), len(y0_bits)
+    dim = nvar + 1 + c
+    basis = []
+    for v, bits in enumerate(w_bits + [y0_bits]):
+        row = [0] * dim
+        row[v] = 1
+        row[nvar + 1:] = bits
+        basis.append(row)
+    for t in range(c):
+        row = [0] * dim
+        row[nvar + 1 + t] = 1 << s
+        basis.append(row)
+    return basis
 
 
-def root_combinatorial(field: NumberField, h: Poly, pdata: PrimeData,
-                       combo_limit: int, schedule: list[int],
-                       rr_fallback: bool = False) -> RootSearch:
-    """Enumerate assignments of the roots of h mod p to the completions of
-    L at p, lift each to the schedule precisions, and return the first
-    assignment whose reconstructed scaled root passes the exact check."""
-    r = pdata.r
-    n_assign = h.degree ** (r - 1)
-    if n_assign > combo_limit:
-        return RootSearch(COMBO_OVERFLOW, strategy="combinatorial")
-    p = pdata.p
-    attempt = _attempt_certificate_rr if rr_fallback else _attempt_certificate
-    idem = _IdempotentLift(field, pdata.factors, p)
-    lifts = [_ScalarRootLift(h, s, p) for s in pdata.roots]
+def root_knapsack(field: NumberField, h: Poly, pdata: PrimeData,
+                  schedule: list[int]) -> RootSearch:
+    """Recover the root of h whose image in the first completion of L at p
+    is roots[0] as a 0/1 knapsack over the other completions.
+
+    Modulo p**k the scaled root is y = y0 + sum delta_ij * w_ij, where
+    y0 = s_1 * f' (the idempotents sum to 1), w_ij = (s_j - s_1) * f' * e_i
+    for completions i >= 2 and roots j >= 2, and delta_ij is 1 exactly when
+    completion i takes root j.  The true y has small coefficients, so fixed
+    small combinations of the coefficients of y0 + sum delta * w sit next
+    to multiples of p**k; LLL on their leading fractional bits finds the
+    indicators.  Each candidate is rechecked exactly, so a wrong one only
+    costs time.
+    """
+    p, n = pdata.p, field.n
+    per_completion = h.degree - 1
+    nvar = (pdata.r - 1) * per_completion
+    c, s = knapsack_size(n, nvar)
+    weights = _projection(n, c)
+    idem = _IdempotentLift(field, pdata.factors[1:], p)
+    lifts = [_ScalarRootLift(h, s0, p) for s0 in pdata.roots]
     for k in schedule:
         m = p**k
-        idems = idem.lift_to(k)
-        roots_k = [lift.lift_to(k) for lift in lifts]
-        for combo in itertools.product(range(h.degree), repeat=r - 1):
-            assign = (0,) + combo
-            x = []
-            for s_idx, e in zip(assign, idems):
-                x = modp.add(x, modp.scale(e, roots_k[s_idx], m), m)
-            cert = attempt(field, h, x, m)
-            if cert is not None:
-                return RootSearch(PROVED, cert, strategy="combinatorial")
-    return RootSearch(NOT_FOUND, strategy="combinatorial")
-
-
-# -- strategy B: one completion plus lattice reconstruction ----------------------
-
-
-def root_lattice(field: NumberField, h: Poly, pdata: PrimeData,
-                 schedule: list[int]) -> RootSearch:
-    """Lift one maximal-degree factor F1 and one root of h, then recover the
-    global scaled root from its image mod (p**k, F1) by LLL and Babai
-    rounding on the lattice of polynomials divisible by F1 mod p**k."""
-    p = pdata.p
-    n = field.n
-    d1 = max(len(fac) for fac in pdata.factors) - 1
-    f1 = next(list(fac) for fac in pdata.factors if len(fac) - 1 == d1)
-    lifter = modp.HenselLift(field.f, f1, p)
-    root_lift = _ScalarRootLift(h, pdata.roots[0], p)
-    for k in schedule:
-        m = p**k
-        big_f1 = lifter.lift_to(k)
-        s = root_lift.lift_to(k)
-        fp_loc = modp.pmod(modp.from_poly(field.fprime, m), big_f1, m)
-        t = modp.scale(fp_loc, s, m)
-        t_ext = list(t) + [0] * (n - len(t))
-        basis = []
-        for i in range(d1):
-            row = [0] * n
-            row[i] = m
-            basis.append(row)
-        for j in range(n - d1):
-            row = [0] * n
-            for idx, c in enumerate(big_f1):
-                row[j + idx] = c
-            basis.append(row)
-        reduced = lll_reduce(basis)
-        v = babai_nearest(reduced, t_ext)
-        y = [a - b for a, b in zip(t_ext, v)]
-        cert = RootCertificate(tuple(y), h)
-        if verify_certificate(field, h, cert):
-            return RootSearch(PROVED, cert, strategy="lattice")
-    return RootSearch(NOT_FOUND, strategy="lattice")
+        f_m = modp.from_poly(field.f, m)
+        fp_m = modp.from_poly(field.fprime, m)
+        roots = [lift.lift_to(k) for lift in lifts]
+        y0 = modp.scale(fp_m, roots[0], m)
+        w = []
+        for e in idem.lift_to(k):
+            fe = modp.mulmod(fp_m, e, f_m, m)
+            w.extend(modp.scale(fe, sj - roots[0], m) for sj in roots[1:])
+        basis = _knapsack_basis(_fraction_bits(y0, weights, s, m),
+                                [_fraction_bits(v, weights, s, m) for v in w], s)
+        for row in lll_reduce(basis):
+            sign = row[nvar]
+            if sign not in (1, -1):
+                continue
+            delta = [sign * x for x in row[:nvar]]
+            if any(d not in (0, 1) for d in delta) or \
+                    any(sum(delta[i:i + per_completion]) > 1
+                        for i in range(0, nvar, per_completion)):
+                continue
+            y = y0
+            for d, v in zip(delta, w):
+                if d:
+                    y = modp.add(y, v, m)
+            yc = modp.center_lift(y, m)
+            cert = RootCertificate(tuple(yc + [0] * (n - len(yc))), h)
+            if verify_certificate(field, h, cert):
+                return RootSearch(PROVED, cert, strategy=KNAPSACK)
+    return RootSearch(NOT_FOUND, strategy=KNAPSACK)
 
 
 # -- entry point -----------------------------------------------------------------
@@ -326,21 +310,9 @@ def root_lattice(field: NumberField, h: Poly, pdata: PrimeData,
 
 def find_root(field: NumberField, h: Poly, config: ScanConfig,
               rng: random.Random) -> RootSearch:
-    """Strategy dispatch: combinatorial when the assignment count fits the
-    combo limit, lattice otherwise (or as forced by the config)."""
+    """Select a prime, then run the knapsack reconstruction up the
+    precision schedule."""
     if not (h.is_monic() and h.is_integral() and h.degree in (2, 3)):
         raise ValueError("h must be monic integral of degree 2 or 3")
     pdata = select_prime(field, h, rng, config.select_prime_bound)
-    schedule = config.precision_schedule(pdata.p, field.n)
-    strategy = config.strategy
-    if strategy == "auto":
-        strategy = "combinatorial" if h.degree ** (pdata.r - 1) <= config.combo_limit else "lattice"
-    if strategy == "combinatorial":
-        result = root_combinatorial(field, h, pdata, config.combo_limit, schedule,
-                                    config.use_rational_reconstruction)
-        if result.status == COMBO_OVERFLOW and config.strategy == "auto":
-            return root_lattice(field, h, pdata, schedule)
-        return result
-    if strategy == "lattice":
-        return root_lattice(field, h, pdata, schedule)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return root_knapsack(field, h, pdata, config.precision_schedule(pdata.p, field.n))

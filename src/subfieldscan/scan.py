@@ -559,11 +559,12 @@ def cubic_subfield_scan(f_raw: Poly, config: ScanConfig | None = None) -> ScanRe
     for index, cand in enumerate(candidates):
         v_red = canonical_f3(span.reduce(cand.exponents))
         if not any(v_red):
+            # in the span of found subfields, so present by closure
             result = find_root(field, cand.minpoly, config, _rng_for(config.seed, index))
-            if result.status == PROVED:
-                subfields.append(SubfieldEntry(result.certificate, minpoly=cand.minpoly))
-            else:
-                excluded.append(ExcludedEntry(STATUS_UNPROVEN_ABSENT, minpoly=cand.minpoly))
+            if result.status != PROVED:
+                raise AssertionError(f"no root found for {cand.minpoly}, which the "
+                                     "found cubic subfields generate")
+            subfields.append(SubfieldEntry(result.certificate, minpoly=cand.minpoly))
             continue
         match = None
         for evec, status, witness in excluded_reps:

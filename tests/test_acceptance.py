@@ -16,7 +16,7 @@ import pytest
 from subfieldscan.arith import factor_integer
 from subfieldscan.config import ScanConfig
 from subfieldscan.errors import NotSquarefree
-from subfieldscan.lattice import babai_nearest, gram_schmidt, lll_reduce
+from subfieldscan.lattice import gram_schmidt, lll_reduce
 from subfieldscan.modp import ddf_degrees, factor_mod_p, from_poly, hensel_lift_factor, mul, pdivmod
 from subfieldscan.nfroot import (NumberField, RootCertificate, find_root, select_prime,
                                  verify_certificate)
@@ -77,14 +77,14 @@ def test_criterion_3_multiquadratic_degree32():
     t0 = time.perf_counter()
     entry = corpus_generate("multiquadratic", "2,3,5,7,11")
     field = NumberField(entry.poly)
-    # strategy B must engage: the assignment count at the selected prime
-    # exceeds the combo limit
+    # the 2^15-assignment case: the selected prime leaves more sign
+    # choices than the 1024 an enumeration could afford
     config = ScanConfig()
     pdata = select_prime(field, Poly([-2, 0, 1]), random.Random(0),
                          config.select_prime_bound)
-    assert 2 ** (pdata.r - 1) > config.combo_limit
+    assert 2 ** (pdata.r - 1) > 1024
     probe = find_root(field, Poly([-2, 0, 1]), config, random.Random(0))
-    assert probe.status == "proved" and probe.strategy == "lattice"
+    assert probe.status == "proved" and probe.strategy == "knapsack"
 
     rep = quad_subfield_scan(entry.poly, config)
     elapsed = time.perf_counter() - t0
@@ -93,7 +93,7 @@ def test_criterion_3_multiquadratic_degree32():
     assert rep.direct_tests == 5
     rep.check_invariants(field)
     assert elapsed < 600.0, f"degree-32 scan took {elapsed:.1f}s"
-    _pass(3, f"degree 32: 31 subfields, 5 direct tests, lattice strategy engaged "
+    _pass(3, f"degree 32: 31 subfields, 5 direct tests, knapsack over 2^15 choices "
              f"({elapsed:.1f}s < 600s)")
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from subfieldscan.errors import DependentBasis
-from subfieldscan.lattice import babai_nearest, gram_schmidt, lll_reduce
+from subfieldscan.lattice import gram_schmidt, lll_reduce
 from tests_lattice_helpers import change_of_basis, det_fraction as det_int
 
 
@@ -82,27 +82,3 @@ def test_first_vector_approximation():
             q = norm2(v)
             best = q if best is None else min(best, q)
         assert norm2(red[0]) <= 2 ** (n - 1) * best
-
-
-def test_babai_examples():
-    red = lll_reduce([[10, 0], [0, 10]])
-    assert babai_nearest(red, [3, 12]) == [0, 10]
-    assert babai_nearest([[1, 0], [0, 1]], [7, -3]) == [7, -3]
-    # target in the lattice comes back exactly
-    red = lll_reduce([[4, 3], [5, 4]])
-    target = [4 * 7 + 5 * 2, 3 * 7 + 4 * 2]
-    assert babai_nearest(red, target) == target
-
-
-def test_babai_close_targets():
-    rng = random.Random(5)
-    for _ in range(25):
-        n = rng.randint(2, 4)
-        basis = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
-        if det_int(basis) == 0:
-            continue
-        red = lll_reduce(basis)
-        coeffs = [rng.randint(-5, 5) for _ in range(n)]
-        point = [sum(c * red[i][j] for i, c in enumerate(coeffs)) for j in range(n)]
-        v = babai_nearest(red, point)
-        assert v == point

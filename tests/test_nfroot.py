@@ -2,15 +2,15 @@ import random
 
 import pytest
 
+from subfieldscan import modp
 from subfieldscan.config import ScanConfig
 from subfieldscan.errors import NoPrimeFound
 from subfieldscan.modp import ddf_degrees, roots_mod_p, squarefree_mod_p
-from subfieldscan.nfroot import (COMBO_OVERFLOW, NOT_FOUND, PROVED, NumberField,
-                                 PrimeData, RootCertificate, find_root,
-                                 root_combinatorial, root_lattice, select_prime,
-                                 verify_certificate)
-from subfieldscan.poly import Poly
-from subfieldscan.testkit import multiquadratic_minpoly
+from subfieldscan.nfroot import (NOT_FOUND, PROVED, NumberField, RootCertificate, find_root,
+                                 knapsack_size, select_prime, verify_certificate)
+from subfieldscan.poly import Poly, compositum_minpoly
+from subfieldscan.testkit import (corpus_generate, multiquadratic_certificates,
+                                  multiquadratic_minpoly)
 
 ZETA8 = Poly.from_desc([1, 0, 0, 0, 1])
 Y2M2 = Poly.from_desc([1, 0, -2])
@@ -71,51 +71,73 @@ def test_zeta8_sqrt3_absent():
     assert res.status == NOT_FOUND
 
 
-def test_strategies_agree():
-    field = NumberField(ZETA8)
-    for h in (Y2M2, Poly.from_desc([1, 0, 2]), Poly.from_desc([1, 0, 1])):
-        ra = find_root(field, h, cfg(strategy="combinatorial"), random.Random(0))
-        rb = find_root(field, h, cfg(strategy="lattice"), random.Random(0))
-        assert ra.status == rb.status == PROVED
-        xa = normalized(field, ra.certificate)
-        xb = normalized(field, rb.certificate)
-        assert xa in (xb, -xb)
+def test_select_prime_propagates_errors(monkeypatch):
+    def broken(f, p):
+        raise RuntimeError("bug in squarefree_mod_p")
+
+    monkeypatch.setattr(modp, "squarefree_mod_p", broken)
+    with pytest.raises(RuntimeError):
+        find_root(NumberField(ZETA8), Y2M2, cfg(), random.Random(0))
 
 
-def test_strategies_on_degree8():
-    f = multiquadratic_minpoly((2, 3, 5))
-    field = NumberField(f)
-    h = Poly.from_desc([1, 0, -30])
-    ra = find_root(field, h, cfg(strategy="combinatorial"), random.Random(0))
-    rb = find_root(field, h, cfg(strategy="lattice"), random.Random(0))
-    assert ra.status == rb.status == PROVED
-    xa, xb = normalized(field, ra.certificate), normalized(field, rb.certificate)
-    assert xa in (xb, -xb)
-    r7 = find_root(field, Poly.from_desc([1, 0, -7]), cfg(), random.Random(0))
+def assert_matches_oracle(primes, deltas=None):
+    """find_root proves x^2 - d for each d and returns the testkit's
+    independently built certificate up to sign."""
+    field = NumberField(multiquadratic_minpoly(primes))
+    certs = multiquadratic_certificates(primes)
+    for d in deltas or sorted(certs):
+        res = find_root(field, Poly([-d, 0, 1]), cfg(), random.Random(0))
+        assert res.status == PROVED and res.strategy == "knapsack", d
+        assert verify_certificate(field, res.certificate.h, res.certificate)
+        expect = certs[d]
+        assert res.certificate.scaled_root in (expect, tuple(-c for c in expect)), d
+
+
+def test_knapsack_degree8_all_subfields():
+    assert_matches_oracle((2, 3, 5))
+    r7 = find_root(NumberField(multiquadratic_minpoly((2, 3, 5))), Poly.from_desc([1, 0, -7]),
+                   cfg(), random.Random(0))
     assert r7.status == NOT_FOUND
 
 
-def test_combo_overflow_and_auto_fallback():
-    f = multiquadratic_minpoly((2, 3, 5))
-    field = NumberField(f)
-    rng = random.Random(0)
-    pd = select_prime(field, Y2M2, rng)
-    schedule = cfg().precision_schedule(pd.p, field.n)
-    res = root_combinatorial(field, Y2M2, pd, combo_limit=1, schedule=schedule)
-    assert res.status == COMBO_OVERFLOW
-    auto = find_root(field, Y2M2, cfg(combo_limit=1), random.Random(0))
-    assert auto.status == PROVED and auto.strategy == "lattice"
+def test_knapsack_degree16_all_subfields():
+    # sqrt 15 is tested at a prime with r = 8 completions, where the
+    # leading coefficients alone cannot tell two 0/1 choices apart
+    field = NumberField(multiquadratic_minpoly((2, 3, 5, 7)))
+    assert select_prime(field, Poly([-15, 0, 1]), random.Random(0)).r == 8
+    assert_matches_oracle((2, 3, 5, 7))
+
+
+def test_knapsack_degree32_subfields():
+    assert_matches_oracle((2, 3, 5, 7, 11), deltas=(5, 77, 2310))
+
+
+def test_knapsack_size():
+    # the degree-32 root tests: 16 completions, a dimension-23 lattice
+    # with 17-bit entries
+    assert knapsack_size(32, 15) == (7, 16)
+    # never more columns than coefficients; fewer columns get more bits
+    assert knapsack_size(2, 1) == (2, 25)
 
 
 def test_cubic_root():
-    from subfieldscan.poly import compositum_minpoly
-
     f = compositum_minpoly(Poly.from_desc([1, 0, -21, -35]), Poly.from_desc([1, 0, -5]))
     field = NumberField(f)
     res = find_root(field, Poly.from_desc([1, 0, -21, -35]), cfg(), random.Random(0))
     assert res.status == PROVED
     res2 = find_root(field, Poly.from_desc([1, 0, -3, 1]), cfg(), random.Random(0))
     assert res2.status == NOT_FOUND
+
+
+def test_cubic_roots_over_three_completions():
+    # C3 x C3: each cubic subfield is tested at a prime with r = 3
+    # completions, so two indicator bits per completion, at most one set
+    entry = corpus_generate("cubic-compositum", "7,9")
+    field = NumberField(entry.poly)
+    for h in entry.cubic:
+        assert select_prime(field, h, random.Random(0)).r >= 3
+        res = find_root(field, h, cfg(), random.Random(0))
+        assert res.status == PROVED and verify_certificate(field, h, res.certificate)
 
 
 def test_verify_certificate_tampering():
@@ -129,14 +151,6 @@ def test_verify_certificate_tampering():
         assert not verify_certificate(field, Y2M2, RootCertificate(tuple(bad), Y2M2))
     # certificate checked against the wrong polynomial
     assert not verify_certificate(field, Poly.from_desc([1, 0, -3]), cert)
-
-
-def test_rational_reconstruction_fallback():
-    field = NumberField(ZETA8)
-    res = find_root(field, Y2M2, cfg(use_rational_reconstruction=True), random.Random(0))
-    std = find_root(field, Y2M2, cfg(), random.Random(0))
-    assert res.status == PROVED
-    assert res.certificate.scaled_root == std.certificate.scaled_root
 
 
 def test_newton_lift_invariant():

@@ -123,6 +123,27 @@ def test_cubic_composites():
     assert rep6.subfields[0].minpoly == entry6.cubic[0]
 
 
+def test_cubic_span_member_without_root_is_an_error(monkeypatch):
+    # in the C3 x C3 compositum the first two root tests find subfields that
+    # generate the other two; a failed root test on one of those raises
+    # instead of becoming an unproven exclusion
+    import subfieldscan.scan as scan_mod
+    from subfieldscan.nfroot import NOT_FOUND, RootSearch
+
+    real = scan_mod.find_root
+    calls = []
+
+    def find_root(field, h, config, rng):
+        calls.append(h)
+        return real(field, h, config, rng) if len(calls) <= 2 else RootSearch(NOT_FOUND)
+
+    monkeypatch.setattr(scan_mod, "find_root", find_root)
+    entry = corpus_generate("cubic-compositum", "7,9")
+    with pytest.raises(AssertionError, match="found cubic subfields generate"):
+        cubic_subfield_scan(entry.poly)
+    assert len(calls) == 3
+
+
 def test_cubic_on_non_multiple_of_three():
     rep = cubic_subfield_scan(ZETA8)
     assert rep.subfields == []
