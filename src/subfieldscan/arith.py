@@ -221,10 +221,10 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def inverse_mod(a: int, m: int) -> int:
-    g, x, _ = xgcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} not invertible mod {m}")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ValueError(f"{a} not invertible mod {m}") from None
 
 
 def crt(residues: list[tuple[int, int]]) -> tuple[int, int]:

@@ -274,7 +274,6 @@ def _config_from_args(args) -> ScanConfig:
         sieve_prime_bound=args.sieve_bound,
         sieve_max_rows=args.sieve_count,
         max_precision=args.max_precision,
-        threads=args.threads,
     )
 
 
@@ -286,7 +285,6 @@ def _add_scan_args(sp):
     sp.add_argument("--max-precision", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None,
                     help="default 0, or SUBFIELD_SCAN_SEED if set")
-    sp.add_argument("--threads", type=int, default=1)
 
 
 def _run_scan(args, kind: str) -> int:

@@ -16,7 +16,6 @@ class ScanConfig:
     max_precision: int | None = None       # cap on p-adic digits, overrides the heuristic
     select_prime_bound: int = 50_000
     absence_prime_bound: int = 10_000
-    threads: int = 1
     factor_budget: FactorBudget = FactorBudget()
 
     def precision_schedule(self, p: int, n: int) -> list[int]:

@@ -1,10 +1,18 @@
 """Polynomial arithmetic over Z/m and factorization over F_p.
 
-Polynomials here are plain lists of ints in [0, m), ascending by degree,
-trailing zeros stripped ([] is zero).  The same helpers serve two moduli:
-a prime p for factorization work, and a prime power p**k for Hensel-lifted
-arithmetic.  Division requires a monic (or unit leading coefficient)
-divisor, which is all the callers ever need.
+Polynomials are lists of ints in [0, m), ascending by degree, trailing
+zeros stripped ([] is zero).  The same helpers serve two moduli: a prime p
+for factorization work, and a prime power p**k for the lifted arithmetic
+of the root tests.
+
+Every product modulo a fixed monic v of degree n goes through one
+QuotientRing(v, m), which packs a polynomial into a single Python int, one
+coefficient per slot of max(64, 8*ceil(bits/8)) bits, where bits is the
+length of 2*n^3*m^4: that bound holds every coefficient of a packed
+product and of its Barrett reduction by v, so no carry crosses a slot and
+the only per-coefficient work is the final % m.  The schoolbook mul and
+pdivmod remain for gcd, xgcd, exact division and one-off reductions;
+division needs a divisor with a unit leading coefficient.
 
 Public operations: squarefree test, distinct-degree factor degrees, full
 factorization (distinct-degree + Cantor-Zassenhaus), root extraction, and
@@ -13,7 +21,9 @@ quadratic Hensel lifting of a coprime factor.
 
 from __future__ import annotations
 
+import operator
 import random
+import struct
 
 from .arith import inverse_mod
 from .errors import LeadingCoefficientVanishes, NotCoprimeCofactor, NotSquarefree, RetryLimitExceeded
@@ -73,14 +83,15 @@ def pdivmod(a, b, m):
     if len(rem) - 1 < db:
         return [], trim(rem)
     q = [0] * (len(rem) - db)
+    low = b[:-1]
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i] % m
         if c == 0:
             continue
         t = c * inv % m
         q[i - db] = t
-        for j, bc in enumerate(b):
-            rem[i - db + j] = (rem[i - db + j] - t * bc) % m
+        rem[i - db:i] = [(r - t * bc) % m for r, bc in zip(rem[i - db:i], low)]
+        rem[i] = 0
     return trim(q), trim(rem)
 
 
@@ -88,20 +99,101 @@ def pmod(a, b, m):
     return pdivmod(a, b, m)[1]
 
 
-def mulmod(a, b, f, m):
-    return pmod(mul(a, b, m), f, m)
+class QuotientRing:
+    """(Z/m)[x]/(v) for a monic v of degree n >= 1, with packed products.
 
+    Kronecker substitution (Harvey, JSC 44, 2009) turns a product into one
+    big-integer multiply, and polynomial Barrett division (von zur Gathen &
+    Gerhard, Modern Computer Algebra, 9.1) reduces it with mu = x^(2n-2)
+    div v, computed once per ring:
 
-def powmod(a, e, f, m):
-    result = [1]
-    base = pmod(a, f, m)
-    while e:
-        if e & 1:
-            result = mulmod(result, base, f, m)
-        e >>= 1
-        if e:
-            base = mulmod(base, base, f, m)
-    return result
+        c = a*b,  q = ((c div x^n) * mu) div x^(n-2),  r = c - q*v mod x^n.
+
+    There is no reduction mod m in between.  Every slot of c, q and the low
+    half of q*v stays below n^3*m^4, which is added to each slot of r so
+    that none borrows.  With 64-bit slots (sieve-sized p) packing and
+    unpacking go through struct.
+    """
+
+    def __init__(self, v, m):
+        v = trim([c % m for c in v])
+        if len(v) < 2 or v[-1] != 1:
+            raise ValueError("modulus must be monic of positive degree")
+        n = len(v) - 1
+        self.v, self.m, self.n = v, m, n
+        headroom = n**3 * m**4
+        self._width = max(8, -(-(2 * headroom).bit_length() // 8))
+        self._words = struct.Struct(f"<{n}Q") if self._width == 8 else None
+        bits = 8 * self._width
+        self._hi = bits * n
+        self._mask = (1 << bits * n) - 1
+        self._offset = self._pack([headroom] * n)
+        self._v = self._pack(v)
+        self._mu, self._qshift = 0, 0
+        if n > 1:
+            self._mu = self._pack(pdivmod([0] * (2 * n - 2) + [1], v, m)[0])
+            self._qshift = bits * (n - 2)
+
+    def _pack(self, a) -> int:
+        if self._words:
+            return int.from_bytes(struct.pack(f"<{len(a)}Q", *a), "little")
+        width = self._width
+        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in a]), "little")
+
+    def _reduce(self, c: int) -> list[int]:
+        """The coefficient list of a packed product c modulo v and m."""
+        q = ((c >> self._hi) * self._mu) >> self._qshift
+        return self._unpack((c & self._mask) + self._offset - ((q * self._v) & self._mask))
+
+    def _unpack(self, r: int) -> list[int]:
+        """The n slots of r, each taken mod m."""
+        width, m = self._width, self.m
+        data = r.to_bytes(width * self.n, "little")
+        if self._words:
+            return trim([c % m for c in self._words.unpack(data)])
+        return trim([int.from_bytes(data[i:i + width], "little") % m
+                     for i in range(0, len(data), width)])
+
+    def element(self, a) -> list[int]:
+        """a reduced modulo v and m."""
+        a = trim([c % self.m for c in a])
+        return pmod(a, self.v, self.m) if len(a) > self.n else a
+
+    def mul(self, a, b) -> list[int]:
+        """a*b for reduced a and b (coefficients in [0, m), length at most n)."""
+        if not a or not b:
+            return []
+        return self._reduce(self._pack(a) * self._pack(b))
+
+    def pow(self, a, e: int) -> list[int]:
+        """a**e for e >= 0, by left-to-right square and multiply."""
+        a = self.element(a)
+        if e == 0:
+            return [1]
+        if not a:
+            return []
+        base = self._pack(a)
+        acc, out = base, a
+        for bit in bin(e)[3:]:
+            out = self._reduce(acc * acc)
+            acc = self._pack(out)
+            if bit == "1":
+                out = self._reduce(acc * base)
+                acc = self._pack(out)
+        return out
+
+    def power_table(self, b) -> list[int]:
+        """The packed powers 1, b, ..., b**(n-1) of a reduced b, for compose."""
+        powers = [[1], b]
+        while len(powers) < self.n:
+            powers.append(self.mul(powers[-1], b))
+        return [self._pack(a) for a in powers[:self.n]]
+
+    def compose(self, a, table) -> list[int]:
+        """a(b) for a reduced a, where table = power_table(b): one dot
+        product of a's coefficients with the packed powers (each slot stays
+        below n*m^2)."""
+        return self._unpack(sum(map(operator.mul, a, table)))
 
 
 def monic(a, p):
@@ -169,19 +261,38 @@ def squarefree_mod_p(f: Poly, p: int) -> bool:
 
 
 def _ddf_stages(fb, p):
-    """Yield (d, product of irreducible factors of degree d), d increasing."""
+    """Yield (d, product of irreducible factors of degree d), d increasing.
+
+    Stage d needs w = x^(p^d) mod v.  Frobenius is a ring map fixing F_p,
+    so w^p = w(xi) with xi = x^p: once the square-and-multiply powers for
+    the current v have cost as many products as tabulating the powers of xi
+    does, each further stage is one packed dot product with that table.
+    """
     v = list(fb)
     x = [0, 1]
-    w = list(x)
-    d = 0
+    w, xi, d = list(x), None, 0
+    ring = table = None
+    pow_cost = p.bit_length() + bin(p).count("1") - 2   # products in one ring.pow(w, p)
     while deg(v) >= 2 * (d + 1):
         d += 1
-        w = powmod(w, p, v, p)
+        if ring is None:
+            ring, spent = QuotientRing(v, p), 0
+        if table is None and xi is not None and spent >= ring.n - 2:
+            table = ring.power_table(xi)
+        if table is None:
+            w = ring.pow(w, p)
+            spent += pow_cost
+        else:
+            w = ring.compose(w, table)
+        if xi is None:
+            xi = w
         g = gcd(sub(w, x, p), v, p)
         if deg(g) > 0:
             yield d, g
             v = pdivmod(v, g, p)[0]
             w = pmod(w, v, p)
+            xi = pmod(xi, v, p)
+            ring = table = None
     if deg(v) > 0:
         yield deg(v), v
 
@@ -206,18 +317,19 @@ def _split_equal_degree(g, d, p, rng: random.Random):
         return [g]
     if deg(g) == 0:
         return []
+    ring = QuotientRing(g, p)
     for _ in range(_CZ_RETRY_CAP):
         if p == 2:
             u = [rng.randrange(2) for _ in range(deg(g))] + [1]
             t = []
-            acc = list(u)
+            acc = ring.element(u)
             for _ in range(d):
                 t = add(t, acc, p)
-                acc = mulmod(acc, acc, g, p)
+                acc = ring.mul(acc, acc)
             w = gcd(t, g, p)
         else:
             u = [rng.randrange(p) for _ in range(deg(g))] + [1]
-            t = powmod(u, (p**d - 1) // 2, g, p)
+            t = ring.pow(u, (p**d - 1) // 2)
             w = gcd(sub(t, [1], p), g, p)
         if 0 < deg(w) < deg(g):
             rest = pdivmod(g, w, p)[0]
@@ -251,7 +363,7 @@ def roots_mod_p(h: Poly, p: int) -> set[int]:
     if p < 1000:
         return {r for r in range(p) if evaluate(hb, r, p) == 0}
     hb = monic(hb, p)
-    w = sub(powmod([0, 1], p, hb, p), [0, 1], p)
+    w = sub(QuotientRing(hb, p).pow([0, 1], p), [0, 1], p)
     g = gcd(w, hb, p)
     return set(_linear_roots(g, p))
 
@@ -262,9 +374,10 @@ def _linear_roots(g, p):
         return []
     if deg(g) == 1:
         return [(-g[0]) % p]
+    ring = QuotientRing(g, p)
     shift = 0
     while True:
-        t = powmod([shift, 1], (p - 1) // 2, g, p)
+        t = ring.pow([shift, 1], (p - 1) // 2)
         w = gcd(sub(t, [1], p), g, p)
         if 0 < deg(w) < deg(g):
             rest = pdivmod(g, w, p)[0]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import modp
 from .arith import inverse_mod, iter_primes
 from .config import ScanConfig
-from .errors import NoPrimeFound
+from .errors import NoPrimeFound, NotSquarefree
 from .lattice import lll_reduce
 from .poly import Poly, is_squarefree_q, xgcd_q
 
@@ -98,12 +98,13 @@ def select_prime(field: NumberField, h: Poly, rng: random.Random,
     for p in iter_primes(3, prime_bound):
         if int(field.f.lc) % p == 0:
             continue
-        if not modp.squarefree_mod_p(field.f, p):
-            continue
         roots = modp.roots_mod_p(h, p)
         if len(roots) != h.degree:
             continue
-        degs = modp.ddf_degrees(field.f, p)
+        try:
+            degs = modp.ddf_degrees(field.f, p)
+        except NotSquarefree:
+            continue
         r = sum(degs.values())
         qualifying.append((r, p, tuple(sorted(roots))))
         if len(qualifying) >= 25:
@@ -173,6 +174,7 @@ class _IdempotentLift:
         self.p = p
         self.k = 1
         f_p = modp.monic(modp.from_poly(field.f, p), p)
+        ring = modp.QuotientRing(f_p, p)
         idems = []
         for fac in factors:
             fac = list(fac)
@@ -180,18 +182,18 @@ class _IdempotentLift:
             g, s, _ = modp.xgcd(cof, fac, p)
             if modp.deg(g) != 0:
                 raise ValueError("factors are not pairwise coprime")
-            idems.append(modp.mulmod(cof, s, f_p, p))
+            idems.append(ring.mul(cof, s))
         self.idems = idems
 
     def lift_to(self, k: int) -> list[list[int]]:
         while self.k < k:
             k2 = min(2 * self.k, k)
             m = self.p**k2
-            f_m = modp.from_poly(self.field.f, m)
+            ring = modp.QuotientRing(modp.from_poly(self.field.f, m), m)
             new = []
             for e in self.idems:
-                e2 = modp.mulmod(e, e, f_m, m)
-                e3 = modp.mulmod(e2, e, f_m, m)
+                e2 = ring.mul(e, e)
+                e3 = ring.mul(e2, e)
                 new.append(modp.sub(modp.scale(e2, 3, m), modp.scale(e3, 2, m), m))
             self.idems, self.k = new, k2
         return self.idems
@@ -275,13 +277,13 @@ def root_knapsack(field: NumberField, h: Poly, pdata: PrimeData,
     lifts = [_ScalarRootLift(h, s0, p) for s0 in pdata.roots]
     for k in schedule:
         m = p**k
-        f_m = modp.from_poly(field.f, m)
+        ring = modp.QuotientRing(modp.from_poly(field.f, m), m)
         fp_m = modp.from_poly(field.fprime, m)
         roots = [lift.lift_to(k) for lift in lifts]
         y0 = modp.scale(fp_m, roots[0], m)
         w = []
         for e in idem.lift_to(k):
-            fe = modp.mulmod(fp_m, e, f_m, m)
+            fe = ring.mul(fp_m, e)
             w.extend(modp.scale(fe, sj - roots[0], m) for sj in roots[1:])
         basis = _knapsack_basis(_fraction_bits(y0, weights, s, m),
                                 [_fraction_bits(v, weights, s, m) for v in w], s)

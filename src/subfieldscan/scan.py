@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -26,7 +25,7 @@ from . import modp
 from .arith import iter_primes, legendre
 from .config import ScanConfig
 from .eisenstein import EisensteinInt
-from .errors import BadPrime, ZeroExponentVector
+from .errors import BadPrime, NotSquarefree, ZeroExponentVector
 from .kummer3 import CubicCandidate, build_generator, cubic_place_basis
 from .nfroot import (PROVED, NumberField, RootCertificate, find_root,
                      verify_certificate)
@@ -193,38 +192,24 @@ def _quad_sieve(f: Poly, basis: PlaceBasis, gcd_value: int, config: ScanConfig):
     def row_for(q):
         try:
             degs = modp.ddf_degrees(f, q)
-        except Exception:
+        except NotSquarefree:
             return None
         cls = classify_prime_quadratic(degs, n)
         if cls == QuadClass.NO_INFO:
             return None
         return quad_constraint(q, cls, basis)
 
-    candidates_q = [q for q in iter_primes(3, config.sieve_prime_bound)
-                    if q not in skip and gcd_value % q != 0 and int(f.lc) % q != 0]
     rows = []
     if config.sieve_max_rows <= 0:
         return rows
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            chunk = 4 * config.threads
-            idx = 0
-            while idx < len(candidates_q) and len(rows) < config.sieve_max_rows:
-                batch = candidates_q[idx: idx + chunk]
-                idx += chunk
-                for row in pool.map(row_for, batch):
-                    if row is not None:
-                        rows.append(row)
-                        if len(rows) >= config.sieve_max_rows:
-                            break
-    else:
-        for q in candidates_q:
-            row = row_for(q)
-            if row is not None:
-                rows.append(row)
-                if len(rows) >= config.sieve_max_rows:
-                    break
-    rows.sort(key=lambda r: r.prime)
+    for q in iter_primes(3, config.sieve_prime_bound):
+        if q in skip or gcd_value % q == 0 or int(f.lc) % q == 0:
+            continue
+        row = row_for(q)
+        if row is not None:
+            rows.append(row)
+            if len(rows) >= config.sieve_max_rows:
+                break
     return rows
 
 
@@ -433,7 +418,7 @@ def absence_witness_quad(field: NumberField, delta: int, basis: PlaceBasis,
             continue
         try:
             degs = modp.ddf_degrees(field.f, q)
-        except Exception:
+        except NotSquarefree:
             continue
         cls = classify_prime_quadratic(degs, field.n)
         if cls == QuadClass.NO_INFO:
@@ -490,7 +475,7 @@ def _cubic_sieve(f: Poly, basis: PlaceBasis, gcd_value: int,
             return None
         try:
             degs = modp.ddf_degrees(f, q)
-        except Exception:
+        except NotSquarefree:
             return None
         if classify_prime_cubic(degs) != CubicClass.SPLITS_ALL:
             return None
@@ -618,7 +603,7 @@ def absence_witness_cubic(field: NumberField, cand: CubicCandidate,
             continue
         try:
             degs = modp.ddf_degrees(field.f, q)
-        except Exception:
+        except NotSquarefree:
             continue
         if classify_prime_cubic(degs) != CubicClass.SPLITS_ALL:
             continue

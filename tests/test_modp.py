@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from subfieldscan import modp
 from subfieldscan.arith import primes_up_to
@@ -135,3 +136,105 @@ def test_hensel_rejects_noncoprime():
     f = Poly.from_desc([1, 0, -2]) * Poly.from_desc([1, 0, -2])
     with pytest.raises((NotCoprimeCofactor, ValueError)):
         modp.hensel_lift_factor(f, [11, 1], 17, 3)
+
+
+# -- the packed quotient ring against the schoolbook reference ---------------------
+
+SMALL_PRIMES = [5, 7, 11, 13, 101, 1009, 9973, 65521]
+
+
+@st.composite
+def prime_powers(draw):
+    p = draw(st.sampled_from([2, 3, 5, 47, 9973]))
+    return p ** draw(st.integers(min_value=1, max_value=600 // p.bit_length()))
+
+
+moduli = st.one_of(st.sampled_from([2, 3]), st.sampled_from(SMALL_PRIMES), prime_powers())
+
+
+def residues(m, size):
+    """Reduced polynomials of length at most size: zero, constants, random
+    ones, and the all-(m-1) worst case for the slot bound."""
+    return st.one_of(st.just([]),
+                     st.integers(min_value=1, max_value=m - 1).map(lambda c: [c]),
+                     st.lists(st.integers(min_value=0, max_value=m - 1), max_size=size).map(modp.trim),
+                     st.just([m - 1] * size))
+
+
+@st.composite
+def rings(draw, operands=2):
+    m = draw(moduli)
+    n = draw(st.integers(min_value=1, max_value=40))
+    low = draw(st.one_of(st.lists(st.integers(min_value=0, max_value=m - 1), min_size=n, max_size=n),
+                         st.just([m - 1] * n)))
+    ring = modp.QuotientRing(low + [1], m)
+    return (ring,) + tuple(draw(residues(m, n)) for _ in range(operands))
+
+
+def schoolbook_pow(a, e, v, m):
+    result, base = [1], modp.pmod(a, v, m)
+    while e:
+        if e & 1:
+            result = modp.pmod(modp.mul(result, base, m), v, m)
+        base = modp.pmod(modp.mul(base, base, m), v, m)
+        e >>= 1
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(rings())
+def test_ring_mul_matches_schoolbook(case):
+    ring, a, b = case
+    assert ring.mul(a, b) == modp.pmod(modp.mul(a, b, ring.m), ring.v, ring.m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rings(operands=1), st.integers(min_value=0, max_value=600))
+def test_ring_pow_matches_repeated_squaring(case, e):
+    ring, a = case
+    assert ring.pow(a, e) == schoolbook_pow(a, e, ring.v, ring.m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rings(operands=1), st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=90))
+def test_ring_element_and_pow_reduce_long_input(case, a):
+    ring, _ = case
+    assert ring.element(a) == modp.pmod(modp.trim([c % ring.m for c in a]), ring.v, ring.m)
+    assert ring.pow(a, 3) == schoolbook_pow(modp.trim([c % ring.m for c in a]), 3, ring.v, ring.m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rings())
+def test_ring_compose_matches_horner(case):
+    ring, a, b = case
+    expect = []
+    for c in reversed(a):
+        expect = modp.add(modp.pmod(modp.mul(expect, b, ring.m), ring.v, ring.m), [c], ring.m)
+    assert ring.compose(a, ring.power_table(b)) == expect
+
+
+def test_ring_rejects_non_monic_modulus():
+    for v in ([3, 2], [5], []):
+        with pytest.raises(ValueError):
+            modp.QuotientRing(v, 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3] + SMALL_PRIMES[:5]),
+       st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=16),
+       st.randoms(use_true_random=False))
+def test_ddf_matches_factor_degrees(p, low, rng):
+    f = Poly(low + [1])
+    try:
+        degs = modp.ddf_degrees(f, p)
+    except NotSquarefree:
+        assume(False)
+    factors = modp.factor_mod_p(f, p, rng)
+    got = {}
+    for fac in factors:
+        got[len(fac) - 1] = got.get(len(fac) - 1, 0) + 1
+    assert got == degs
+    prod = [1]
+    for fac in factors:
+        prod = modp.mul(prod, fac, p)
+    assert prod == modp.from_poly(f, p)
