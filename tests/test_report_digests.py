@@ -1,11 +1,22 @@
 """Pinned canonical reports of a few cheap corpus scans.
 
-Kernel work (packing, reduction, prime selection) must not change a single
-byte of a report: the same rows, candidates, certificates and witnesses.
-The digests below are SHA-256 of canonical_report_bytes with the default
-configuration; they were taken before the packed quotient-ring kernel
-replaced the schoolbook products, and it reproduces them.  A change that
-means to alter reports must say why and update them.
+Kernel work (packing, reduction, prime selection) and the candidate walk
+must not change a single byte of a report: the same rows, candidates,
+certificates, witnesses and test counts.  The digests below are SHA-256 of
+canonical_report_bytes.  The default-configuration ones were taken before
+the packed quotient-ring kernel replaced the schoolbook products; the ones
+with a configuration were taken before the quadratic and cubic scans were
+merged into one walk over F_l, and cover its other paths:
+
+  cyclotomic 12 without sieve rows     certified_absent and twist_excluded
+  ... and absence primes up to 3       unproven_absent
+  compositum of x^2-6 and x^2-10       9 direct tests on coset
+                                       representatives, product certificates
+  cubic-compositum 7,9 without rows    2 subfields found by closure
+  cubic-compositum 7,q5 without rows   certified, twisted and (with absence
+                                       primes up to 5) unproven cubic entries
+
+A change that means to alter reports must say why and update them.
 """
 
 import hashlib
@@ -13,22 +24,53 @@ import hashlib
 import pytest
 
 from subfieldscan.cli import canonical_report_bytes
+from subfieldscan.config import ScanConfig
+from subfieldscan.poly import Poly, compositum_minpoly
 from subfieldscan.scan import cubic_subfield_scan, quad_subfield_scan
 from subfieldscan.testkit import corpus_generate
 
+NO_ROWS = {"sieve_max_rows": 0}
+
 GOLDEN = [
-    ("cyclotomic", "5", "quad", "03c5911b6f712651da90cf08ea6bbf9c27a80d4be76b5e36af2db26bc541ebf1"),
-    ("cyclotomic", "7", "quad", "197f7b7737132e70ebc85c076a76fb0cf7d30574eceee88f59661660fcaff674"),
-    ("cyclotomic", "7", "cubic", "e82c05b5b97ec42d1e808f100c5a080ee91bf03540d7ea3af11f76ca71b15add"),
-    ("cyclotomic", "12", "quad", "387aef2e99908ac6cf1fc1454eeb4a7d3639258f3a698de5af1b93f2c286e7a4"),
-    ("cubic-compositum", "7,q5", "quad", "18290bdb70de4f1af03209f4579e3ece8bfeab88bb367b778f30ae0dd5bd0e0c"),
-    ("cubic-compositum", "7,q5", "cubic", "11febda0f3894ac88e83ffc6c5717375996a29e27fc6e47745efe4ad283b461b"),
-    ("multiquadratic", "2,3,5", "quad", "08fc958f0899d9b607784a75fcabdc3bdb856b053dc9b480c15cca4cb53a446b"),
+    ("cyclotomic", "5", "quad", {}, "03c5911b6f712651da90cf08ea6bbf9c27a80d4be76b5e36af2db26bc541ebf1"),
+    ("cyclotomic", "7", "quad", {}, "197f7b7737132e70ebc85c076a76fb0cf7d30574eceee88f59661660fcaff674"),
+    ("cyclotomic", "7", "cubic", {}, "e82c05b5b97ec42d1e808f100c5a080ee91bf03540d7ea3af11f76ca71b15add"),
+    ("cyclotomic", "12", "quad", {}, "387aef2e99908ac6cf1fc1454eeb4a7d3639258f3a698de5af1b93f2c286e7a4"),
+    ("cubic-compositum", "7,q5", "quad", {}, "18290bdb70de4f1af03209f4579e3ece8bfeab88bb367b778f30ae0dd5bd0e0c"),
+    ("cubic-compositum", "7,q5", "cubic", {}, "11febda0f3894ac88e83ffc6c5717375996a29e27fc6e47745efe4ad283b461b"),
+    ("multiquadratic", "2,3,5", "quad", {}, "08fc958f0899d9b607784a75fcabdc3bdb856b053dc9b480c15cca4cb53a446b"),
+    ("cyclotomic", "12", "quad", NO_ROWS,
+     "b1769216d55f4e8899fb56ac2006b013573edca19e10f4f64091a7a6ce0963a4"),
+    ("cyclotomic", "12", "quad", {**NO_ROWS, "absence_prime_bound": 3},
+     "f86e0aa1e643264deb6f87189148ca2b32ebc7a12cdaf31b8ca0710a745443eb"),
+    ("multiquadratic", "2,3,5", "quad", NO_ROWS,
+     "aeab31de36e8856dcb7c49b250379ee82e18d04563b721d5886619c117c2ee8b"),
+    ("compositum", "6,10", "quad", NO_ROWS,
+     "85817b16c4b7663b47814b2e2d089dea8caf57a7a74cf95c4058124a2ea5060f"),
+    ("cubic-compositum", "7,9", "cubic", NO_ROWS,
+     "7a972028c5913b348b7cdad3996929366a741908d035a9c1775caa5d3bf8db6f"),
+    ("cubic-compositum", "7,q5", "cubic", NO_ROWS,
+     "556c4a49641ed49c654d89bb7f8e211b2371a263a608408e31ea3bcb4da36ace"),
+    ("cubic-compositum", "7,q5", "cubic", {**NO_ROWS, "absence_prime_bound": 5},
+     "0217068ed4ac9f0591a5c33eb80d9574e8437cb2762041e7e430325980e408a6"),
 ]
 
 
-@pytest.mark.parametrize("kind, params, scan, digest", GOLDEN)
-def test_report_digest_is_pinned(kind, params, scan, digest):
+def _case_id(kind, params, scan, config, digest):
+    settings = ",".join(f"{k}={v}" for k, v in config.items())
+    return "-".join(part for part in (kind, params, scan, settings, digest) if part)
+
+
+def _poly(kind, params):
+    if kind == "compositum":
+        a, b = (int(d) for d in params.split(","))
+        return compositum_minpoly(Poly.from_desc([1, 0, -a]), Poly.from_desc([1, 0, -b]))
+    return corpus_generate(kind, params).poly
+
+
+@pytest.mark.parametrize("kind, params, scan, config, digest",
+                         [pytest.param(*case, id=_case_id(*case)) for case in GOLDEN])
+def test_report_digest_is_pinned(kind, params, scan, config, digest):
     run = quad_subfield_scan if scan == "quad" else cubic_subfield_scan
-    report = run(corpus_generate(kind, params).poly)
+    report = run(_poly(kind, params), ScanConfig(**config))
     assert hashlib.sha256(canonical_report_bytes(report)).hexdigest() == digest
