@@ -13,7 +13,7 @@ from .nfroot import NumberField, RootCertificate, find_root, verify_certificate
 from .poly import Poly, compositum_minpoly, normalize_input
 from .ramify import CandidateSet, candidate_ramified_primes
 from .scan import (ScanReport, absence_certificate_search, cubic_subfield_scan,
-                   quad_subfield_scan, twist_closure_step)
+                   quad_subfield_scan)
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,5 @@ __all__ = [
     "find_root",
     "normalize_input",
     "quad_subfield_scan",
-    "twist_closure_step",
     "verify_certificate",
 ]

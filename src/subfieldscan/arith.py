@@ -1,8 +1,8 @@
-"""Arbitrary-precision integer and rational utilities.
+"""Arbitrary-precision integer utilities.
 
 Primality testing, complete integer factorization with an explicit budget,
-Legendre symbols, CRT, rational reconstruction, and a few modular helpers
-(Tonelli-Shanks square roots, prime iteration) used throughout the library.
+Legendre symbols, CRT, and a few modular helpers (Tonelli-Shanks square
+roots, prime iteration) used throughout the library.
 
 All randomized routines draw from explicit seeds so runs are reproducible.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import BudgetExceeded, NonCoprimeModuli
 
@@ -240,36 +239,6 @@ def crt(residues: list[tuple[int, int]]) -> tuple[int, int]:
         r = (r * v * m_i + r_i * u * m) % (m * m_i)
         m *= m_i
     return r % m, m
-
-
-def rational_reconstruction(r: int, m: int) -> Fraction | None:
-    """Recover a fraction n/d from its residue r mod m.
-
-    Returns n/d with |n| <= floor(sqrt(m/2)), 0 < d <= floor(sqrt(m/2)),
-    gcd(d, m) = 1 and n = r*d (mod m), or None when no such pair exists.
-    Half-extended Euclid on (m, r).
-    """
-    if not 0 <= r < m:
-        raise ValueError("need 0 <= r < m")
-    bound = math.isqrt(m // 2)
-    r0, r1 = m, r
-    t0, t1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    n, d = r1, t1
-    if d < 0:
-        n, d = -n, -d
-    if d == 0 or d > bound or math.gcd(d, m) != 1:
-        return None
-    if (n - r * d) % m != 0:
-        return None
-    g = math.gcd(abs(n), d)
-    if g > 1:
-        n //= g
-        d //= g
-    return Fraction(n, d)
 
 
 def sqrt_mod_prime(a: int, p: int) -> int | None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import FactorBudget, factor_integer, icbrt
+from .arith import FactorBudget, factor_integer
 from .eisenstein import EisensteinInt, OMEGA, ONE, split_prime
 from .errors import ZeroExponentVector
 from .poly import Poly
@@ -86,11 +86,3 @@ def cubic_place_basis(candidate_set: CandidateSet) -> tuple[PlaceBasis, list[tup
     usable = [p for p in candidate_set.tame_primes if p % 3 == 1]
     return PlaceBasis(3, tuple(usable)), [(p, split_prime(p)) for p in usable]
 
-
-def enumerate_cubic_candidates(candidate_set: CandidateSet, kernel_reps) -> list[CubicCandidate]:
-    """One CubicCandidate per surviving kernel representative."""
-    _, primes = cubic_place_basis(candidate_set)
-    out = []
-    for rep in kernel_reps:
-        out.append(build_generator(rep, primes))
-    return out

@@ -180,9 +180,6 @@ class Poly:
     def __floordiv__(self, other):
         return self.divmod(other)[0]
 
-    def mulmod(self, other, modulus):
-        return (self * other) % modulus
-
     def derivative(self):
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 

@@ -1,14 +1,16 @@
-"""Frobenius cycle-type constraints on subfield candidates.
+"""Frobenius cycle-type constraints on subfield candidates, over F_l.
 
-An unramified prime whose factor-degree pattern mod p is known constrains
-every quadratic (or cyclic cubic) subfield at once: each usable prime
-yields one linear equation over F2 (resp. F3) in the exponent vector of
-the candidate discriminant (resp. Kummer class) over a fixed place basis.
+A quadratic (l = 2) or cyclic cubic (l = 3) candidate is an exponent
+vector over F_l on a fixed place basis: of the discriminant, or of the
+Kummer class over Q(zeta_3).  A prime whose factor-degree pattern is known
+constrains every such subfield at once: frobenius_row gives its F_l row.
+Span, a span in reduced echelon form, is the one elimination over F_l:
+solve_f2, solve_f3_kernel and the candidate walk of the scans use it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .arith import legendre
@@ -91,6 +93,81 @@ class SolutionSpace:
             yield tuple(v)
 
 
+class Span:
+    """A span of vectors over F_l (l = 2 or 3) in reduced echelon form.
+
+    Every row is 1 at its pivot and 0 at the other pivots, so reduce maps
+    all vectors of a coset of the span to one representative: 0 at the
+    pivots and with first nonzero entry 1 (over F3, v and 2v reduce alike).
+
+    With a merge function every row carries a payload, and merge(a, b) is
+    the payload of the sum of the rows that carry a and b.  Payloads need
+    l = 2, where eliminating a row means adding it.
+    """
+
+    def __init__(self, ell: int, width: int, merge=None):
+        self.ell = ell
+        self.width = width
+        self.merge = merge
+        self.rows: dict[int, tuple[tuple[int, ...], object]] = {}  # pivot -> (row, payload)
+
+    def _eliminate(self, vec, merging=False):
+        """vec minus its part in the span and, when merging, the merged
+        payload of that part."""
+        ell = self.ell
+        v = [a % ell for a in vec]
+        part = None
+        for pivot in sorted(self.rows):
+            c = v[pivot]
+            if c:
+                row, payload = self.rows[pivot]
+                v = [(a - c * b) % ell for a, b in zip(v, row)]
+                if merging:
+                    part = payload if part is None else self.merge(part, payload)
+        return v, part
+
+    def reduce(self, vec) -> tuple[int, ...]:
+        """The canonical representative of vec modulo the span."""
+        v, _ = self._eliminate(vec)
+        return canonical_f3(v) if self.ell == 3 else tuple(v)
+
+    def product(self, vec):
+        """The merged payload of the rows that reduce vec: for a vector of
+        the span, its own payload (None when vec reduces with no row)."""
+        return self._eliminate(vec, merging=True)[1]
+
+    def insert(self, vec, payload=None) -> None:
+        """Add vec, carrying payload, to the span (no-op if already in it)."""
+        v, part = self._eliminate(vec, merging=self.merge is not None)
+        pivot = next((i for i, a in enumerate(v) if a), None)
+        if pivot is None:
+            return
+        if part is not None:
+            payload = self.merge(payload, part)
+        inv = pow(v[pivot], -1, self.ell)
+        v = tuple(a * inv % self.ell for a in v)
+        for other, (row, p) in list(self.rows.items()):
+            c = row[pivot]
+            if c:
+                row = tuple((a - c * b) % self.ell for a, b in zip(row, v))
+                self.rows[other] = (row, p if self.merge is None else self.merge(p, payload))
+        self.rows[pivot] = (v, payload)
+
+    def kernel(self) -> list[tuple[int, ...]]:
+        """A basis of the vectors orthogonal to every row: per free column,
+        in order, the one that is 1 there and 0 at the other free columns."""
+        out = []
+        for free in range(self.width):
+            if free in self.rows:
+                continue
+            v = [0] * self.width
+            v[free] = 1
+            for pivot, (row, _) in self.rows.items():
+                v[pivot] = -row[free] % self.ell
+            out.append(tuple(v))
+        return out
+
+
 def classify_prime_quadratic(degrees: dict[int, int], n: int) -> QuadClass:
     """Split / inert classification from the factor-degree multiset mod p.
 
@@ -133,39 +210,15 @@ def quad_constraint(p: int, cls: QuadClass, basis: PlaceBasis) -> Row | None:
 
 
 def solve_f2(rows: list[Row], width: int) -> SolutionSpace:
-    """Gaussian elimination over F2: particular solution plus kernel basis."""
-    aug = [list(r.coeffs) + [r.rhs] for r in rows]
-    pivots = {}
-    for row in aug:
-        cur = list(row)
-        for col, rr in pivots.items():
-            if cur[col]:
-                cur = [(a + b) % 2 for a, b in zip(cur, rr)]
-        lead = next((i for i in range(width) if cur[i]), None)
-        if lead is None:
-            if cur[width]:
-                return SolutionSpace(True, None, [])
-            continue
-        pivots[lead] = cur
-    # back-substitute to reduced echelon form
-    for col in sorted(pivots, reverse=True):
-        rr = pivots[col]
-        for col2, other in pivots.items():
-            if col2 != col and other[col]:
-                pivots[col2] = [(a + b) % 2 for a, b in zip(other, rr)]
-    particular = [0] * width
-    for col, rr in pivots.items():
-        particular[col] = rr[width]
-    kernel = []
-    free_cols = [c for c in range(width) if c not in pivots]
-    for fc in free_cols:
-        v = [0] * width
-        v[fc] = 1
-        for col, rr in pivots.items():
-            if rr[fc]:
-                v[col] = rr[fc]
-        kernel.append(tuple(v))
-    return SolutionSpace(False, tuple(particular), kernel)
+    """Solutions of an F2 system: particular solution plus kernel basis."""
+    span = Span(2, width + 1)
+    for r in rows:
+        span.insert((*r.coeffs, r.rhs))
+    if width in span.rows:
+        return SolutionSpace(True, None, [])
+    # the right-hand side is the last free column: its kernel vector ends in 1
+    *kernel, particular = span.kernel()
+    return SolutionSpace(False, particular[:width], [k[:width] for k in kernel])
 
 
 def classify_prime_cubic(degrees: dict[int, int]) -> CubicClass:
@@ -194,59 +247,37 @@ def cubic_constraint(q: int, basis: PlaceBasis, generators=None) -> Row | None:
     return Row(coeffs, 0, q)
 
 
-def _f3_reduce(vec, pivots):
-    v = list(vec)
-    for col, row in pivots.items():
-        if v[col]:
-            factor = v[col] * pow(row[col], -1, 3) % 3
-            v = [(a - factor * b) % 3 for a, b in zip(v, row)]
-    return v
-
-
 def solve_f3_kernel(rows: list[Row], width: int) -> list[tuple[int, ...]]:
     """Kernel representatives of a homogeneous F3 system, one per pair
-    {v, 2v}, enumerated deterministically: (3**dim - 1) / 2 vectors."""
-    pivots = {}
+    {v, 2v}, enumerated deterministically: (3**dim - 1) / 2 vectors, in the
+    base-3 order of their coefficients over the kernel basis (top one 1)."""
+    span = Span(3, width)
     for r in rows:
-        cur = _f3_reduce(r.coeffs, pivots)
-        lead = next((i for i in range(width) if cur[i]), None)
-        if lead is not None:
-            inv = pow(cur[lead], -1, 3)
-            pivots[lead] = [c * inv % 3 for c in cur]
-    # reduced echelon: clear pivot columns from the other rows
-    for col in sorted(pivots, reverse=True):
-        rr = pivots[col]
-        for col2 in pivots:
-            if col2 != col and pivots[col2][col]:
-                factor = pivots[col2][col]
-                pivots[col2] = [(a - factor * b) % 3 for a, b in zip(pivots[col2], rr)]
-    free_cols = [c for c in range(width) if c not in pivots]
-    kernel = []
-    for fc in free_cols:
-        v = [0] * width
-        v[fc] = 1
-        for col, row in pivots.items():
-            v[col] = (-row[fc]) % 3
-        kernel.append(tuple(v))
+        span.insert(r.coeffs)
+    kernel = span.kernel()
     reps = []
-    seen = set()
-    dim = len(kernel)
-    for mask in range(1, 3**dim):
-        coeffs = []
-        mm = mask
-        for _ in range(dim):
-            coeffs.append(mm % 3)
-            mm //= 3
-        v = [0] * width
-        for c, kv in zip(coeffs, kernel):
-            if c:
-                v = [(a + c * b) % 3 for a, b in zip(v, kv)]
-        vt = canonical_f3(v)
-        if vt in seen:
-            continue
-        seen.add(vt)
-        reps.append(vt)
+    for top, k in enumerate(kernel):
+        for low in range(3**top):
+            v = list(k)
+            for i in range(top):
+                c = low // 3**i % 3
+                v = [(a + c * b) % 3 for a, b in zip(v, kernel[i])]
+            reps.append(canonical_f3(v))
     return reps
+
+
+def frobenius_row(q: int, degrees: dict[int, int], n: int, basis: PlaceBasis,
+                  generators=None) -> Row | None:
+    """The F_l row (l = basis.e) of a usable prime q at which f of degree n
+    has the given factor degrees; None when the cycle type says nothing or
+    the row is trivial.  generators are the cubic slot generators (l = 3;
+    computed from the basis when None)."""
+    if basis.e == 2:
+        cls = classify_prime_quadratic(degrees, n)
+        return None if cls == QuadClass.NO_INFO else quad_constraint(q, cls, basis)
+    if classify_prime_cubic(degrees) != CubicClass.SPLITS_ALL:
+        return None
+    return cubic_constraint(q, basis, generators)
 
 
 def canonical_f3(vec) -> tuple[int, ...]:

@@ -1,14 +1,12 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subfieldscan import arith
 from subfieldscan.arith import (FactorBudget, crt, factor_integer, is_probable_prime,
-                                legendre, primes_up_to, rational_reconstruction,
-                                sqrt_mod_prime)
+                                legendre, primes_up_to, sqrt_mod_prime)
 from subfieldscan.errors import BudgetExceeded, NonCoprimeModuli
 
 PRIMES_1M = primes_up_to(100_000)
@@ -98,28 +96,6 @@ def test_crt_reduces_back():
         assert m == math.prod(moduli)
         for ri, mi in residues:
             assert r % mi == ri
-
-
-def test_rational_reconstruction_examples():
-    assert rational_reconstruction(51, 101) == Fraction(1, 2)
-    assert rational_reconstruction(7, 1000003) == Fraction(7, 1)
-    m = 99991
-    assert rational_reconstruction(m - 1, m) == Fraction(-1, 1)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=-4000, max_value=4000),
-       st.integers(min_value=1, max_value=4000),
-       st.integers(min_value=1, max_value=60))
-def test_rational_reconstruction_roundtrip(n, d, mseed):
-    if math.gcd(abs(n), d) != 1:
-        n, d = 1, 1
-    m = 2 * max(n * n, d * d) * (mseed + 2) + 1
-    if math.gcd(d, m) != 1:
-        return
-    r = n * pow(d, -1, m) % m
-    got = rational_reconstruction(r, m)
-    assert got == Fraction(n, d)
 
 
 def test_sqrt_mod_prime():

@@ -5,7 +5,7 @@ import pytest
 
 from subfieldscan.eisenstein import split_prime
 from subfieldscan.errors import ZeroExponentVector
-from subfieldscan.kummer3 import build_generator, cubic_place_basis, enumerate_cubic_candidates
+from subfieldscan.kummer3 import build_generator, cubic_place_basis
 from subfieldscan.poly import Poly, disc_poly
 from subfieldscan.ramify import CandidateSet
 from subfieldscan.sieve import solve_f3_kernel
@@ -64,22 +64,27 @@ def test_emitted_polynomial_has_the_symmetric_root():
         assert residual < mpmath.mpf(10) ** (-30)
 
 
+def candidates(cs, width):
+    """One candidate per representative of the unconstrained F3 space."""
+    _, primes = cubic_place_basis(cs)
+    return [build_generator(rep, primes) for rep in solve_f3_kernel([], width)]
+
+
 def test_enumerate_examples():
     cs = CandidateSet(3, (7,), (3,), False, 7)
-    reps = solve_f3_kernel([], 2)
-    cands = enumerate_cubic_candidates(cs, reps)
+    cands = candidates(cs, 2)
     assert len(cands) == 4
     assert len({c.key() for c in cands}) == 4
 
     cs = CandidateSet(3, (), (3,), False, 1)
-    cands = enumerate_cubic_candidates(cs, solve_f3_kernel([], 1))
+    cands = candidates(cs, 1)
     assert len(cands) == 1
     assert cands[0].minpoly == Poly.from_desc([1, 0, -3, 1])
 
     cs = CandidateSet(3, (5,), (3,), False, 5)
     basis, primes = cubic_place_basis(cs)
     assert basis.primes == ()  # 5 = 2 mod 3 discarded
-    cands = enumerate_cubic_candidates(cs, solve_f3_kernel([], 1))
+    cands = candidates(cs, 1)
     assert len(cands) == 1
 
 
@@ -91,7 +96,7 @@ def test_distinct_classes_give_distinct_fields():
     from subfieldscan.nfroot import NOT_FOUND, PROVED, NumberField, find_root
 
     cs = CandidateSet(3, (7,), (3,), False, 7)
-    cands = enumerate_cubic_candidates(cs, solve_f3_kernel([], 2))
+    cands = candidates(cs, 2)
     cfg = ScanConfig()
     for i, ci in enumerate(cands):
         field = NumberField(ci.minpoly)

@@ -5,11 +5,11 @@ import pytest
 from subfieldscan.config import ScanConfig
 from subfieldscan.nfroot import NumberField
 from subfieldscan.poly import Poly
-from subfieldscan.scan import (AUTO_EXCLUDED, AUTO_SUBFIELD, NEEDS_TEST,
-                               STATUS_CERTIFIED_ABSENT, STATUS_PROVED,
+from subfieldscan.scan import (STATUS_CERTIFIED_ABSENT, STATUS_PROVED,
                                STATUS_TWIST_EXCLUDED, STATUS_UNPROVEN_ABSENT,
                                absence_certificate_search, cubic_subfield_scan,
-                               quad_subfield_scan, twist_closure_step)
+                               quad_subfield_scan)
+from subfieldscan.sieve import Span
 from subfieldscan.testkit import corpus_generate
 
 ZETA8 = Poly.from_desc([1, 0, 0, 0, 1])
@@ -145,9 +145,9 @@ def test_cubic_span_member_without_root_is_an_error(monkeypatch):
 
 
 @pytest.mark.parametrize("scan, kind, params, rows, where", [
-    (quad_subfield_scan, "cyclotomic", "12", 40, "_quad_sieve"),
+    (quad_subfield_scan, "cyclotomic", "12", 40, "sieve_rows"),
     (quad_subfield_scan, "cyclotomic", "12", 0, "absence_witness_quad"),
-    (cubic_subfield_scan, "cyclotomic", "7", 40, "_cubic_sieve"),
+    (cubic_subfield_scan, "cyclotomic", "7", 40, "sieve_rows"),
     (cubic_subfield_scan, "cyclotomic", "7", 0, "absence_witness_cubic"),
 ])
 def test_ddf_fault_reaches_the_caller(monkeypatch, scan, kind, params, rows, where):
@@ -179,13 +179,34 @@ def test_cubic_inside_cyclotomic7():
 
 
 def test_twist_closure_step_examples():
-    # basis [-1, 2, 3]
+    # basis [-1, 2, 3]: a candidate in the span of the found vectors is a
+    # subfield, one in the coset of an excluded vector is excluded, and any
+    # other is tested through its coset representative
     v2, v3, v6 = (0, 1, 0), (0, 0, 1), (0, 1, 1)
     vm1, vm2, v5 = (1, 0, 0), (1, 1, 0), (0, 0, 1)
-    assert twist_closure_step([v2, v3], [], v6) == (AUTO_SUBFIELD, None)
-    assert twist_closure_step([v2], [vm1], vm2) == (AUTO_EXCLUDED, None)
-    out, red = twist_closure_step([], [], v5)
-    assert out == NEEDS_TEST and red == v5
+    span = Span(2, 3)
+    for g in (v2, v3):
+        span.insert(g)
+    assert not any(span.reduce(v6))
+    span = Span(2, 3)
+    span.insert(v2)
+    assert any(span.reduce(vm2)) and span.reduce(vm1) == span.reduce(vm2)
+    span = Span(2, 3)
+    assert span.reduce(v5) == v5
+
+
+def test_cubic_sieve_bad_prime_reaches_the_caller(monkeypatch):
+    # at a sieve prime the norm filter rules out every BadPrime the cubic
+    # character can raise, so one that does occur is a fault, not a skip
+    import subfieldscan.sieve as sieve_mod
+    from subfieldscan.errors import BadPrime
+
+    def cubic_residue_class(a, q):
+        raise BadPrime(f"unsupported prime {q}")
+
+    monkeypatch.setattr(sieve_mod, "cubic_residue_class", cubic_residue_class)
+    with pytest.raises(BadPrime, match="unsupported prime"):
+        cubic_subfield_scan(corpus_generate("cyclotomic", "7").poly)
 
 
 def test_absence_certificate_search():
@@ -242,7 +263,7 @@ def test_representative_testing_with_product_certificates():
 
 def test_sieve_rows_sound_for_true_quadratic_subfields():
     from subfieldscan.ramify import candidate_ramified_primes
-    from subfieldscan.scan import _quad_sieve
+    from subfieldscan.scan import sieve_rows
     from subfieldscan.sieve import PlaceBasis, vector_satisfies
 
     for kind, params in (("multiquadratic", "2,3,5"), ("cyclotomic", "24"),
@@ -250,7 +271,7 @@ def test_sieve_rows_sound_for_true_quadratic_subfields():
         entry = corpus_generate(kind, params)
         cs = candidate_ramified_primes(entry.poly, 2)
         basis = PlaceBasis(2, cs.all_finite_primes())
-        rows = _quad_sieve(entry.poly, basis, cs.gcd_value, ScanConfig())
+        rows = sieve_rows(entry.poly, basis, cs.gcd_value, ScanConfig())
         # zero rows is legitimate (e.g. elementary abelian fields give no
         # usable constraints); generated rows must never exclude the truth
         for delta in entry.quad:
@@ -263,7 +284,7 @@ def test_sieve_rows_sound_for_true_quadratic_subfields():
 def test_sieve_rows_sound_for_true_cubic_subfields():
     from subfieldscan.kummer3 import cubic_place_basis
     from subfieldscan.ramify import candidate_ramified_primes
-    from subfieldscan.scan import _cubic_sieve
+    from subfieldscan.scan import sieve_rows
     from subfieldscan.sieve import cubic_basis_generators, vector_satisfies
 
     entry = corpus_generate("cubic-compositum", "7,9")
@@ -271,7 +292,7 @@ def test_sieve_rows_sound_for_true_cubic_subfields():
     basis, _ = cubic_place_basis(cs)
     gens = cubic_basis_generators(basis)
     cfg = ScanConfig(sieve_prime_bound=100_000, sieve_max_rows=10)
-    rows = _cubic_sieve(entry.poly, basis, cs.gcd_value, gens, cfg)
+    rows = sieve_rows(entry.poly, basis, cs.gcd_value, cfg, gens)
     # the four known classes over [omega-axis, 7] all satisfy every row
     known = [(1, 0), (0, 1), (1, 1), (1, 2)]
     seven_slot = basis.primes.index(7) + 1

@@ -2,10 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subfieldscan.eisenstein import EisensteinInt, OMEGA, cubic_residue_class, split_prime
 from subfieldscan.errors import PrimeInBasis
-from subfieldscan.sieve import (CubicClass, PlaceBasis, QuadClass, Row, canonical_f3,
+from subfieldscan.sieve import (CubicClass, PlaceBasis, QuadClass, Row, Span, canonical_f3,
                                 classify_prime_cubic, classify_prime_quadratic,
                                 cubic_basis_generators, cubic_constraint,
                                 quad_constraint, solve_f2, solve_f3_kernel,
@@ -139,3 +140,49 @@ def test_solve_f3_kernel_matches_bruteforce():
                 brute.add(canonical_f3(vec))
         assert set(reps) == brute
         assert len(reps) == len(set(reps))
+
+
+def span_members(ell, width, gens):
+    members = set()
+    for coeffs in itertools.product(range(ell), repeat=len(gens)):
+        v = [0] * width
+        for c, g in zip(coeffs, gens):
+            v = [(a + c * b) % ell for a, b in zip(v, g)]
+        members.add(tuple(v))
+    return members
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(min_value=1, max_value=8), st.data())
+def test_span_reduce_matches_bruteforce(ell, width, data):
+    vectors = st.tuples(*[st.integers(min_value=0, max_value=ell - 1)] * width)
+    gens = data.draw(st.lists(vectors, max_size=5))
+    xor = lambda a, b: tuple(x ^ y for x, y in zip(a, b))  # noqa: E731
+    span = Span(ell, width, xor if ell == 2 else None)
+    for g in gens:
+        span.insert(g, g)
+    members = span_members(ell, width, gens)
+    u = data.draw(vectors)
+    if data.draw(st.booleans()):
+        # often a vector of the same coset as u, up to a scalar
+        c = data.draw(st.integers(min_value=1, max_value=ell - 1))
+        m = data.draw(st.sampled_from(sorted(members)))
+        v = tuple((c * a + b) % ell for a, b in zip(u, m))
+    else:
+        v = data.draw(vectors)
+    for w in (u, v):
+        rep = span.reduce(w)
+        assert (not any(rep)) == (w in members)
+        assert all(rep[p] == 0 for p in span.rows)
+        assert next((a for a in rep if a), 1) == 1
+    same_coset = any(tuple((a - c * b) % ell for a, b in zip(u, v)) in members
+                     for c in range(1, ell))
+    assert (span.reduce(u) == span.reduce(v)) == same_coset
+    kernel = span.kernel()
+    assert ell ** (width - len(kernel)) == len(members)
+    assert all(sum(a * b for a, b in zip(k, g)) % ell == 0 for k in kernel for g in gens)
+    if ell == 2:
+        # the payload of a span member is the merge of the rows it uses,
+        # here the member itself
+        for w in members - {(0,) * width}:
+            assert span.product(w) == w
