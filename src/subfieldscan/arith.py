@@ -9,6 +9,7 @@ All randomized routines draw from explicit seeds so runs are reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -78,18 +79,22 @@ def primes_up_to(bound: int) -> list[int]:
 
 
 def iter_primes(start: int = 2, bound: int | None = None):
-    """Yield primes >= start in increasing order, optionally up to bound."""
-    n = max(2, start)
-    if n == 2:
-        if bound is None or bound >= 2:
-            yield 2
-        n = 3
-    if n % 2 == 0:
-        n += 1
-    while bound is None or n <= bound:
-        if is_probable_prime(n):
-            yield n
-        n += 2
+    """Yield primes >= start in increasing order, optionally up to bound.
+
+    A lazy segmented sieve of Eratosthenes: windows of 256 numbers, doubling
+    up to 2**16, each struck out by the primes up to the square root of its
+    end, so a caller that stops early pays for little more than it took.
+    """
+    lo, size = max(2, start), 256
+    while bound is None or lo <= bound:
+        hi = lo + size if bound is None else min(lo + size, bound + 1)
+        window = bytearray([1]) * (hi - lo)
+        for p in primes_up_to(math.isqrt(hi - 1)):
+            first = max(p * p, -(-lo // p) * p)
+            if first < hi:
+                window[first - lo::p] = bytes(len(range(first, hi, p)))
+        yield from itertools.compress(range(lo, hi), window)
+        lo, size = hi, min(2 * size, 1 << 16)
 
 
 @dataclass(frozen=True)

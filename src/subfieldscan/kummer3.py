@@ -30,9 +30,6 @@ class CubicCandidate:
     v: int                            # w-coefficient of a
     minpoly: Poly                     # X^3 - 3cX - t
 
-    def key(self):
-        return (self.c, self.t)
-
 
 def build_generator(exps, primes: list[tuple[int, EisensteinInt]]) -> CubicCandidate:
     """The cubic candidate for an exponent vector over (unit axis, primes).

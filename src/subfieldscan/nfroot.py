@@ -16,6 +16,11 @@ completion of L.  Pinning the first completion to the smallest root leaves
 a 0/1 choice per other completion, which LLL recovers from the leading
 bits of a few fixed combinations of the coefficients: a lattice of
 dimension about r plus a few, with small entries, whatever the precision.
+
+The prime is the one with the fewest completions r among the first 25
+qualifying ones.  Squarefreeness comes from disc(f), computed once per
+NumberField, and each DDF stops as soon as its prime cannot beat the best
+so far, so only the winner's factor count is ever known in full.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from dataclasses import dataclass
 from . import modp
 from .arith import inverse_mod, iter_primes
 from .config import ScanConfig
-from .errors import NoPrimeFound, NotSquarefree
+from .errors import NoPrimeFound
 from .lattice import lll_reduce
-from .poly import Poly, is_squarefree_q, xgcd_q
+from .poly import Poly, disc_poly, is_squarefree_q, xgcd_q
 
 PROVED = "proved"
 NOT_FOUND = "not_found"
@@ -49,6 +54,14 @@ class NumberField:
         self.n = f.degree
         self.fprime = f.derivative()
         self._fprime_inv = None
+        self._disc = None
+
+    def disc(self) -> int:
+        """disc(f), computed once on demand: f mod p is squarefree exactly
+        when p does not divide it."""
+        if self._disc is None:
+            self._disc = disc_poly(self.f)
+        return self._disc
 
     def fprime_inv(self) -> Poly:
         """(f')^(-1) mod f over Q, computed once on demand."""
@@ -93,26 +106,36 @@ def select_prime(field: NumberField, h: Poly, rng: random.Random,
                  prime_bound: int = 50_000) -> PrimeData:
     """An odd prime where f mod p is squarefree and h mod p splits into
     deg(h) distinct roots, minimizing the number of factors of f mod p
-    among the first 25 qualifying primes."""
-    qualifying = []
+    among the first 25 qualifying primes (ties go to the smaller prime).
+
+    A prime's DDF is abandoned as soon as the factors found, plus one for
+    any degree left, reach the best count so far: the prime can then only
+    tie with an earlier one or lose.  It still counts as qualifying."""
+    f, disc = field.f, field.disc()
+    best = None   # (r, p, roots)
+
+    def cannot_win(degrees, left):
+        return best is not None and sum(degrees.values()) + (left > 0) >= best[0]
+
+    qualifying = 0
     for p in iter_primes(3, prime_bound):
-        if int(field.f.lc) % p == 0:
+        if int(f.lc) % p == 0 or disc % p == 0:
             continue
         roots = modp.roots_mod_p(h, p)
         if len(roots) != h.degree:
             continue
-        try:
-            degs = modp.ddf_degrees(field.f, p)
-        except NotSquarefree:
-            continue
+        qualifying += 1
+        degs = modp.ddf_degrees(f, p, squarefree=True, stop=cannot_win)
         r = sum(degs.values())
-        qualifying.append((r, p, tuple(sorted(roots))))
-        if len(qualifying) >= 25:
+        complete = sum(d * c for d, c in degs.items()) == field.n
+        if complete and (best is None or r < best[0]):
+            best = (r, p, tuple(sorted(roots)))
+        if qualifying >= 25 or best[0] == 1:   # r = 1 cannot be beaten
             break
-    if not qualifying:
+    if best is None:
         raise NoPrimeFound(f"no usable prime below {prime_bound}")
-    r, p, roots = min(qualifying, key=lambda t: (t[0], t[1]))
-    factors = tuple(tuple(fac) for fac in modp.factor_mod_p(field.f, p, rng))
+    _, p, roots = best
+    factors = tuple(tuple(fac) for fac in modp.factor_mod_p(f, p, rng))
     return PrimeData(p, factors, roots)
 
 

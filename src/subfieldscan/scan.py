@@ -11,6 +11,13 @@ failure by a search for an absence witness.  The sieve and both witness
 searches share one prime walk (_frobenius_primes); _Quad and _Cubic hold
 what differs between the two kinds.
 
+The prime walk computes only what a row or a witness needs: squarefreeness
+mod q from disc(f), computed once per field; a DDF that stops at the first
+factor degree deciding the class; and, for cubic scans, the residue classes
+of the slot generators before the DDF, so a prime at which they are all 0,
+which can give no row, costs no DDF.  A found square root is kept as its
+certificate until a twist product needs it over Q.
+
 Every positive entry in the report carries a certificate that passes
 verify_certificate; exclusions are either witnessed by a Frobenius
 constraint (certified) or reported as unproven.
@@ -27,15 +34,16 @@ from fractions import Fraction
 from . import modp
 from .arith import iter_primes, legendre
 from .config import ScanConfig
-from .errors import NotSquarefree, ZeroExponentVector
+from .errors import ZeroExponentVector
 from .kummer3 import CubicCandidate, build_generator, cubic_place_basis
 from .nfroot import (PROVED, NumberField, RootCertificate, find_root,
                      verify_certificate)
 from .poly import Poly, normalize_input
 from .ramify import candidate_ramified_primes
-from .sieve import (PlaceBasis, QuadClass, Row, Span, classify_prime_quadratic,
-                    cubic_basis_generators, frobenius_row, solve_f2,
-                    solve_f3_kernel, vector_satisfies)
+from .sieve import (CubicClass, PlaceBasis, QuadClass, Row, Span, class_decided,
+                    classify_prime_cubic, classify_prime_quadratic, cubic_basis_generators,
+                    cubic_constraint, frobenius_row, solve_f2, solve_f3_kernel,
+                    vector_satisfies)
 
 STATUS_PROVED = "proved"
 STATUS_CERTIFIED_ABSENT = "certified_absent"
@@ -86,8 +94,9 @@ class ScanReport:
         return any(e.status == STATUS_UNPROVEN_ABSENT for e in self.excluded)
 
     def check_invariants(self, field: NumberField | None = None) -> None:
-        """Re-verify every certificate, every quadratic witness prime, and
-        the group closure of the found set."""
+        """Re-verify every certificate, every witness prime, and the group
+        closure of the found quadratic set.  Witness primes get a full,
+        gcd-checked DDF of their own."""
         if field is None:
             field = NumberField(self.poly)
         for e in self.subfields:
@@ -102,16 +111,25 @@ class ScanReport:
                         prod = _squarefree_kernel(d1 * d2)
                         if prod != 1 and prod not in deltas:
                             raise AssertionError("found set is not twist-closed")
-            for e in self.excluded:
-                if (e.status == STATUS_CERTIFIED_ABSENT and e.delta is not None
-                        and e.witness_prime is not None):
-                    q = e.witness_prime
-                    cls = classify_prime_quadratic(modp.ddf_degrees(field.f, q), field.n)
-                    sym = legendre(e.delta, q)
-                    violated = ((cls == QuadClass.SPLIT and sym == -1)
-                                or (cls == QuadClass.INERT and sym == 1))
-                    if not violated:
-                        raise AssertionError(f"witness {q} does not exclude {e.delta}")
+        for e in self.excluded:
+            q = e.witness_prime
+            if e.status != STATUS_CERTIFIED_ABSENT or q is None:
+                continue
+            degrees = modp.ddf_degrees(field.f, q)
+            if e.delta is not None:
+                cls = classify_prime_quadratic(degrees, field.n)
+                sym = legendre(e.delta, q)
+                violated = ((cls == QuadClass.SPLIT and sym == -1)
+                            or (cls == QuadClass.INERT and sym == 1))
+                if not violated:
+                    raise AssertionError(f"witness {q} does not exclude {e.delta}")
+            elif e.minpoly is not None:
+                # q splits in every cyclic cubic subfield, but not in the
+                # candidate's field: its minimal polynomial stays irreducible
+                if classify_prime_cubic(degrees) != CubicClass.SPLITS_ALL:
+                    raise AssertionError(f"witness {q} does not split in every cubic subfield")
+                if not modp.squarefree_mod_p(e.minpoly, q) or modp.roots_mod_p(e.minpoly, q):
+                    raise AssertionError(f"witness {q} does not exclude {e.minpoly}")
 
 
 def _squarefree_kernel(d: int) -> int:
@@ -132,26 +150,33 @@ def _rng_for(seed: int, index: int) -> random.Random:
 # -- the prime walk and the sieve ------------------------------------------------
 
 
-def _frobenius_primes(f: Poly, basis: PlaceBasis, gcd_value: int, bound: int,
+def _frobenius_primes(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int,
                       generators=None):
-    """(q, factor degrees of f mod q) for the primes q <= bound, from 3
-    (l = basis.e = 2) or 5 (l = 3), that are not in the basis, do not divide
-    gcd_value, the leading coefficient or the norm of a cubic slot
-    generator, and modulo which f is squarefree."""
-    first = 3 if basis.e == 2 else 5
+    """(q, factor degrees of f mod q, cubic row or None) for the primes
+    q <= bound, from 3 (l = basis.e = 2) or 5 (l = 3), that are not in the
+    basis, do not divide gcd_value, the leading coefficient, the norm of a
+    cubic slot generator or disc(f).  The DDF stops at the first degree
+    that decides the class (sieve.class_decided).  For l = 3 the row comes
+    first: a prime at which every generator is a cube gives no row, so it
+    is skipped without a DDF."""
+    f, ell = field.f, basis.e
+    if ell == 3 and generators is None:
+        generators = cubic_basis_generators(basis)
     norms = [g.norm() for g in generators or ()]
-    for q in iter_primes(first, bound):
+    disc, stop = field.disc(), class_decided(ell)
+    for q in iter_primes(3 if ell == 2 else 5, bound):
         if (q in basis.primes or gcd_value % q == 0 or int(f.lc) % q == 0
-                or any(n % q == 0 for n in norms)):
+                or any(n % q == 0 for n in norms) or disc % q == 0):
             continue
-        try:
-            degrees = modp.ddf_degrees(f, q)
-        except NotSquarefree:
-            continue
-        yield q, degrees
+        row = None
+        if ell == 3:
+            row = cubic_constraint(q, basis, generators)
+            if row is None:
+                continue
+        yield q, modp.ddf_degrees(f, q, squarefree=True, stop=stop), row
 
 
-def sieve_rows(f: Poly, basis: PlaceBasis, gcd_value: int, config: ScanConfig,
+def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, config: ScanConfig,
                generators=None) -> list[Row]:
     """The F_l rows (l = basis.e) of the first config.sieve_max_rows primes
     up to config.sieve_prime_bound that give one.  generators are the cubic
@@ -159,9 +184,9 @@ def sieve_rows(f: Poly, basis: PlaceBasis, gcd_value: int, config: ScanConfig,
     rows: list[Row] = []
     if config.sieve_max_rows <= 0:
         return rows
-    for q, degrees in _frobenius_primes(f, basis, gcd_value, config.sieve_prime_bound,
-                                        generators):
-        row = frobenius_row(q, degrees, f.degree, basis, generators)
+    for q, degrees, cubic_row in _frobenius_primes(field, basis, gcd_value,
+                                                   config.sieve_prime_bound, generators):
+        row = frobenius_row(q, degrees, field.n, basis, cubic_row)
         if row is not None:
             rows.append(row)
             if len(rows) >= config.sieve_max_rows:
@@ -173,7 +198,7 @@ def absence_witness_quad(field: NumberField, delta: int, basis: PlaceBasis,
                          gcd_value: int, config: ScanConfig) -> int | None:
     """First prime whose cycle-type constraint contradicts Q(sqrt(delta))
     being a subfield; None if the bound is exhausted."""
-    for q, degrees in _frobenius_primes(field.f, basis, gcd_value, config.absence_prime_bound):
+    for q, degrees, _ in _frobenius_primes(field, basis, gcd_value, config.absence_prime_bound):
         cls = classify_prime_quadratic(degrees, field.n)
         sym = legendre(delta, q)
         if (cls == QuadClass.SPLIT and sym == -1) or (cls == QuadClass.INERT and sym == 1):
@@ -186,9 +211,9 @@ def absence_witness_cubic(field: NumberField, cand: CubicCandidate,
                           config: ScanConfig) -> int | None:
     """First prime that splits in all cyclic cubic subfields but at which the
     candidate class has a nonzero character sum."""
-    for q, degrees in _frobenius_primes(field.f, basis, gcd_value, config.absence_prime_bound,
-                                        generators):
-        row = frobenius_row(q, degrees, field.n, basis, generators)
+    for q, degrees, cubic_row in _frobenius_primes(field, basis, gcd_value,
+                                                   config.absence_prime_bound, generators):
+        row = frobenius_row(q, degrees, field.n, basis, cubic_row)
         if row is not None and not vector_satisfies(row, cand.exponents, 3):
             return q
     return None
@@ -200,7 +225,8 @@ def absence_witness_cubic(field: NumberField, cand: CubicCandidate,
 class _Quad:
     """l = 2: discriminant vectors.  The root test runs on the coset
     representative; every row of the span carries (vector, square root),
-    and a span member is certified by the product of the roots."""
+    the root as found (its certificate) or as a product, and a span member
+    is certified by the product of the roots."""
 
     name, ell = "quad", 2
     generators = None
@@ -211,6 +237,7 @@ class _Quad:
         self.gcd_value = cs.gcd_value
         self.config = config
         self.basis = PlaceBasis(2, cs.all_finite_primes())
+        self._roots: dict[RootCertificate, Poly] = {}
 
     def solve(self, rows):
         """(candidates in walk order, or None if the rows are inconsistent;
@@ -230,11 +257,22 @@ class _Quad:
         return Poly([-self.basis.delta_of_vector(vec), 0, 1])
 
     def payload(self, vec, certificate):
-        return vec, self.field.to_rational_root(Poly(certificate.scaled_root))
+        return vec, certificate
+
+    def _root(self, x):
+        """The exact root of a payload.  A found root is kept as its
+        certificate and converted (x = y / f') on first use, so a scan
+        that never multiplies roots never inverts f'."""
+        if isinstance(x, RootCertificate):
+            if x not in self._roots:
+                self._roots[x] = self.field.to_rational_root(Poly(x.scaled_root))
+            return self._roots[x]
+        return x
 
     def merge(self, a, b):
         """The root of the twist product d3 = d1 * d2 / k**2: sqrt(d1) * sqrt(d2) / k."""
         (vec1, x1), (vec2, x2) = a, b
+        x1, x2 = self._root(x1), self._root(x2)
         vec3 = tuple(p ^ q for p, q in zip(vec1, vec2))
         d1, d2, d3 = (self.basis.delta_of_vector(v) for v in (vec1, vec2, vec3))
         k = math.isqrt(abs(d1 * d2 // d3))
@@ -247,7 +285,7 @@ class _Quad:
         """Scale the exact product root by f' and check the result."""
         combo, x = span.product(vec)
         assert combo == vec
-        y = (x * self.field.fprime) % self.field.f
+        y = (self._root(x) * self.field.fprime) % self.field.f
         if not y.is_integral():
             raise AssertionError("scaled twist-product root is not integral")
         h = self.h(vec)
@@ -353,7 +391,7 @@ def _scan(kind_type, f_raw: Poly, config: ScanConfig) -> ScanReport:
     report.gcd_value = cs.gcd_value
 
     t0 = time.perf_counter()
-    rows = sieve_rows(f, kind.basis, cs.gcd_value, config, kind.generators)
+    rows = sieve_rows(field, kind.basis, cs.gcd_value, config, kind.generators)
     candidates, dim = kind.solve(rows)
     phase("sieve", t0)
     report.sieve = SieveSummary(primes_used=[r.prime for r in rows], rows=len(rows),

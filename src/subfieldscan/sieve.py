@@ -53,18 +53,6 @@ class PlaceBasis:
                 d *= p
         return d
 
-    def vector_of_delta(self, delta: int):
-        """Inverse of delta_of_vector; None if delta is not representable."""
-        vec = [0] * self.width
-        if delta < 0:
-            vec[0] = 1
-            delta = -delta
-        for i, p in enumerate(self.primes):
-            if delta % p == 0:
-                vec[i + 1] = 1
-                delta //= p
-        return tuple(vec) if delta == 1 else None
-
 
 @dataclass(frozen=True)
 class Row:
@@ -173,7 +161,9 @@ def classify_prime_quadratic(degrees: dict[int, int], n: int) -> QuadClass:
 
     An odd factor degree forces p to split in every quadratic subfield.  If
     no sub-multiset of the degrees sums to n/2, p cannot split in any, so it
-    is inert in every quadratic subfield.  Otherwise no information.
+    is inert in every quadratic subfield.  Otherwise no information.  The
+    degrees may come from a DDF stopped by class_decided(2): they hold an
+    odd degree then, and the class is the full multiset's.
     """
     if n % 2 != 0:
         raise ValueError("degree must be even")
@@ -223,10 +213,18 @@ def solve_f2(rows: list[Row], width: int) -> SolutionSpace:
 
 def classify_prime_cubic(degrees: dict[int, int]) -> CubicClass:
     """A factor degree not divisible by 3 forces splitting in every cyclic
-    cubic subfield; otherwise nothing can be concluded."""
+    cubic subfield; otherwise nothing can be concluded.  The degrees may
+    come from a DDF stopped by class_decided(3)."""
     if any(d % 3 != 0 for d in degrees):
         return CubicClass.SPLITS_ALL
     return CubicClass.NO_INFO
+
+
+def class_decided(ell: int):
+    """The stop rule for modp.ddf_degrees when only the class of the prime
+    over F_l is asked: a factor degree prime to l decides it (SPLIT for
+    l = 2, SPLITS_ALL for l = 3), whatever the degrees still to come."""
+    return lambda degrees, left: any(d % ell for d in degrees)
 
 
 def cubic_basis_generators(basis: PlaceBasis) -> list[EisensteinInt]:
@@ -267,17 +265,16 @@ def solve_f3_kernel(rows: list[Row], width: int) -> list[tuple[int, ...]]:
 
 
 def frobenius_row(q: int, degrees: dict[int, int], n: int, basis: PlaceBasis,
-                  generators=None) -> Row | None:
+                  cubic_row: Row | None = None) -> Row | None:
     """The F_l row (l = basis.e) of a usable prime q at which f of degree n
     has the given factor degrees; None when the cycle type says nothing or
-    the row is trivial.  generators are the cubic slot generators (l = 3;
-    computed from the basis when None)."""
+    the row is trivial.  For l = 3 the row itself does not depend on the
+    degrees: cubic_row is cubic_constraint(q, basis), which holds when q
+    splits in every cyclic cubic subfield."""
     if basis.e == 2:
         cls = classify_prime_quadratic(degrees, n)
         return None if cls == QuadClass.NO_INFO else quad_constraint(q, cls, basis)
-    if classify_prime_cubic(degrees) != CubicClass.SPLITS_ALL:
-        return None
-    return cubic_constraint(q, basis, generators)
+    return cubic_row if classify_prime_cubic(degrees) == CubicClass.SPLITS_ALL else None
 
 
 def canonical_f3(vec) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -57,6 +58,21 @@ def test_primality_against_sieve():
     primes = set(primes_up_to(5000))
     for n in range(5000):
         assert is_probable_prime(n) == (n in primes)
+
+
+def test_iter_primes_matches_sieve():
+    # the lazy segmented sieve yields exactly the primes >= start, in order,
+    # across window boundaries (256, 512, ... up to 2**16 numbers)
+    for start, bound in ((2, 1000), (3, 10_000), (5, 50_000), (250, 2_000), (1_000, 1_000),
+                         (7_919, 7_919), (65_000, 140_000), (-5, 30), (0, 1), (4, 4)):
+        assert list(arith.iter_primes(start, bound)) == [
+            p for p in primes_up_to(bound) if p >= start], (start, bound)
+    # with no bound, against Miller-Rabin
+    for start in (2, 3, 1_000, 99_990):
+        got = list(itertools.islice(arith.iter_primes(start), 3_000))
+        expect = itertools.islice((n for n in itertools.count(start) if is_probable_prime(n)),
+                                  3_000)
+        assert got == list(expect), start
 
 
 def test_legendre_examples():

@@ -74,7 +74,7 @@ def test_enumerate_examples():
     cs = CandidateSet(3, (7,), (3,), False, 7)
     cands = candidates(cs, 2)
     assert len(cands) == 4
-    assert len({c.key() for c in cands}) == 4
+    assert len({(c.c, c.t) for c in cands}) == 4
 
     cs = CandidateSet(3, (), (3,), False, 1)
     cands = candidates(cs, 1)

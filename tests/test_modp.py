@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 from subfieldscan import modp
 from subfieldscan.arith import primes_up_to
 from subfieldscan.errors import NotCoprimeCofactor, NotSquarefree
-from subfieldscan.poly import Poly
+from subfieldscan.poly import Poly, disc_poly
+from subfieldscan.sieve import class_decided, classify_prime_cubic, classify_prime_quadratic
 
 
 def rand_intpoly(rng, deg, bound=20):
@@ -238,3 +239,25 @@ def test_ddf_matches_factor_degrees(p, low, rng):
     for fac in factors:
         prod = modp.mul(prod, fac, p)
     assert prod == modp.from_poly(f, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=-20, max_value=20), min_size=2, max_size=12),
+       st.sampled_from(primes_up_to(200)))
+def test_disc_decides_squarefree_and_stopped_ddf_keeps_the_class(low, q):
+    # monic f of degree 2-12: q divides disc(f) exactly when f mod q has a
+    # repeated factor, and a DDF stopped at the first degree prime to l
+    # classifies q as the full one does
+    f = Poly(low + [1])
+    squarefree = modp.squarefree_mod_p(f, q)
+    assert (disc_poly(f) % q == 0) == (not squarefree)
+    assume(squarefree)
+    full = modp.ddf_degrees(f, q)
+    for ell in (2, 3):
+        part = modp.ddf_degrees(f, q, squarefree=True, stop=class_decided(ell))
+        assert part.items() <= full.items()
+        if ell == 2 and f.degree % 2 == 0:
+            assert classify_prime_quadratic(part, f.degree) == \
+                classify_prime_quadratic(full, f.degree)
+        if ell == 3:
+            assert classify_prime_cubic(part) == classify_prime_cubic(full)

@@ -4,10 +4,11 @@ import pytest
 
 from subfieldscan import modp
 from subfieldscan.config import ScanConfig
-from subfieldscan.errors import NoPrimeFound
-from subfieldscan.modp import ddf_degrees, roots_mod_p, squarefree_mod_p
-from subfieldscan.nfroot import (NOT_FOUND, PROVED, NumberField, RootCertificate, find_root,
-                                 knapsack_size, select_prime, verify_certificate)
+from subfieldscan.arith import primes_up_to
+from subfieldscan.errors import NoPrimeFound, NotSquarefree
+from subfieldscan.modp import ddf_degrees, factor_mod_p, roots_mod_p, squarefree_mod_p
+from subfieldscan.nfroot import (NOT_FOUND, PROVED, NumberField, PrimeData, RootCertificate,
+                                 find_root, knapsack_size, select_prime, verify_certificate)
 from subfieldscan.poly import Poly, compositum_minpoly
 from subfieldscan.testkit import (corpus_generate, multiquadratic_certificates,
                                   multiquadratic_minpoly)
@@ -40,6 +41,53 @@ def test_select_prime_conditions():
     assert pd.p == 7 and pd.r == 2
     assert sum(ddf_degrees(field.f, 17).values()) == 4
     assert len(roots_mod_p(Y2M2, 17)) == 2
+
+
+def exhaustive_select_prime(field, h, rng):
+    """The selection rule with nothing skipped: a full, gcd-checked DDF at
+    each of the first 25 qualifying primes, then the least (r, p)."""
+    qualifying = []
+    for p in primes_up_to(50_000)[1:]:
+        roots = roots_mod_p(h, p)
+        if len(roots) != h.degree:
+            continue
+        try:
+            r = sum(ddf_degrees(field.f, p).values())
+        except NotSquarefree:
+            continue
+        qualifying.append((r, p, tuple(sorted(roots))))
+        if len(qualifying) >= 25:
+            break
+    _, p, roots = min(qualifying)
+    return PrimeData(p, tuple(tuple(fac) for fac in factor_mod_p(field.f, p, rng)), roots)
+
+
+S4_QUARTIC = Poly.from_desc([1, 0, 0, -1, -1])   # Galois group S4
+
+
+@pytest.mark.parametrize("kind, params, hs", [
+    ("cyclotomic", "8", [Y2M2, Poly.from_desc([1, 0, 1]), Poly.from_desc([1, 0, -3])]),
+    ("cyclotomic", "7", [Poly.from_desc([1, 0, 7]), Poly.from_desc([1, 1, -2, -1])]),
+    ("cyclotomic", "15", [Poly.from_desc([1, 0, -5]), Poly.from_desc([1, 0, 15])]),
+    ("multiquadratic", "2,3,5", [Poly.from_desc([1, 0, -30]), Poly.from_desc([1, 0, -7])]),
+    ("cubic-compositum", "7,9", [Poly.from_desc([1, 0, -3, 1]), Poly.from_desc([1, 0, -2])]),
+    ("cubic-compositum", "7,q5", [Poly.from_desc([1, 0, -5]), Poly.from_desc([1, 1, -2, -1])]),
+    # fields whose factors mod p have mixed degrees, so that a DDF can be
+    # abandoned with degree left
+    ("S4", "", [Y2M2, Poly.from_desc([1, 0, 3]), Poly.from_desc([1, 0, -7])]),
+    ("S4 with sqrt5", "", [Poly.from_desc([1, 0, -5]), Poly.from_desc([1, 0, 11])]),
+    ("S5", "", [Y2M2, Poly.from_desc([1, 0, 1]), Poly.from_desc([1, 1, -2, -1])]),
+])
+def test_select_prime_matches_exhaustive_rule(kind, params, hs):
+    # the pruned DDFs and the discriminant test pick the same prime, roots
+    # and factors as the plain rule
+    f = {"S4": S4_QUARTIC,
+         "S4 with sqrt5": compositum_minpoly(Poly.from_desc([1, 0, -5]), S4_QUARTIC),
+         "S5": Poly.from_desc([1, 0, 0, 0, -1, -1])}.get(kind)
+    field = NumberField(f or corpus_generate(kind, params).poly)
+    for h in hs:
+        assert select_prime(field, h, random.Random(5)) == \
+            exhaustive_select_prime(field, h, random.Random(5)), h
 
 
 def test_select_prime_pool_exhaustion():

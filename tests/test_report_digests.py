@@ -16,6 +16,15 @@ merged into one walk over F_l, and cover its other paths:
   cubic-compositum 7,q5 without rows   certified, twisted and (with absence
                                        primes up to 5) unproven cubic entries
 
+The last two were taken before the prime walks learned to skip primes by
+the discriminant, to stop the DDF at the stage that decides the class and
+to skip cubic primes whose residue classes are all 0, and before found
+square roots were kept as certificates until a product needs them:
+
+  cubic-compositum 7,9                 no prime gives a row: every cubic
+                                       prime is skipped or has a full DDF
+  S4 quartic x^4-x-1 with sqrt(5)      one found root that nothing multiplies
+
 A change that means to alter reports must say why and update them.
 """
 
@@ -53,7 +62,16 @@ GOLDEN = [
      "556c4a49641ed49c654d89bb7f8e211b2371a263a608408e31ea3bcb4da36ace"),
     ("cubic-compositum", "7,q5", "cubic", {**NO_ROWS, "absence_prime_bound": 5},
      "0217068ed4ac9f0591a5c33eb80d9574e8437cb2762041e7e430325980e408a6"),
+    ("cubic-compositum", "7,9", "cubic", {},
+     "7a972028c5913b348b7cdad3996929366a741908d035a9c1775caa5d3bf8db6f"),
+    ("s4-compositum", "5", "quad", {},
+     "580018d41d13fe5d9e646486924216153d21df316ad6351b6681d951ce854123"),
 ]
+
+# x^4 - x - 1 has Galois group S4 (discriminant -283): its field has no
+# proper subfield, so the compositum with Q(sqrt(d)) has exactly one
+# quadratic subfield
+S4_QUARTIC = Poly.from_desc([1, 0, 0, -1, -1])
 
 
 def _case_id(kind, params, scan, config, digest):
@@ -65,6 +83,8 @@ def _poly(kind, params):
     if kind == "compositum":
         a, b = (int(d) for d in params.split(","))
         return compositum_minpoly(Poly.from_desc([1, 0, -a]), Poly.from_desc([1, 0, -b]))
+    if kind == "s4-compositum":
+        return compositum_minpoly(Poly.from_desc([1, 0, -int(params)]), S4_QUARTIC)
     return corpus_generate(kind, params).poly
 
 

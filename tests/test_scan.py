@@ -157,13 +157,45 @@ def test_ddf_fault_reaches_the_caller(monkeypatch, scan, kind, params, rows, whe
 
     import subfieldscan.scan as scan_mod
 
-    def ddf_degrees(f, q):
+    def ddf_degrees(f, q, *args, **kwargs):
         raise RuntimeError("kernel fault")
 
     monkeypatch.setattr(scan_mod, "modp", types.SimpleNamespace(ddf_degrees=ddf_degrees))
     with pytest.raises(RuntimeError, match="kernel fault") as info:
         scan(corpus_generate(kind, params).poly, ScanConfig(sieve_max_rows=rows))
     assert where in [entry.name for entry in info.traceback]
+
+
+@pytest.mark.parametrize("prime, reason", [
+    (13, "does not split in every cubic subfield"),   # f mod 13 is irreducible
+    (71, "does not exclude"),                         # x^3 - 3x + 1 has 3 roots mod 71
+])
+def test_check_invariants_rejects_a_wrong_cubic_witness(prime, reason):
+    import dataclasses
+
+    rep = cubic_subfield_scan(corpus_generate("cubic-compositum", "7,q5").poly,
+                              ScanConfig(sieve_max_rows=0))
+    rep.check_invariants()
+    index, entry = next((i, e) for i, e in enumerate(rep.excluded)
+                        if e.status == STATUS_CERTIFIED_ABSENT)
+    assert entry.minpoly == Poly([1, -3, 0, 1]) and entry.witness_prime == 23
+    rep.excluded[index] = dataclasses.replace(entry, witness_prime=prime)
+    with pytest.raises(AssertionError, match=reason):
+        rep.check_invariants()
+
+
+def test_found_root_is_not_inverted_unless_multiplied(monkeypatch):
+    # one quadratic subfield: its square root is never multiplied by another,
+    # so the scan never computes (f')^-1 mod f
+    from subfieldscan.poly import compositum_minpoly
+
+    def no_inverse(self):
+        raise AssertionError("f' was inverted")
+
+    monkeypatch.setattr(NumberField, "fprime_inv", no_inverse)
+    f = compositum_minpoly(Poly.from_desc([1, 0, -5]), Poly.from_desc([1, 0, 0, -1, -1]))
+    rep = quad_subfield_scan(f)
+    assert deltas(rep) == [5] and rep.direct_tests == 1
 
 
 def test_cubic_on_non_multiple_of_three():
@@ -271,12 +303,12 @@ def test_sieve_rows_sound_for_true_quadratic_subfields():
         entry = corpus_generate(kind, params)
         cs = candidate_ramified_primes(entry.poly, 2)
         basis = PlaceBasis(2, cs.all_finite_primes())
-        rows = sieve_rows(entry.poly, basis, cs.gcd_value, ScanConfig())
+        rows = sieve_rows(NumberField(entry.poly), basis, cs.gcd_value, ScanConfig())
         # zero rows is legitimate (e.g. elementary abelian fields give no
         # usable constraints); generated rows must never exclude the truth
         for delta in entry.quad:
-            vec = basis.vector_of_delta(delta)
-            assert vec is not None
+            vec = (int(delta < 0),) + tuple(int(delta % p == 0) for p in basis.primes)
+            assert basis.delta_of_vector(vec) == delta
             for row in rows:
                 assert vector_satisfies(row, vec, 2), (delta, row)
 
@@ -292,7 +324,7 @@ def test_sieve_rows_sound_for_true_cubic_subfields():
     basis, _ = cubic_place_basis(cs)
     gens = cubic_basis_generators(basis)
     cfg = ScanConfig(sieve_prime_bound=100_000, sieve_max_rows=10)
-    rows = sieve_rows(entry.poly, basis, cs.gcd_value, cfg, gens)
+    rows = sieve_rows(NumberField(entry.poly), basis, cs.gcd_value, cfg, gens)
     # the four known classes over [omega-axis, 7] all satisfy every row
     known = [(1, 0), (0, 1), (1, 1), (1, 2)]
     seven_slot = basis.primes.index(7) + 1
