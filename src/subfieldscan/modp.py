@@ -19,12 +19,13 @@ factorization (distinct-degree + Cantor-Zassenhaus), root extraction, and
 quadratic Hensel lifting of a coprime factor.
 
 The prime walks of the scans and the root tests' prime selection ask only
-part of this.  A monic f is squarefree mod p exactly when p does not divide
-disc(f), so they test the discriminant, computed once per field, and tell
-ddf_degrees to skip its gcd(f, f') test.  They also give it a stop rule:
-the scans stop at the first stage whose degree decides the Frobenius class
-(odd for l = 2, prime to 3 for l = 3), and prime selection stops once the
-prime cannot have fewer factors than the best one so far.
+part of this.  They settle squarefreeness themselves (NumberField.
+squarefree_mod: p not dividing disc(f) when the discriminant is cheap,
+otherwise gcd(f, f') mod p) and give ddf_degrees a stop rule, which also
+tells it to skip its own gcd(f, f') test: the scans stop at the first
+stage whose degree decides the Frobenius class (odd for l = 2, prime to 3
+for l = 3), and prime selection stops once the prime cannot have fewer
+factors than the best one so far.
 """
 
 from __future__ import annotations
@@ -305,18 +306,18 @@ def _ddf_stages(fb, p):
         yield deg(v), v
 
 
-def ddf_degrees(f: Poly, p: int, squarefree: bool = False, stop=None) -> dict[int, int]:
+def ddf_degrees(f: Poly, p: int, stop=None) -> dict[int, int]:
     """Multiset of irreducible factor degrees of f mod p (degree -> count).
 
-    Distinct-degree factorization only; no equal-degree splitting.  Raises
-    NotSquarefree when f mod p is not squarefree, unless the caller vouches
-    that it is (squarefree=True: for monic f, p does not divide disc(f)),
-    which skips the gcd(f, f') test.  stop(degrees, left) is asked after
-    each stage that finds factors, with the degrees so far and the degree
-    of f not yet factored; when it is true the DDF ends there and returns
-    the degrees so far, which cover all of f exactly when left is 0.
+    Distinct-degree factorization only; no equal-degree splitting.  Without
+    a stop rule, raises NotSquarefree when f mod p is not squarefree.  A
+    caller that gives stop has already made sure that f mod p is
+    squarefree, and the gcd(f, f') test is skipped.  stop(degrees, left) is
+    asked after each stage that finds factors, with the degrees so far and
+    the degree of f not yet factored; when it is true the DDF ends there and
+    returns the degrees so far, which cover all of f exactly when left is 0.
     """
-    if not squarefree and not squarefree_mod_p(f, p):
+    if stop is None and not squarefree_mod_p(f, p):
         raise NotSquarefree(f"f mod {p} is not squarefree")
     fb = monic(from_poly(f, p), p)
     left = deg(fb)

@@ -18,9 +18,10 @@ bits of a few fixed combinations of the coefficients: a lattice of
 dimension about r plus a few, with small entries, whatever the precision.
 
 The prime is the one with the fewest completions r among the first 25
-qualifying ones.  Squarefreeness comes from disc(f), computed once per
-NumberField, and each DDF stops as soon as its prime cannot beat the best
-so far, so only the winner's factor count is ever known in full.
+qualifying ones.  Squarefreeness mod p comes from NumberField.
+squarefree_mod (the discriminant, computed once per field, when it is
+cheap), and each DDF stops as soon as its prime cannot beat the best so
+far, so only the winner's factor count is ever known in full.
 """
 
 from __future__ import annotations
@@ -39,6 +40,14 @@ PROVED = "proved"
 NOT_FOUND = "not_found"
 KNAPSACK = "knapsack"
 
+# disc(f) replaces one gcd(f, f') mod p per prime that a walk visits, up to
+# about 1 200 primes at the default sieve bound.  Its subresultant PRS pays
+# for that while disc(f) is small and stops paying as it grows: 0.07-0.16 s
+# against 0.6-1 ms per gcd for Q(sqrt 2, ..., sqrt 13) of degree 64
+# (Hadamard bound about 17 000 bits), but 3.7-8.5 s against 1.6-3.1 ms for
+# degree 128 (about 75 000 bits).  Above this bound the gcds are kept.
+DISC_BITS_MAX = 32_000
+
 
 class NumberField:
     """Q[X]/(f) for a monic integral squarefree f; theta is the class of X."""
@@ -56,12 +65,17 @@ class NumberField:
         self._fprime_inv = None
         self._disc = None
 
-    def disc(self) -> int:
-        """disc(f), computed once on demand: f mod p is squarefree exactly
-        when p does not divide it."""
+    def squarefree_mod(self, p: int) -> bool:
+        """Whether f mod p is squarefree.  f is monic, so that is p not
+        dividing disc(f), which is computed once, on first use, when its
+        Hadamard bound is at most DISC_BITS_MAX bits; for a larger one, a
+        gcd(f, f') mod p."""
         if self._disc is None:
-            self._disc = disc_poly(self.f)
-        return self._disc
+            cheap = _disc_bits_bound(self.f) <= DISC_BITS_MAX
+            self._disc = disc_poly(self.f) if cheap else 0   # 0: gcd at each p
+        if self._disc:
+            return self._disc % p != 0
+        return modp.squarefree_mod_p(self.f, p)
 
     def fprime_inv(self) -> Poly:
         """(f')^(-1) mod f over Q, computed once on demand."""
@@ -74,6 +88,13 @@ class NumberField:
 
     def to_rational_root(self, y: Poly) -> Poly:
         return (y * self.fprime_inv()) % self.f
+
+
+def _disc_bits_bound(f: Poly) -> float:
+    """Hadamard's bound on log2 |disc(f)| = log2 |res(f, f')| for monic f."""
+    def log2_norm(g):
+        return sum(int(c) ** 2 for c in g.coeffs).bit_length() / 2
+    return (f.degree - 1) * log2_norm(f) + f.degree * log2_norm(f.derivative())
 
 
 @dataclass(frozen=True)
@@ -111,7 +132,7 @@ def select_prime(field: NumberField, h: Poly, rng: random.Random,
     A prime's DDF is abandoned as soon as the factors found, plus one for
     any degree left, reach the best count so far: the prime can then only
     tie with an earlier one or lose.  It still counts as qualifying."""
-    f, disc = field.f, field.disc()
+    f = field.f
     best = None   # (r, p, roots)
 
     def cannot_win(degrees, left):
@@ -119,13 +140,13 @@ def select_prime(field: NumberField, h: Poly, rng: random.Random,
 
     qualifying = 0
     for p in iter_primes(3, prime_bound):
-        if int(f.lc) % p == 0 or disc % p == 0:
+        if int(f.lc) % p == 0:
             continue
         roots = modp.roots_mod_p(h, p)
-        if len(roots) != h.degree:
+        if len(roots) != h.degree or not field.squarefree_mod(p):
             continue
         qualifying += 1
-        degs = modp.ddf_degrees(f, p, squarefree=True, stop=cannot_win)
+        degs = modp.ddf_degrees(f, p, stop=cannot_win)
         r = sum(degs.values())
         complete = sum(d * c for d, c in degs.items()) == field.n
         if complete and (best is None or r < best[0]):

@@ -12,7 +12,8 @@ searches share one prime walk (_frobenius_primes); _Quad and _Cubic hold
 what differs between the two kinds.
 
 The prime walk computes only what a row or a witness needs: squarefreeness
-mod q from disc(f), computed once per field; a DDF that stops at the first
+mod q from disc(f), computed once per field unless it is too large to pay
+for itself (NumberField.squarefree_mod); a DDF that stops at the first
 factor degree deciding the class; and, for cubic scans, the residue classes
 of the slot generators before the DDF, so a prime at which they are all 0,
 which can give no row, costs no DDF.  A found square root is kept as its
@@ -125,7 +126,11 @@ class ScanReport:
                     raise AssertionError(f"witness {q} does not exclude {e.delta}")
             elif e.minpoly is not None:
                 # q splits in every cyclic cubic subfield, but not in the
-                # candidate's field: its minimal polynomial stays irreducible
+                # candidate's field: its minimal polynomial X^3 - 3cX - t
+                # stays irreducible.  That polynomial has discriminant
+                # 81 v^2 for the class a = x + v w, yet a prime dividing v
+                # is no witness: then a = x mod q and x^2 = N(a) = c^3, so
+                # x = (x / c)^3 is a cube at q, and q splits there too.
                 if classify_prime_cubic(degrees) != CubicClass.SPLITS_ALL:
                     raise AssertionError(f"witness {q} does not split in every cubic subfield")
                 if not modp.squarefree_mod_p(e.minpoly, q) or modp.roots_mod_p(e.minpoly, q):
@@ -154,26 +159,26 @@ def _frobenius_primes(field: NumberField, basis: PlaceBasis, gcd_value: int, bou
                       generators=None):
     """(q, factor degrees of f mod q, cubic row or None) for the primes
     q <= bound, from 3 (l = basis.e = 2) or 5 (l = 3), that are not in the
-    basis, do not divide gcd_value, the leading coefficient, the norm of a
-    cubic slot generator or disc(f).  The DDF stops at the first degree
-    that decides the class (sieve.class_decided).  For l = 3 the row comes
+    basis, do not divide gcd_value, the leading coefficient or the norm of
+    a cubic slot generator, and modulo which f is squarefree
+    (NumberField.squarefree_mod).  The DDF stops at the first degree that
+    decides the class (sieve.class_decided).  For l = 3 the row comes
     first: a prime at which every generator is a cube gives no row, so it
     is skipped without a DDF."""
     f, ell = field.f, basis.e
-    if ell == 3 and generators is None:
-        generators = cubic_basis_generators(basis)
     norms = [g.norm() for g in generators or ()]
-    disc, stop = field.disc(), class_decided(ell)
+    stop = class_decided(ell)
     for q in iter_primes(3 if ell == 2 else 5, bound):
         if (q in basis.primes or gcd_value % q == 0 or int(f.lc) % q == 0
-                or any(n % q == 0 for n in norms) or disc % q == 0):
+                or any(n % q == 0 for n in norms)):
             continue
         row = None
         if ell == 3:
             row = cubic_constraint(q, basis, generators)
             if row is None:
                 continue
-        yield q, modp.ddf_degrees(f, q, squarefree=True, stop=stop), row
+        if field.squarefree_mod(q):
+            yield q, modp.ddf_degrees(f, q, stop=stop), row
 
 
 def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, config: ScanConfig,

@@ -254,7 +254,7 @@ def test_disc_decides_squarefree_and_stopped_ddf_keeps_the_class(low, q):
     assume(squarefree)
     full = modp.ddf_degrees(f, q)
     for ell in (2, 3):
-        part = modp.ddf_degrees(f, q, squarefree=True, stop=class_decided(ell))
+        part = modp.ddf_degrees(f, q, stop=class_decided(ell))
         assert part.items() <= full.items()
         if ell == 2 and f.degree % 2 == 0:
             assert classify_prime_quadratic(part, f.degree) == \

@@ -120,12 +120,42 @@ def test_zeta8_sqrt3_absent():
 
 
 def test_select_prime_propagates_errors(monkeypatch):
-    def broken(f, p):
-        raise RuntimeError("bug in squarefree_mod_p")
+    # a fault in the DDF of a qualifying prime reaches find_root's caller
+    # from select_prime, not as a skipped prime
+    def broken(f, p, *args, **kwargs):
+        raise RuntimeError("bug in ddf_degrees")
 
-    monkeypatch.setattr(modp, "squarefree_mod_p", broken)
-    with pytest.raises(RuntimeError):
-        find_root(NumberField(ZETA8), Y2M2, cfg(), random.Random(0))
+    field = NumberField(ZETA8)
+    monkeypatch.setattr(modp, "ddf_degrees", broken)
+    with pytest.raises(RuntimeError, match="bug in ddf_degrees") as info:
+        find_root(field, Y2M2, cfg(), random.Random(0))
+    assert "select_prime" in [entry.name for entry in info.traceback]
+
+
+BIG_COEFFICIENTS = Poly([3 * 2**2600, 3 * 2**2600, 0, 0, 0, 0, 0, 0, 1])
+
+
+@pytest.mark.parametrize("f, uses_disc", [
+    (multiquadratic_minpoly((2, 3, 5)), True),
+    # x^8 + c x + c: Hadamard bound of disc(f) about 37 500 bits
+    (BIG_COEFFICIENTS, False),
+])
+def test_squarefree_mod_computes_a_small_discriminant_once(monkeypatch, f, uses_disc):
+    import subfieldscan.nfroot as nfroot
+
+    calls = []
+
+    def disc_poly(g):
+        calls.append(g)
+        return nfroot_disc_poly(g)
+
+    nfroot_disc_poly = nfroot.disc_poly
+    monkeypatch.setattr(nfroot, "disc_poly", disc_poly)
+    field = NumberField(f)
+    for p in primes_up_to(300):
+        assert field.squarefree_mod(p) == squarefree_mod_p(f, p), p
+    assert not field.squarefree_mod(3)
+    assert len(calls) == (1 if uses_disc else 0)
 
 
 def assert_matches_oracle(primes, deltas=None):

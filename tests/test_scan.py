@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subfieldscan.config import ScanConfig
 from subfieldscan.nfroot import NumberField
@@ -182,6 +183,67 @@ def test_check_invariants_rejects_a_wrong_cubic_witness(prime, reason):
     rep.excluded[index] = dataclasses.replace(entry, witness_prime=prime)
     with pytest.raises(AssertionError, match=reason):
         rep.check_invariants()
+
+
+SPLIT_PRIMES = (7, 13, 19, 31, 37, 43)
+
+
+def test_prime_dividing_v_is_no_cubic_witness():
+    # a = w (pi7 conj(pi7)^2) (pi13 conj(pi13)^2)^2 has w-coefficient
+    # v = 2 * 7 * 13^2 * 19: its minimal polynomial has a double root mod
+    # 19, and a is a cube at 19, so 19 cannot witness its absence
+    from subfieldscan.eisenstein import cubic_residue_class, split_prime
+    from subfieldscan.kummer3 import build_generator
+    from subfieldscan.modp import squarefree_mod_p
+
+    cand = build_generator((1, 1, 2), [(p, split_prime(p)) for p in (7, 13)])
+    assert cand.v == 2 * 7 * 13**2 * 19
+    assert not squarefree_mod_p(cand.minpoly, 19)
+    assert cubic_residue_class(cand.a, 19) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(SPLIT_PRIMES), min_size=1, max_size=3, unique=True),
+       st.lists(st.integers(min_value=0, max_value=2), min_size=4, max_size=4))
+def test_cubic_witness_recheck_agrees_with_the_residue_class(primes, exps):
+    # check_invariants re-checks a cubic witness q by the candidate's
+    # minimal polynomial (squarefree with no root mod q), the walk by the
+    # class of a at q (nonzero): the two agree at every q >= 5 prime to c,
+    # including the primes dividing v, where both say "no witness"
+    from subfieldscan.arith import primes_up_to
+    from subfieldscan.eisenstein import cubic_residue_class, split_prime
+    from subfieldscan.errors import ZeroExponentVector
+    from subfieldscan.kummer3 import build_generator
+    from subfieldscan.modp import roots_mod_p, squarefree_mod_p
+
+    try:
+        cand = build_generator(exps[:len(primes) + 1], [(p, split_prime(p)) for p in primes])
+    except ZeroExponentVector:
+        return
+    for q in primes_up_to(400)[2:]:
+        if cand.c % q == 0:
+            continue
+        inert = squarefree_mod_p(cand.minpoly, q) and not roots_mod_p(cand.minpoly, q)
+        assert inert == (cubic_residue_class(cand.a, q) != 0), q
+
+
+@pytest.mark.parametrize("scan, kind, params", [
+    (quad_subfield_scan, "cyclotomic", "12"),
+    (quad_subfield_scan, "multiquadratic", "2,3,5"),
+    (cubic_subfield_scan, "cubic-compositum", "7,9"),
+    (cubic_subfield_scan, "cubic-compositum", "7,q5"),
+])
+@pytest.mark.parametrize("rows", [40, 0])
+def test_gcd_and_discriminant_walks_agree(monkeypatch, scan, kind, params, rows):
+    # above nfroot.DISC_BITS_MAX the walks test squarefreeness by a gcd at
+    # each prime instead of by disc(f); the reports are the same
+    import subfieldscan.nfroot as nfroot
+    from subfieldscan.cli import canonical_report_bytes
+
+    f, config = corpus_generate(kind, params).poly, ScanConfig(sieve_max_rows=rows)
+    with_disc = canonical_report_bytes(scan(f, config))
+    monkeypatch.setattr(nfroot, "DISC_BITS_MAX", 0)
+    assert canonical_report_bytes(scan(f, config)) == with_disc
 
 
 def test_found_root_is_not_inverted_unless_multiplied(monkeypatch):
