@@ -10,9 +10,12 @@ QuotientRing(v, m), which packs a polynomial into a single Python int, one
 coefficient per slot of max(64, 8*ceil(bits/8)) bits, where bits is the
 length of 2*n^3*m^4: that bound holds every coefficient of a packed
 product and of its Barrett reduction by v, so no carry crosses a slot and
-the only per-coefficient work is the final % m.  The schoolbook mul and
-pdivmod remain for gcd, xgcd, exact division and one-off reductions;
-division needs a divisor with a unit leading coefficient.
+the only per-coefficient work is the final % m.  A distinct-degree
+factorization builds one ring, modulo f itself, and keeps it while factors
+are divided out.  gcd is a remainder-only Euclid that fuses each one-degree
+step into a single pass and keeps no quotient.  The schoolbook mul and
+pdivmod remain for xgcd, exact division, the Barrett constant and one-off
+reductions; division needs a divisor with a unit leading coefficient.
 
 Public operations: squarefree test, distinct-degree factor degrees, full
 factorization (distinct-degree + Cantor-Zassenhaus), root extraction, and
@@ -215,10 +218,40 @@ def monic(a, p):
 
 
 def gcd(a, b, p):
-    """Monic gcd over F_p."""
-    a, b = list(a), list(b)
+    """Monic gcd over F_p of reduced a and b.
+
+    A remainder-only Euclid: each step inverts the divisor's leading
+    coefficient once and builds the remainder without a quotient.  A drop
+    of one degree, the usual step, is one fused pass r = a - (t1*x + t0)*b;
+    a shorter a makes the first step a swap.  It ends with [1] as soon as
+    the divisor is a nonzero constant.
+    """
     while b:
-        a, b = b, pmod(a, b, p)
+        if len(b) == 1:
+            return [1]
+        db = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        drop = len(a) - len(b)
+        if drop == 1:
+            t1 = a[-1] * inv % p
+            t0 = (a[-2] - t1 * b[-2]) * inv % p
+            if t0:
+                r = [(a[0] - t0 * b[0]) % p]
+                r += [(ai - t1 * bl - t0 * bi) % p for ai, bl, bi in zip(a[1:db], b, b[1:db])]
+            else:   # at every step for an even and an odd operand, as f(x) = g(x^2) and f'
+                r = [a[0]] + [(ai - t1 * bl) % p for ai, bl in zip(a[1:db], b)]
+        elif drop == 0:
+            t0 = a[-1] * inv % p
+            r = [(ai - t0 * bi) % p for ai, bi in zip(a[:db], b)]
+        else:
+            r = list(a)
+            low = b[:-1]
+            for i in range(len(r) - 1, db - 1, -1):
+                t = r[i] * inv % p
+                if t:
+                    r[i - db:i] = [(ri - t * bi) % p for ri, bi in zip(r[i - db:i], low)]
+            del r[db:]
+        a, b = b, trim(r)
     return monic(a, p)
 
 
@@ -272,20 +305,23 @@ def squarefree_mod_p(f: Poly, p: int) -> bool:
 def _ddf_stages(fb, p):
     """Yield (d, product of irreducible factors of degree d), d increasing.
 
-    Stage d needs w = x^(p^d) mod v.  Frobenius is a ring map fixing F_p,
-    so w^p = w(xi) with xi = x^p: once the square-and-multiply powers for
-    the current v have cost as many products as tabulating the powers of xi
-    does, each further stage is one packed dot product with that table.
+    Stage d needs w = x^(p^d) modulo the part v of fb not yet factored.  w
+    stays reduced modulo fb itself, in one QuotientRing per call: v divides
+    fb, so gcd(w - x, v) is the same as for w reduced modulo v, and a stage
+    that finds factors only divides them out of v.  Frobenius is a ring map
+    fixing F_p, so w^p = w(xi) with xi = x^p: once the square-and-multiply
+    powers have cost as many products as tabulating the powers of xi does,
+    each further stage is one packed dot product with that table.
     """
-    v = list(fb)
+    v = fb
     x = [0, 1]
-    w, xi, d = list(x), None, 0
+    w, xi, d, spent = x, None, 0, 0
     ring = table = None
     pow_cost = p.bit_length() + bin(p).count("1") - 2   # products in one ring.pow(w, p)
     while deg(v) >= 2 * (d + 1):
         d += 1
         if ring is None:
-            ring, spent = QuotientRing(v, p), 0
+            ring = QuotientRing(fb, p)
         if table is None and xi is not None and spent >= ring.n - 2:
             table = ring.power_table(xi)
         if table is None:
@@ -299,9 +335,6 @@ def _ddf_stages(fb, p):
         if deg(g) > 0:
             yield d, g
             v = pdivmod(v, g, p)[0]
-            w = pmod(w, v, p)
-            xi = pmod(xi, v, p)
-            ring = table = None
     if deg(v) > 0:
         yield deg(v), v
 

@@ -261,3 +261,125 @@ def test_disc_decides_squarefree_and_stopped_ddf_keeps_the_class(low, q):
                 classify_prime_quadratic(full, f.degree)
         if ell == 3:
             assert classify_prime_cubic(part) == classify_prime_cubic(full)
+
+
+# -- the fused Euclid and the one-ring DDF against plain references -----------------
+
+
+def reference_divmod(a, b, p):
+    """Schoolbook division with remainder over F_p, quotient kept."""
+    inv = pow(b[-1], -1, p)
+    q, r = [0] * max(len(a) - len(b) + 1, 0), list(a)
+    while len(r) >= len(b):
+        t = r[-1] * inv % p
+        shift = len(r) - len(b)
+        q[shift] = t
+        for i, c in enumerate(b):
+            r[shift + i] = (r[shift + i] - t * c) % p
+        while r and r[-1] == 0:
+            r.pop()
+    return q, r
+
+
+def reference_gcd(a, b, p):
+    """Plain Euclid, then made monic."""
+    while b:
+        a, b = b, reference_divmod(a, b, p)[1]
+    if not a:
+        return []
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+GCD_PRIMES = [2, 3, 5, 7, 101, 10007]
+
+
+@st.composite
+def gcd_operands(draw):
+    """Reduced operands of degree 0-30 (or zero): unrelated pairs, equal
+    degrees, constants, pairs with a planted common factor, and an even
+    and an odd polynomial."""
+    p = draw(st.sampled_from(GCD_PRIMES))
+    coeffs = st.integers(min_value=0, max_value=p - 1)
+
+    def poly(min_deg, max_deg):
+        n = draw(st.integers(min_value=min_deg, max_value=max_deg))
+        return modp.trim(draw(st.lists(coeffs, min_size=n + 1, max_size=n + 1)) or [1])
+
+    kind = draw(st.sampled_from(["random", "equal", "constant", "zero", "planted", "in x^2"]))
+    if kind == "random":
+        a, b = poly(0, 30), poly(0, 30)
+    elif kind == "in x^2":
+        # A(x^2) and x*B(x^2): every quotient has a zero constant term
+        a = [c for ai in poly(0, 15) for c in (ai, 0)][:-1]
+        b = [c for bi in poly(0, 14) for c in (0, bi)]
+    elif kind == "equal":
+        n = draw(st.integers(min_value=0, max_value=30))
+        a = draw(st.lists(coeffs, min_size=n, max_size=n)) + [draw(coeffs.filter(bool))]
+        b = draw(st.lists(coeffs, min_size=n, max_size=n)) + [draw(coeffs.filter(bool))]
+    elif kind == "constant":
+        a, b = poly(0, 30), [draw(coeffs.filter(bool))]
+    elif kind == "zero":
+        a, b = poly(0, 30), []
+    else:
+        common = poly(1, 10)
+        a, b = modp.mul(common, poly(0, 20), p), modp.mul(common, poly(0, 20), p)
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b, p
+
+
+@settings(max_examples=600, deadline=None)
+@given(gcd_operands())
+def test_gcd_matches_reference_euclid(case):
+    a, b, p = case
+    g = modp.gcd(a, b, p)
+    assert g == reference_gcd(a, b, p)
+    for h in (a, b):
+        if h:
+            assert g[-1] == 1 and reference_divmod(h, g, p)[1] == []
+    assert modp.gcd([], [], p) == []
+
+
+def reference_ddf(fb, p):
+    """Distinct-degree factorization reducing modulo the shrinking v."""
+    v, w, d, out = list(fb), [0, 1], 0, []
+    while len(v) - 1 >= 2 * (d + 1):
+        d += 1
+        w = schoolbook_pow(w, p, v, p)
+        g = reference_gcd(modp.sub(w, [0, 1], p), v, p)
+        if len(g) > 1:
+            out.append((d, g))
+            v = reference_divmod(v, g, p)[0]
+            w = reference_divmod(w, v, p)[1]
+    if len(v) > 1:
+        out.append((len(v) - 1, v))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]),
+       st.lists(st.integers(min_value=-30, max_value=30), min_size=2, max_size=24))
+def test_ddf_keeps_one_ring_and_matches_shrinking_reference(p, low):
+    f = Poly(low + [1])
+    assume(modp.squarefree_mod_p(f, p))
+    fb = modp.monic(modp.from_poly(f, p), p)
+    built = []
+
+    class CountedRing(modp.QuotientRing):
+        def __init__(self, v, m):
+            built.append(v)
+            super().__init__(v, m)
+
+    original = modp.QuotientRing
+    modp.QuotientRing = CountedRing
+    try:
+        stages = list(modp._ddf_stages(fb, p))
+    finally:
+        modp.QuotientRing = original
+    assert built == [fb]
+    assert stages == reference_ddf(fb, p)
+    prod = [1]
+    for _, g in stages:
+        prod = modp.mul(prod, g, p)
+    assert prod == fb
