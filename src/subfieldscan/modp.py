@@ -363,6 +363,23 @@ def ddf_degrees(f: Poly, p: int, stop=None) -> dict[int, int]:
     return out
 
 
+def _split_candidates(n, p, rng: random.Random):
+    """Monic u of degree n over F_p, one per splitting attempt.
+
+    Each u is drawn from rng.  A u tried before is replaced by one from a
+    private stream, so an rng that keeps returning the same values cannot
+    stall the split; rng itself is drawn from exactly as without the check.
+    """
+    tried, spare = set(), None
+    while True:
+        u = tuple(rng.randrange(p) for _ in range(n)) + (1,)
+        if u in tried:
+            spare = spare or random.Random(n * p)
+            u = tuple(spare.randrange(p) for _ in range(n)) + (1,)
+        tried.add(u)
+        yield list(u)
+
+
 def _split_equal_degree(g, d, p, rng: random.Random):
     """All monic irreducible factors of g, where every factor has degree d."""
     if deg(g) == d:
@@ -370,9 +387,8 @@ def _split_equal_degree(g, d, p, rng: random.Random):
     if deg(g) == 0:
         return []
     ring = QuotientRing(g, p)
-    for _ in range(_CZ_RETRY_CAP):
+    for _, u in zip(range(_CZ_RETRY_CAP), _split_candidates(deg(g), p, rng)):
         if p == 2:
-            u = [rng.randrange(2) for _ in range(deg(g))] + [1]
             t = []
             acc = ring.element(u)
             for _ in range(d):
@@ -380,7 +396,6 @@ def _split_equal_degree(g, d, p, rng: random.Random):
                 acc = ring.mul(acc, acc)
             w = gcd(t, g, p)
         else:
-            u = [rng.randrange(p) for _ in range(deg(g))] + [1]
             t = ring.pow(u, (p**d - 1) // 2)
             w = gcd(sub(t, [1], p), g, p)
         if 0 < deg(w) < deg(g):

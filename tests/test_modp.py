@@ -241,6 +241,23 @@ def test_ddf_matches_factor_degrees(p, low, rng):
     assert prod == modp.from_poly(f, p)
 
 
+class StuckRandom(random.Random):
+    """An rng whose every draw is the lowest value, as a shrunk generated one can be."""
+
+    def randrange(self, start, stop=None, step=1):
+        return 0 if stop is None else start
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factor_mod_p_survives_an_rng_that_repeats_itself(p):
+    # f = x^2 - 1: every draw of the stuck rng gives u = x^2, which is 1
+    # modulo f, so u^((p-1)/2) - 1 = 0 never splits f
+    f = Poly([-1, 0, 1])
+    expect = modp.factor_mod_p(f, p, random.Random(0))
+    assert len(expect) == 2
+    assert modp.factor_mod_p(f, p, StuckRandom()) == expect
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(min_value=-20, max_value=20), min_size=2, max_size=12),
        st.sampled_from(primes_up_to(200)))
