@@ -1,8 +1,7 @@
 """Command-line interface, polynomial text parsing, and JSON reports.
 
 Subcommands: quad, cubic (the scans), certify (re-verify a report's
-certificates), corpus (emit test polynomials with ground-truth sidecars),
-bench (run a directory of polynomials and collect timings).
+certificates), corpus (emit test polynomials with ground-truth sidecars).
 
 All integers in report JSON are serialized as decimal strings so values
 beyond 53 bits survive every JSON implementation.  Exit codes: 0 complete,
@@ -17,7 +16,6 @@ import json
 import os
 import re
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -390,38 +388,6 @@ def _cmd_corpus(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    directory = Path(args.dir)
-    if not directory.is_dir():
-        print(f"input error: {args.dir} is not a directory", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    config = ScanConfig(seed=args.seed if args.seed is not None else 0)
-    results = []
-    for path in sorted(directory.glob("*.txt")):
-        try:
-            f_raw = read_poly_file(str(path))
-        except (OSError, PolyParseError) as exc:
-            results.append({"file": path.name, "error": str(exc)})
-            continue
-        item = {"file": path.name, "degree": str(f_raw.degree)}
-        t0 = time.perf_counter()
-        if f_raw.degree % 2 == 0:
-            rep = quad_subfield_scan(f_raw, config)
-            item["quad_ms"] = str(int(1000 * (time.perf_counter() - t0)))
-            item["quad_found"] = str(len(rep.subfields))
-        t0 = time.perf_counter()
-        if f_raw.degree % 3 == 0:
-            rep = cubic_subfield_scan(f_raw, config)
-            item["cubic_ms"] = str(int(1000 * (time.perf_counter() - t0)))
-            item["cubic_found"] = str(len(rep.subfields))
-        results.append(item)
-        print(f"  {path.name}: " + ", ".join(f"{k}={v}" for k, v in item.items() if k != "file"))
-    payload = json.dumps({"results": results}, indent=2) + "\n"
-    if args.json:
-        Path(args.json).write_text(payload)
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="subfieldscan",
@@ -446,11 +412,6 @@ def main(argv=None) -> int:
                          "cubic-compositum: conductor list like '7,9' or '7,q5'")
     sp.add_argument("-o", "--output", help="polynomial file to write")
 
-    sp = sub.add_parser("bench", help="scan every *.txt polynomial in a directory")
-    sp.add_argument("--dir", required=True)
-    sp.add_argument("--json", help="write timing JSON here")
-    sp.add_argument("--seed", type=int, default=None)
-
     args = parser.parse_args(argv)
     if args.command == "quad":
         return _run_scan(args, "quad")
@@ -460,8 +421,6 @@ def main(argv=None) -> int:
         return _cmd_certify(args)
     if args.command == "corpus":
         return _cmd_corpus(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     parser.error("unknown command")
 
 

@@ -10,16 +10,24 @@ QuotientRing(v, m), which packs a polynomial into a single Python int, one
 coefficient per slot of max(64, 8*ceil(bits/8)) bits, where bits is the
 length of 2*n^3*m^4: that bound holds every coefficient of a packed
 product and of its Barrett reduction by v, so no carry crosses a slot and
-the only per-coefficient work is the final % m.  A distinct-degree
-factorization builds one ring, modulo f itself, and keeps it while factors
-are divided out.  gcd is a remainder-only Euclid that fuses each one-degree
-step into a single pass and keeps no quotient.  The schoolbook mul and
-pdivmod remain for xgcd, exact division, the Barrett constant and one-off
-reductions; division needs a divisor with a unit leading coefficient.
+the only per-coefficient work is the final % m.  The Barrett constant
+x^(2n-1) div v does not depend on the prime when v is a monic f over Z:
+NumberField.barrett computes it once, and each ring only reduces it.
+
+A distinct-degree factorization builds one ring, modulo f itself, and
+keeps it while factors are divided out.  Its first stage, x^p, takes
+squarings alone; the later ones compose with a table of the powers of x^p
+whose size (none, sqrt(n) baby steps, all n) follows the products spent.
+gcd is a remainder-only Euclid that fuses each one-degree step into a
+single pass and keeps no quotient.  The schoolbook mul and pdivmod remain
+for xgcd, exact division, a ring without a given Barrett constant and
+one-off reductions; division needs a divisor with a unit leading
+coefficient.
 
 Public operations: squarefree test, distinct-degree factor degrees, full
-factorization (distinct-degree + Cantor-Zassenhaus), root extraction, and
-quadratic Hensel lifting of a coprime factor.
+factorization (distinct-degree + Cantor-Zassenhaus), root extraction (the
+quadratic formula for a quadratic), and quadratic Hensel lifting of a
+coprime factor.
 
 The prime walks of the scans and the root tests' prime selection ask only
 part of this.  They settle squarefreeness themselves (NumberField.
@@ -33,11 +41,12 @@ factors than the best one so far.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 import struct
 
-from .arith import inverse_mod
+from .arith import inverse_mod, sqrt_mod_prime
 from .errors import LeadingCoefficientVanishes, NotCoprimeCofactor, NotSquarefree, RetryLimitExceeded
 from .poly import Poly
 
@@ -111,23 +120,46 @@ def pmod(a, b, m):
     return pdivmod(a, b, m)[1]
 
 
+def barrett_constant(v) -> list[int]:
+    """x^(2n-1) div v for a monic v of degree n >= 1, over Z.
+
+    Reduced mod m it is the same quotient over Z/m, so a field computes it
+    once for every prime.  Its coefficients, read from the top, are those of
+    the power series 1 / (x^n v(1/x)) to n terms."""
+    n = len(v) - 1
+    rev = v[::-1]
+    h = [1]
+    for k in range(1, n):
+        h.append(-sum(rev[i] * h[k - i] for i in range(1, k + 1)))
+    return h[::-1]
+
+
 class QuotientRing:
     """(Z/m)[x]/(v) for a monic v of degree n >= 1, with packed products.
 
     Kronecker substitution (Harvey, JSC 44, 2009) turns a product into one
     big-integer multiply, and polynomial Barrett division (von zur Gathen &
-    Gerhard, Modern Computer Algebra, 9.1) reduces it with mu = x^(2n-2)
-    div v, computed once per ring:
+    Gerhard, Modern Computer Algebra, 9.1) reduces any c of degree at most
+    2n-1 with mu = x^(2n-1) div v:
 
-        c = a*b,  q = ((c div x^n) * mu) div x^(n-2),  r = c - q*v mod x^n.
+        q = ((c div x^n) * mu) div x^(n-1),  r = c - q*v mod x^n.
 
-    There is no reduction mod m in between.  Every slot of c, q and the low
-    half of q*v stays below n^3*m^4, which is added to each slot of r so
-    that none borrows.  With 64-bit slots (sieve-sized p) packing and
-    unpacking go through struct.
+    mu is barrett, a field's barrett_constant(v) over Z, taken mod m, or
+    else a schoolbook pdivmod.  Degree 2n-1 lets xpow fold a multiply by x
+    into the squaring before it, as a shift by one slot.
+
+    There is no reduction mod m in between.  For reduced a and b each slot
+    of c = a*b (or a*b*x) is below n*m^2; c div x^n has n slots, so each
+    slot of q is below n * n*m^2 * m = n^2*m^3 and each of the low n slots
+    of q*v below n * n^2*m^3 * m = n^3*m^4.  That bound is added to every
+    slot of r, so that none borrows; the n low slots of c may also carry a
+    packed dot product of at most n reduced powers (compose), which keeps
+    them below 2n*m^2 and r below twice the bound, which is what a slot
+    holds.  With 64-bit slots (sieve-sized p) packing and unpacking go
+    through struct.
     """
 
-    def __init__(self, v, m):
+    def __init__(self, v, m, barrett=None):
         v = trim([c % m for c in v])
         if len(v) < 2 or v[-1] != 1:
             raise ValueError("modulus must be monic of positive degree")
@@ -136,15 +168,17 @@ class QuotientRing:
         headroom = n**3 * m**4
         self._width = max(8, -(-(2 * headroom).bit_length() // 8))
         self._words = struct.Struct(f"<{n}Q") if self._width == 8 else None
-        bits = 8 * self._width
+        bits = self._bits = 8 * self._width
         self._hi = bits * n
         self._mask = (1 << bits * n) - 1
         self._offset = self._pack([headroom] * n)
         self._v = self._pack(v)
-        self._mu, self._qshift = 0, 0
-        if n > 1:
-            self._mu = self._pack(pdivmod([0] * (2 * n - 2) + [1], v, m)[0])
-            self._qshift = bits * (n - 2)
+        if barrett is None:
+            mu = pdivmod([0] * (2 * n - 1) + [1], v, m)[0]
+        else:
+            mu = [c % m for c in barrett]
+        self._mu = self._pack(mu)
+        self._qshift = bits * (n - 1)
 
     def _pack(self, a) -> int:
         if self._words:
@@ -153,7 +187,7 @@ class QuotientRing:
         return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in a]), "little")
 
     def _reduce(self, c: int) -> list[int]:
-        """The coefficient list of a packed product c modulo v and m."""
+        """The coefficient list of a packed c of degree at most 2n-1 modulo v and m."""
         q = ((c >> self._hi) * self._mu) >> self._qshift
         return self._unpack((c & self._mask) + self._offset - ((q * self._v) & self._mask))
 
@@ -194,18 +228,49 @@ class QuotientRing:
                 acc = self._pack(out)
         return out
 
-    def power_table(self, b) -> list[int]:
-        """The packed powers 1, b, ..., b**(n-1) of a reduced b, for compose."""
-        powers = [[1], b]
-        while len(powers) < self.n:
-            powers.append(self.mul(powers[-1], b))
-        return [self._pack(a) for a in powers[:self.n]]
+    def xpow(self, e: int) -> list[int]:
+        """x**e for e >= 0 by squarings alone.  The leading bits of e that
+        give a power below x^n give that monomial as it is; after them a 1
+        bit is a shift by one slot before the reduction, not a product."""
+        s = max(0, e.bit_length() - (self.n - 1).bit_length())
+        if e >> s >= self.n:
+            s += 1
+        acc = 1 << self._bits * (e >> s)
+        out = self._unpack(acc)
+        for i in range(s - 1, -1, -1):
+            c = acc * acc
+            if e >> i & 1:
+                c <<= self._bits
+            out = self._reduce(c)
+            acc = self._pack(out)
+        return out
+
+    def power_table(self, b, top=None, table=()) -> list[int]:
+        """The packed powers b^0, ..., b^top of a reduced b, for compose;
+        top defaults to n - 1, the full table.  A shorter table of the same
+        b is extended."""
+        top = self.n - 1 if top is None else top
+        table = list(table) or [self._pack([1]), self._pack(b)]
+        while len(table) <= top:
+            table.append(self._pack(self._reduce(table[-1] * table[1])))
+        return table
 
     def compose(self, a, table) -> list[int]:
-        """a(b) for a reduced a, where table = power_table(b): one dot
-        product of a's coefficients with the packed powers (each slot stays
-        below n*m^2)."""
-        return self._unpack(sum(map(operator.mul, a, table)))
+        """a(b) for a reduced a, where table = power_table(b, k).  If a has
+        at most k + 1 coefficients that is one packed dot product with the
+        table; otherwise Horner in the giant step b^k over chunks of k
+        coefficients, each a dot product with b^0, ..., b^(k-1) added to the
+        low half of the product before its reduction."""
+        k = len(table)
+        if len(a) <= k:
+            return self._unpack(sum(map(operator.mul, a, table)))
+        k -= 1
+        giant = table[k]
+        top = (len(a) - 1) // k * k
+        acc = self._unpack(sum(map(operator.mul, a[top:], table)))
+        for i in range(top - k, -1, -k):
+            acc = self._reduce(self._pack(acc) * giant + sum(map(operator.mul, a[i:i + k], table)))
+        return acc
 
 
 def monic(a, p):
@@ -302,35 +367,50 @@ def squarefree_mod_p(f: Poly, p: int) -> bool:
     return deg(g) == 0
 
 
-def _ddf_stages(fb, p):
+def _giant_steps(n, k):
+    """Products in one compose of a full-length element with power_table(b, k)."""
+    return 0 if k >= n - 1 else -(-n // k) - 1
+
+
+def _ddf_stages(fb, p, barrett=None):
     """Yield (d, product of irreducible factors of degree d), d increasing.
 
     Stage d needs w = x^(p^d) modulo the part v of fb not yet factored.  w
-    stays reduced modulo fb itself, in one QuotientRing per call: v divides
-    fb, so gcd(w - x, v) is the same as for w reduced modulo v, and a stage
-    that finds factors only divides them out of v.  Frobenius is a ring map
-    fixing F_p, so w^p = w(xi) with xi = x^p: once the square-and-multiply
-    powers have cost as many products as tabulating the powers of xi does,
-    each further stage is one packed dot product with that table.
+    stays reduced modulo fb itself, in one QuotientRing per call (with the
+    field's Barrett constant when the caller has it): v divides fb, so
+    gcd(w - x, v) is the same as for w reduced modulo v, and a stage that
+    finds factors only divides them out of v.
+
+    Stage 1 is xi = x^p by squarings alone.  Frobenius is a ring map fixing
+    F_p, so every later stage is w^p = w(xi): either a ring.pow, or a
+    compose with a table of the powers of xi, which costs its giant steps
+    per stage once the table is built (Brent & Kung, J. ACM 25, 1978).  The
+    table has sqrt(n) baby steps or all n powers.  It grows to the larger
+    size whose building plus one stage costs no more than the products the
+    stages since its last growth have spent plus this stage at its present
+    size.
     """
     v = fb
     x = [0, 1]
-    w, xi, d, spent = x, None, 0, 0
-    ring = table = None
+    n = deg(fb)
     pow_cost = p.bit_length() + bin(p).count("1") - 2   # products in one ring.pow(w, p)
+    w = xi = ring = None
+    table, top, d, spent = (), 1, 0, 0
     while deg(v) >= 2 * (d + 1):
         d += 1
         if ring is None:
-            ring = QuotientRing(fb, p)
-        if table is None and xi is not None and spent >= ring.n - 2:
-            table = ring.power_table(xi)
-        if table is None:
-            w = ring.pow(w, p)
-            spent += pow_cost
-        else:
-            w = ring.compose(w, table)
+            ring = QuotientRing(fb, p) if barrett is None else QuotientRing(fb, p, barrett)
         if xi is None:
-            xi = w
+            w = xi = ring.xpow(p)
+        else:
+            stage = _giant_steps(n, top) if table else pow_cost
+            for k in (n - 1, math.isqrt(n)):
+                if k > top and spent + stage >= k - top + _giant_steps(n, k):
+                    table, top, spent = ring.power_table(xi, k, table), k, 0
+                    stage = _giant_steps(n, k)
+                    break
+            w = ring.compose(w, table) if table else ring.pow(w, p)
+            spent += stage
         g = gcd(sub(w, x, p), v, p)
         if deg(g) > 0:
             yield d, g
@@ -339,7 +419,7 @@ def _ddf_stages(fb, p):
         yield deg(v), v
 
 
-def ddf_degrees(f: Poly, p: int, stop=None) -> dict[int, int]:
+def ddf_degrees(f: Poly, p: int, stop=None, barrett=None) -> dict[int, int]:
     """Multiset of irreducible factor degrees of f mod p (degree -> count).
 
     Distinct-degree factorization only; no equal-degree splitting.  Without
@@ -349,13 +429,14 @@ def ddf_degrees(f: Poly, p: int, stop=None) -> dict[int, int]:
     asked after each stage that finds factors, with the degrees so far and
     the degree of f not yet factored; when it is true the DDF ends there and
     returns the degrees so far, which cover all of f exactly when left is 0.
+    barrett is barrett_constant(f) for a monic f (NumberField.barrett).
     """
     if stop is None and not squarefree_mod_p(f, p):
         raise NotSquarefree(f"f mod {p} is not squarefree")
     fb = monic(from_poly(f, p), p)
     left = deg(fb)
     out: dict[int, int] = {}
-    for d, g in _ddf_stages(fb, p):
+    for d, g in _ddf_stages(fb, p, barrett):
         out[d] = out.get(d, 0) + deg(g) // d
         left -= deg(g)
         if stop is not None and stop(out, left):
@@ -421,16 +502,24 @@ def factor_mod_p(f: Poly, p: int, rng: random.Random) -> list[list[int]]:
 
 
 def roots_mod_p(h: Poly, p: int) -> set[int]:
-    """All roots of h in F_p."""
+    """All roots of h in F_p: by the quadratic formula for a quadratic at
+    odd p, by trying every residue below p = 1000, else from gcd(x^p - x, h)."""
     hb = from_poly(h, p)
     if not hb:
         raise ValueError(f"polynomial vanishes identically mod {p}")
     if deg(hb) == 0:
         return set()
+    if deg(hb) == 2 and p > 2:
+        c, b, a = hb
+        s = sqrt_mod_prime(b * b - 4 * a * c, p)
+        if s is None:
+            return set()
+        inv = pow(2 * a, -1, p)
+        return {(-b + s) * inv % p, (-b - s) * inv % p}
     if p < 1000:
         return {r for r in range(p) if evaluate(hb, r, p) == 0}
     hb = monic(hb, p)
-    w = sub(QuotientRing(hb, p).pow([0, 1], p), [0, 1], p)
+    w = sub(QuotientRing(hb, p).xpow(p), [0, 1], p)
     g = gcd(w, hb, p)
     return set(_linear_roots(g, p))
 

@@ -64,6 +64,14 @@ class NumberField:
         self.fprime = f.derivative()
         self._fprime_inv = None
         self._disc = None
+        self._barrett = None
+
+    def barrett(self) -> list[int]:
+        """x^(2n-1) div f over Z, computed once on first use: every
+        QuotientRing modulo f mod m takes it mod m (modp.barrett_constant)."""
+        if self._barrett is None:
+            self._barrett = modp.barrett_constant([int(c) for c in self.f.coeffs])
+        return self._barrett
 
     def squarefree_mod(self, p: int) -> bool:
         """Whether f mod p is squarefree.  f is monic, so that is p not
@@ -146,7 +154,7 @@ def select_prime(field: NumberField, h: Poly, rng: random.Random,
         if len(roots) != h.degree or not field.squarefree_mod(p):
             continue
         qualifying += 1
-        degs = modp.ddf_degrees(f, p, stop=cannot_win)
+        degs = modp.ddf_degrees(f, p, stop=cannot_win, barrett=field.barrett())
         r = sum(degs.values())
         complete = sum(d * c for d, c in degs.items()) == field.n
         if complete and (best is None or r < best[0]):
@@ -218,7 +226,7 @@ class _IdempotentLift:
         self.p = p
         self.k = 1
         f_p = modp.monic(modp.from_poly(field.f, p), p)
-        ring = modp.QuotientRing(f_p, p)
+        ring = modp.QuotientRing(f_p, p, field.barrett())
         idems = []
         for fac in factors:
             fac = list(fac)
@@ -233,7 +241,7 @@ class _IdempotentLift:
         while self.k < k:
             k2 = min(2 * self.k, k)
             m = self.p**k2
-            ring = modp.QuotientRing(modp.from_poly(self.field.f, m), m)
+            ring = modp.QuotientRing(modp.from_poly(self.field.f, m), m, self.field.barrett())
             new = []
             for e in self.idems:
                 e2 = ring.mul(e, e)
@@ -321,7 +329,7 @@ def root_knapsack(field: NumberField, h: Poly, pdata: PrimeData,
     lifts = [_ScalarRootLift(h, s0, p) for s0 in pdata.roots]
     for k in schedule:
         m = p**k
-        ring = modp.QuotientRing(modp.from_poly(field.f, m), m)
+        ring = modp.QuotientRing(modp.from_poly(field.f, m), m, field.barrett())
         fp_m = modp.from_poly(field.fprime, m)
         roots = [lift.lift_to(k) for lift in lifts]
         y0 = modp.scale(fp_m, roots[0], m)

@@ -8,8 +8,9 @@ primes, keeps one F_l row per prime whose Frobenius cycle type is usable
 is a subfield by closure, one in the coset of an excluded vector is
 excluded with it, and any other gets one exact root test, followed on
 failure by a search for an absence witness.  The sieve and both witness
-searches share one prime walk (_frobenius_primes); _Quad and _Cubic hold
-what differs between the two kinds.
+searches share one prime walk (_frobenius_primes), and a witness search
+goes on from the last prime the sieve walked; _Quad and _Cubic hold what
+differs between the two kinds.
 
 The prime walk computes only what a row or a witness needs: squarefreeness
 mod q from disc(f), computed once per field unless it is too large to pay
@@ -156,11 +157,11 @@ def _rng_for(seed: int, index: int) -> random.Random:
 
 
 def _frobenius_primes(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int,
-                      generators=None):
+                      generators=None, after: int = 0):
     """(q, factor degrees of f mod q, cubic row or None) for the primes
-    q <= bound, from 3 (l = basis.e = 2) or 5 (l = 3), that are not in the
-    basis, do not divide gcd_value, the leading coefficient or the norm of
-    a cubic slot generator, and modulo which f is squarefree
+    after < q <= bound, from 3 (l = basis.e = 2) or 5 (l = 3), that are
+    not in the basis, do not divide gcd_value, the leading coefficient or
+    the norm of a cubic slot generator, and modulo which f is squarefree
     (NumberField.squarefree_mod).  The DDF stops at the first degree that
     decides the class (sieve.class_decided).  For l = 3 the row comes
     first: a prime at which every generator is a cube gives no row, so it
@@ -168,7 +169,7 @@ def _frobenius_primes(field: NumberField, basis: PlaceBasis, gcd_value: int, bou
     f, ell = field.f, basis.e
     norms = [g.norm() for g in generators or ()]
     stop = class_decided(ell)
-    for q in iter_primes(3 if ell == 2 else 5, bound):
+    for q in iter_primes(max(after + 1, 3 if ell == 2 else 5), bound):
         if (q in basis.primes or gcd_value % q == 0 or int(f.lc) % q == 0
                 or any(n % q == 0 for n in norms)):
             continue
@@ -178,7 +179,7 @@ def _frobenius_primes(field: NumberField, basis: PlaceBasis, gcd_value: int, bou
             if row is None:
                 continue
         if field.squarefree_mod(q):
-            yield q, modp.ddf_degrees(f, q, stop=stop), row
+            yield q, modp.ddf_degrees(f, q, stop=stop, barrett=field.barrett()), row
 
 
 def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, config: ScanConfig,
@@ -199,11 +200,22 @@ def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, config: Sc
     return rows
 
 
+def _sieve_end(rows: list[Row], config: ScanConfig) -> int:
+    """The last prime that sieve_rows walked for these rows (0 for none)."""
+    if config.sieve_max_rows <= 0:
+        return 0
+    if len(rows) >= config.sieve_max_rows:
+        return rows[-1].prime
+    return config.sieve_prime_bound
+
+
 def absence_witness_quad(field: NumberField, delta: int, basis: PlaceBasis,
-                         gcd_value: int, config: ScanConfig) -> int | None:
-    """First prime whose cycle-type constraint contradicts Q(sqrt(delta))
-    being a subfield; None if the bound is exhausted."""
-    for q, degrees, _ in _frobenius_primes(field, basis, gcd_value, config.absence_prime_bound):
+                         gcd_value: int, config: ScanConfig, after: int = 0) -> int | None:
+    """First prime above after whose cycle-type constraint contradicts
+    Q(sqrt(delta)) being a subfield; None if the bound is exhausted.  At a
+    prime with a row that is the row failing for delta's vector."""
+    for q, degrees, _ in _frobenius_primes(field, basis, gcd_value, config.absence_prime_bound,
+                                           after=after):
         cls = classify_prime_quadratic(degrees, field.n)
         sym = legendre(delta, q)
         if (cls == QuadClass.SPLIT and sym == -1) or (cls == QuadClass.INERT and sym == 1):
@@ -213,11 +225,12 @@ def absence_witness_quad(field: NumberField, delta: int, basis: PlaceBasis,
 
 def absence_witness_cubic(field: NumberField, cand: CubicCandidate,
                           generators, basis: PlaceBasis, gcd_value: int,
-                          config: ScanConfig) -> int | None:
-    """First prime that splits in all cyclic cubic subfields but at which the
-    candidate class has a nonzero character sum."""
+                          config: ScanConfig, after: int = 0) -> int | None:
+    """First prime above after that splits in all cyclic cubic subfields but
+    at which the candidate class has a nonzero character sum."""
     for q, degrees, cubic_row in _frobenius_primes(field, basis, gcd_value,
-                                                   config.absence_prime_bound, generators):
+                                                   config.absence_prime_bound, generators,
+                                                   after):
         row = frobenius_row(q, degrees, field.n, basis, cubic_row)
         if row is not None and not vector_satisfies(row, cand.exponents, 3):
             return q
@@ -299,9 +312,9 @@ class _Quad:
             raise AssertionError("twist-product certificate failed verification")
         return cert
 
-    def witness(self, vec):
+    def witness(self, vec, after):
         return absence_witness_quad(self.field, self.basis.delta_of_vector(vec), self.basis,
-                                    self.gcd_value, self.config)
+                                    self.gcd_value, self.config, after)
 
 
 class _Cubic:
@@ -351,9 +364,9 @@ class _Cubic:
                                  "found cubic subfields generate")
         return result.certificate
 
-    def witness(self, vec):
+    def witness(self, vec, after):
         return absence_witness_cubic(self.field, self.candidates[vec], self.generators,
-                                     self.basis, self.gcd_value, self.config)
+                                     self.basis, self.gcd_value, self.config, after)
 
 
 # -- the scan and the candidate walk ------------------------------------------------
@@ -406,16 +419,22 @@ def _scan(kind_type, f_raw: Poly, config: ScanConfig) -> ScanReport:
         return report
 
     t0 = time.perf_counter()
-    report.subfields, report.excluded, report.direct_tests = _walk(kind, rows, candidates)
+    report.subfields, report.excluded, report.direct_tests = _walk(
+        kind, rows, candidates, _sieve_end(rows, config))
     phase("tests", t0)
     phase("total", t_start)
     report.check_invariants(field)
     return report
 
 
-def _walk(kind, rows: list[Row], candidates):
+def _walk(kind, rows: list[Row], candidates, walked: int):
     """Settle every candidate vector in order; returns the subfield entries,
-    the excluded entries and the number of direct root tests."""
+    the excluded entries and the number of direct root tests.
+
+    The sieve has walked every prime up to walked.  At such a prime a
+    witness against a target is exactly a kept row that the target fails,
+    and the walk tests the rows first (a cubic target lies in their kernel),
+    so the witness search starts after walked."""
     field, config = kind.field, kind.config
     span = Span(kind.ell, kind.basis.width, kind.merge)
     subfields: list[SubfieldEntry] = []
@@ -445,7 +464,7 @@ def _walk(kind, rows: list[Row], candidates):
                         else kind.member_certificate(vec, span, index))
                 subfields.append(SubfieldEntry(cert, **label))
                 continue
-            witness = kind.witness(target)
+            witness = kind.witness(target, walked)
             outcome = (target, STATUS_CERTIFIED_ABSENT if witness else STATUS_UNPROVEN_ABSENT,
                        witness)
             settled.append(outcome)

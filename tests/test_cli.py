@@ -135,7 +135,7 @@ def test_cli_certify_every_bit_position(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_corpus_and_bench(tmp_path, capsys):
+def test_cli_corpus(tmp_path, capsys):
     out = tmp_path / "mq.txt"
     assert main(["corpus", "--kind", "multiquadratic", "--params", "2,3",
                  "-o", str(out)]) == EXIT_OK
@@ -148,12 +148,6 @@ def test_cli_corpus_and_bench(tmp_path, capsys):
     assert parse_poly(truth8["poly"]).degree == 8
     assert main(["corpus", "--kind", "cyclotomic", "--params", "8",
                  "-o", str(tmp_path / "c8.txt")]) == EXIT_OK
-    bench_json = tmp_path / "bench.json"
-    assert main(["bench", "--dir", str(tmp_path), "--json", str(bench_json)]) == EXIT_OK
-    data = json.loads(bench_json.read_text())
-    names = {r["file"] for r in data["results"]}
-    assert names == {"mq.txt", "mq8.txt", "c8.txt"}
-    assert all("quad_ms" in r for r in data["results"])
     capsys.readouterr()
 
 

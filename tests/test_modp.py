@@ -220,6 +220,81 @@ def test_ring_rejects_non_monic_modulus():
             modp.QuotientRing(v, 7)
 
 
+def horner(a, b, v, m):
+    out = []
+    for c in reversed(a):
+        out = modp.add(modp.pmod(modp.mul(out, b, m), v, m), [c], m)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(moduli, st.lists(st.integers(min_value=-2**70, max_value=2**70), min_size=1, max_size=40),
+       st.data())
+def test_ring_with_the_integer_barrett_constant_matches_pdivmod(m, low, data):
+    # the constant of a monic integer v, reduced mod m, is the ring's own
+    v = low + [1]
+    schoolbook = modp.QuotientRing(v, m)
+    ring = modp.QuotientRing(v, m, modp.barrett_constant(v))
+    n = len(low)
+    mu = modp.pdivmod([0] * (2 * n - 1) + [1], ring.v, m)[0]
+    assert modp.trim([c % m for c in modp.barrett_constant(v)]) == mu
+    a, b = data.draw(residues(m, n)), data.draw(residues(m, n))
+    e = data.draw(st.integers(min_value=0, max_value=400))
+    assert ring.mul(a, b) == schoolbook.mul(a, b) == modp.pmod(modp.mul(a, b, m), ring.v, m)
+    assert ring.pow(a, e) == schoolbook.pow(a, e) == schoolbook_pow(a, e, ring.v, m)
+
+
+@st.composite
+def xpow_cases(draw):
+    p = draw(st.sampled_from([2, 3] + SMALL_PRIMES[:5]))
+    m = p ** draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=30))
+    low = draw(st.lists(st.integers(min_value=0, max_value=m - 1), min_size=n, max_size=n))
+    e = draw(st.one_of(st.integers(min_value=0, max_value=n), st.just(n - 1), st.just(n),
+                       st.integers(min_value=n + 1, max_value=10**9)))
+    return modp.QuotientRing(low + [1], m), e
+
+
+@settings(max_examples=300, deadline=None)
+@given(xpow_cases())
+def test_xpow_matches_pow_of_x(case):
+    ring, e = case
+    assert ring.xpow(e) == ring.pow([0, 1], e) == schoolbook_pow([0, 1], e, ring.v, ring.m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rings())
+def test_chunked_compose_matches_horner_for_every_table_length(case):
+    ring, a, b = case
+    expect = horner(a, b, ring.v, ring.m)
+    short = None
+    for k in range(1, ring.n + 1):
+        table = ring.power_table(b, k)
+        assert len(table) == k + 1
+        assert ring.compose(a, table) == expect
+        if short is not None:   # a shorter table grown to this length
+            assert ring.compose(a, ring.power_table(b, k, short)) == expect
+        short = table
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 13, 101, 1009, 1013]),
+       st.integers(min_value=1, max_value=10**6), st.integers(min_value=-10**6, max_value=10**6),
+       st.integers(min_value=-10**6, max_value=10**6), st.sampled_from(["any", "double", "nonresidue"]))
+def test_quadratic_roots_match_brute_force(p, a, b, c, shape):
+    if shape == "double":        # a (x + b)^2: discriminant 0 mod p
+        h = Poly([a * b * b, 2 * a * b, a])
+    elif shape == "nonresidue":  # a (x^2 - t) for the least non-residue t
+        t = next(t for t in range(2, p) if pow(t, (p - 1) // 2, p) == p - 1)
+        h = Poly([-a * t, 0, a])
+    else:
+        h = Poly([c, b, a])
+    hb = modp.from_poly(h, p)
+    assume(hb)
+    brute = {r for r in range(p) if modp.evaluate(hb, r, p) == 0}
+    assert modp.roots_mod_p(h, p) == brute
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3] + SMALL_PRIMES[:5]),
        st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=16),

@@ -158,6 +158,38 @@ def test_squarefree_mod_computes_a_small_discriminant_once(monkeypatch, f, uses_
     assert len(calls) == (1 if uses_disc else 0)
 
 
+def test_number_field_computes_the_barrett_constant_once(monkeypatch):
+    from subfieldscan.scan import quad_subfield_scan
+
+    calls = []
+    real = modp.barrett_constant
+
+    def counted(v):
+        calls.append(v)
+        return real(v)
+
+    def ddf_degrees(g, q, stop=None, barrett=None):
+        stopped.append((stop is not None, barrett))
+        return real_ddf(g, q, stop, barrett)
+
+    stopped, real_ddf = [], modp.ddf_degrees
+    monkeypatch.setattr(modp, "barrett_constant", counted)
+    monkeypatch.setattr(modp, "ddf_degrees", ddf_degrees)
+    f = corpus_generate("cyclotomic", "12").poly
+    # the sieve, the root tests' prime selection and their lifting rings
+    assert quad_subfield_scan(f).direct_tests > 0
+    assert len(calls) == 1
+    # the prime walks and select_prime, which give a stop rule, pass it
+    assert stopped and all(b is not None for s, b in stopped if s)
+    field = NumberField(f)
+    mu = field.barrett()
+    for m in (5, 13, 10007, 3**40):
+        fm = modp.from_poly(f, m)
+        assert modp.trim([c % m for c in mu]) == modp.pdivmod([0] * 7 + [1], fm, m)[0]
+    assert field.barrett() is mu
+    assert len(calls) == 2
+
+
 def assert_matches_oracle(primes, deltas=None):
     """find_root proves x^2 - d for each d and returns the testkit's
     independently built certificate up to sign."""

@@ -25,6 +25,13 @@ square roots were kept as certificates until a product needs them:
                                        prime is skipped or has a full DDF
   S4 quartic x^4-x-1 with sqrt(5)      one found root that nothing multiplies
 
+The last three were taken before the witness searches learned to start
+after the last prime the sieve walked:
+
+  cyclotomic 15 with one sieve row      a witness above the sieve's prime
+  cubic-compositum 7,q5 with one row    two witnesses above it
+  cyclotomic 7 cubic with two rows      cubic rows cut short
+
 A change that means to alter reports must say why and update them.
 """
 
@@ -66,6 +73,12 @@ GOLDEN = [
      "7a972028c5913b348b7cdad3996929366a741908d035a9c1775caa5d3bf8db6f"),
     ("s4-compositum", "5", "quad", {},
      "580018d41d13fe5d9e646486924216153d21df316ad6351b6681d951ce854123"),
+    ("cyclotomic", "15", "quad", {"sieve_max_rows": 1},
+     "30a847f6e760b85bbcd33f3b876061dd3dedc65a3dc9058c3ce5bb94ee868868"),
+    ("cubic-compositum", "7,q5", "quad", {"sieve_max_rows": 1},
+     "3945e3b2194c15378def0d327f824b2c7ce4bb0528c0e48280ee93c28c99d411"),
+    ("cyclotomic", "7", "cubic", {"sieve_max_rows": 2},
+     "df61b6b64c2ab2379728bbfc5d229b83adf2a774b9274bede20f026e01f05049"),
 ]
 
 # x^4 - x - 1 has Galois group S4 (discriminant -283): its field has no

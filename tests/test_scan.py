@@ -395,3 +395,37 @@ def test_sieve_rows_sound_for_true_cubic_subfields():
         vec[0], vec[seven_slot] = e0, e7
         for row in rows:
             assert vector_satisfies(row, tuple(vec), 3), (e0, e7, row)
+
+
+@pytest.mark.parametrize("kind, params, witnesses", [
+    ("cyclotomic", "15", [61]),
+    ("cubic-compositum", "7,q5", [17, 17]),
+])
+def test_absence_search_starts_after_the_sieve(monkeypatch, kind, params, witnesses):
+    # with one sieve row the walk needs witnesses; every prime up to the
+    # sieve's last one has had its row tested, so no absence DDF goes there
+    import subfieldscan.modp as modp
+    import subfieldscan.scan as scan_mod
+
+    searching, absence_primes = [], []
+
+    def ddf_degrees(f, q, *args, **kwargs):
+        if searching:
+            absence_primes.append(q)
+        return real_ddf(f, q, *args, **kwargs)
+
+    def absence_witness_quad(*args, **kwargs):
+        searching.append(True)
+        try:
+            return real_witness(*args, **kwargs)
+        finally:
+            searching.pop()
+
+    real_ddf, real_witness = modp.ddf_degrees, scan_mod.absence_witness_quad
+    monkeypatch.setattr(modp, "ddf_degrees", ddf_degrees)
+    monkeypatch.setattr(scan_mod, "absence_witness_quad", absence_witness_quad)
+    report = quad_subfield_scan(corpus_generate(kind, params).poly, ScanConfig(sieve_max_rows=1))
+    last = report.sieve.primes_used[-1]
+    assert absence_primes and min(absence_primes) > last
+    assert sorted(e.witness_prime for e in report.excluded
+                  if e.status == STATUS_CERTIFIED_ABSENT) == witnesses
