@@ -278,8 +278,11 @@ def _config_from_args(args) -> ScanConfig:
 def _add_scan_args(sp):
     sp.add_argument("-i", "--input", required=True, help="polynomial file")
     sp.add_argument("--json", help="write the JSON report here")
-    sp.add_argument("--sieve-bound", type=int, default=10_000)
-    sp.add_argument("--sieve-count", type=int, default=40)
+    sp.add_argument("--sieve-bound", type=int, default=10_000,
+                    help="the largest prime the Frobenius sieve walks")
+    sp.add_argument("--sieve-count", type=int, default=40,
+                    help="the most sieve rows kept, a cap: the sieve stops "
+                         "earlier once its rows stop adding information")
     sp.add_argument("--max-precision", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None,
                     help="default 0, or SUBFIELD_SCAN_SEED if set")

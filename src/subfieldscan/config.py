@@ -12,6 +12,8 @@ from .arith import FactorBudget
 class ScanConfig:
     seed: int = 0
     sieve_prime_bound: int = 10_000
+    # a hard cap: the sieve stops earlier once its rows stop growing their
+    # span (scan.sieve_rows); 0 turns the sieve off
     sieve_max_rows: int = 40
     max_precision: int | None = None       # cap on p-adic digits, overrides the heuristic
     select_prime_bound: int = 50_000

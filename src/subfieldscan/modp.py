@@ -503,7 +503,9 @@ def factor_mod_p(f: Poly, p: int, rng: random.Random) -> list[list[int]]:
 
 def roots_mod_p(h: Poly, p: int) -> set[int]:
     """All roots of h in F_p: by the quadratic formula for a quadratic at
-    odd p, by trying every residue below p = 1000, else from gcd(x^p - x, h)."""
+    odd p, by trying every residue below p = 250, else from gcd(x^p - x, h).
+    At p = 250 the gcd costs about as much as the trial for a cubic (about
+    0.1 ms in CPython), and less for a higher degree."""
     hb = from_poly(h, p)
     if not hb:
         raise ValueError(f"polynomial vanishes identically mod {p}")
@@ -516,7 +518,7 @@ def roots_mod_p(h: Poly, p: int) -> set[int]:
             return set()
         inv = pow(2 * a, -1, p)
         return {(-b + s) * inv % p, (-b - s) * inv % p}
-    if p < 1000:
+    if p < 250:
         return {r for r in range(p) if evaluate(hb, r, p) == 0}
     hb = monic(hb, p)
     w = sub(QuotientRing(hb, p).xpow(p), [0, 1], p)

@@ -4,21 +4,27 @@ A candidate is an exponent vector over F_l on a basis of the possibly
 ramified places (sieve.py).  A scan normalizes f, bounds the ramified
 primes, keeps one F_l row per prime whose Frobenius cycle type is usable
 (sieve_rows) and walks the candidates the rows leave in increasing size
-(_walk).  The walk keeps the span of the found vectors: a candidate in it
-is a subfield by closure, one in the coset of an excluded vector is
-excluded with it, and any other gets one exact root test, followed on
-failure by a search for an absence witness.  The sieve and both witness
-searches share one prime walk (_frobenius_primes), and a witness search
-goes on from the last prime the sieve walked; _Quad and _Cubic hold what
-differs between the two kinds.
+(_walk).  The sieve keeps the span of its rows and stops once that span
+is full or STABLE_PRIMES class-deciding primes in a row have not grown
+it: the rows a longer walk would add then change nothing, but for a
+chance of about 2**-8 that costs one failed root test.  The walk keeps
+the span of the found vectors: a candidate in it is a subfield by
+closure, one in the coset of an excluded vector is excluded with it, and
+any other gets one exact root test, followed on failure by a search for
+an absence witness.  The sieve and both witness searches share one prime
+walk (_frobenius_primes), and a witness search goes on from the last
+prime the sieve walked; _Quad and _Cubic hold what differs between the
+two kinds.
 
 The prime walk computes only what a row or a witness needs: squarefreeness
 mod q from disc(f), computed once per field unless it is too large to pay
 for itself (NumberField.squarefree_mod); a DDF that stops at the first
 factor degree deciding the class; and, for cubic scans, the residue classes
 of the slot generators before the DDF, so a prime at which they are all 0,
-which can give no row, costs no DDF.  A found square root is kept as its
-certificate until a twist product needs it over Q.
+which can give no row, costs a witness search no DDF (the sieve still
+takes its class, to count it as a prime that left the span as it was).
+A found square root is kept as its certificate until a twist product
+needs it over Q.
 
 Every positive entry in the report carries a certificate that passes
 verify_certificate; exclusions are either witnessed by a Frobenius
@@ -44,8 +50,8 @@ from .poly import Poly, normalize_input
 from .ramify import candidate_ramified_primes
 from .sieve import (CubicClass, PlaceBasis, QuadClass, Row, Span, class_decided,
                     classify_prime_cubic, classify_prime_quadratic, cubic_basis_generators,
-                    cubic_constraint, frobenius_row, solve_f2, solve_f3_kernel,
-                    vector_satisfies)
+                    cubic_constraint, decides_class, frobenius_row, solve_f2,
+                    solve_f3_kernel, vector_satisfies)
 
 STATUS_PROVED = "proved"
 STATUS_CERTIFIED_ABSENT = "certified_absent"
@@ -157,7 +163,7 @@ def _rng_for(seed: int, index: int) -> random.Random:
 
 
 def _frobenius_primes(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int,
-                      generators=None, after: int = 0):
+                      generators=None, after: int = 0, trivial_rows: bool = False):
     """(q, factor degrees of f mod q, cubic row or None) for the primes
     after < q <= bound, from 3 (l = basis.e = 2) or 5 (l = 3), that are
     not in the basis, do not divide gcd_value, the leading coefficient or
@@ -165,7 +171,7 @@ def _frobenius_primes(field: NumberField, basis: PlaceBasis, gcd_value: int, bou
     (NumberField.squarefree_mod).  The DDF stops at the first degree that
     decides the class (sieve.class_decided).  For l = 3 the row comes
     first: a prime at which every generator is a cube gives no row, so it
-    is skipped without a DDF."""
+    is skipped without a DDF unless trivial_rows asks for its class."""
     f, ell = field.f, basis.e
     norms = [g.norm() for g in generators or ()]
     stop = class_decided(ell)
@@ -176,37 +182,76 @@ def _frobenius_primes(field: NumberField, basis: PlaceBasis, gcd_value: int, bou
         row = None
         if ell == 3:
             row = cubic_constraint(q, basis, generators)
-            if row is None:
+            if row is None and not trivial_rows:
                 continue
         if field.squarefree_mod(q):
             yield q, modp.ddf_degrees(f, q, stop=stop, barrett=field.barrett()), row
 
 
+# The sieve stops after this many class-deciding primes in a row have left
+# the span of its rows as it was.  While that span is short of the span of
+# all rows up to the bound, each such prime enlarges it with probability
+# about 1/2 or more (Chebotarev), so a stop that misses a row is about
+# 2**-8 likely; it costs one failed root test, after which the witness
+# search goes on from the prime where the sieve stopped.
+STABLE_PRIMES = 8
+
+
+@dataclass
+class SieveRows:
+    """The rows sieve_rows kept, in prime order, and the last prime it
+    walked (0: none).  Iterating gives the rows."""
+    rows: list[Row]
+    walked: int
+
+    def __iter__(self):
+        return iter(self.rows)
+
+
 def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, config: ScanConfig,
-               generators=None) -> list[Row]:
-    """The F_l rows (l = basis.e) of the first config.sieve_max_rows primes
-    up to config.sieve_prime_bound that give one.  generators are the cubic
-    slot generators (l = 3; computed from the basis when None)."""
-    rows: list[Row] = []
+               generators=None) -> SieveRows:
+    """The nontrivial F_l rows (l = basis.e) of the primes up to
+    config.sieve_prime_bound, walked in order until the span of the rows
+    (with the right-hand side for l = 2) stops growing:
+
+    - at once when it is full: for l = 2 the system is inconsistent, for
+      l = 3 its kernel is 0, and no later row can change the solutions;
+    - after STABLE_PRIMES class-deciding primes in a row (SPLIT or INERT
+      for l = 2, SPLITS_ALL for l = 3) that leave it as it was, counting
+      those whose row is trivial.  For l = 2 the count waits while only
+      the zero vector solves the rows: no candidate is left, and only an
+      INERT prime, which may be rare, can still make the system
+      inconsistent, as the report says;
+    - or when config.sieve_max_rows rows are kept, a hard cap.
+
+    generators are the cubic slot generators (l = 3; computed from the
+    basis when None)."""
     if config.sieve_max_rows <= 0:
-        return rows
+        return SieveRows([], 0)
+    ell, width = basis.e, basis.width
+    span = Span(ell, width + 1 if ell == 2 else width)
+    rows: list[Row] = []
+    stale = 0
     for q, degrees, cubic_row in _frobenius_primes(field, basis, gcd_value,
-                                                   config.sieve_prime_bound, generators):
+                                                   config.sieve_prime_bound, generators,
+                                                   trivial_rows=True):
+        if not decides_class(degrees, field.n, ell):
+            continue
         row = frobenius_row(q, degrees, field.n, basis, cubic_row)
+        rank = len(span.rows)
         if row is not None:
             rows.append(row)
-            if len(rows) >= config.sieve_max_rows:
-                break
-    return rows
-
-
-def _sieve_end(rows: list[Row], config: ScanConfig) -> int:
-    """The last prime that sieve_rows walked for these rows (0 for none)."""
-    if config.sieve_max_rows <= 0:
-        return 0
-    if len(rows) >= config.sieve_max_rows:
-        return rows[-1].prime
-    return config.sieve_prime_bound
+            span.insert((*row.coeffs, row.rhs) if ell == 2 else row.coeffs)
+        stale = 0 if len(span.rows) > rank else stale + 1
+        if ell == 2:
+            full = width in span.rows
+            if len(span.rows) == width and not any(r[width] for r, _ in span.rows.values()):
+                stale = 0   # only 0 solves the rows: what is left to learn is inconsistency
+        else:
+            full = len(span.rows) == width
+        if full or stale >= STABLE_PRIMES or len(rows) >= config.sieve_max_rows:
+            return SieveRows(rows, q)
+    return SieveRows(rows, config.sieve_prime_bound)
 
 
 def absence_witness_quad(field: NumberField, delta: int, basis: PlaceBasis,
@@ -409,7 +454,8 @@ def _scan(kind_type, f_raw: Poly, config: ScanConfig) -> ScanReport:
     report.gcd_value = cs.gcd_value
 
     t0 = time.perf_counter()
-    rows = sieve_rows(field, kind.basis, cs.gcd_value, config, kind.generators)
+    sieve = sieve_rows(field, kind.basis, cs.gcd_value, config, kind.generators)
+    rows = sieve.rows
     candidates, dim = kind.solve(rows)
     phase("sieve", t0)
     report.sieve = SieveSummary(primes_used=[r.prime for r in rows], rows=len(rows),
@@ -420,7 +466,7 @@ def _scan(kind_type, f_raw: Poly, config: ScanConfig) -> ScanReport:
 
     t0 = time.perf_counter()
     report.subfields, report.excluded, report.direct_tests = _walk(
-        kind, rows, candidates, _sieve_end(rows, config))
+        kind, rows, candidates, sieve.walked)
     phase("tests", t0)
     phase("total", t_start)
     report.check_invariants(field)

@@ -264,6 +264,15 @@ def solve_f3_kernel(rows: list[Row], width: int) -> list[tuple[int, ...]]:
     return reps
 
 
+def decides_class(degrees: dict[int, int], n: int, ell: int) -> bool:
+    """Whether a prime with these factor degrees (f of degree n) decides
+    its class over F_l: SPLIT or INERT for l = 2, SPLITS_ALL for l = 3.
+    Such a prime gives a row, which may be trivial."""
+    if ell == 2:
+        return classify_prime_quadratic(degrees, n) != QuadClass.NO_INFO
+    return classify_prime_cubic(degrees) == CubicClass.SPLITS_ALL
+
+
 def frobenius_row(q: int, degrees: dict[int, int], n: int, basis: PlaceBasis,
                   cubic_row: Row | None = None) -> Row | None:
     """The F_l row (l = basis.e) of a usable prime q at which f of degree n

@@ -295,6 +295,26 @@ def test_quadratic_roots_match_brute_force(p, a, b, c, shape):
     assert modp.roots_mod_p(h, p) == brute
 
 
+@pytest.mark.parametrize("desc", [
+    [1, 0, -3, 1],              # cyclic: three roots or none
+    [1, -1, -1, -1],            # S3: one root at most primes
+    [1, 0, -3, 2],              # (x - 1)^2 (x + 2): a double root
+    [1, -6, 11, -6],            # (x - 1)(x - 2)(x - 3): three roots everywhere
+    [251, 7, 0, 5],             # drops to a quadratic mod 251
+    [1, 0, 0, 0, 1],            # x^4 + 1: four roots iff p = 1 mod 8
+    [1, 0, -5, 0, 6],           # (x^2 - 2)(x^2 - 3)
+    [257, -3, 8, 1, -9],        # drops to a cubic mod 257
+    [3, 11, -2, 0, 0],          # x^2 (3x^2 + 11x - 2): zero is a root
+])
+def test_cubic_and_quartic_roots_match_brute_force(desc):
+    # the gcd path takes over from trying every residue at p = 250; both
+    # must give the same set on either side of the switch
+    h = Poly.from_desc(desc)
+    for p in primes_up_to(1000):
+        hb = modp.from_poly(h, p)
+        assert modp.roots_mod_p(h, p) == {r for r in range(p) if modp.evaluate(hb, r, p) == 0}, p
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3] + SMALL_PRIMES[:5]),
        st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=16),

@@ -429,3 +429,49 @@ def test_absence_search_starts_after_the_sieve(monkeypatch, kind, params, witnes
     assert absence_primes and min(absence_primes) > last
     assert sorted(e.witness_prime for e in report.excluded
                   if e.status == STATUS_CERTIFIED_ABSENT) == witnesses
+
+
+def test_absence_search_starts_after_a_stable_sieve(monkeypatch):
+    # Q(zeta_8) gives no row: a prime is NO_INFO or splits completely with
+    # a trivial row, so the default sieve stops on the stable count at a
+    # prime that gives no row.  The first root test is made to fail, so the
+    # walk searches for a witness against a true subfield: it finds none
+    # below the bound, and walks no prime the sieve walked.
+    import subfieldscan.modp as modp
+    import subfieldscan.scan as scan_mod
+    from subfieldscan.nfroot import NOT_FOUND, RootSearch
+
+    searching, absence_primes, sieves = [], [], []
+
+    def ddf_degrees(f, q, *args, **kwargs):
+        if searching:
+            absence_primes.append(q)
+        return real_ddf(f, q, *args, **kwargs)
+
+    def absence_witness_quad(*args, **kwargs):
+        searching.append(True)
+        try:
+            return real_witness(*args, **kwargs)
+        finally:
+            searching.pop()
+
+    def sieve_rows(*args, **kwargs):
+        sieves.append(real_sieve(*args, **kwargs))
+        return sieves[-1]
+
+    def find_root(field, h, config, rng):
+        return RootSearch(NOT_FOUND) if not absence_primes else real_find(field, h, config, rng)
+
+    real_ddf, real_witness = modp.ddf_degrees, scan_mod.absence_witness_quad
+    real_sieve, real_find = scan_mod.sieve_rows, scan_mod.find_root
+    monkeypatch.setattr(modp, "ddf_degrees", ddf_degrees)
+    monkeypatch.setattr(scan_mod, "absence_witness_quad", absence_witness_quad)
+    monkeypatch.setattr(scan_mod, "sieve_rows", sieve_rows)
+    monkeypatch.setattr(scan_mod, "find_root", find_root)
+    config = ScanConfig()
+    report = quad_subfield_scan(ZETA8, config)
+    (sieve,) = sieves
+    assert sieve.rows == [] and 0 < sieve.walked < config.sieve_prime_bound
+    assert absence_primes and min(absence_primes) > sieve.walked
+    assert [e.status for e in report.excluded] == [STATUS_UNPROVEN_ABSENT, STATUS_TWIST_EXCLUDED]
+    assert deltas(report) == [2]
