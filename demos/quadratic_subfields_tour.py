@@ -3,7 +3,7 @@
 Run with: python3 demos/quadratic_subfields_tour.py
 """
 
-from subfieldscan import NumberField, Poly, quad_subfield_scan
+from subfieldscan import Poly, quad_subfield_scan
 from subfieldscan.cli import parse_poly, render_poly
 
 
@@ -18,11 +18,10 @@ def show(f_text):
     else:
         print(f"sieve used {report.sieve.rows} rows, leaving a solution space of "
               f"dimension {report.sieve.solution_dim}")
-    field = NumberField(report.poly)
     for entry in report.subfields:
-        x = field.to_rational_root(Poly(entry.certificate.scaled_root))
-        print(f"  Q(sqrt({entry.delta})) is a subfield; sqrt({entry.delta}) = "
-              f"{render_poly(x)} evaluated at a root of f")
+        y = Poly(entry.certificate.scaled_root)
+        print(f"  Q(sqrt({entry.delta})) is a subfield; f'(theta) * sqrt({entry.delta}) = "
+              f"{render_poly(y)} at x = theta, a root of f")
     for entry in report.excluded:
         extra = f", witness prime {entry.witness_prime}" if entry.witness_prime else ""
         print(f"  delta = {entry.delta} excluded ({entry.status}{extra})")

@@ -17,11 +17,30 @@ a 0/1 choice per other completion, which LLL recovers from the leading
 bits of a few fixed combinations of the coefficients: a lattice of
 dimension about r plus a few, with small entries, whatever the precision.
 
-The prime is the one with the fewest completions r among the first 25
-qualifying ones.  Squarefreeness mod p comes from NumberField.
-squarefree_mod (the discriminant, computed once per field, when it is
-cheap), and each DDF stops as soon as its prime cannot beat the best so
-far, so only the winner's factor count is ever known in full.
+An h with an integer root is answered directly: its scaled root is the
+integer times f'.  Otherwise h is irreducible over Q, and the prime is the
+first qualifying one with r <= deg h completions, or else the one with the
+fewest among the first 25 qualifying ones (ties go to the smaller prime).
+A prime p qualifies when f mod p is squarefree and h mod p splits into
+deg h distinct roots.  By Dedekind-Kummer (Cohen, GTM 138, Thm 4.8.13),
+for a prime p not dividing disc(g) the factors of a monic g mod p match
+the primes above p of the field g defines.  If h has a root a in L, then
+Q(a) has degree deg h, p (which does not divide disc(h)) splits into
+deg h primes of Q(a), each lying below at least one prime of L, and the
+r factors of f mod p are the primes of L above p: r >= deg h.  So the
+first prime with r = deg h is the one the 25-prime rule picks, and a
+prime with r < deg h proves that h has no root in L, with no lattice
+(find_root still answers not_found: the report takes its proofs of
+absence from Frobenius witnesses).
+
+The factor degrees come from NumberField.factor_degrees, which keeps what
+the DDFs of the scans' prime walks learned at each prime.  In a Galois
+field all factors of f mod p have one degree, so each of those DDFs is
+complete, and a root test runs a DDF only at a prime the sieve did not
+walk.  Squarefreeness mod p comes from NumberField.squarefree_mod (the
+discriminant, computed once per field, when it is cheap), and each DDF
+stops as soon as its prime cannot beat the best so far, so only the
+winner's factor count is known in full.
 """
 
 from __future__ import annotations
@@ -30,7 +49,7 @@ import random
 from dataclasses import dataclass
 
 from . import modp
-from .arith import inverse_mod, iter_primes
+from .arith import inverse_mod, is_probable_prime, iter_primes
 from .config import ScanConfig
 from .errors import NoPrimeFound
 from .lattice import lll_reduce
@@ -39,6 +58,7 @@ from .poly import Poly, disc_poly, is_squarefree_q, xgcd_q
 PROVED = "proved"
 NOT_FOUND = "not_found"
 KNAPSACK = "knapsack"
+INTEGER = "integer"
 
 # disc(f) replaces one gcd(f, f') mod p per prime that a walk visits, up to
 # about 1 200 primes at the default sieve bound.  Its subresultant PRS pays
@@ -50,7 +70,11 @@ DISC_BITS_MAX = 32_000
 
 
 class NumberField:
-    """Q[X]/(f) for a monic integral squarefree f; theta is the class of X."""
+    """Q[X]/(f) for a monic integral squarefree f; theta is the class of X.
+
+    Besides f it keeps what is computed once per field: disc(f) when it is
+    cheap, the Barrett constant of f, the scaled inverse of f' and the
+    factor degrees of f mod p learned at each prime (factor_degrees)."""
 
     def __init__(self, f: Poly):
         if not (f.is_monic() and f.is_integral()):
@@ -62,9 +86,10 @@ class NumberField:
         self.f = f
         self.n = f.degree
         self.fprime = f.derivative()
-        self._fprime_inv = None
+        self._fprime_inverse = None
         self._disc = None
         self._barrett = None
+        self._degrees: dict[int, tuple[dict[int, int], int]] = {}
 
     def barrett(self) -> list[int]:
         """x^(2n-1) div f over Z, computed once on first use: every
@@ -85,17 +110,36 @@ class NumberField:
             return self._disc % p != 0
         return modp.squarefree_mod_p(self.f, p)
 
-    def fprime_inv(self) -> Poly:
-        """(f')^(-1) mod f over Q, computed once on demand."""
-        if self._fprime_inv is None:
+    def factor_degrees(self, p: int, stop, keep: bool = True) -> tuple[dict[int, int], int]:
+        """(factor degrees of f mod p, degree of f left unfactored), for a
+        p modulo which f is squarefree, from a DDF that ends once
+        stop(degrees, left) holds (modp.ddf_degrees).
+
+        A kept answer answers a later call when it is complete (left = 0)
+        or when that call's stop rule holds on it; otherwise the DDF runs
+        again.  Either way the caller learns at least what its own DDF
+        would tell it.  With keep, a DDF's answer is kept, replacing the
+        one before; the prime walks keep theirs.  select_prime does not:
+        then a root test does the same work whatever root tests ran on the
+        field before it.  The degrees are shared: do not change them."""
+        entry = self._degrees.get(p)
+        if entry is None or (entry[1] and not stop(*entry)):
+            degrees = modp.ddf_degrees(self.f, p, stop=stop, barrett=self.barrett())
+            entry = degrees, self.n - sum(d * c for d, c in degrees.items())
+            if keep:
+                self._degrees[p] = entry
+        return entry
+
+    def fprime_inverse(self) -> tuple[Poly, int]:
+        """(T, D), T integral and D the least positive integer with
+        f' * T = D mod f, computed once on demand: 1/f' = T/D in L."""
+        if self._fprime_inverse is None:
             g, _, t = xgcd_q(self.f, self.fprime)
             if g.degree != 0:
                 raise ValueError("f' is not invertible mod f")
-            self._fprime_inv = t % self.f
-        return self._fprime_inv
-
-    def to_rational_root(self, y: Poly) -> Poly:
-        return (y * self.fprime_inv()) % self.f
+            t, d = (t % self.f).clear_denominators()
+            self._fprime_inverse = t, d
+        return self._fprime_inverse
 
 
 def _disc_bits_bound(f: Poly) -> float:
@@ -134,8 +178,10 @@ class RootSearch:
 def select_prime(field: NumberField, h: Poly, rng: random.Random,
                  prime_bound: int = 50_000) -> PrimeData:
     """An odd prime where f mod p is squarefree and h mod p splits into
-    deg(h) distinct roots, minimizing the number of factors of f mod p
-    among the first 25 qualifying primes (ties go to the smaller prime).
+    deg(h) distinct roots: the first such prime with at most deg(h) factors
+    of f mod p, or else the one with the fewest factors among the first 25
+    such primes (ties go to the smaller prime).  For an irreducible h with
+    a root in L both rules pick the same prime (see the module docstring).
 
     A prime's DDF is abandoned as soon as the factors found, plus one for
     any degree left, reach the best count so far: the prime can then only
@@ -154,18 +200,30 @@ def select_prime(field: NumberField, h: Poly, rng: random.Random,
         if len(roots) != h.degree or not field.squarefree_mod(p):
             continue
         qualifying += 1
-        degs = modp.ddf_degrees(f, p, stop=cannot_win, barrett=field.barrett())
-        r = sum(degs.values())
-        complete = sum(d * c for d, c in degs.items()) == field.n
-        if complete and (best is None or r < best[0]):
+        degrees, left = field.factor_degrees(p, cannot_win, keep=False)
+        r = sum(degrees.values())
+        if not left and (best is None or r < best[0]):
             best = (r, p, tuple(sorted(roots)))
-        if qualifying >= 25 or best[0] == 1:   # r = 1 cannot be beaten
+        if qualifying >= 25 or best[0] <= h.degree:
             break
     if best is None:
         raise NoPrimeFound(f"no usable prime below {prime_bound}")
     _, p, roots = best
     factors = tuple(tuple(fac) for fac in modp.factor_mod_p(f, p, rng))
     return PrimeData(p, factors, roots)
+
+
+def _integer_root(h: Poly) -> int | None:
+    """The least integer root of a monic integral h, or None.
+
+    An integer root lies within the Cauchy bound B = 1 + max |h_i|, so it
+    is the centred lift of a root of h modulo a prime p > 2B."""
+    bound = 1 + max(abs(int(c)) for c in h.coeffs[:-1])
+    p = 2 * bound + 1
+    while not is_probable_prime(p):
+        p += 2
+    lifts = sorted(s if 2 * s < p else s - p for s in modp.roots_mod_p(h, p))
+    return next((r for r in lifts if h.evaluate(r) == 0), None)
 
 
 # -- certificate checking -------------------------------------------------------
@@ -364,9 +422,20 @@ def root_knapsack(field: NumberField, h: Poly, pdata: PrimeData,
 
 def find_root(field: NumberField, h: Poly, config: ScanConfig,
               rng: random.Random) -> RootSearch:
-    """Select a prime, then run the knapsack reconstruction up the
-    precision schedule."""
+    """An integer root of h gives its certificate at once.  Otherwise h is
+    irreducible: select a prime, and unless it has fewer completions than
+    deg(h), which proves that h has no root in L, run the knapsack
+    reconstruction up the precision schedule."""
     if not (h.is_monic() and h.is_integral() and h.degree in (2, 3)):
         raise ValueError("h must be monic integral of degree 2 or 3")
+    root = _integer_root(h)
+    if root is not None:
+        y = field.fprime.scale(root).coeffs
+        cert = RootCertificate(tuple(y) + (0,) * (field.n - len(y)), h)
+        if not verify_certificate(field, h, cert):
+            raise AssertionError(f"integer root {root} of {h} fails verification")
+        return RootSearch(PROVED, cert, strategy=INTEGER)
     pdata = select_prime(field, h, rng, config.select_prime_bound)
+    if pdata.r < h.degree:
+        return RootSearch(NOT_FOUND)
     return root_knapsack(field, h, pdata, config.precision_schedule(pdata.p, field.n))

@@ -23,8 +23,14 @@ factor degree deciding the class; and, for cubic scans, the residue classes
 of the slot generators before the DDF, so a prime at which they are all 0,
 which can give no row, costs a witness search no DDF (the sieve still
 takes its class, to count it as a prime that left the span as it was).
-A found square root is kept as its certificate until a twist product
-needs it over Q.
+The walk asks the field for the factor degrees (NumberField.
+factor_degrees), which keeps them: the root tests' prime selection and a
+later witness search read them instead of running the DDF again.
+
+The twist closure works over Z.  A quadratic payload is the scaled root
+y = f' * sqrt(delta) mod f, as the certificate has it, and the product of
+two is y1 * y2 * T / (D * k) mod f, with f' * T = D mod f computed once
+per field (NumberField.fprime_inverse); the division is exact.
 
 Every positive entry in the report carries a certificate that passes
 verify_certificate; exclusions are either witnessed by a Frobenius
@@ -37,7 +43,6 @@ import math
 import random
 import time
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from . import modp
 from .arith import iter_primes, legendre
@@ -168,10 +173,13 @@ def _frobenius_primes(field: NumberField, basis: PlaceBasis, gcd_value: int, bou
     after < q <= bound, from 3 (l = basis.e = 2) or 5 (l = 3), that are
     not in the basis, do not divide gcd_value, the leading coefficient or
     the norm of a cubic slot generator, and modulo which f is squarefree
-    (NumberField.squarefree_mod).  The DDF stops at the first degree that
-    decides the class (sieve.class_decided).  For l = 3 the row comes
-    first: a prime at which every generator is a cube gives no row, so it
-    is skipped without a DDF unless trivial_rows asks for its class."""
+    (NumberField.squarefree_mod).  The degrees come from the field, which
+    keeps them (NumberField.factor_degrees): a DDF stops at the first
+    degree that decides the class (sieve.class_decided), and a kept
+    answer on which that rule holds is used as it is.  For l = 3 the row
+    comes first: a prime at which every generator is a cube gives no row,
+    so it is skipped without a DDF unless trivial_rows asks for its
+    class."""
     f, ell = field.f, basis.e
     norms = [g.norm() for g in generators or ()]
     stop = class_decided(ell)
@@ -185,7 +193,7 @@ def _frobenius_primes(field: NumberField, basis: PlaceBasis, gcd_value: int, bou
             if row is None and not trivial_rows:
                 continue
         if field.squarefree_mod(q):
-            yield q, modp.ddf_degrees(f, q, stop=stop, barrett=field.barrett()), row
+            yield q, field.factor_degrees(q, stop)[0], row
 
 
 # The sieve stops after this many class-deciding primes in a row have left
@@ -287,9 +295,9 @@ def absence_witness_cubic(field: NumberField, cand: CubicCandidate,
 
 class _Quad:
     """l = 2: discriminant vectors.  The root test runs on the coset
-    representative; every row of the span carries (vector, square root),
-    the root as found (its certificate) or as a product, and a span member
-    is certified by the product of the roots."""
+    representative; every row of the span carries (vector, scaled root
+    y = f' * sqrt(delta) over Z), the root as found (from its certificate)
+    or as a product, and a span member is certified by its product."""
 
     name, ell = "quad", 2
     generators = None
@@ -300,7 +308,6 @@ class _Quad:
         self.gcd_value = cs.gcd_value
         self.config = config
         self.basis = PlaceBasis(2, cs.all_finite_primes())
-        self._roots: dict[RootCertificate, Poly] = {}
 
     def solve(self, rows):
         """(candidates in walk order, or None if the rows are inconsistent;
@@ -320,39 +327,33 @@ class _Quad:
         return Poly([-self.basis.delta_of_vector(vec), 0, 1])
 
     def payload(self, vec, certificate):
-        return vec, certificate
-
-    def _root(self, x):
-        """The exact root of a payload.  A found root is kept as its
-        certificate and converted (x = y / f') on first use, so a scan
-        that never multiplies roots never inverts f'."""
-        if isinstance(x, RootCertificate):
-            if x not in self._roots:
-                self._roots[x] = self.field.to_rational_root(Poly(x.scaled_root))
-            return self._roots[x]
-        return x
+        return vec, Poly(certificate.scaled_root)
 
     def merge(self, a, b):
-        """The root of the twist product d3 = d1 * d2 / k**2: sqrt(d1) * sqrt(d2) / k."""
-        (vec1, x1), (vec2, x2) = a, b
-        x1, x2 = self._root(x1), self._root(x2)
+        """The scaled root of the twist product d3 = d1 * d2 / k**2.
+
+        Its root is sqrt(d1) * sqrt(d2) / k, so with y_i = f' * sqrt(d_i)
+        and f' * T = D mod f (NumberField.fprime_inverse), y3 = y1 * y2 *
+        T / (D * k) mod f.  The division is exact: f' times an algebraic
+        integer of L lies in Z[theta]."""
+        (vec1, y1), (vec2, y2) = a, b
+        f = self.field.f
         vec3 = tuple(p ^ q for p, q in zip(vec1, vec2))
         d1, d2, d3 = (self.basis.delta_of_vector(v) for v in (vec1, vec2, vec3))
         k = math.isqrt(abs(d1 * d2 // d3))
-        x3 = (x1 * x2) % self.field.f
-        if k != 1:
-            x3 = x3.scale(Fraction(1, k))
-        return vec3, x3
+        t, d = self.field.fprime_inverse()
+        y3 = ((y1 * y2) % f * t) % f
+        dk = d * k
+        if any(c % dk for c in y3.coeffs):
+            raise AssertionError("scaled twist-product root is not integral")
+        return vec3, Poly([c // dk for c in y3.coeffs])
 
     def member_certificate(self, vec, span, index):
-        """Scale the exact product root by f' and check the result."""
-        combo, x = span.product(vec)
+        """The product's scaled root, checked."""
+        combo, y = span.product(vec)
         assert combo == vec
-        y = (self._root(x) * self.field.fprime) % self.field.f
-        if not y.is_integral():
-            raise AssertionError("scaled twist-product root is not integral")
         h = self.h(vec)
-        cert = RootCertificate(tuple(int(c) for c in y.coeffs), h)
+        cert = RootCertificate(y.coeffs, h)
         if not verify_certificate(self.field, h, cert):
             raise AssertionError("twist-product certificate failed verification")
         return cert
@@ -530,6 +531,8 @@ def absence_certificate_search(field: NumberField, target, config: ScanConfig | 
     target is either a squarefree integer delta (quadratic candidate) or a
     CubicCandidate.  Returns an ExcludedEntry with status certified_absent
     and a witness prime, or unproven_absent when the prime bound runs out.
+    A delta that is 0 or a square raises ValueError: Q(sqrt(delta)) is Q
+    then, a subfield of every field, and no prime can witness its absence.
     """
     config = config or ScanConfig()
     if isinstance(target, CubicCandidate):
@@ -539,8 +542,12 @@ def absence_certificate_search(field: NumberField, target, config: ScanConfig | 
         witness = absence_witness_cubic(field, target, gens, basis, gcd_value, config)
         label = {"minpoly": target.minpoly}
     else:
-        label = {"delta": int(target)}
-        witness = absence_witness_quad(field, label["delta"], basis or PlaceBasis(2, ()),
-                                       gcd_value, config)
+        delta = int(target)
+        if delta >= 0 and math.isqrt(delta) ** 2 == delta:
+            raise ValueError(f"delta = {delta} is 0 or a square: Q(sqrt(delta)) is no "
+                             "quadratic field")
+        witness = absence_witness_quad(field, delta, basis or PlaceBasis(2, ()), gcd_value,
+                                       config)
+        label = {"delta": delta}
     status = STATUS_CERTIFIED_ABSENT if witness else STATUS_UNPROVEN_ABSENT
     return ExcludedEntry(status, witness_prime=witness, **label)

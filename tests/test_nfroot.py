@@ -10,8 +10,8 @@ from subfieldscan.modp import ddf_degrees, factor_mod_p, roots_mod_p, squarefree
 from subfieldscan.nfroot import (NOT_FOUND, PROVED, NumberField, PrimeData, RootCertificate,
                                  find_root, knapsack_size, select_prime, verify_certificate)
 from subfieldscan.poly import Poly, compositum_minpoly
-from subfieldscan.testkit import (corpus_generate, multiquadratic_certificates,
-                                  multiquadratic_minpoly)
+from subfieldscan.testkit import (CYCLOTOMIC_QUAD_TRUTH, corpus_generate,
+                                  multiquadratic_certificates, multiquadratic_minpoly)
 
 ZETA8 = Poly.from_desc([1, 0, 0, 0, 1])
 Y2M2 = Poly.from_desc([1, 0, -2])
@@ -21,8 +21,9 @@ def cfg(**kw):
     return ScanConfig(**kw)
 
 
-def normalized(field, cert):
-    return field.to_rational_root(Poly(cert.scaled_root))
+def scaled(field, x):
+    """The scaled root f' * x mod f of an element x of the field."""
+    return (x * field.fprime) % field.f
 
 
 def test_select_prime_conditions():
@@ -43,9 +44,11 @@ def test_select_prime_conditions():
     assert len(roots_mod_p(Y2M2, 17)) == 2
 
 
-def exhaustive_select_prime(field, h, rng):
+def exhaustive_select_prime(field, h, rng, first_at_most_deg_h=True):
     """The selection rule with nothing skipped: a full, gcd-checked DDF at
-    each of the first 25 qualifying primes, then the least (r, p)."""
+    each qualifying prime, up to the first with r <= deg h or else the 25th,
+    then the least (r, p).  Without first_at_most_deg_h, the 25-prime rule:
+    the least (r, p) among the first 25 qualifying primes."""
     qualifying = []
     for p in primes_up_to(50_000)[1:]:
         roots = roots_mod_p(h, p)
@@ -56,7 +59,7 @@ def exhaustive_select_prime(field, h, rng):
         except NotSquarefree:
             continue
         qualifying.append((r, p, tuple(sorted(roots))))
-        if len(qualifying) >= 25:
+        if len(qualifying) >= 25 or (first_at_most_deg_h and r <= h.degree):
             break
     _, p, roots = min(qualifying)
     return PrimeData(p, tuple(tuple(fac) for fac in factor_mod_p(field.f, p, rng)), roots)
@@ -79,8 +82,8 @@ S4_QUARTIC = Poly.from_desc([1, 0, 0, -1, -1])   # Galois group S4
     ("S5", "", [Y2M2, Poly.from_desc([1, 0, 1]), Poly.from_desc([1, 1, -2, -1])]),
 ])
 def test_select_prime_matches_exhaustive_rule(kind, params, hs):
-    # the pruned DDFs and the discriminant test pick the same prime, roots
-    # and factors as the plain rule
+    # the pruned DDFs, the kept factor degrees and the discriminant test
+    # pick the same prime, roots and factors as the plain rule
     f = {"S4": S4_QUARTIC,
          "S4 with sqrt5": compositum_minpoly(Poly.from_desc([1, 0, -5]), S4_QUARTIC),
          "S5": Poly.from_desc([1, 0, 0, 0, -1, -1])}.get(kind)
@@ -88,6 +91,31 @@ def test_select_prime_matches_exhaustive_rule(kind, params, hs):
     for h in hs:
         assert select_prime(field, h, random.Random(5)) == \
             exhaustive_select_prime(field, h, random.Random(5)), h
+
+
+def _true_subfields():
+    """(field, h) for every subfield of every corpus field: x^2 - d for
+    its quadratic ones, the minimal polynomial of its cubic ones."""
+    plan = [("cyclotomic", str(m)) for m in CYCLOTOMIC_QUAD_TRUTH]
+    plan += [("multiquadratic", p) for p in ("2,3", "2,3,5", "2,3,5,7")]
+    plan += [("cubic-compositum", "7,9"), ("cubic-compositum", "7,q5")]
+    for kind, params in plan:
+        entry = corpus_generate(kind, params)
+        field = NumberField(entry.poly)
+        for h in [Poly([-d, 0, 1]) for d in entry.quad] + entry.cubic:
+            yield field, h
+
+
+def test_early_stop_picks_the_25_prime_rules_prime_for_true_subfields():
+    # an h with a root in L has r >= deg h at every qualifying prime, so the
+    # first prime with r = deg h is the least (r, p) of the first 25
+    for field, h in _true_subfields():
+        for p in primes_up_to(300)[1:]:
+            if len(roots_mod_p(h, p)) == h.degree and squarefree_mod_p(field.f, p):
+                assert sum(ddf_degrees(field.f, p).values()) >= h.degree, (field.f, h, p)
+        chosen = select_prime(field, h, random.Random(5))
+        assert chosen == exhaustive_select_prime(field, h, random.Random(5)) == \
+            exhaustive_select_prime(field, h, random.Random(5), first_at_most_deg_h=False), h
 
 
 def test_select_prime_pool_exhaustion():
@@ -100,17 +128,51 @@ def test_theta_itself():
     field = NumberField(Poly.from_desc([1, 0, -2]))
     res = find_root(field, Y2M2, cfg(), random.Random(0))
     assert res.status == PROVED
-    x = normalized(field, res.certificate)
-    assert x in (Poly([0, 1]), Poly([0, -1]))
+    y = Poly(res.certificate.scaled_root)
+    assert y in (scaled(field, Poly([0, 1])), scaled(field, Poly([0, -1])))
 
 
 def test_zeta8_sqrt2():
     field = NumberField(ZETA8)
     res = find_root(field, Y2M2, cfg(), random.Random(0))
     assert res.status == PROVED
-    x = normalized(field, res.certificate)
+    y = Poly(res.certificate.scaled_root)
     expect = Poly([0, 1, 0, -1])  # theta - theta^3
-    assert x in (expect, -expect)
+    assert y in (scaled(field, expect), scaled(field, -expect))
+
+
+@pytest.mark.parametrize("h, root", [
+    (Poly.from_desc([1, 0, 0, -8]), 2),
+    (Poly.from_desc([1, 0, -4]), -2),
+    (Poly.from_desc([1, -3, 2]), 1),
+])
+def test_integer_roots_are_answered_directly(monkeypatch, h, root):
+    # no prime is selected: the certificate is the root times f'
+    import subfieldscan.nfroot as nfroot
+
+    def no_selection(*args, **kwargs):
+        raise AssertionError("select_prime was called")
+
+    monkeypatch.setattr(nfroot, "select_prime", no_selection)
+    field = NumberField(ZETA8)
+    res = find_root(field, h, cfg(), random.Random(0))
+    assert res.status == PROVED and verify_certificate(field, h, res.certificate)
+    assert res.certificate.scaled_root == tuple(root * c for c in field.fprime.coeffs)
+
+
+def test_fewer_completions_than_deg_h_prove_absence(monkeypatch):
+    # f = x^4 - x - 1 is irreducible mod 5 (r = 1), where x^2 - 11 splits:
+    # sqrt(11) is not in L, and no lattice is built to say so
+    import subfieldscan.nfroot as nfroot
+
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("root_knapsack was called")
+
+    monkeypatch.setattr(nfroot, "root_knapsack", no_lattice)
+    field = NumberField(S4_QUARTIC)
+    h = Poly.from_desc([1, 0, -11])
+    assert select_prime(field, h, random.Random(0)).r == 1
+    assert find_root(field, h, cfg(), random.Random(0)).status == NOT_FOUND
 
 
 def test_zeta8_sqrt3_absent():
@@ -271,3 +333,82 @@ def test_newton_lift_invariant():
     for k in (2, 4, 8, 16):
         s = lift.lift_to(k)
         assert (s * s - 2) % 17**k == 0
+
+
+def test_factor_degrees_are_kept_per_prime(monkeypatch):
+    # the field answers from what it kept when the entry is complete or the
+    # caller's stop rule holds on it, and runs the DDF again otherwise
+    from subfieldscan.sieve import class_decided
+
+    calls = []
+
+    def ddf_degrees(g, q, stop=None, barrett=None):
+        calls.append(q)
+        return real_ddf(g, q, stop, barrett)
+
+    real_ddf = modp.ddf_degrees
+    monkeypatch.setattr(modp, "ddf_degrees", ddf_degrees)
+    field = NumberField(S4_QUARTIC)
+    # mod 11 the degrees are 1 and 3: the class rule for l = 2 stops at 1
+    assert field.factor_degrees(11, class_decided(2)) == ({1: 1}, 3)
+    assert field.factor_degrees(11, class_decided(2)) == ({1: 1}, 3)
+    assert field.factor_degrees(11, lambda degrees, left: sum(degrees.values()) >= 1) == \
+        ({1: 1}, 3)
+    assert calls == [11]
+    # a rule that does not hold on the entry: the DDF runs again, and its
+    # complete answer replaces the entry and answers every later rule
+    assert field.factor_degrees(11, lambda degrees, left: False) == ({1: 1, 3: 1}, 0)
+    assert field.factor_degrees(11, class_decided(3)) == ({1: 1, 3: 1}, 0)
+    assert calls == [11, 11]
+    # an answer that is not kept is computed at every call
+    for _ in range(2):
+        assert field.factor_degrees(13, lambda degrees, left: False, keep=False) == \
+            ({1: 1, 3: 1}, 0)
+    assert calls == [11, 11, 13, 13]
+
+
+def test_root_tests_on_one_field_repeat_their_work(monkeypatch):
+    # select_prime reads the kept factor degrees but keeps none of its own,
+    # so a root test runs the same DDFs whatever ran on the field before
+    calls = []
+
+    def ddf_degrees(g, q, stop=None, barrett=None):
+        calls.append(q)
+        return real_ddf(g, q, stop, barrett)
+
+    real_ddf = modp.ddf_degrees
+    monkeypatch.setattr(modp, "ddf_degrees", ddf_degrees)
+    field = NumberField(multiquadratic_minpoly((2, 3, 5, 7)))
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        assert find_root(field, Poly([-15, 0, 1]), cfg(), random.Random(0)).status == PROVED
+        runs.append(list(calls))
+    assert runs[0] and runs[0] == runs[1]
+
+
+def test_corpus_scans_run_no_ddf_twice(monkeypatch):
+    # the sieve, the witness searches and the root tests' prime selection
+    # share each field's factor degrees; check_invariants runs DDFs of its
+    # own at witness primes, and none of these scans has one
+    from subfieldscan.scan import cubic_subfield_scan, quad_subfield_scan
+
+    calls = []
+
+    def ddf_degrees(g, q, stop=None, barrett=None):
+        calls.append((g.coeffs, q))
+        return real_ddf(g, q, stop, barrett)
+
+    real_ddf = modp.ddf_degrees
+    monkeypatch.setattr(modp, "ddf_degrees", ddf_degrees)
+    plan = [("cyclotomic", str(m), quad_subfield_scan) for m in CYCLOTOMIC_QUAD_TRUTH]
+    plan += [("cyclotomic", "7", cubic_subfield_scan)]
+    plan += [("multiquadratic", p, quad_subfield_scan) for p in ("2,3", "2,3,5", "2,3,5,7")]
+    plan += [("cubic-compositum", "7,9", cubic_subfield_scan),
+             ("cubic-compositum", "7,q5", quad_subfield_scan),
+             ("cubic-compositum", "7,q5", cubic_subfield_scan)]
+    for kind, params, scan in plan:
+        calls.clear()
+        report = scan(corpus_generate(kind, params).poly, cfg(seed=1))
+        assert report.direct_tests > 0 and calls, (kind, params)
+        assert len(set(calls)) == len(calls), (kind, params)

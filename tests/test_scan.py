@@ -20,17 +20,22 @@ def deltas(report):
     return sorted(e.delta for e in report.subfields)
 
 
+def scaled(field, x):
+    """The scaled root f' * x mod f of an element x of the field."""
+    return (x * field.fprime) % field.f
+
+
 def test_zeta8_quad():
     rep = quad_subfield_scan(ZETA8)
     assert deltas(rep) == [-2, -1, 2]
     rep.check_invariants()
     field = NumberField(rep.poly)
     by_delta = {e.delta: e for e in rep.subfields}
-    # certificates normalize to theta^2, theta -+ theta^3 up to root choice
+    # certificates are f' times theta^2, theta -+ theta^3 up to root choice
     for d, expect in ((-1, Poly([0, 0, 1])), (2, Poly([0, 1, 0, -1])),
                       (-2, Poly([0, 1, 0, 1]))):
-        x = field.to_rational_root(Poly(by_delta[d].certificate.scaled_root))
-        assert x in (expect, -expect)
+        y = Poly(by_delta[d].certificate.scaled_root)
+        assert y in (scaled(field, expect), scaled(field, -expect))
 
 
 def test_quadratic_field_itself():
@@ -58,10 +63,10 @@ def test_sqrt2_sqrt3_field():
 
     sqrt2 = Poly([0, Fraction(-9, 2), 0, Fraction(1, 2)])   # (theta^3 - 9 theta)/2
     sqrt3 = Poly([0, Fraction(11, 2), 0, Fraction(-1, 2)])  # (11 theta - theta^3)/2
-    x2 = field.to_rational_root(Poly(by_delta[2].certificate.scaled_root))
-    x3 = field.to_rational_root(Poly(by_delta[3].certificate.scaled_root))
-    assert x2 in (sqrt2, -sqrt2)
-    assert x3 in (sqrt3, -sqrt3)
+    y2 = Poly(by_delta[2].certificate.scaled_root)
+    y3 = Poly(by_delta[3].certificate.scaled_root)
+    assert y2 in (scaled(field, sqrt2), scaled(field, -sqrt2))
+    assert y3 in (scaled(field, sqrt3), scaled(field, -sqrt3))
 
 
 def test_multiquadratic_degree8_direct_test_economy():
@@ -153,15 +158,17 @@ def test_cubic_span_member_without_root_is_an_error(monkeypatch):
 ])
 def test_ddf_fault_reaches_the_caller(monkeypatch, scan, kind, params, rows, where):
     # only NotSquarefree means "no information at this prime"; any other
-    # error from the DDF kernel must not change the rows or the witnesses
-    import types
+    # error from the DDF kernel must not change the rows or the witnesses.
+    # The fault hits the factor degrees the prime walk asks the field for
+    # (and keeps); the root tests' prime selection, which keeps none, works.
+    real = NumberField.factor_degrees
 
-    import subfieldscan.scan as scan_mod
+    def factor_degrees(self, q, stop, keep=True):
+        if keep:
+            raise RuntimeError("kernel fault")
+        return real(self, q, stop, keep)
 
-    def ddf_degrees(f, q, *args, **kwargs):
-        raise RuntimeError("kernel fault")
-
-    monkeypatch.setattr(scan_mod, "modp", types.SimpleNamespace(ddf_degrees=ddf_degrees))
+    monkeypatch.setattr(NumberField, "factor_degrees", factor_degrees)
     with pytest.raises(RuntimeError, match="kernel fault") as info:
         scan(corpus_generate(kind, params).poly, ScanConfig(sieve_max_rows=rows))
     assert where in [entry.name for entry in info.traceback]
@@ -254,7 +261,7 @@ def test_found_root_is_not_inverted_unless_multiplied(monkeypatch):
     def no_inverse(self):
         raise AssertionError("f' was inverted")
 
-    monkeypatch.setattr(NumberField, "fprime_inv", no_inverse)
+    monkeypatch.setattr(NumberField, "fprime_inverse", no_inverse)
     f = compositum_minpoly(Poly.from_desc([1, 0, -5]), Poly.from_desc([1, 0, 0, -1, -1]))
     rep = quad_subfield_scan(f)
     assert deltas(rep) == [5] and rep.direct_tests == 1
@@ -316,6 +323,15 @@ def test_absence_certificate_search():
     entry = absence_certificate_search(field8, 7)
     assert entry.status == STATUS_CERTIFIED_ABSENT
     assert entry.witness_prime is not None
+
+
+@pytest.mark.parametrize("delta", [0, 1, 4, 9])
+def test_absence_search_rejects_zero_and_squares(delta):
+    # Q(sqrt(delta)) = Q for a square delta: a subfield of every field, which
+    # the search used to certify absent from the S4 quartic x^4 - x - 1
+    field = NumberField(Poly.from_desc([1, 0, 0, -1, -1]))
+    with pytest.raises(ValueError, match="0 or a square"):
+        absence_certificate_search(field, delta)
 
 
 def test_determinism_same_seed():

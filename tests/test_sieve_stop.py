@@ -124,7 +124,8 @@ def test_sieve_without_rows_stops_early(monkeypatch, kind, params, scan):
 
     real = modp.ddf_degrees
     monkeypatch.setattr(modp, "ddf_degrees", ddf_degrees)
-    sieve = scan_mod.sieve_rows(field, adapter.basis, adapter.gcd_value, config,
+    # a fresh field: the walk above left its factor degrees in this one
+    sieve = scan_mod.sieve_rows(NumberField(field.f), adapter.basis, adapter.gcd_value, config,
                                 adapter.generators)
     assert sieve.rows == [] and 0 < sieve.walked < config.sieve_prime_bound
     assert max(calls) == sieve.walked
