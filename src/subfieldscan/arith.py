@@ -1,8 +1,8 @@
 """Arbitrary-precision integer utilities.
 
 Primality testing, complete integer factorization with an explicit budget,
-Legendre symbols, CRT, and a few modular helpers (Tonelli-Shanks square
-roots, prime iteration) used throughout the library.
+Legendre symbols, and a few modular helpers (inverses, Tonelli-Shanks
+square roots, prime iteration) used throughout the library.
 
 All randomized routines draw from explicit seeds so runs are reproducible.
 """
@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, NonCoprimeModuli
+from .errors import BudgetExceeded
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -211,39 +211,11 @@ def legendre(a: int, p: int) -> int:
     return 1 if t == 1 else -1
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def inverse_mod(a: int, m: int) -> int:
     try:
         return pow(a, -1, m)
     except ValueError:
         raise ValueError(f"{a} not invertible mod {m}") from None
-
-
-def crt(residues: list[tuple[int, int]]) -> tuple[int, int]:
-    """Combine congruences x = r_i (mod m_i) with pairwise coprime moduli.
-
-    Returns (r, M) with 0 <= r < M = prod(m_i).
-    """
-    r, m = 0, 1
-    for r_i, m_i in residues:
-        g, u, v = xgcd(m, m_i)
-        if g != 1:
-            raise NonCoprimeModuli(f"moduli {m} and {m_i} share factor {g}")
-        r = (r * v * m_i + r_i * u * m) % (m * m_i)
-        m *= m_i
-    return r % m, m
 
 
 def sqrt_mod_prime(a: int, p: int) -> int | None:
@@ -278,18 +250,3 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
         m, c = i, b * b % p
         t, x = t * c % p, x * b % p
     return min(x, p - x)
-
-
-def icbrt(n: int) -> int:
-    """Floor of the real cube root of n >= 0."""
-    if n < 0:
-        raise ValueError("icbrt of negative")
-    if n == 0:
-        return 0
-    x = int(round(n ** (1.0 / 3)))
-    x = max(x, 1)
-    while x**3 > n:
-        x -= 1
-    while (x + 1) ** 3 <= n:
-        x += 1
-    return x

@@ -5,7 +5,8 @@ certificates), corpus (emit test polynomials with ground-truth sidecars).
 
 All integers in report JSON are serialized as decimal strings so values
 beyond 53 bits survive every JSON implementation.  Exit codes: 0 complete,
-2 complete with unproven absences, 3 input error, 4 factoring budget
+1 an invalid certificate (certify), 2 complete with unproven absences,
+3 input error (one line "input error: ..." on stderr), 4 factoring budget
 exceeded.
 """
 
@@ -22,9 +23,9 @@ from pathlib import Path
 from .config import ScanConfig
 from .errors import BudgetExceeded, MultipleVariables, PolyParseError, SubfieldScanError
 from .nfroot import NumberField, RootCertificate, verify_certificate
-from .poly import Poly
-from .scan import (STATUS_PROVED, ExcludedEntry, ScanReport, SieveSummary,
-                   SubfieldEntry, cubic_subfield_scan, quad_subfield_scan)
+from .poly import Poly, normalize_input
+from .scan import (ExcludedEntry, ScanReport, SieveSummary, SubfieldEntry,
+                   cubic_subfield_scan, quad_subfield_scan)
 from . import testkit
 
 SCHEMA_VERSION = 1
@@ -48,6 +49,8 @@ _TERM_RE = re.compile(r"""
 def parse_poly(text: str) -> Poly:
     """Parse either an expression in one variable (x or X) or a whitespace
     separated descending coefficient line."""
+    if not isinstance(text, str):
+        raise TypeError(f"a polynomial is a string, not {type(text).__name__}")
     text = text.strip()
     if not text:
         raise PolyParseError("empty polynomial")
@@ -58,7 +61,7 @@ def parse_poly(text: str) -> Poly:
             for tok in parts:
                 try:
                     coeffs.append(Fraction(tok))
-                except ValueError as exc:
+                except (ValueError, ZeroDivisionError) as exc:
                     raise PolyParseError(f"bad coefficient {tok!r}") from exc
             return Poly.from_desc(coeffs)
     return _parse_expression(text)
@@ -102,7 +105,10 @@ def _parse_expression(text: str) -> Poly:
             if exp_s is not None:
                 raise PolyParseError("exponent without variable", pos)
             exp = 0
-        coeff = Fraction(coeff_s) if coeff_s is not None else Fraction(1)
+        try:
+            coeff = Fraction(coeff_s) if coeff_s is not None else Fraction(1)
+        except ZeroDivisionError:
+            raise PolyParseError(f"zero denominator in {coeff_s!r}", pos) from None
         terms[exp] = terms.get(exp, Fraction(0)) + sign * coeff
         sign = 1
         expect_term = False
@@ -266,22 +272,20 @@ def canonical_report_bytes(report: ScanReport) -> bytes:
 def _config_from_args(args) -> ScanConfig:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("SUBFIELD_SCAN_SEED", "0"))
-    return ScanConfig(
-        seed=seed,
-        sieve_prime_bound=args.sieve_bound,
-        sieve_max_rows=args.sieve_count,
-        max_precision=args.max_precision,
-    )
+        text = os.environ.get("SUBFIELD_SCAN_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"SUBFIELD_SCAN_SEED={text!r} is not an integer") from None
+    return ScanConfig(seed=seed, sieve_prime_bound=args.sieve_bound,
+                      max_precision=args.max_precision)
 
 
 def _add_scan_args(sp):
     sp.add_argument("-i", "--input", required=True, help="polynomial file")
     sp.add_argument("--json", help="write the JSON report here")
     sp.add_argument("--sieve-bound", type=int, default=10_000,
-                    help="the largest prime the Frobenius sieve walks")
-    sp.add_argument("--sieve-count", type=int, default=40,
-                    help="the most sieve rows kept, a cap: the sieve stops "
+                    help="the largest prime the Frobenius sieve walks; it stops "
                          "earlier once its rows stop adding information")
     sp.add_argument("--max-precision", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None,
@@ -291,10 +295,10 @@ def _add_scan_args(sp):
 def _run_scan(args, kind: str) -> int:
     try:
         f_raw = read_poly_file(args.input)
-    except (OSError, PolyParseError) as exc:
+        config = _config_from_args(args)
+    except (OSError, ValueError, PolyParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    config = _config_from_args(args)
     try:
         scan_fn = quad_subfield_scan if kind == "quad" else cubic_subfield_scan
         report = scan_fn(f_raw, config)
@@ -333,30 +337,31 @@ def _print_summary(report: ScanReport):
           f"total {report.phase_ms.get('total', 0)} ms")
 
 
+def _certificate_entries(data) -> list[dict]:
+    """The entry objects of a report, of a list of entries or of one entry."""
+    if isinstance(data, dict) and "subfields" in data:
+        data = data["subfields"]
+    entries = data if isinstance(data, list) else [data]
+    if not all(isinstance(e, dict) for e in entries):
+        raise ValueError("expected a report, an entry object or a list of entry objects")
+    return entries
+
+
 def _cmd_certify(args) -> int:
     try:
-        f_raw = read_poly_file(args.input)
-        data = json.loads(Path(args.cert).read_text())
-    except (OSError, PolyParseError, json.JSONDecodeError) as exc:
+        f, _ = normalize_input(read_poly_file(args.input))
+        field = NumberField(f)
+        entries = _certificate_entries(json.loads(Path(args.cert).read_text()))
+    except (OSError, ValueError, PolyParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if isinstance(data, dict) and "subfields" in data:
-        entries = data["subfields"]
-    elif isinstance(data, list):
-        entries = data
-    else:
-        entries = [data]
-    from .poly import normalize_input
-
-    f, _ = normalize_input(f_raw)
-    field = NumberField(f)
     bad = 0
     for i, e in enumerate(entries):
         try:
             h = _entry_h(e)
             cert = _cert_from_dict(e["certificate"], h)
             ok = verify_certificate(field, h, cert)
-        except (KeyError, ValueError, PolyParseError):
+        except (KeyError, TypeError, ValueError, PolyParseError):
             ok = False
         label = e.get("delta") or e.get("minpoly") or f"entry {i}"
         print(f"  certificate for {label}: {'VALID' if ok else 'INVALID'}")

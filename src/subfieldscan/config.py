@@ -1,24 +1,24 @@
-"""Run configuration shared by the scan pipelines and the CLI."""
+"""Run configuration shared by the scan pipelines and the CLI.
+
+ScanConfig holds the three settings the CLI exposes: the seed of the root
+tests' rng (--seed), the largest prime the Frobenius sieve walks
+(--sieve-bound) and a cap on the p-adic precision of the root tests
+(--max-precision).  The sieve stops earlier once its rows stop growing
+their span (scan.sieve_rows); the witness searches walk the primes up to
+scan.ABSENCE_PRIME_BOUND.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .arith import FactorBudget
-
 
 @dataclass(frozen=True)
 class ScanConfig:
     seed: int = 0
     sieve_prime_bound: int = 10_000
-    # a hard cap: the sieve stops earlier once its rows stop growing their
-    # span (scan.sieve_rows); 0 turns the sieve off
-    sieve_max_rows: int = 40
     max_precision: int | None = None       # cap on p-adic digits, overrides the heuristic
-    select_prime_bound: int = 50_000
-    absence_prime_bound: int = 10_000
-    factor_budget: FactorBudget = FactorBudget()
 
     def precision_schedule(self, p: int, n: int) -> list[int]:
         """Doubling p-adic precision targets 32, 64, ... up to a cap.

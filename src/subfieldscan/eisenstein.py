@@ -23,9 +23,6 @@ class EisensteinInt:
     def __add__(self, other):
         return EisensteinInt(self.x + other.x, self.y + other.y)
 
-    def __sub__(self, other):
-        return EisensteinInt(self.x - other.x, self.y - other.y)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return EisensteinInt(self.x * other, self.y * other)
@@ -54,9 +51,6 @@ class EisensteinInt:
 
     def trace(self) -> int:
         return 2 * self.x - self.y
-
-    def is_unit(self) -> bool:
-        return self.norm() == 1
 
     def __repr__(self):
         return f"EisensteinInt({self.x}, {self.y})"

@@ -9,10 +9,6 @@ class BudgetExceeded(SubfieldScanError):
     """A bounded search (factoring, splitting) ran out of its iteration budget."""
 
 
-class NonCoprimeModuli(SubfieldScanError):
-    pass
-
-
 class DegreeNotDivisible(SubfieldScanError):
     pass
 
@@ -26,10 +22,6 @@ class InputIsPower(SubfieldScanError):
 
 
 class LeadingCoefficientVanishes(SubfieldScanError):
-    pass
-
-
-class NotCoprimeCofactor(SubfieldScanError):
     pass
 
 

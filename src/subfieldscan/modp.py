@@ -26,8 +26,8 @@ coefficient.
 
 Public operations: squarefree test, distinct-degree factor degrees, full
 factorization (distinct-degree + Cantor-Zassenhaus), root extraction (the
-quadratic formula for a quadratic), and quadratic Hensel lifting of a
-coprime factor.
+quadratic formula for a quadratic) and xgcd.  The root tests' Newton
+lifting to Z/p^k lives in nfroot (_IdempotentLift, _ScalarRootLift).
 
 The prime walks of the scans and the root tests' prime selection ask only
 part of this.  They settle squarefreeness themselves (NumberField.
@@ -47,7 +47,7 @@ import random
 import struct
 
 from .arith import inverse_mod, sqrt_mod_prime
-from .errors import LeadingCoefficientVanishes, NotCoprimeCofactor, NotSquarefree, RetryLimitExceeded
+from .errors import LeadingCoefficientVanishes, NotSquarefree, RetryLimitExceeded
 from .poly import Poly
 
 _CZ_RETRY_CAP = 64
@@ -541,58 +541,3 @@ def _linear_roots(g, p):
             rest = pdivmod(g, w, p)[0]
             return _linear_roots(w, p) + _linear_roots(rest, p)
         shift += 1
-
-
-class HenselLift:
-    """Resumable quadratic Hensel lifting of one monic factor of f.
-
-    Starting data is a factorization f = f1 * f2 mod p with gcd(f1, f2) = 1.
-    lift_to(k) advances the pair (plus Bezout cofactors) to modulus p**k by
-    precision doubling, truncating the final step.
-    """
-
-    def __init__(self, f: Poly, f1: list[int], p: int):
-        fb = from_poly(f, p)
-        if int(f.lc) % p == 0:
-            raise LeadingCoefficientVanishes(f"leading coefficient vanishes mod {p}")
-        fb = monic(fb, p)
-        f1 = [c % p for c in f1]
-        if not f1 or f1[-1] != 1:
-            raise ValueError("f1 must be monic")
-        q, r = pdivmod(fb, f1, p)
-        if r:
-            raise ValueError("f1 does not divide f mod p")
-        g, a, b = xgcd(f1, q, p)
-        if deg(g) != 0:
-            raise NotCoprimeCofactor(f"factor and cofactor share {g} mod {p}")
-        self.f = f
-        self.p = p
-        self.k = 1
-        self.f1 = f1
-        self.f2 = q
-        self.a = a
-        self.b = b
-
-    def lift_to(self, k: int) -> list[int]:
-        f_full = None
-        while self.k < k:
-            k2 = min(2 * self.k, k)
-            m = self.p**k2
-            if f_full is None:
-                f_full = [int(c) for c in self.f.coeffs]
-            fm = trim([c % m for c in f_full])
-            e = sub(fm, mul(self.f1, self.f2, m), m)
-            qq, r = pdivmod(mul(self.b, e, m), self.f1, m)
-            f1n = add(self.f1, r, m)
-            f2n = add(self.f2, add(mul(self.a, e, m), mul(qq, self.f2, m), m), m)
-            berr = sub(add(mul(self.a, f1n, m), mul(self.b, f2n, m), m), [1], m)
-            cc, d = pdivmod(mul(self.b, berr, m), f1n, m)
-            bn = sub(self.b, d, m)
-            an = sub(self.a, add(mul(self.a, berr, m), mul(cc, f2n, m), m), m)
-            self.f1, self.f2, self.a, self.b, self.k = f1n, f2n, an, bn, k2
-        return self.f1
-
-
-def hensel_lift_factor(f: Poly, f1: list[int], p: int, k: int) -> list[int]:
-    """Monic F1 mod p**k with F1 = f1 (mod p) and F1 | f (mod p**k)."""
-    return HenselLift(f, f1, p).lift_to(k)

@@ -435,7 +435,7 @@ def find_root(field: NumberField, h: Poly, config: ScanConfig,
         if not verify_certificate(field, h, cert):
             raise AssertionError(f"integer root {root} of {h} fails verification")
         return RootSearch(PROVED, cert, strategy=INTEGER)
-    pdata = select_prime(field, h, rng, config.select_prime_bound)
+    pdata = select_prime(field, h, rng)
     if pdata.r < h.degree:
         return RootSearch(NOT_FOUND)
     return root_knapsack(field, h, pdata, config.precision_schedule(pdata.p, field.n))

@@ -7,9 +7,9 @@ all ints.
 
 Besides ring arithmetic this module provides the subfield-specific
 operations: e-th root candidates (by coefficient recurrence and by Newton
-identities), power sums, resultants via the subresultant PRS, compositum
-minimal polynomials by resultant elimination, and input normalization to a
-monic integral defining polynomial.
+identities), power sums, integer resultants via the subresultant PRS,
+compositum minimal polynomials by resultant elimination, and input
+normalization to a monic integral defining polynomial.
 """
 
 from __future__ import annotations
@@ -47,14 +47,6 @@ class Poly:
     def from_desc(cls, coeffs):
         """Build from descending-degree coefficients (human order)."""
         return cls(list(reversed(list(coeffs))))
-
-    @classmethod
-    def x_power(cls, k, scale=1):
-        return cls([0] * k + [scale])
-
-    @classmethod
-    def constant(cls, c):
-        return cls([c])
 
     # -- basic queries ----------------------------------------------------
 
@@ -146,12 +138,6 @@ class Poly:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-    def shift_x(self, k):
-        """Multiply by X**k."""
-        if not self.coeffs:
-            return self
-        return Poly([0] * k + list(self.coeffs))
 
     def divmod(self, other):
         """Quotient and remainder over Q; other must be nonzero."""
@@ -253,9 +239,6 @@ def _karatsuba(a, b):
         out[i + m] -= c
         out[i + 2 * m] += c
     return out
-
-
-X = Poly([0, 1])
 
 
 # -- gcd and resultants ------------------------------------------------------
@@ -371,14 +354,6 @@ def resultant_int(a: Poly, b: Poly) -> int:
     if a.degree > 1:
         last //= h ** (a.degree - 1)
     return s * t * last
-
-
-def resultant(a: Poly, b: Poly) -> Fraction:
-    """Res(a, b) over Q."""
-    ai, ma = a.clear_denominators()
-    bi, mb = b.clear_denominators()
-    r = resultant_int(ai, bi)
-    return Fraction(r, ma**b.degree * mb**a.degree)
 
 
 def disc_poly(f: Poly) -> int:
@@ -528,19 +503,9 @@ def compositum_minpoly(g: Poly, h: Poly, shift: int = 1) -> Poly:
     if r.degree != total or not r.is_monic():
         raise ArithmeticError("resultant elimination lost degree")
     r = r.map_coeffs(lambda c: int(c))
-    _assert_squarefree_int(r)
+    if not is_squarefree_q(r):
+        raise NotSquarefree("the compositum polynomial has a repeated root")
     return r
-
-
-def _assert_squarefree_int(r: Poly):
-    from . import modp
-
-    for p in arith.primes_up_to(2000):
-        if r.lc % p == 0:
-            continue
-        if modp.squarefree_mod_p(r, p):
-            return
-    raise NotSquarefree("no squarefree reduction found; polynomial has a repeated root")
 
 
 def normalize_input(f_raw: Poly) -> tuple[Poly, int]:

@@ -208,12 +208,9 @@ STABLE_PRIMES = 8
 @dataclass
 class SieveRows:
     """The rows sieve_rows kept, in prime order, and the last prime it
-    walked (0: none).  Iterating gives the rows."""
+    walked (0: none)."""
     rows: list[Row]
     walked: int
-
-    def __iter__(self):
-        return iter(self.rows)
 
 
 def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, config: ScanConfig,
@@ -224,18 +221,16 @@ def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, config: Sc
 
     - at once when it is full: for l = 2 the system is inconsistent, for
       l = 3 its kernel is 0, and no later row can change the solutions;
-    - after STABLE_PRIMES class-deciding primes in a row (SPLIT or INERT
-      for l = 2, SPLITS_ALL for l = 3) that leave it as it was, counting
-      those whose row is trivial.  For l = 2 the count waits while only
-      the zero vector solves the rows: no candidate is left, and only an
-      INERT prime, which may be rare, can still make the system
-      inconsistent, as the report says;
-    - or when config.sieve_max_rows rows are kept, a hard cap.
+    - or after STABLE_PRIMES class-deciding primes in a row (SPLIT or
+      INERT for l = 2, SPLITS_ALL for l = 3) that leave it as it was,
+      counting those whose row is trivial.  For l = 2 the count waits
+      while only the zero vector solves the rows: no candidate is left,
+      and only an INERT prime, which may be rare, can still make the
+      system inconsistent, as the report says.
 
-    generators are the cubic slot generators (l = 3; computed from the
-    basis when None)."""
-    if config.sieve_max_rows <= 0:
-        return SieveRows([], 0)
+    Otherwise it walks on to the bound; a bound below the first prime
+    (3 for l = 2, 5 for l = 3) keeps no row.  generators are the cubic
+    slot generators (l = 3; computed from the basis when None)."""
     ell, width = basis.e, basis.width
     span = Span(ell, width + 1 if ell == 2 else width)
     rows: list[Row] = []
@@ -257,17 +252,22 @@ def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, config: Sc
                 stale = 0   # only 0 solves the rows: what is left to learn is inconsistency
         else:
             full = len(span.rows) == width
-        if full or stale >= STABLE_PRIMES or len(rows) >= config.sieve_max_rows:
+        if full or stale >= STABLE_PRIMES:
             return SieveRows(rows, q)
     return SieveRows(rows, config.sieve_prime_bound)
 
 
+# The witness searches walk the primes up to this bound; a candidate with
+# no witness below it is reported as unproven_absent.
+ABSENCE_PRIME_BOUND = 10_000
+
+
 def absence_witness_quad(field: NumberField, delta: int, basis: PlaceBasis,
-                         gcd_value: int, config: ScanConfig, after: int = 0) -> int | None:
+                         gcd_value: int, after: int = 0) -> int | None:
     """First prime above after whose cycle-type constraint contradicts
     Q(sqrt(delta)) being a subfield; None if the bound is exhausted.  At a
     prime with a row that is the row failing for delta's vector."""
-    for q, degrees, _ in _frobenius_primes(field, basis, gcd_value, config.absence_prime_bound,
+    for q, degrees, _ in _frobenius_primes(field, basis, gcd_value, ABSENCE_PRIME_BOUND,
                                            after=after):
         cls = classify_prime_quadratic(degrees, field.n)
         sym = legendre(delta, q)
@@ -278,12 +278,11 @@ def absence_witness_quad(field: NumberField, delta: int, basis: PlaceBasis,
 
 def absence_witness_cubic(field: NumberField, cand: CubicCandidate,
                           generators, basis: PlaceBasis, gcd_value: int,
-                          config: ScanConfig, after: int = 0) -> int | None:
+                          after: int = 0) -> int | None:
     """First prime above after that splits in all cyclic cubic subfields but
     at which the candidate class has a nonzero character sum."""
     for q, degrees, cubic_row in _frobenius_primes(field, basis, gcd_value,
-                                                   config.absence_prime_bound, generators,
-                                                   after):
+                                                   ABSENCE_PRIME_BOUND, generators, after):
         row = frobenius_row(q, degrees, field.n, basis, cubic_row)
         if row is not None and not vector_satisfies(row, cand.exponents, 3):
             return q
@@ -360,7 +359,7 @@ class _Quad:
 
     def witness(self, vec, after):
         return absence_witness_quad(self.field, self.basis.delta_of_vector(vec), self.basis,
-                                    self.gcd_value, self.config, after)
+                                    self.gcd_value, after)
 
 
 class _Cubic:
@@ -412,7 +411,7 @@ class _Cubic:
 
     def witness(self, vec, after):
         return absence_witness_cubic(self.field, self.candidates[vec], self.generators,
-                                     self.basis, self.gcd_value, self.config, after)
+                                     self.basis, self.gcd_value, after)
 
 
 # -- the scan and the candidate walk ------------------------------------------------
@@ -448,7 +447,7 @@ def _scan(kind_type, f_raw: Poly, config: ScanConfig) -> ScanReport:
 
     field = NumberField(f)
     t0 = time.perf_counter()
-    cs = candidate_ramified_primes(f, kind_type.ell, config.factor_budget)
+    cs = candidate_ramified_primes(f, kind_type.ell)
     phase("ramify", t0)
     kind = kind_type(field, cs, config)
     report.candidate_primes = list(kind.basis.primes)
@@ -523,31 +522,29 @@ def _walk(kind, rows: list[Row], candidates, walked: int):
     return subfields, excluded, direct_tests
 
 
-def absence_certificate_search(field: NumberField, target, config: ScanConfig | None = None,
-                               basis: PlaceBasis | None = None,
+def absence_certificate_search(field: NumberField, target, basis: PlaceBasis | None = None,
                                gcd_value: int = 1) -> ExcludedEntry:
     """Try to upgrade a not-found candidate to a certified absence.
 
     target is either a squarefree integer delta (quadratic candidate) or a
     CubicCandidate.  Returns an ExcludedEntry with status certified_absent
-    and a witness prime, or unproven_absent when the prime bound runs out.
-    A delta that is 0 or a square raises ValueError: Q(sqrt(delta)) is Q
-    then, a subfield of every field, and no prime can witness its absence.
+    and a witness prime, or unproven_absent when no prime up to
+    ABSENCE_PRIME_BOUND is a witness.  A delta that is 0 or a square raises
+    ValueError: Q(sqrt(delta)) is Q then, a subfield of every field, and no
+    prime can witness its absence.
     """
-    config = config or ScanConfig()
     if isinstance(target, CubicCandidate):
         if basis is None:
             raise ValueError("cubic absence search needs the place basis")
         gens = cubic_basis_generators(basis)
-        witness = absence_witness_cubic(field, target, gens, basis, gcd_value, config)
+        witness = absence_witness_cubic(field, target, gens, basis, gcd_value)
         label = {"minpoly": target.minpoly}
     else:
         delta = int(target)
         if delta >= 0 and math.isqrt(delta) ** 2 == delta:
             raise ValueError(f"delta = {delta} is 0 or a square: Q(sqrt(delta)) is no "
                              "quadratic field")
-        witness = absence_witness_quad(field, delta, basis or PlaceBasis(2, ()), gcd_value,
-                                       config)
+        witness = absence_witness_quad(field, delta, basis or PlaceBasis(2, ()), gcd_value)
         label = {"delta": delta}
     status = STATUS_CERTIFIED_ABSENT if witness else STATUS_UNPROVEN_ABSENT
     return ExcludedEntry(status, witness_prime=witness, **label)

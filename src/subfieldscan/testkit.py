@@ -1,10 +1,11 @@
-"""Independent oracles and corpus generation for tests.
+"""Oracles and corpus generation for tests.
 
-Everything here deliberately avoids the code paths it is meant to check:
-discriminants come from the resultant, ground-truth subfield sets from
-explicit constructions (subset products for multiquadratic fields, a coded
-conductor table for cyclotomic ones), and resultants can be cross-checked
+Ground-truth subfield sets come from explicit constructions (subset
+products for multiquadratic fields, a coded conductor table for cyclotomic
+ones), not from the scans they check, and resultants can be cross-checked
 against a Sylvester determinant computed by plain fraction elimination.
+Discriminants are not independent: they come from the library's own
+poly.disc_poly, the subresultant PRS that NumberField.squarefree_mod uses.
 """
 
 from __future__ import annotations
@@ -14,14 +15,8 @@ from fractions import Fraction
 
 from .arith import FactorBudget, factor_integer, is_probable_prime
 from .eisenstein import split_prime
-from .errors import NotSquarefree
 from .kummer3 import build_generator
-from .poly import Poly, compositum_minpoly, disc_poly as _disc_poly
-
-
-def disc_poly(f: Poly) -> int:
-    """Discriminant of a monic integral polynomial."""
-    return _disc_poly(f)
+from .poly import Poly, compositum_minpoly, disc_poly
 
 
 def ramified_superset_bruteforce(f: Poly, budget: FactorBudget | None = None) -> set[int]:

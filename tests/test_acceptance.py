@@ -17,9 +17,9 @@ from subfieldscan.arith import factor_integer
 from subfieldscan.config import ScanConfig
 from subfieldscan.errors import NotSquarefree
 from subfieldscan.lattice import gram_schmidt, lll_reduce
-from subfieldscan.modp import ddf_degrees, factor_mod_p, from_poly, hensel_lift_factor, mul, pdivmod
-from subfieldscan.nfroot import (NumberField, RootCertificate, find_root, select_prime,
-                                 verify_certificate)
+from subfieldscan.modp import QuotientRing, add, ddf_degrees, factor_mod_p, from_poly, pdivmod, trim
+from subfieldscan.nfroot import (NumberField, RootCertificate, _IdempotentLift, _ScalarRootLift,
+                                 find_root, select_prime, verify_certificate)
 from subfieldscan.poly import (Poly, disc_poly, eth_root_coeffs, eth_root_newton,
                                poly_from_power_sums, power_sums)
 from subfieldscan.ramify import candidate_ramified_primes
@@ -80,8 +80,7 @@ def test_criterion_3_multiquadratic_degree32():
     # the 2^15-assignment case: the selected prime leaves more sign
     # choices than the 1024 an enumeration could afford
     config = ScanConfig()
-    pdata = select_prime(field, Poly([-2, 0, 1]), random.Random(0),
-                         config.select_prime_bound)
+    pdata = select_prime(field, Poly([-2, 0, 1]), random.Random(0))
     assert 2 ** (pdata.r - 1) > 1024
     probe = find_root(field, Poly([-2, 0, 1]), config, random.Random(0))
     assert probe.status == "proved" and probe.strategy == "knapsack"
@@ -209,7 +208,9 @@ def test_criterion_7c_ddf_degree_sums():
     _pass("7c", "DDF degree multisets sum to deg(f) and match full factorization")
 
 
-def test_criterion_7d_hensel_divisibility():
+def test_criterion_7d_newton_lifts():
+    # the lifts the root test runs: the CRT idempotents of f mod p and the
+    # simple roots of a polynomial, from F_p to Z/p^k
     rng = random.Random(103)
     checked = 0
     while checked < 60:
@@ -223,10 +224,22 @@ def test_criterion_7d_hensel_divisibility():
             continue
         checked += 1
         k = rng.randint(2, 7)
-        f1 = hensel_lift_factor(f, factors[0], p, k)
         m = p**k
-        assert pdivmod(from_poly(f, m), f1, m)[1] == []
-    _pass("7d", "Hensel-lifted factors divide f mod p^k on random instances")
+        ring = QuotientRing(from_poly(f, m), m)
+        idems = _IdempotentLift(NumberField(f), factors, p).lift_to(k)
+        total = []
+        for i, e in enumerate(idems):
+            assert ring.mul(e, e) == e
+            assert all(ring.mul(e, e2) == [] for e2 in idems[i + 1:])
+            total = add(total, e, m)
+            for j, fac in enumerate(factors):
+                assert pdivmod(trim([c % p for c in e]), fac, p)[1] == ([1] if i == j else [])
+        assert total == [1]
+        for fac in factors:
+            if len(fac) == 2:
+                s = _ScalarRootLift(f, -fac[0], p).lift_to(k)
+                assert f.evaluate(s) % m == 0
+    _pass("7d", "lifted idempotents and roots hold mod p^k on random instances")
 
 
 def test_criterion_7e_lll_postconditions():

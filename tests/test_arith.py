@@ -1,14 +1,13 @@
 import itertools
-import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subfieldscan import arith
-from subfieldscan.arith import (FactorBudget, crt, factor_integer, is_probable_prime,
+from subfieldscan.arith import (FactorBudget, factor_integer, is_probable_prime,
                                 legendre, primes_up_to, sqrt_mod_prime)
-from subfieldscan.errors import BudgetExceeded, NonCoprimeModuli
+from subfieldscan.errors import BudgetExceeded
 
 PRIMES_1M = primes_up_to(100_000)
 
@@ -96,24 +95,6 @@ def test_legendre_counts_residues():
             assert (legendre(a, p) == 1) == (a in residues)
 
 
-def test_crt_examples():
-    assert crt([(1, 2), (2, 3)]) == (5, 6)
-    assert crt([(0, 5)]) == (0, 5)
-    with pytest.raises(NonCoprimeModuli):
-        crt([(1, 4), (1, 6)])
-
-
-def test_crt_reduces_back():
-    rng = random.Random(3)
-    for _ in range(200):
-        moduli = rng.sample([4, 9, 25, 7, 11, 13, 17, 19, 23], k=rng.randint(1, 5))
-        residues = [(rng.randrange(m), m) for m in moduli]
-        r, m = crt(residues)
-        assert m == math.prod(moduli)
-        for ri, mi in residues:
-            assert r % mi == ri
-
-
 def test_sqrt_mod_prime():
     assert sqrt_mod_prime(2, 17) in (6, 11)
     assert sqrt_mod_prime(2, 5) is None
@@ -127,9 +108,3 @@ def test_sqrt_mod_prime():
             assert s * s % p == a % p
         else:
             assert legendre(a, p) == -1
-
-
-def test_icbrt():
-    for n in list(range(0, 200)) + [7**9, 7**9 - 1, 7**9 + 1, 10**30]:
-        c = arith.icbrt(n)
-        assert c**3 <= n < (c + 1) ** 3

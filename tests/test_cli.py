@@ -162,7 +162,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["quad", "-i", str(const)]) == EXIT_INPUT_ERROR
     phi12 = tmp_path / "phi12.txt"
     phi12.write_text("x^4 - x^2 + 1\n")
-    code = main(["quad", "-i", str(phi12), "--sieve-count", "0",
+    code = main(["quad", "-i", str(phi12), "--sieve-bound", "2",
                  "--seed", "0"])
     assert code == EXIT_OK  # absences all certified by default bound
     capsys.readouterr()
@@ -172,16 +172,10 @@ def test_unproven_exit_code(tmp_path, capsys, monkeypatch):
     # no sieve rows and a tiny absence bound leaves unproven exclusions
     phi12 = tmp_path / "phi12.txt"
     phi12.write_text("x^4 - x^2 + 1\n")
-    import subfieldscan.cli as cli_mod
+    import subfieldscan.scan as scan_mod
 
-    orig = cli_mod.ScanConfig
-
-    def patched(**kw):
-        kw["absence_prime_bound"] = 3
-        return orig(**kw)
-
-    monkeypatch.setattr(cli_mod, "ScanConfig", patched)
-    code = main(["quad", "-i", str(phi12), "--sieve-count", "0"])
+    monkeypatch.setattr(scan_mod, "ABSENCE_PRIME_BOUND", 3)
+    code = main(["quad", "-i", str(phi12), "--sieve-bound", "2"])
     assert code == EXIT_UNPROVEN
     capsys.readouterr()
 
@@ -204,3 +198,62 @@ def test_canonical_bytes_exclude_timings():
     rep1 = quad_subfield_scan(Poly.from_desc([1, 0, 0, 0, 1]), ScanConfig(seed=2))
     rep2 = quad_subfield_scan(Poly.from_desc([1, 0, 0, 0, 1]), ScanConfig(seed=2))
     assert canonical_report_bytes(rep1) == canonical_report_bytes(rep2)
+
+
+def _one_input_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("input error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["0", "x - 1", "x^4 + 2*x^2 + 1", "x^2 + 1/0"])
+def test_certify_rejects_a_bad_polynomial(tmp_path, capsys, text):
+    # zero, degree below 2, a repeated root, a zero denominator
+    poly_file, cert = tmp_path / "f.txt", tmp_path / "c.json"
+    poly_file.write_text(text + "\n")
+    cert.write_text("[]")
+    assert main(["certify", "-i", str(poly_file), "--cert", str(cert)]) == EXIT_INPUT_ERROR
+    assert _one_input_error_line(capsys)
+
+
+@pytest.mark.parametrize("data", ['[1, 2]', '{"subfields": ["x"]}', '"abc"',
+                                  '{"subfields": 5}', '7'])
+def test_certify_rejects_json_of_the_wrong_shape(tmp_path, capsys, data):
+    poly_file, cert = tmp_path / "f.txt", tmp_path / "c.json"
+    poly_file.write_text("x^4 + 1\n")
+    cert.write_text(data)
+    assert main(["certify", "-i", str(poly_file), "--cert", str(cert)]) == EXIT_INPUT_ERROR
+    assert _one_input_error_line(capsys)
+
+
+@pytest.mark.parametrize("entry", [
+    {"minpoly": 5, "certificate": {"scaled_root": ["0", "1", "0", "1"]}},
+    {"delta": ["2"], "certificate": {"scaled_root": ["0", "1", "0", "1"]}},
+    {"delta": "2", "certificate": "x"},
+    {"delta": "2", "certificate": {"scaled_root": 5}},
+    {"delta": "2", "certificate": {"scaled_root": [None]}},
+])
+def test_certify_marks_an_entry_of_the_wrong_type_invalid(tmp_path, capsys, entry):
+    # like an entry with a missing field: INVALID, exit 1
+    poly_file, cert = tmp_path / "f.txt", tmp_path / "c.json"
+    poly_file.write_text("x^4 + 1\n")
+    cert.write_text(json.dumps([entry]))
+    assert main(["certify", "-i", str(poly_file), "--cert", str(cert)]) == 1
+    assert "INVALID" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", ["abc", "1.5", ""])
+def test_seed_env_that_is_no_integer_is_an_input_error(tmp_path, capsys, monkeypatch, seed):
+    poly_file = tmp_path / "f.txt"
+    poly_file.write_text("x^4 + 1\n")
+    monkeypatch.setenv("SUBFIELD_SCAN_SEED", seed)
+    assert main(["quad", "-i", str(poly_file)]) == EXIT_INPUT_ERROR
+    assert _one_input_error_line(capsys)
+
+
+def test_quad_flags(capsys):
+    import re
+
+    with pytest.raises(SystemExit):
+        main(["quad", "--help"])
+    flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert flags == {"--help", "--input", "--json", "--sieve-bound", "--max-precision", "--seed"}

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from subfieldscan import modp
 from subfieldscan.arith import primes_up_to
-from subfieldscan.errors import NotCoprimeCofactor, NotSquarefree
+from subfieldscan.errors import NotSquarefree
 from subfieldscan.poly import Poly, disc_poly
 from subfieldscan.sieve import class_decided, classify_prime_cubic, classify_prime_quadratic
 
@@ -101,42 +101,6 @@ def test_roots_large_prime_path():
         assert r * r % p == 2
     h2 = Poly.from_desc([1, -3, 2])  # roots 1, 2
     assert modp.roots_mod_p(h2, p) == {1, 2}
-
-
-def test_hensel_examples():
-    assert modp.hensel_lift_factor(Poly.from_desc([1, 0, -2]), [11, 1], 17, 2) == [45, 1]
-    assert modp.hensel_lift_factor(Poly.from_desc([1, 0, 1]), [3, 1], 5, 2) == [18, 1]
-    f = Poly.from_desc([1, 0, -2])
-    whole = modp.hensel_lift_factor(f, [1, 0, 1], 3, 4)  # f mod 3 = x^2+1
-    assert whole == modp.from_poly(f, 81)
-
-
-def test_hensel_divides():
-    rng = random.Random(4)
-    count = 0
-    while count < 40:
-        p = rng.choice([3, 5, 7, 11, 13])
-        f = rand_intpoly(rng, rng.randint(2, 6))
-        try:
-            factors = modp.factor_mod_p(f, p, rng)
-        except NotSquarefree:
-            continue
-        if len(factors) < 2:
-            continue
-        count += 1
-        k = rng.randint(2, 6)
-        f1 = modp.hensel_lift_factor(f, factors[0], p, k)
-        m = p**k
-        q, r = modp.pdivmod(modp.from_poly(f, m), f1, m)
-        assert r == []
-        assert f1[-1] == 1
-        assert modp.trim([c % p for c in f1]) == factors[0]
-
-
-def test_hensel_rejects_noncoprime():
-    f = Poly.from_desc([1, 0, -2]) * Poly.from_desc([1, 0, -2])
-    with pytest.raises((NotCoprimeCofactor, ValueError)):
-        modp.hensel_lift_factor(f, [11, 1], 17, 3)
 
 
 # -- the packed quotient ring against the schoolbook reference ---------------------

@@ -39,6 +39,11 @@ sieve.rows and sieve.primes_used changed, the new primes a prefix of the
 old ones.  The rows left out add nothing to the span, so the solutions,
 the walk and every certificate and witness stayed the same.
 
+The sieve has no row cap any more, so the cases above set its prime bound
+instead, with the same reports: 2 (below every sieve prime) for no rows,
+and 31, 13 and 29 for the one- and two-row cases, the primes up to the
+last row kept.  Absence primes up to 3 or 5 lower scan.ABSENCE_PRIME_BOUND.
+
 A change that means to alter reports must say why and update them.
 """
 
@@ -46,13 +51,14 @@ import hashlib
 
 import pytest
 
+import subfieldscan.scan as scan_mod
 from subfieldscan.cli import canonical_report_bytes
 from subfieldscan.config import ScanConfig
 from subfieldscan.poly import Poly, compositum_minpoly
 from subfieldscan.scan import cubic_subfield_scan, quad_subfield_scan
 from subfieldscan.testkit import corpus_generate
 
-NO_ROWS = {"sieve_max_rows": 0}
+NO_ROWS = {"sieve_prime_bound": 2}
 
 GOLDEN = [
     ("cyclotomic", "5", "quad", {}, "05ac36d87b57a3352092e13f9394dc53e99aa5a46df7d62957605f050f2d6f8a"),
@@ -64,7 +70,7 @@ GOLDEN = [
     ("multiquadratic", "2,3,5", "quad", {}, "95789943c7d61f6da24574e0c9fe61a4aea9253ab9532ad7798433f3c59f1c54"),
     ("cyclotomic", "12", "quad", NO_ROWS,
      "b1769216d55f4e8899fb56ac2006b013573edca19e10f4f64091a7a6ce0963a4"),
-    ("cyclotomic", "12", "quad", {**NO_ROWS, "absence_prime_bound": 3},
+    ("cyclotomic", "12", "quad", {**NO_ROWS, "ABSENCE_PRIME_BOUND": 3},
      "f86e0aa1e643264deb6f87189148ca2b32ebc7a12cdaf31b8ca0710a745443eb"),
     ("multiquadratic", "2,3,5", "quad", NO_ROWS,
      "aeab31de36e8856dcb7c49b250379ee82e18d04563b721d5886619c117c2ee8b"),
@@ -74,17 +80,17 @@ GOLDEN = [
      "7a972028c5913b348b7cdad3996929366a741908d035a9c1775caa5d3bf8db6f"),
     ("cubic-compositum", "7,q5", "cubic", NO_ROWS,
      "556c4a49641ed49c654d89bb7f8e211b2371a263a608408e31ea3bcb4da36ace"),
-    ("cubic-compositum", "7,q5", "cubic", {**NO_ROWS, "absence_prime_bound": 5},
+    ("cubic-compositum", "7,q5", "cubic", {**NO_ROWS, "ABSENCE_PRIME_BOUND": 5},
      "0217068ed4ac9f0591a5c33eb80d9574e8437cb2762041e7e430325980e408a6"),
     ("cubic-compositum", "7,9", "cubic", {},
      "7a972028c5913b348b7cdad3996929366a741908d035a9c1775caa5d3bf8db6f"),
     ("s4-compositum", "5", "quad", {},
      "82ea34740e702e808e3d5a5aef4b29810d4892eeaf8931f9e6385a9bd1f292ed"),
-    ("cyclotomic", "15", "quad", {"sieve_max_rows": 1},
+    ("cyclotomic", "15", "quad", {"sieve_prime_bound": 31},
      "30a847f6e760b85bbcd33f3b876061dd3dedc65a3dc9058c3ce5bb94ee868868"),
-    ("cubic-compositum", "7,q5", "quad", {"sieve_max_rows": 1},
+    ("cubic-compositum", "7,q5", "quad", {"sieve_prime_bound": 13},
      "3945e3b2194c15378def0d327f824b2c7ce4bb0528c0e48280ee93c28c99d411"),
-    ("cyclotomic", "7", "cubic", {"sieve_max_rows": 2},
+    ("cyclotomic", "7", "cubic", {"sieve_prime_bound": 29},
      "df61b6b64c2ab2379728bbfc5d229b83adf2a774b9274bede20f026e01f05049"),
 ]
 
@@ -110,7 +116,10 @@ def _poly(kind, params):
 
 @pytest.mark.parametrize("kind, params, scan, config, digest",
                          [pytest.param(*case, id=_case_id(*case)) for case in GOLDEN])
-def test_report_digest_is_pinned(kind, params, scan, config, digest):
+def test_report_digest_is_pinned(monkeypatch, kind, params, scan, config, digest):
+    config = dict(config)
+    if "ABSENCE_PRIME_BOUND" in config:
+        monkeypatch.setattr(scan_mod, "ABSENCE_PRIME_BOUND", config.pop("ABSENCE_PRIME_BOUND"))
     run = quad_subfield_scan if scan == "quad" else cubic_subfield_scan
     report = run(_poly(kind, params), ScanConfig(**config))
     assert hashlib.sha256(canonical_report_bytes(report)).hexdigest() == digest

@@ -93,16 +93,20 @@ def test_odd_degree_empty():
     assert rep.subfields == [] and rep.excluded == []
 
 
-def test_unproven_without_sieve_then_certified_with():
+def test_unproven_without_sieve_then_certified_with(monkeypatch):
+    import subfieldscan.scan as scan_mod
+
     phi12 = Poly.from_desc([1, 0, -1, 0, 1])
     # no sieve rows and no absence primes: false candidates stay unproven
-    rep = quad_subfield_scan(phi12, ScanConfig(sieve_max_rows=0, absence_prime_bound=3))
+    with monkeypatch.context() as m:
+        m.setattr(scan_mod, "ABSENCE_PRIME_BOUND", 3)
+        rep = quad_subfield_scan(phi12, ScanConfig(sieve_prime_bound=2))
     assert deltas(rep) == [-3, -1, 3]
     assert rep.has_unproven()
     statuses = {e.status for e in rep.excluded}
     assert STATUS_UNPROVEN_ABSENT in statuses
     # with the default absence search every exclusion is certified
-    rep2 = quad_subfield_scan(phi12, ScanConfig(sieve_max_rows=0))
+    rep2 = quad_subfield_scan(phi12, ScanConfig(sieve_prime_bound=2))
     assert deltas(rep2) == [-3, -1, 3]
     assert not rep2.has_unproven()
     for e in rep2.excluded:
@@ -150,13 +154,13 @@ def test_cubic_span_member_without_root_is_an_error(monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("scan, kind, params, rows, where", [
-    (quad_subfield_scan, "cyclotomic", "12", 40, "sieve_rows"),
-    (quad_subfield_scan, "cyclotomic", "12", 0, "absence_witness_quad"),
-    (cubic_subfield_scan, "cyclotomic", "7", 40, "sieve_rows"),
-    (cubic_subfield_scan, "cyclotomic", "7", 0, "absence_witness_cubic"),
+@pytest.mark.parametrize("scan, kind, params, bound, where", [
+    (quad_subfield_scan, "cyclotomic", "12", 10_000, "sieve_rows"),
+    (quad_subfield_scan, "cyclotomic", "12", 2, "absence_witness_quad"),
+    (cubic_subfield_scan, "cyclotomic", "7", 10_000, "sieve_rows"),
+    (cubic_subfield_scan, "cyclotomic", "7", 2, "absence_witness_cubic"),
 ])
-def test_ddf_fault_reaches_the_caller(monkeypatch, scan, kind, params, rows, where):
+def test_ddf_fault_reaches_the_caller(monkeypatch, scan, kind, params, bound, where):
     # only NotSquarefree means "no information at this prime"; any other
     # error from the DDF kernel must not change the rows or the witnesses.
     # The fault hits the factor degrees the prime walk asks the field for
@@ -170,7 +174,7 @@ def test_ddf_fault_reaches_the_caller(monkeypatch, scan, kind, params, rows, whe
 
     monkeypatch.setattr(NumberField, "factor_degrees", factor_degrees)
     with pytest.raises(RuntimeError, match="kernel fault") as info:
-        scan(corpus_generate(kind, params).poly, ScanConfig(sieve_max_rows=rows))
+        scan(corpus_generate(kind, params).poly, ScanConfig(sieve_prime_bound=bound))
     assert where in [entry.name for entry in info.traceback]
 
 
@@ -182,7 +186,7 @@ def test_check_invariants_rejects_a_wrong_cubic_witness(prime, reason):
     import dataclasses
 
     rep = cubic_subfield_scan(corpus_generate("cubic-compositum", "7,q5").poly,
-                              ScanConfig(sieve_max_rows=0))
+                              ScanConfig(sieve_prime_bound=2))
     rep.check_invariants()
     index, entry = next((i, e) for i, e in enumerate(rep.excluded)
                         if e.status == STATUS_CERTIFIED_ABSENT)
@@ -240,14 +244,14 @@ def test_cubic_witness_recheck_agrees_with_the_residue_class(primes, exps):
     (cubic_subfield_scan, "cubic-compositum", "7,9"),
     (cubic_subfield_scan, "cubic-compositum", "7,q5"),
 ])
-@pytest.mark.parametrize("rows", [40, 0])
-def test_gcd_and_discriminant_walks_agree(monkeypatch, scan, kind, params, rows):
+@pytest.mark.parametrize("bound", [10_000, 2])
+def test_gcd_and_discriminant_walks_agree(monkeypatch, scan, kind, params, bound):
     # above nfroot.DISC_BITS_MAX the walks test squarefreeness by a gcd at
     # each prime instead of by disc(f); the reports are the same
     import subfieldscan.nfroot as nfroot
     from subfieldscan.cli import canonical_report_bytes
 
-    f, config = corpus_generate(kind, params).poly, ScanConfig(sieve_max_rows=rows)
+    f, config = corpus_generate(kind, params).poly, ScanConfig(sieve_prime_bound=bound)
     with_disc = canonical_report_bytes(scan(f, config))
     monkeypatch.setattr(nfroot, "DISC_BITS_MAX", 0)
     assert canonical_report_bytes(scan(f, config)) == with_disc
@@ -360,7 +364,7 @@ def test_representative_testing_with_product_certificates():
     from subfieldscan.poly import compositum_minpoly
 
     f = compositum_minpoly(Poly.from_desc([1, 0, -6]), Poly.from_desc([1, 0, -10]))
-    rep = quad_subfield_scan(f, ScanConfig(sieve_max_rows=0))
+    rep = quad_subfield_scan(f, ScanConfig(sieve_prime_bound=2))
     assert deltas(rep) == [6, 10, 15]
     rep.check_invariants()
     # every exclusion is certified or twist-derived, never unproven
@@ -381,7 +385,7 @@ def test_sieve_rows_sound_for_true_quadratic_subfields():
         entry = corpus_generate(kind, params)
         cs = candidate_ramified_primes(entry.poly, 2)
         basis = PlaceBasis(2, cs.all_finite_primes())
-        rows = sieve_rows(NumberField(entry.poly), basis, cs.gcd_value, ScanConfig())
+        rows = sieve_rows(NumberField(entry.poly), basis, cs.gcd_value, ScanConfig()).rows
         # zero rows is legitimate (e.g. elementary abelian fields give no
         # usable constraints); generated rows must never exclude the truth
         for delta in entry.quad:
@@ -401,8 +405,8 @@ def test_sieve_rows_sound_for_true_cubic_subfields():
     cs = candidate_ramified_primes(entry.poly, 3)
     basis, _ = cubic_place_basis(cs)
     gens = cubic_basis_generators(basis)
-    cfg = ScanConfig(sieve_prime_bound=100_000, sieve_max_rows=10)
-    rows = sieve_rows(NumberField(entry.poly), basis, cs.gcd_value, cfg, gens)
+    cfg = ScanConfig(sieve_prime_bound=100_000)
+    rows = sieve_rows(NumberField(entry.poly), basis, cs.gcd_value, cfg, gens).rows
     # the four known classes over [omega-axis, 7] all satisfy every row
     known = [(1, 0), (0, 1), (1, 1), (1, 2)]
     seven_slot = basis.primes.index(7) + 1
@@ -413,13 +417,14 @@ def test_sieve_rows_sound_for_true_cubic_subfields():
             assert vector_satisfies(row, tuple(vec), 3), (e0, e7, row)
 
 
-@pytest.mark.parametrize("kind, params, witnesses", [
-    ("cyclotomic", "15", [61]),
-    ("cubic-compositum", "7,q5", [17, 17]),
+@pytest.mark.parametrize("kind, params, bound, witnesses", [
+    ("cyclotomic", "15", 31, [61]),
+    ("cubic-compositum", "7,q5", 13, [17, 17]),
 ])
-def test_absence_search_starts_after_the_sieve(monkeypatch, kind, params, witnesses):
-    # with one sieve row the walk needs witnesses; every prime up to the
-    # sieve's last one has had its row tested, so no absence DDF goes there
+def test_absence_search_starts_after_the_sieve(monkeypatch, kind, params, bound, witnesses):
+    # with one sieve row (the sieve's primes end at bound) the walk needs
+    # witnesses; every prime up to the sieve's last one has had its row
+    # tested, so no absence DDF goes there
     import subfieldscan.modp as modp
     import subfieldscan.scan as scan_mod
 
@@ -440,7 +445,9 @@ def test_absence_search_starts_after_the_sieve(monkeypatch, kind, params, witnes
     real_ddf, real_witness = modp.ddf_degrees, scan_mod.absence_witness_quad
     monkeypatch.setattr(modp, "ddf_degrees", ddf_degrees)
     monkeypatch.setattr(scan_mod, "absence_witness_quad", absence_witness_quad)
-    report = quad_subfield_scan(corpus_generate(kind, params).poly, ScanConfig(sieve_max_rows=1))
+    report = quad_subfield_scan(corpus_generate(kind, params).poly,
+                                ScanConfig(sieve_prime_bound=bound))
+    assert report.sieve.rows == 1
     last = report.sieve.primes_used[-1]
     assert absence_primes and min(absence_primes) > last
     assert sorted(e.witness_prime for e in report.excluded

@@ -53,7 +53,7 @@ def _setting(poly, scan):
     f, _ = normalize_input(poly)
     field = NumberField(f)
     kind_type = scan_mod._Quad if scan == "quad" else scan_mod._Cubic
-    cs = candidate_ramified_primes(f, kind_type.ell, ScanConfig().factor_budget)
+    cs = candidate_ramified_primes(f, kind_type.ell)
     return field, kind_type(field, cs, ScanConfig())
 
 
@@ -166,5 +166,3 @@ def test_stable_count_restarts_when_the_span_grows(monkeypatch):
     stop = plan.index(units[2]) + 8
     assert sieve.walked == walk[stop][0]
     assert [r.coeffs for r in sieve.rows] == [c for c in plan[:stop + 1] if c is not None]
-    capped = scan_mod.sieve_rows(field, basis, 1, ScanConfig(sieve_max_rows=3), generators=())
-    assert len(capped.rows) == 3 and capped.walked == walk[3][0]

@@ -1,9 +1,9 @@
 import pytest
 
 from subfieldscan.nfroot import NumberField, RootCertificate, verify_certificate
-from subfieldscan.poly import Poly
+from subfieldscan.poly import Poly, disc_poly
 from subfieldscan.testkit import (CYCLOTOMIC_QUAD_TRUTH, MultiquadraticAlgebra,
-                                  corpus_generate, cyclotomic_poly, disc_poly,
+                                  corpus_generate, cyclotomic_poly,
                                   multiquadratic_certificates, multiquadratic_minpoly,
                                   ramified_superset_bruteforce)
 
