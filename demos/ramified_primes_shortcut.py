@@ -11,7 +11,6 @@ Run with: python3 demos/ramified_primes_shortcut.py
 import time
 
 from subfieldscan import candidate_ramified_primes
-from subfieldscan.cli import render_poly
 from subfieldscan.poly import disc_poly, eth_root_coeffs
 from subfieldscan.testkit import corpus_generate
 

@@ -277,8 +277,7 @@ def _config_from_args(args) -> ScanConfig:
             seed = int(text)
         except ValueError:
             raise ValueError(f"SUBFIELD_SCAN_SEED={text!r} is not an integer") from None
-    return ScanConfig(seed=seed, sieve_prime_bound=args.sieve_bound,
-                      max_precision=args.max_precision)
+    return ScanConfig(seed=seed, sieve_prime_bound=args.sieve_bound)
 
 
 def _add_scan_args(sp):
@@ -287,7 +286,6 @@ def _add_scan_args(sp):
     sp.add_argument("--sieve-bound", type=int, default=10_000,
                     help="the largest prime the Frobenius sieve walks; it stops "
                          "earlier once its rows stop adding information")
-    sp.add_argument("--max-precision", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None,
                     help="default 0, or SUBFIELD_SCAN_SEED if set")
 

@@ -27,7 +27,7 @@ coefficient.
 Public operations: squarefree test, distinct-degree factor degrees, full
 factorization (distinct-degree + Cantor-Zassenhaus), root extraction (the
 quadratic formula for a quadratic) and xgcd.  The root tests' Newton
-lifting to Z/p^k lives in nfroot (_IdempotentLift, _ScalarRootLift).
+lifting to Z/p^k lives in nfroot (_lift_idempotents, _lift_root).
 
 The prime walks of the scans and the root tests' prime selection ask only
 part of this.  They settle squarefreeness themselves (NumberField.
@@ -399,7 +399,7 @@ def _ddf_stages(fb, p, barrett=None):
     while deg(v) >= 2 * (d + 1):
         d += 1
         if ring is None:
-            ring = QuotientRing(fb, p) if barrett is None else QuotientRing(fb, p, barrett)
+            ring = QuotientRing(fb, p, barrett)
         if xi is None:
             w = xi = ring.xpow(p)
         else:

@@ -5,8 +5,8 @@ L = Q[X]/(f) and, in the positive case, produces an independently
 verifiable certificate.  Positive answers are always sound: the returned
 scaled root y = f'(theta) * x satisfies a division-free integer polynomial
 congruence that verify_certificate rechecks from scratch.  Negative
-answers are "not found up to the precision cap" and are NOT proofs of
-absence; the scan layer upgrades them with Frobenius witnesses when it can.
+answers are "not found by one knapsack" and are NOT proofs of absence;
+the scan layer upgrades them with Frobenius witnesses when it can.
 
 The reconstruction is a knapsack in the style of van Hoeij (J. Number
 Theory 95, 2002; relative form: Belabas, JSC 37, 2004).  At a prime p
@@ -16,6 +16,9 @@ completion of L.  Pinning the first completion to the smallest root leaves
 a 0/1 choice per other completion, which LLL recovers from the leading
 bits of a few fixed combinations of the coefficients: a lattice of
 dimension about r plus a few, with small entries, whatever the precision.
+The precision comes once, from a bound on the certificate's coefficients
+(scaled_root_bits): one lift, one lattice and one reduction prove the root
+or answer not_found.
 
 An h with an integer root is answered directly: its scaled root is the
 integer times f'.  Otherwise h is irreducible over Q, and the prime is the
@@ -252,61 +255,46 @@ def verify_certificate(field: NumberField, h: Poly, cert: RootCertificate) -> bo
     return not _certificate_residual(field, h, y)
 
 
-# -- shared lifting helpers -----------------------------------------------------
+# -- lifting to Z/p^k ------------------------------------------------------------
 
 
-class _ScalarRootLift:
-    """Newton lift of a simple root of h from F_p into Z/p^k."""
-
-    def __init__(self, h: Poly, s0: int, p: int):
-        self.h = h
-        self.hprime = h.derivative()
-        self.p = p
-        self.k = 1
-        self.s = s0 % p
-        self.u = inverse_mod(int(self.hprime.evaluate(s0)) % p, p)
-
-    def lift_to(self, k: int) -> int:
-        while self.k < k:
-            k2 = min(2 * self.k, k)
-            m = self.p**k2
-            s = (self.s - int(self.h.evaluate(self.s)) * self.u) % m
-            u = self.u * (2 - int(self.hprime.evaluate(s)) * self.u) % m
-            self.s, self.u, self.k = s, u, k2
-        return self.s
+def _lift_root(h: Poly, s0: int, p: int, k: int) -> int:
+    """Newton lift of a simple root s0 of h mod p to a root mod p**k."""
+    hprime = h.derivative()
+    s, u, j = s0 % p, inverse_mod(int(hprime.evaluate(s0)) % p, p), 1
+    while j < k:
+        j = min(2 * j, k)
+        m = p**j
+        s = (s - int(h.evaluate(s)) * u) % m
+        u = u * (2 - int(hprime.evaluate(s)) * u) % m
+    return s
 
 
-class _IdempotentLift:
-    """CRT idempotents of the factorization of f mod p, lifted to p^k."""
-
-    def __init__(self, field: NumberField, factors, p: int):
-        self.field = field
-        self.p = p
-        self.k = 1
-        f_p = modp.monic(modp.from_poly(field.f, p), p)
-        ring = modp.QuotientRing(f_p, p, field.barrett())
-        idems = []
-        for fac in factors:
-            fac = list(fac)
-            cof = modp.pdivmod(f_p, fac, p)[0]
-            g, s, _ = modp.xgcd(cof, fac, p)
-            if modp.deg(g) != 0:
-                raise ValueError("factors are not pairwise coprime")
-            idems.append(ring.mul(cof, s))
-        self.idems = idems
-
-    def lift_to(self, k: int) -> list[list[int]]:
-        while self.k < k:
-            k2 = min(2 * self.k, k)
-            m = self.p**k2
-            ring = modp.QuotientRing(modp.from_poly(self.field.f, m), m, self.field.barrett())
-            new = []
-            for e in self.idems:
-                e2 = ring.mul(e, e)
-                e3 = ring.mul(e2, e)
-                new.append(modp.sub(modp.scale(e2, 3, m), modp.scale(e3, 2, m), m))
-            self.idems, self.k = new, k2
-        return self.idems
+def _lift_idempotents(field: NumberField, factors, p: int, k: int) -> list[list[int]]:
+    """The CRT idempotents of the pairwise coprime factors of f mod p,
+    Newton-lifted (e -> 3e^2 - 2e^3) to Z/p^k."""
+    f_p = modp.monic(modp.from_poly(field.f, p), p)
+    ring = modp.QuotientRing(f_p, p, field.barrett())
+    idems = []
+    for fac in factors:
+        fac = list(fac)
+        cof = modp.pdivmod(f_p, fac, p)[0]
+        g, s, _ = modp.xgcd(cof, fac, p)
+        if modp.deg(g) != 0:
+            raise ValueError("factors are not pairwise coprime")
+        idems.append(ring.mul(cof, s))
+    j = 1
+    while j < k:
+        j = min(2 * j, k)
+        m = p**j
+        ring = modp.QuotientRing(modp.from_poly(field.f, m), m, field.barrett())
+        new = []
+        for e in idems:
+            e2 = ring.mul(e, e)
+            e3 = ring.mul(e2, e)
+            new.append(modp.sub(modp.scale(e2, 3, m), modp.scale(e3, 2, m), m))
+        idems = new
+    return idems
 
 
 # -- knapsack reconstruction ------------------------------------------------------
@@ -364,8 +352,32 @@ def _knapsack_basis(y0_bits: list[int], w_bits: list[list[int]], s: int) -> list
     return basis
 
 
-def root_knapsack(field: NumberField, h: Poly, pdata: PrimeData,
-                  schedule: list[int]) -> RootSearch:
+def scaled_root_bits(field: NumberField, h: Poly) -> int:
+    """B >= log2 |y_j| for the scaled root y of any root x of h in L.  Over
+    C, y = sum over the embeddings sigma of x_sigma * f(X) / (X - theta_sigma);
+    each f / (X - theta_sigma) divides f, so its coefficients are at most
+    2**(n-1) * ||f||_2 (Mignotte), and |x_sigma| <= 1 + max |h_i| (Cauchy).
+    Each factor of n * (1 + max |h_i|) * 2**(n-1) * ||f||_2 is rounded up
+    to a power of 2."""
+    n = field.n
+    cauchy = 1 + max(abs(int(c)) for c in h.coeffs[:-1])
+    norm2 = sum(int(c) ** 2 for c in field.f.coeffs)
+    return n.bit_length() + cauchy.bit_length() + n - 1 + (norm2.bit_length() + 1) // 2
+
+
+def knapsack_precision(field: NumberField, h: Poly, p: int, s: int) -> int:
+    """The least k with p**k >= 2**(B + log2 n + s + 8), B = scaled_root_bits.
+    A weight row sums at most n coefficients of
+    y, so the true y's combinations then lie within 2**(-s-8) * p**k of
+    multiples of p**k: s fraction bits see them as zero."""
+    bits = scaled_root_bits(field, h) + field.n.bit_length() + s + 8
+    k, m = 1, p
+    while m.bit_length() <= bits:
+        k, m = k + 1, m * p
+    return k
+
+
+def root_knapsack(field: NumberField, h: Poly, pdata: PrimeData) -> RootSearch:
     """Recover the root of h whose image in the first completion of L at p
     is roots[0] as a 0/1 knapsack over the other completions.
 
@@ -374,46 +386,44 @@ def root_knapsack(field: NumberField, h: Poly, pdata: PrimeData,
     for completions i >= 2 and roots j >= 2, and delta_ij is 1 exactly when
     completion i takes root j.  The true y has small coefficients, so fixed
     small combinations of the coefficients of y0 + sum delta * w sit next
-    to multiples of p**k; LLL on their leading fractional bits finds the
-    indicators.  Each candidate is rechecked exactly, so a wrong one only
-    costs time.
+    to multiples of p**k (k from knapsack_precision); one LLL on their
+    leading fractional bits finds the indicators.  Each candidate is
+    rechecked exactly, so a wrong one only costs time.
     """
     p, n = pdata.p, field.n
     per_completion = h.degree - 1
     nvar = (pdata.r - 1) * per_completion
     c, s = knapsack_size(n, nvar)
     weights = _projection(n, c)
-    idem = _IdempotentLift(field, pdata.factors[1:], p)
-    lifts = [_ScalarRootLift(h, s0, p) for s0 in pdata.roots]
-    for k in schedule:
-        m = p**k
-        ring = modp.QuotientRing(modp.from_poly(field.f, m), m, field.barrett())
-        fp_m = modp.from_poly(field.fprime, m)
-        roots = [lift.lift_to(k) for lift in lifts]
-        y0 = modp.scale(fp_m, roots[0], m)
-        w = []
-        for e in idem.lift_to(k):
-            fe = ring.mul(fp_m, e)
-            w.extend(modp.scale(fe, sj - roots[0], m) for sj in roots[1:])
-        basis = _knapsack_basis(_fraction_bits(y0, weights, s, m),
-                                [_fraction_bits(v, weights, s, m) for v in w], s)
-        for row in lll_reduce(basis):
-            sign = row[nvar]
-            if sign not in (1, -1):
-                continue
-            delta = [sign * x for x in row[:nvar]]
-            if any(d not in (0, 1) for d in delta) or \
-                    any(sum(delta[i:i + per_completion]) > 1
-                        for i in range(0, nvar, per_completion)):
-                continue
-            y = y0
-            for d, v in zip(delta, w):
-                if d:
-                    y = modp.add(y, v, m)
-            yc = modp.center_lift(y, m)
-            cert = RootCertificate(tuple(yc + [0] * (n - len(yc))), h)
-            if verify_certificate(field, h, cert):
-                return RootSearch(PROVED, cert, strategy=KNAPSACK)
+    k = knapsack_precision(field, h, p, s)
+    m = p**k
+    ring = modp.QuotientRing(modp.from_poly(field.f, m), m, field.barrett())
+    fp_m = modp.from_poly(field.fprime, m)
+    roots = [_lift_root(h, s0, p, k) for s0 in pdata.roots]
+    y0 = modp.scale(fp_m, roots[0], m)
+    w = []
+    for e in _lift_idempotents(field, pdata.factors[1:], p, k):
+        fe = ring.mul(fp_m, e)
+        w.extend(modp.scale(fe, sj - roots[0], m) for sj in roots[1:])
+    basis = _knapsack_basis(_fraction_bits(y0, weights, s, m),
+                            [_fraction_bits(v, weights, s, m) for v in w], s)
+    for row in lll_reduce(basis):
+        sign = row[nvar]
+        if sign not in (1, -1):
+            continue
+        delta = [sign * x for x in row[:nvar]]
+        if any(d not in (0, 1) for d in delta) or \
+                any(sum(delta[i:i + per_completion]) > 1
+                    for i in range(0, nvar, per_completion)):
+            continue
+        y = y0
+        for d, v in zip(delta, w):
+            if d:
+                y = modp.add(y, v, m)
+        yc = modp.center_lift(y, m)
+        cert = RootCertificate(tuple(yc + [0] * (n - len(yc))), h)
+        if verify_certificate(field, h, cert):
+            return RootSearch(PROVED, cert, strategy=KNAPSACK)
     return RootSearch(NOT_FOUND, strategy=KNAPSACK)
 
 
@@ -425,7 +435,7 @@ def find_root(field: NumberField, h: Poly, config: ScanConfig,
     """An integer root of h gives its certificate at once.  Otherwise h is
     irreducible: select a prime, and unless it has fewer completions than
     deg(h), which proves that h has no root in L, run the knapsack
-    reconstruction up the precision schedule."""
+    reconstruction.  No setting of config changes the answer."""
     if not (h.is_monic() and h.is_integral() and h.degree in (2, 3)):
         raise ValueError("h must be monic integral of degree 2 or 3")
     root = _integer_root(h)
@@ -438,4 +448,4 @@ def find_root(field: NumberField, h: Poly, config: ScanConfig,
     pdata = select_prime(field, h, rng)
     if pdata.r < h.degree:
         return RootSearch(NOT_FOUND)
-    return root_knapsack(field, h, pdata, config.precision_schedule(pdata.p, field.n))
+    return root_knapsack(field, h, pdata)

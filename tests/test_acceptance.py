@@ -18,7 +18,7 @@ from subfieldscan.config import ScanConfig
 from subfieldscan.errors import NotSquarefree
 from subfieldscan.lattice import gram_schmidt, lll_reduce
 from subfieldscan.modp import QuotientRing, add, ddf_degrees, factor_mod_p, from_poly, pdivmod, trim
-from subfieldscan.nfroot import (NumberField, RootCertificate, _IdempotentLift, _ScalarRootLift,
+from subfieldscan.nfroot import (NumberField, RootCertificate, _lift_idempotents, _lift_root,
                                  find_root, select_prime, verify_certificate)
 from subfieldscan.poly import (Poly, disc_poly, eth_root_coeffs, eth_root_newton,
                                poly_from_power_sums, power_sums)
@@ -27,7 +27,7 @@ from subfieldscan.scan import (STATUS_CERTIFIED_ABSENT, absence_certificate_sear
                                cubic_subfield_scan, quad_subfield_scan)
 from subfieldscan.sieve import Row, canonical_f3, solve_f2, solve_f3_kernel, vector_satisfies
 from subfieldscan.testkit import (CYCLOTOMIC_QUAD_TRUTH, corpus_generate,
-                                  multiquadratic_certificates, ramified_superset_bruteforce)
+                                  multiquadratic_certificates)
 from subfieldscan.cli import canonical_report_bytes
 
 # ramified primes of the coded cyclic cubic fields; conductors certified by
@@ -226,7 +226,7 @@ def test_criterion_7d_newton_lifts():
         k = rng.randint(2, 7)
         m = p**k
         ring = QuotientRing(from_poly(f, m), m)
-        idems = _IdempotentLift(NumberField(f), factors, p).lift_to(k)
+        idems = _lift_idempotents(NumberField(f), factors, p, k)
         total = []
         for i, e in enumerate(idems):
             assert ring.mul(e, e) == e
@@ -237,7 +237,7 @@ def test_criterion_7d_newton_lifts():
         assert total == [1]
         for fac in factors:
             if len(fac) == 2:
-                s = _ScalarRootLift(f, -fac[0], p).lift_to(k)
+                s = _lift_root(f, -fac[0], p, k)
                 assert f.evaluate(s) % m == 0
     _pass("7d", "lifted idempotents and roots hold mod p^k on random instances")
 

@@ -256,4 +256,4 @@ def test_quad_flags(capsys):
     with pytest.raises(SystemExit):
         main(["quad", "--help"])
     flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
-    assert flags == {"--help", "--input", "--json", "--sieve-bound", "--max-precision", "--seed"}
+    assert flags == {"--help", "--input", "--json", "--sieve-bound", "--seed"}

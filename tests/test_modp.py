@@ -443,9 +443,9 @@ def test_ddf_keeps_one_ring_and_matches_shrinking_reference(p, low):
     built = []
 
     class CountedRing(modp.QuotientRing):
-        def __init__(self, v, m):
+        def __init__(self, v, m, barrett=None):
             built.append(v)
-            super().__init__(v, m)
+            super().__init__(v, m, barrett)
 
     original = modp.QuotientRing
     modp.QuotientRing = CountedRing

@@ -8,7 +8,8 @@ from subfieldscan.arith import primes_up_to
 from subfieldscan.errors import NoPrimeFound, NotSquarefree
 from subfieldscan.modp import ddf_degrees, factor_mod_p, roots_mod_p, squarefree_mod_p
 from subfieldscan.nfroot import (NOT_FOUND, PROVED, NumberField, PrimeData, RootCertificate,
-                                 find_root, knapsack_size, select_prime, verify_certificate)
+                                 find_root, knapsack_precision, knapsack_size,
+                                 scaled_root_bits, select_prime, verify_certificate)
 from subfieldscan.poly import Poly, compositum_minpoly
 from subfieldscan.testkit import (CYCLOTOMIC_QUAD_TRUTH, corpus_generate,
                                   multiquadratic_certificates, multiquadratic_minpoly)
@@ -292,6 +293,69 @@ def test_knapsack_size():
     assert knapsack_size(2, 1) == (2, 25)
 
 
+def test_scaled_root_bound_covers_every_certificate():
+    # B bounds the certificate of every subfield of the corpus fields and
+    # of Q(sqrt 2, ..., sqrt 11)
+    checked = 0
+    for field, h in _true_subfields():
+        res = find_root(field, h, cfg(), random.Random(0))
+        assert res.status == PROVED, h
+        top = max(abs(c) for c in res.certificate.scaled_root)
+        assert scaled_root_bits(field, h) >= top.bit_length(), (field.f, h)
+        checked += 1
+    field = NumberField(multiquadratic_minpoly((2, 3, 5, 7, 11)))
+    for d, cert in multiquadratic_certificates((2, 3, 5, 7, 11)).items():
+        h = Poly([-d, 0, 1])
+        assert verify_certificate(field, h, RootCertificate(cert, h))
+        assert scaled_root_bits(field, h) >= max(abs(c) for c in cert).bit_length(), d
+        checked += 1
+    assert checked > 31
+
+
+@pytest.mark.parametrize("h, status", [(Poly([-30, 0, 1]), PROVED), (Poly([1, 0, 1]), NOT_FOUND)])
+def test_one_reduction_per_knapsack_root_test(monkeypatch, h, status):
+    # one precision, one lattice, one lll_reduce, whether the root is there
+    # (sqrt 30) or not (sqrt -1)
+    import subfieldscan.nfroot as nfroot
+
+    calls = []
+
+    def lll_reduce(basis):
+        calls.append(len(basis))
+        return real_lll(basis)
+
+    real_lll = nfroot.lll_reduce
+    monkeypatch.setattr(nfroot, "lll_reduce", lll_reduce)
+    field = NumberField(multiquadratic_minpoly((2, 3, 5)))
+    assert select_prime(field, h, random.Random(0)).r >= 2
+    res = find_root(field, h, cfg(), random.Random(0))
+    assert res.status == status and res.strategy == "knapsack"
+    assert len(calls) == 1
+
+
+def test_knapsack_lifts_once_to_the_bound_precision(monkeypatch):
+    # every root lifts to the one k that knapsack_precision takes from B
+    import subfieldscan.nfroot as nfroot
+
+    lifted = []
+
+    def lift_root(h, s0, p, k):
+        lifted.append(k)
+        return real_lift(h, s0, p, k)
+
+    real_lift = nfroot._lift_root
+    monkeypatch.setattr(nfroot, "_lift_root", lift_root)
+    field = NumberField(multiquadratic_minpoly((2, 3, 5)))
+    h = Poly([-30, 0, 1])
+    pdata = select_prime(field, h, random.Random(0))
+    _, s = knapsack_size(field.n, pdata.r - 1)
+    k = knapsack_precision(field, h, pdata.p, s)
+    bits = scaled_root_bits(field, h) + field.n.bit_length() + s + 8
+    assert k > 1 and pdata.p ** (k - 1) < 2 ** bits <= pdata.p ** k
+    assert find_root(field, h, cfg(), random.Random(0)).status == PROVED
+    assert set(lifted) == {k}
+
+
 def test_cubic_root():
     f = compositum_minpoly(Poly.from_desc([1, 0, -21, -35]), Poly.from_desc([1, 0, -5]))
     field = NumberField(f)
@@ -326,12 +390,11 @@ def test_verify_certificate_tampering():
 
 
 def test_newton_lift_invariant():
-    from subfieldscan.nfroot import _ScalarRootLift
+    from subfieldscan.nfroot import _lift_root
 
     h = Poly.from_desc([1, 0, -2])
-    lift = _ScalarRootLift(h, 6, 17)
     for k in (2, 4, 8, 16):
-        s = lift.lift_to(k)
+        s = _lift_root(h, 6, 17, k)
         assert (s * s - 2) % 17**k == 0
 
 

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 from hypothesis import given, settings, strategies as st
 
 from subfieldscan.poly import Poly
