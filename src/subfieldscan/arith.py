@@ -4,7 +4,9 @@ Primality testing, complete integer factorization with an explicit budget,
 Legendre symbols, and a few modular helpers (inverses, Tonelli-Shanks
 square roots, prime iteration) used throughout the library.
 
-All randomized routines draw from explicit seeds so runs are reproducible.
+The one randomized routine, Miller-Rabin above the deterministic bound,
+draws its bases from a stream seeded from n, so every answer is
+reproducible.
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ def _mr_composite_witness(n: int, a: int) -> bool:
     return True
 
 
-def is_probable_prime(n: int, seed: int = 0) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
     Deterministic (fixed witness set) below ~3.3e24.  Above that, the fixed
-    witnesses are followed by 40 seeded pseudo-random bases, for an error
-    probability below 2**-80.
+    witnesses are followed by 40 pseudo-random bases drawn from a stream
+    seeded with the low 32 bits of n, for an error probability below 2**-80.
     """
     if n < 2:
         return False
@@ -58,7 +60,7 @@ def is_probable_prime(n: int, seed: int = 0) -> bool:
             return False
     if n < _DETERMINISTIC_MR_BOUND:
         return True
-    rng = random.Random(seed ^ (n & 0xFFFFFFFF))
+    rng = random.Random(n & 0xFFFFFFFF)
     for _ in range(_RANDOM_MR_ROUNDS):
         a = rng.randrange(2, n - 1)
         if _mr_composite_witness(n, a):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -28,7 +27,7 @@ from .scan import (ExcludedEntry, ScanReport, SieveSummary, SubfieldEntry,
                    cubic_subfield_scan, quad_subfield_scan)
 from . import testkit
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_UNPROVEN = 2
@@ -192,7 +191,7 @@ def report_to_dict(report: ScanReport, include_timings: bool = True) -> dict:
         if e.witness_prime is not None:
             d["witness_prime"] = str(e.witness_prime)
         excluded.append(d)
-    stats = {"direct_tests": str(report.direct_tests), "seed": str(report.seed)}
+    stats = {"direct_tests": str(report.direct_tests)}
     stats["phase_ms"] = ({k: str(v) for k, v in report.phase_ms.items()}
                          if include_timings else {})
     return {
@@ -215,6 +214,9 @@ def report_to_dict(report: ScanReport, include_timings: bool = True) -> dict:
 
 
 def report_from_dict(d: dict) -> ScanReport:
+    """The report of a schema 1 or 2 dict.  Schema 2 dropped the seed from
+    the stats, where it changed no answer; a schema-1 report's seed is
+    ignored."""
     subfields = []
     for e in d["subfields"]:
         h = _entry_h(e)
@@ -251,7 +253,6 @@ def report_from_dict(d: dict) -> ScanReport:
         excluded=excluded,
         phase_ms={k: int(v) for k, v in d["stats"].get("phase_ms", {}).items()},
         direct_tests=int(d["stats"]["direct_tests"]),
-        seed=int(d["stats"]["seed"]),
     )
 
 
@@ -260,24 +261,13 @@ def report_json(report: ScanReport, include_timings: bool = True) -> str:
 
 
 def canonical_report_bytes(report: ScanReport) -> bytes:
-    """Serialization with wall-clock noise removed; byte-identical for
-    identical (input, config, seed)."""
+    """Serialization with wall-clock noise removed; byte-identical for an
+    identical input and ScanConfig."""
     return json.dumps(report_to_dict(report, include_timings=False),
                       sort_keys=True, separators=(",", ":")).encode()
 
 
 # -- subcommands ------------------------------------------------------------------
-
-
-def _config_from_args(args) -> ScanConfig:
-    seed = args.seed
-    if seed is None:
-        text = os.environ.get("SUBFIELD_SCAN_SEED", "0")
-        try:
-            seed = int(text)
-        except ValueError:
-            raise ValueError(f"SUBFIELD_SCAN_SEED={text!r} is not an integer") from None
-    return ScanConfig(seed=seed, sieve_prime_bound=args.sieve_bound)
 
 
 def _add_scan_args(sp):
@@ -286,20 +276,17 @@ def _add_scan_args(sp):
     sp.add_argument("--sieve-bound", type=int, default=10_000,
                     help="the largest prime the Frobenius sieve walks; it stops "
                          "earlier once its rows stop adding information")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="default 0, or SUBFIELD_SCAN_SEED if set")
 
 
 def _run_scan(args, kind: str) -> int:
     try:
         f_raw = read_poly_file(args.input)
-        config = _config_from_args(args)
     except (OSError, ValueError, PolyParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         scan_fn = quad_subfield_scan if kind == "quad" else cubic_subfield_scan
-        report = scan_fn(f_raw, config)
+        report = scan_fn(f_raw, ScanConfig(sieve_prime_bound=args.sieve_bound))
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -1,12 +1,14 @@
 """Run configuration shared by the scan pipelines and the CLI.
 
-ScanConfig holds the two settings the CLI exposes: the seed of the root
-tests' rng (--seed) and the largest prime the Frobenius sieve walks
-(--sieve-bound).  Each root test lifts once, to a precision k that
-nfroot.root_knapsack takes from a bound on the certificate's
-coefficients.  The sieve stops earlier once its rows stop growing their span
-(scan.sieve_rows); the witness searches walk the primes up to
-scan.ABSENCE_PRIME_BOUND.
+ScanConfig holds the one setting the CLI exposes: the largest prime the
+Frobenius sieve walks (--sieve-bound).  The sieve stops earlier once its
+rows stop growing their span (scan.sieve_rows); the witness searches walk
+the primes up to scan.ABSENCE_PRIME_BOUND.  Each root test lifts once, to
+a precision k that nfroot.root_knapsack takes from a bound on the
+certificate's coefficients.  Nothing else is set: the only randomness,
+Cantor-Zassenhaus splitting mod p, stays inside modp.factor_mod_p, which
+returns its factors sorted, so a report depends on the input and this
+bound alone.
 """
 
 from __future__ import annotations
@@ -16,5 +18,4 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ScanConfig:
-    seed: int = 0
     sieve_prime_bound: int = 10_000

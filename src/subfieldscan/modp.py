@@ -485,12 +485,16 @@ def _split_equal_degree(g, d, p, rng: random.Random):
     raise RetryLimitExceeded(f"equal-degree splitting stalled mod {p}")
 
 
-def factor_mod_p(f: Poly, p: int, rng: random.Random) -> list[list[int]]:
-    """Complete factorization of squarefree f mod p into monic irreducibles.
+def factor_mod_p(f: Poly, p: int, rng: random.Random | None = None) -> list[list[int]]:
+    """Complete factorization of squarefree f mod p into monic irreducibles,
+    sorted by degree then coefficients.
 
-    Deterministic given the rng state; output sorted by degree then
-    coefficients.
+    The Cantor-Zassenhaus splitting draws from rng, by default a stream
+    seeded with p itself.  The sort makes the output independent of the
+    draws: they change the time the split takes, not its result.
     """
+    if rng is None:
+        rng = random.Random(p)
     if not squarefree_mod_p(f, p):
         raise NotSquarefree(f"f mod {p} is not squarefree")
     fb = monic(from_poly(f, p), p)
@@ -523,21 +527,4 @@ def roots_mod_p(h: Poly, p: int) -> set[int]:
     hb = monic(hb, p)
     w = sub(QuotientRing(hb, p).xpow(p), [0, 1], p)
     g = gcd(w, hb, p)
-    return set(_linear_roots(g, p))
-
-
-def _linear_roots(g, p):
-    """Roots of a product of distinct monic linear factors, odd p."""
-    if deg(g) <= 0:
-        return []
-    if deg(g) == 1:
-        return [(-g[0]) % p]
-    ring = QuotientRing(g, p)
-    shift = 0
-    while True:
-        t = ring.pow([shift, 1], (p - 1) // 2)
-        w = gcd(sub(t, [1], p), g, p)
-        if 0 < deg(w) < deg(g):
-            rest = pdivmod(g, w, p)[0]
-            return _linear_roots(w, p) + _linear_roots(rest, p)
-        shift += 1
+    return {-u[0] % p for u in _split_equal_degree(g, 1, p, random.Random(p))}

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FactorBudget, factor_integer
+from .arith import factor_integer
 from .errors import InputIsPower, NotSquarefree
 from .poly import Poly, eth_root_coeffs, is_squarefree_q
 
@@ -40,7 +40,7 @@ class CandidateSet:
         return tuple(sorted(set(self.tame_primes) | set(self.wild_primes)))
 
 
-def candidate_ramified_primes(f: Poly, e: int, budget: FactorBudget | None = None) -> CandidateSet:
+def candidate_ramified_primes(f: Poly, e: int) -> CandidateSet:
     """Superset of the ramified primes of any degree-e cyclic subfield of
     Q[X]/(f), for e in {2, 3}.
 
@@ -69,7 +69,7 @@ def candidate_ramified_primes(f: Poly, e: int, budget: FactorBudget | None = Non
         raise InputIsPower("difference vanished unexpectedly")
     tame = []
     if d > 1:
-        for p in factor_integer(d, budget).primes():
+        for p in factor_integer(d).primes():
             if e % p != 0:
                 tame.append(p)
     wild = (2,) if e == 2 else (3,)

@@ -40,7 +40,6 @@ constraint (certified) or reported as unproven.
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -101,7 +100,6 @@ class ScanReport:
     excluded: list[ExcludedEntry]
     phase_ms: dict[str, int]
     direct_tests: int
-    seed: int
 
     def has_unproven(self) -> bool:
         return any(e.status == STATUS_UNPROVEN_ABSENT for e in self.excluded)
@@ -160,10 +158,6 @@ def _squarefree_kernel(d: int) -> int:
     return out
 
 
-def _rng_for(seed: int, index: int) -> random.Random:
-    return random.Random(seed * 1_000_003 + index)
-
-
 # -- the prime walk and the sieve ------------------------------------------------
 
 
@@ -213,11 +207,11 @@ class SieveRows:
     walked: int
 
 
-def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, config: ScanConfig,
+def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int,
                generators=None) -> SieveRows:
-    """The nontrivial F_l rows (l = basis.e) of the primes up to
-    config.sieve_prime_bound, walked in order until the span of the rows
-    (with the right-hand side for l = 2) stops growing:
+    """The nontrivial F_l rows (l = basis.e) of the primes up to bound,
+    walked in order until the span of the rows (with the right-hand side
+    for l = 2) stops growing:
 
     - at once when it is full: for l = 2 the system is inconsistent, for
       l = 3 its kernel is 0, and no later row can change the solutions;
@@ -235,8 +229,7 @@ def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, config: Sc
     span = Span(ell, width + 1 if ell == 2 else width)
     rows: list[Row] = []
     stale = 0
-    for q, degrees, cubic_row in _frobenius_primes(field, basis, gcd_value,
-                                                   config.sieve_prime_bound, generators,
+    for q, degrees, cubic_row in _frobenius_primes(field, basis, gcd_value, bound, generators,
                                                    trivial_rows=True):
         if not decides_class(degrees, field.n, ell):
             continue
@@ -254,7 +247,7 @@ def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, config: Sc
             full = len(span.rows) == width
         if full or stale >= STABLE_PRIMES:
             return SieveRows(rows, q)
-    return SieveRows(rows, config.sieve_prime_bound)
+    return SieveRows(rows, bound)
 
 
 # The witness searches walk the primes up to this bound; a candidate with
@@ -302,10 +295,9 @@ class _Quad:
     generators = None
     test_representative = True
 
-    def __init__(self, field, cs, config):
+    def __init__(self, field, cs):
         self.field = field
         self.gcd_value = cs.gcd_value
-        self.config = config
         self.basis = PlaceBasis(2, cs.all_finite_primes())
 
     def solve(self, rows):
@@ -347,7 +339,7 @@ class _Quad:
             raise AssertionError("scaled twist-product root is not integral")
         return vec3, Poly([c // dk for c in y3.coeffs])
 
-    def member_certificate(self, vec, span, index):
+    def member_certificate(self, vec, span):
         """The product's scaled root, checked."""
         combo, y = span.product(vec)
         assert combo == vec
@@ -371,10 +363,9 @@ class _Cubic:
     merge = None
     test_representative = False
 
-    def __init__(self, field, cs, config):
+    def __init__(self, field, cs):
         self.field = field
         self.gcd_value = cs.gcd_value
-        self.config = config
         self.basis, self.prime_pis = cubic_place_basis(cs)
         self.generators = cubic_basis_generators(self.basis)
         self.candidates: dict[tuple[int, ...], CubicCandidate] = {}
@@ -401,9 +392,8 @@ class _Cubic:
     def payload(self, vec, certificate):
         return None
 
-    def member_certificate(self, vec, span, index):
-        result = find_root(self.field, self.h(vec), self.config,
-                           _rng_for(self.config.seed, index))
+    def member_certificate(self, vec, span):
+        result = find_root(self.field, self.h(vec))
         if result.status != PROVED:
             raise AssertionError(f"no root found for {self.h(vec)}, which the "
                                  "found cubic subfields generate")
@@ -439,8 +429,7 @@ def _scan(kind_type, f_raw: Poly, config: ScanConfig) -> ScanReport:
     phase("normalize", t0)
     report = ScanReport(kind=kind_type.name, poly=f, scale=lam, degree=f.degree,
                         candidate_primes=[], gcd_value=0, sieve=SieveSummary(),
-                        subfields=[], excluded=[], phase_ms=phase_ms, direct_tests=0,
-                        seed=config.seed)
+                        subfields=[], excluded=[], phase_ms=phase_ms, direct_tests=0)
     if f.degree % kind_type.ell != 0:
         phase("total", t_start)
         return report
@@ -449,12 +438,13 @@ def _scan(kind_type, f_raw: Poly, config: ScanConfig) -> ScanReport:
     t0 = time.perf_counter()
     cs = candidate_ramified_primes(f, kind_type.ell)
     phase("ramify", t0)
-    kind = kind_type(field, cs, config)
+    kind = kind_type(field, cs)
     report.candidate_primes = list(kind.basis.primes)
     report.gcd_value = cs.gcd_value
 
     t0 = time.perf_counter()
-    sieve = sieve_rows(field, kind.basis, cs.gcd_value, config, kind.generators)
+    sieve = sieve_rows(field, kind.basis, cs.gcd_value, config.sieve_prime_bound,
+                       kind.generators)
     rows = sieve.rows
     candidates, dim = kind.solve(rows)
     phase("sieve", t0)
@@ -481,18 +471,18 @@ def _walk(kind, rows: list[Row], candidates, walked: int):
     witness against a target is exactly a kept row that the target fails,
     and the walk tests the rows first (a cubic target lies in their kernel),
     so the witness search starts after walked."""
-    field, config = kind.field, kind.config
+    field = kind.field
     span = Span(kind.ell, kind.basis.width, kind.merge)
     subfields: list[SubfieldEntry] = []
     excluded: list[ExcludedEntry] = []
     settled: list[tuple[tuple[int, ...], str, int | None]] = []  # (vector, status, witness)
     direct_tests = 0
 
-    for index, vec in enumerate(candidates):
+    for vec in candidates:
         label = kind.label(vec)
         rep = span.reduce(vec)
         if not any(rep):
-            subfields.append(SubfieldEntry(kind.member_certificate(vec, span, index), **label))
+            subfields.append(SubfieldEntry(kind.member_certificate(vec, span), **label))
             continue
         outcome = next((s for s in settled if span.reduce(s[0]) == rep), None)
         if outcome is None:  # only inhomogeneous (F2) rows can reject a representative
@@ -503,11 +493,11 @@ def _walk(kind, rows: list[Row], candidates, walked: int):
         if outcome is None:
             target = rep if kind.test_representative else vec
             direct_tests += 1
-            result = find_root(field, kind.h(target), config, _rng_for(config.seed, index))
+            result = find_root(field, kind.h(target))
             if result.status == PROVED:
                 span.insert(target, kind.payload(target, result.certificate))
                 cert = (result.certificate if target == vec
-                        else kind.member_certificate(vec, span, index))
+                        else kind.member_certificate(vec, span))
                 subfields.append(SubfieldEntry(cert, **label))
                 continue
             witness = kind.witness(target, walked)

@@ -13,19 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .arith import FactorBudget, factor_integer, is_probable_prime
+from .arith import factor_integer, is_probable_prime
 from .eisenstein import split_prime
 from .kummer3 import build_generator
 from .poly import Poly, compositum_minpoly, disc_poly
 
 
-def ramified_superset_bruteforce(f: Poly, budget: FactorBudget | None = None) -> set[int]:
+def ramified_superset_bruteforce(f: Poly) -> set[int]:
     """Prime divisors of disc(f): the expensive baseline the gcd shortcut
     replaces.  Corpus-sized inputs only."""
     d = disc_poly(f)
     if d == 0:
         raise ValueError("polynomial is not squarefree")
-    return set(factor_integer(d, budget).factors)
+    return set(factor_integer(d).factors)
 
 
 def sylvester_resultant(a: Poly, b: Poly) -> Fraction:

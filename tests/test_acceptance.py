@@ -82,7 +82,7 @@ def test_criterion_3_multiquadratic_degree32():
     config = ScanConfig()
     pdata = select_prime(field, Poly([-2, 0, 1]), random.Random(0))
     assert 2 ** (pdata.r - 1) > 1024
-    probe = find_root(field, Poly([-2, 0, 1]), config, random.Random(0))
+    probe = find_root(field, Poly([-2, 0, 1]))
     assert probe.status == "proved" and probe.strategy == "knapsack"
 
     rep = quad_subfield_scan(entry.poly, config)
@@ -317,14 +317,14 @@ def test_criterion_7g_linear_solvers():
 
 def test_criterion_7h_determinism():
     f = corpus_generate("multiquadratic", "2,3").poly
-    blobs = {canonical_report_bytes(quad_subfield_scan(f, ScanConfig(seed=9)))
+    blobs = {canonical_report_bytes(quad_subfield_scan(f, ScanConfig()))
              for _ in range(3)}
     assert len(blobs) == 1
     f9 = corpus_generate("cubic-compositum", "7,9").poly
-    blobs = {canonical_report_bytes(cubic_subfield_scan(f9, ScanConfig(seed=9)))
+    blobs = {canonical_report_bytes(cubic_subfield_scan(f9, ScanConfig()))
              for _ in range(2)}
     assert len(blobs) == 1
-    _pass("7h", "byte-identical reports for fixed input, config and seed")
+    _pass("7h", "byte-identical reports for fixed input and config")
 
 
 def test_criterion_8_negative_certification():

@@ -90,16 +90,12 @@ def test_enumerate_examples():
 
 def test_distinct_classes_give_distinct_fields():
     # cross root tests: no candidate's cubic has a root in another's field
-    import random
-
-    from subfieldscan.config import ScanConfig
     from subfieldscan.nfroot import NOT_FOUND, PROVED, NumberField, find_root
 
     cs = CandidateSet(3, (7,), (3,), False, 7)
     cands = candidates(cs, 2)
-    cfg = ScanConfig()
     for i, ci in enumerate(cands):
         field = NumberField(ci.minpoly)
         for j, cj in enumerate(cands):
-            res = find_root(field, cj.minpoly, cfg, random.Random(i * 10 + j))
+            res = find_root(field, cj.minpoly, rng=random.Random(i * 10 + j))
             assert res.status == (PROVED if i == j else NOT_FOUND)

@@ -317,6 +317,20 @@ def test_factor_mod_p_survives_an_rng_that_repeats_itself(p):
     assert modp.factor_mod_p(f, p, StuckRandom()) == expect
 
 
+@pytest.mark.parametrize("p", [2, 3, 31, 257])
+def test_factor_mod_p_default_stream_gives_the_sorted_factors_of_any_rng(p):
+    # several factors of one degree, whose order only the sort fixes
+    f = Poly([1])
+    for a in range(min(p, 5)):
+        f = f * Poly([-a, 1])
+    if p == 2:
+        f = f * Poly([1, 1, 0, 1]) * Poly([1, 0, 1, 1])
+    expect = modp.factor_mod_p(f, p, random.Random(5))
+    assert len(expect) >= 3
+    assert modp.factor_mod_p(f, p) == expect
+    assert modp.factor_mod_p(f, p) == modp.factor_mod_p(f, p, random.Random(987654))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(min_value=-20, max_value=20), min_size=2, max_size=12),
        st.sampled_from(primes_up_to(200)))

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from subfieldscan import modp
-from subfieldscan.config import ScanConfig
 from subfieldscan.arith import primes_up_to
 from subfieldscan.errors import NoPrimeFound, NotSquarefree
 from subfieldscan.modp import ddf_degrees, factor_mod_p, roots_mod_p, squarefree_mod_p
@@ -16,10 +15,6 @@ from subfieldscan.testkit import (CYCLOTOMIC_QUAD_TRUTH, corpus_generate,
 
 ZETA8 = Poly.from_desc([1, 0, 0, 0, 1])
 Y2M2 = Poly.from_desc([1, 0, -2])
-
-
-def cfg(**kw):
-    return ScanConfig(**kw)
 
 
 def scaled(field, x):
@@ -127,7 +122,7 @@ def test_select_prime_pool_exhaustion():
 
 def test_theta_itself():
     field = NumberField(Poly.from_desc([1, 0, -2]))
-    res = find_root(field, Y2M2, cfg(), random.Random(0))
+    res = find_root(field, Y2M2)
     assert res.status == PROVED
     y = Poly(res.certificate.scaled_root)
     assert y in (scaled(field, Poly([0, 1])), scaled(field, Poly([0, -1])))
@@ -135,7 +130,7 @@ def test_theta_itself():
 
 def test_zeta8_sqrt2():
     field = NumberField(ZETA8)
-    res = find_root(field, Y2M2, cfg(), random.Random(0))
+    res = find_root(field, Y2M2)
     assert res.status == PROVED
     y = Poly(res.certificate.scaled_root)
     expect = Poly([0, 1, 0, -1])  # theta - theta^3
@@ -156,7 +151,7 @@ def test_integer_roots_are_answered_directly(monkeypatch, h, root):
 
     monkeypatch.setattr(nfroot, "select_prime", no_selection)
     field = NumberField(ZETA8)
-    res = find_root(field, h, cfg(), random.Random(0))
+    res = find_root(field, h)
     assert res.status == PROVED and verify_certificate(field, h, res.certificate)
     assert res.certificate.scaled_root == tuple(root * c for c in field.fprime.coeffs)
 
@@ -173,12 +168,12 @@ def test_fewer_completions_than_deg_h_prove_absence(monkeypatch):
     field = NumberField(S4_QUARTIC)
     h = Poly.from_desc([1, 0, -11])
     assert select_prime(field, h, random.Random(0)).r == 1
-    assert find_root(field, h, cfg(), random.Random(0)).status == NOT_FOUND
+    assert find_root(field, h).status == NOT_FOUND
 
 
 def test_zeta8_sqrt3_absent():
     field = NumberField(ZETA8)
-    res = find_root(field, Poly.from_desc([1, 0, -3]), cfg(), random.Random(0))
+    res = find_root(field, Poly.from_desc([1, 0, -3]))
     assert res.status == NOT_FOUND
 
 
@@ -191,7 +186,7 @@ def test_select_prime_propagates_errors(monkeypatch):
     field = NumberField(ZETA8)
     monkeypatch.setattr(modp, "ddf_degrees", broken)
     with pytest.raises(RuntimeError, match="bug in ddf_degrees") as info:
-        find_root(field, Y2M2, cfg(), random.Random(0))
+        find_root(field, Y2M2)
     assert "select_prime" in [entry.name for entry in info.traceback]
 
 
@@ -259,7 +254,7 @@ def assert_matches_oracle(primes, deltas=None):
     field = NumberField(multiquadratic_minpoly(primes))
     certs = multiquadratic_certificates(primes)
     for d in deltas or sorted(certs):
-        res = find_root(field, Poly([-d, 0, 1]), cfg(), random.Random(0))
+        res = find_root(field, Poly([-d, 0, 1]))
         assert res.status == PROVED and res.strategy == "knapsack", d
         assert verify_certificate(field, res.certificate.h, res.certificate)
         expect = certs[d]
@@ -268,8 +263,7 @@ def assert_matches_oracle(primes, deltas=None):
 
 def test_knapsack_degree8_all_subfields():
     assert_matches_oracle((2, 3, 5))
-    r7 = find_root(NumberField(multiquadratic_minpoly((2, 3, 5))), Poly.from_desc([1, 0, -7]),
-                   cfg(), random.Random(0))
+    r7 = find_root(NumberField(multiquadratic_minpoly((2, 3, 5))), Poly.from_desc([1, 0, -7]))
     assert r7.status == NOT_FOUND
 
 
@@ -285,6 +279,17 @@ def test_knapsack_degree32_subfields():
     assert_matches_oracle((2, 3, 5, 7, 11), deltas=(5, 77, 2310))
 
 
+@pytest.mark.parametrize("h", [Poly([-30, 0, 1]), Poly([1, 0, 1]), Poly([-4, 0, 1])])
+def test_find_root_ignores_its_config_and_needs_no_rng(h):
+    # the benchmark harness still calls find_root(field, h, ScanConfig(), rng)
+    from subfieldscan.config import ScanConfig
+
+    field = NumberField(multiquadratic_minpoly((2, 3, 5)))
+    expect = find_root(field, h)
+    assert find_root(field, h, ScanConfig(), random.Random(0)) == expect
+    assert find_root(field, h, ScanConfig(sieve_prime_bound=2), random.Random(9)) == expect
+
+
 def test_knapsack_size():
     # the degree-32 root tests: 16 completions, a dimension-23 lattice
     # with 17-bit entries
@@ -298,7 +303,7 @@ def test_scaled_root_bound_covers_every_certificate():
     # of Q(sqrt 2, ..., sqrt 11)
     checked = 0
     for field, h in _true_subfields():
-        res = find_root(field, h, cfg(), random.Random(0))
+        res = find_root(field, h)
         assert res.status == PROVED, h
         top = max(abs(c) for c in res.certificate.scaled_root)
         assert scaled_root_bits(field, h) >= top.bit_length(), (field.f, h)
@@ -328,7 +333,7 @@ def test_one_reduction_per_knapsack_root_test(monkeypatch, h, status):
     monkeypatch.setattr(nfroot, "lll_reduce", lll_reduce)
     field = NumberField(multiquadratic_minpoly((2, 3, 5)))
     assert select_prime(field, h, random.Random(0)).r >= 2
-    res = find_root(field, h, cfg(), random.Random(0))
+    res = find_root(field, h)
     assert res.status == status and res.strategy == "knapsack"
     assert len(calls) == 1
 
@@ -352,16 +357,16 @@ def test_knapsack_lifts_once_to_the_bound_precision(monkeypatch):
     k = knapsack_precision(field, h, pdata.p, s)
     bits = scaled_root_bits(field, h) + field.n.bit_length() + s + 8
     assert k > 1 and pdata.p ** (k - 1) < 2 ** bits <= pdata.p ** k
-    assert find_root(field, h, cfg(), random.Random(0)).status == PROVED
+    assert find_root(field, h).status == PROVED
     assert set(lifted) == {k}
 
 
 def test_cubic_root():
     f = compositum_minpoly(Poly.from_desc([1, 0, -21, -35]), Poly.from_desc([1, 0, -5]))
     field = NumberField(f)
-    res = find_root(field, Poly.from_desc([1, 0, -21, -35]), cfg(), random.Random(0))
+    res = find_root(field, Poly.from_desc([1, 0, -21, -35]))
     assert res.status == PROVED
-    res2 = find_root(field, Poly.from_desc([1, 0, -3, 1]), cfg(), random.Random(0))
+    res2 = find_root(field, Poly.from_desc([1, 0, -3, 1]))
     assert res2.status == NOT_FOUND
 
 
@@ -372,13 +377,13 @@ def test_cubic_roots_over_three_completions():
     field = NumberField(entry.poly)
     for h in entry.cubic:
         assert select_prime(field, h, random.Random(0)).r >= 3
-        res = find_root(field, h, cfg(), random.Random(0))
+        res = find_root(field, h)
         assert res.status == PROVED and verify_certificate(field, h, res.certificate)
 
 
 def test_verify_certificate_tampering():
     field = NumberField(ZETA8)
-    res = find_root(field, Y2M2, cfg(), random.Random(0))
+    res = find_root(field, Y2M2)
     cert = res.certificate
     assert verify_certificate(field, Y2M2, cert)
     for i in range(len(cert.scaled_root)):
@@ -445,7 +450,7 @@ def test_root_tests_on_one_field_repeat_their_work(monkeypatch):
     runs = []
     for _ in range(2):
         calls.clear()
-        assert find_root(field, Poly([-15, 0, 1]), cfg(), random.Random(0)).status == PROVED
+        assert find_root(field, Poly([-15, 0, 1])).status == PROVED
         runs.append(list(calls))
     assert runs[0] and runs[0] == runs[1]
 
@@ -472,6 +477,6 @@ def test_corpus_scans_run_no_ddf_twice(monkeypatch):
              ("cubic-compositum", "7,q5", cubic_subfield_scan)]
     for kind, params, scan in plan:
         calls.clear()
-        report = scan(corpus_generate(kind, params).poly, cfg(seed=1))
+        report = scan(corpus_generate(kind, params).poly)
         assert report.direct_tests > 0 and calls, (kind, params)
         assert len(set(calls)) == len(calls), (kind, params)

@@ -44,6 +44,11 @@ instead, with the same reports: 2 (below every sieve prime) for no rows,
 and 31, 13 and 29 for the one- and two-row cases, the primes up to the
 last row kept.  Absence primes up to 3 or 5 lower scan.ABSENCE_PRIME_BOUND.
 
+All nineteen were re-pinned once more when the seed left the scan
+(schema_version 2).  Each new report was checked field by field against
+the old one: it equals the old report's dict with stats.seed deleted and
+schema_version set to 2, and nothing else moved.
+
 A change that means to alter reports must say why and update them.
 """
 
@@ -61,37 +66,37 @@ from subfieldscan.testkit import corpus_generate
 NO_ROWS = {"sieve_prime_bound": 2}
 
 GOLDEN = [
-    ("cyclotomic", "5", "quad", {}, "05ac36d87b57a3352092e13f9394dc53e99aa5a46df7d62957605f050f2d6f8a"),
-    ("cyclotomic", "7", "quad", {}, "eed6798683cbcfb0aca5450c230162903812fce7b8e6f685d71bf34f38894a38"),
-    ("cyclotomic", "7", "cubic", {}, "5cb5b33086b8d94bab2877c4c1734cf1d2ada21131d490efedd1e25aeff32ea0"),
-    ("cyclotomic", "12", "quad", {}, "c428445523d7263981b7d11d15637405287f7ee2b031ccc5dcfd548345fc9f33"),
-    ("cubic-compositum", "7,q5", "quad", {}, "0272671fd1d7e4ad9a27ea096d61036f430a13fb7f8bf684ba23e690b8eb7872"),
-    ("cubic-compositum", "7,q5", "cubic", {}, "b86e09aa5d527aaef564fd6910e6fdfb74fb87210c82542f66b7d385776ba51b"),
-    ("multiquadratic", "2,3,5", "quad", {}, "95789943c7d61f6da24574e0c9fe61a4aea9253ab9532ad7798433f3c59f1c54"),
+    ("cyclotomic", "5", "quad", {}, "7a2a32a5f167830a917770b9b0c11ee24fba44bb29bdb1f4688543bc3749210e"),
+    ("cyclotomic", "7", "quad", {}, "b90a8e02e21a31d3a3fedbf4d23c0688d458ed259551b5115198cdd96550aeea"),
+    ("cyclotomic", "7", "cubic", {}, "0ea0e5823887f4188cd77fbb83f3e91a9e9e073714b6a11825719ce4ba39457f"),
+    ("cyclotomic", "12", "quad", {}, "d088ee21f56211cff7499aaefa3e8bd7bf5ddb73f16cec9f926c9819c9fd8b1c"),
+    ("cubic-compositum", "7,q5", "quad", {}, "6222b85460c252d9e2f6cde8f812efdb988247cec04b54591ca9fa57899f5bd3"),
+    ("cubic-compositum", "7,q5", "cubic", {}, "c7a56de0e9cd613d82aaf685fea22fb095d91e7b44d5be7439269e6b1103d518"),
+    ("multiquadratic", "2,3,5", "quad", {}, "e593eba3a99d7b94508e623d1330673e3699d2ec1a42f83d520d746e33f71150"),
     ("cyclotomic", "12", "quad", NO_ROWS,
-     "b1769216d55f4e8899fb56ac2006b013573edca19e10f4f64091a7a6ce0963a4"),
+     "79ffd2450ac604749b7b1a87d532653de89e42eb87076bb61fb12305d58e2e8d"),
     ("cyclotomic", "12", "quad", {**NO_ROWS, "ABSENCE_PRIME_BOUND": 3},
-     "f86e0aa1e643264deb6f87189148ca2b32ebc7a12cdaf31b8ca0710a745443eb"),
+     "bcc809d9b24b61519b2399a7cf635c62a63a25d783d107cc1031ac6c1d4f88e8"),
     ("multiquadratic", "2,3,5", "quad", NO_ROWS,
-     "aeab31de36e8856dcb7c49b250379ee82e18d04563b721d5886619c117c2ee8b"),
+     "cd312980166b6457f45856587886cd01f07b29e0da34f4541ad3e857b03341b3"),
     ("compositum", "6,10", "quad", NO_ROWS,
-     "85817b16c4b7663b47814b2e2d089dea8caf57a7a74cf95c4058124a2ea5060f"),
+     "deebe61b4660fc90f066fe2dd255d725885deb0b78f60244eef8ae5a01c5dde7"),
     ("cubic-compositum", "7,9", "cubic", NO_ROWS,
-     "7a972028c5913b348b7cdad3996929366a741908d035a9c1775caa5d3bf8db6f"),
+     "0f468a8d6c3ccf5084c32c421d8956e8f4e322110377c4e77c4e3b768203477e"),
     ("cubic-compositum", "7,q5", "cubic", NO_ROWS,
-     "556c4a49641ed49c654d89bb7f8e211b2371a263a608408e31ea3bcb4da36ace"),
+     "43c4b3580ded78e0a3eb19a7bd219d400577c0bfd6299a69d0068d4eb7c7e31c"),
     ("cubic-compositum", "7,q5", "cubic", {**NO_ROWS, "ABSENCE_PRIME_BOUND": 5},
-     "0217068ed4ac9f0591a5c33eb80d9574e8437cb2762041e7e430325980e408a6"),
+     "8ff1cead27567e5da4f87c1318d4eb1b970db64d5b4c89522e796d339ccccfbc"),
     ("cubic-compositum", "7,9", "cubic", {},
-     "7a972028c5913b348b7cdad3996929366a741908d035a9c1775caa5d3bf8db6f"),
+     "0f468a8d6c3ccf5084c32c421d8956e8f4e322110377c4e77c4e3b768203477e"),
     ("s4-compositum", "5", "quad", {},
-     "82ea34740e702e808e3d5a5aef4b29810d4892eeaf8931f9e6385a9bd1f292ed"),
+     "e5845b06da55d1341ff94fcdb622d0ddabc33e893c57a0d492d84cd51945ff78"),
     ("cyclotomic", "15", "quad", {"sieve_prime_bound": 31},
-     "30a847f6e760b85bbcd33f3b876061dd3dedc65a3dc9058c3ce5bb94ee868868"),
+     "732c709af1478bf7c73f57e294cd156257f94ae0b0016805c00f9e79d9c8bb27"),
     ("cubic-compositum", "7,q5", "quad", {"sieve_prime_bound": 13},
-     "3945e3b2194c15378def0d327f824b2c7ce4bb0528c0e48280ee93c28c99d411"),
+     "75099cc1688f34d06acefd8d01f80d246ed57fd70970879e44c9515117df4d81"),
     ("cyclotomic", "7", "cubic", {"sieve_prime_bound": 29},
-     "df61b6b64c2ab2379728bbfc5d229b83adf2a774b9274bede20f026e01f05049"),
+     "d74bb607730bf2cdba6e91ff9b139b0d53cca31bcb09f723f43fa3838edc4c92"),
 ]
 
 # x^4 - x - 1 has Galois group S4 (discriminant -283): its field has no

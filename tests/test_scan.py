@@ -140,9 +140,9 @@ def test_cubic_span_member_without_root_is_an_error(monkeypatch):
     real = scan_mod.find_root
     calls = []
 
-    def find_root(field, h, config, rng):
+    def find_root(field, h):
         calls.append(h)
-        return real(field, h, config, rng) if len(calls) <= 2 else RootSearch(NOT_FOUND)
+        return real(field, h) if len(calls) <= 2 else RootSearch(NOT_FOUND)
 
     monkeypatch.setattr(scan_mod, "find_root", find_root)
     entry = corpus_generate("cubic-compositum", "7,9")
@@ -339,9 +339,37 @@ def test_determinism_same_seed():
     from subfieldscan.cli import canonical_report_bytes
 
     f = corpus_generate("multiquadratic", "2,3").poly
-    rep1 = quad_subfield_scan(f, ScanConfig(seed=5))
-    rep2 = quad_subfield_scan(f, ScanConfig(seed=5))
+    rep1 = quad_subfield_scan(f, ScanConfig())
+    rep2 = quad_subfield_scan(f, ScanConfig())
     assert canonical_report_bytes(rep1) == canonical_report_bytes(rep2)
+
+
+def test_reports_do_not_depend_on_the_splitting_stream(monkeypatch):
+    # the scans' only randomness is the Cantor-Zassenhaus split inside
+    # factor_mod_p, whose factors come back sorted: no stream it draws from,
+    # not even one stuck at its lowest value, reaches a report
+    import random
+
+    from subfieldscan import modp
+    from subfieldscan.cli import canonical_report_bytes
+    from test_modp import StuckRandom
+
+    real = modp.factor_mod_p
+    streams = [lambda: random.Random(1), lambda: random.Random(987654), StuckRandom]
+    cases = [(kind, params, scan) for kind, params in (
+        ("cyclotomic", "7"), ("cyclotomic", "12"), ("multiquadratic", "2,3,5"),
+        ("cubic-compositum", "7,q5")) for scan in (quad_subfield_scan, cubic_subfield_scan)]
+    blobs, calls = [], []
+    for stream in streams:
+        def factor_mod_p(f, p, rng=None, stream=stream):
+            calls.append(p)
+            return real(f, p, stream() if rng is None else rng)
+
+        monkeypatch.setattr(modp, "factor_mod_p", factor_mod_p)
+        blobs.append([canonical_report_bytes(scan(corpus_generate(kind, params).poly))
+                      for kind, params, scan in cases])
+    assert calls
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_report_group_closure_checked():
@@ -382,7 +410,8 @@ def test_sieve_rows_sound_for_true_quadratic_subfields():
         entry = corpus_generate(kind, params)
         cs = candidate_ramified_primes(entry.poly, 2)
         basis = PlaceBasis(2, cs.all_finite_primes())
-        rows = sieve_rows(NumberField(entry.poly), basis, cs.gcd_value, ScanConfig()).rows
+        rows = sieve_rows(NumberField(entry.poly), basis, cs.gcd_value,
+                          ScanConfig().sieve_prime_bound).rows
         # zero rows is legitimate (e.g. elementary abelian fields give no
         # usable constraints); generated rows must never exclude the truth
         for delta in entry.quad:
@@ -400,8 +429,6 @@ def test_sieve_rows_sound_for_true_cubic_subfields(kind, params, vec):
     # vec is the class over [omega-axis, 7] of the field's one cubic
     # subfield; the sieve keeps rows here (none for the C3 x C3 field 7,9)
     # and the true class satisfies every one of them
-    import random
-
     from subfieldscan.kummer3 import build_generator, cubic_place_basis
     from subfieldscan.nfroot import PROVED, find_root
     from subfieldscan.ramify import candidate_ramified_primes
@@ -414,10 +441,9 @@ def test_sieve_rows_sound_for_true_cubic_subfields(kind, params, vec):
     assert basis.primes == (7,)
     [cubic] = entry.cubic
     candidate = build_generator(vec, pis).minpoly
-    assert find_root(NumberField(cubic), candidate, ScanConfig(), random.Random(0)).status == PROVED
+    assert find_root(NumberField(cubic), candidate).status == PROVED
     gens = cubic_basis_generators(basis)
-    cfg = ScanConfig(sieve_prime_bound=100_000)
-    rows = sieve_rows(NumberField(entry.poly), basis, cs.gcd_value, cfg, gens).rows
+    rows = sieve_rows(NumberField(entry.poly), basis, cs.gcd_value, 100_000, gens).rows
     assert rows
     for row in rows:
         assert vector_satisfies(row, vec, 3), row
@@ -488,8 +514,8 @@ def test_absence_search_starts_after_a_stable_sieve(monkeypatch):
         sieves.append(real_sieve(*args, **kwargs))
         return sieves[-1]
 
-    def find_root(field, h, config, rng):
-        return RootSearch(NOT_FOUND) if not absence_primes else real_find(field, h, config, rng)
+    def find_root(field, h):
+        return RootSearch(NOT_FOUND) if not absence_primes else real_find(field, h)
 
     real_ddf, real_witness = modp.ddf_degrees, scan_mod.absence_witness_quad
     real_sieve, real_find = scan_mod.sieve_rows, scan_mod.find_root
