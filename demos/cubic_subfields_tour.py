@@ -8,6 +8,7 @@ from subfieldscan.cli import render_poly
 from subfieldscan.eisenstein import split_prime
 from subfieldscan.kummer3 import build_generator
 from subfieldscan.poly import disc_poly
+from subfieldscan.sieve import PlaceBasis
 from subfieldscan.testkit import corpus_generate, cyclotomic_poly
 
 
@@ -18,8 +19,9 @@ def main():
 
     pi = split_prime(7)
     print(f"prime 7 splits as pi * conj(pi) with pi = {pi.x} + {pi.y}w")
+    basis = PlaceBasis(3, (7,))  # slot generators w and pi * conj(pi)^2
     for exps in [(1, 0), (0, 1), (1, 1), (1, 2)]:
-        cand = build_generator(exps, [(7, pi)])
+        cand = build_generator(exps, basis)
         print(f"  class w^{exps[0]} * (pi*conj(pi)^2)^{exps[1]}: "
               f"a = {cand.a.x}{cand.a.y:+d}w, minpoly {render_poly(cand.minpoly)}, "
               f"disc {disc_poly(cand.minpoly)} = {9 * abs(cand.v)}^2")

@@ -7,15 +7,23 @@ cube root of a generates an abelian degree-6 extension whose real cubic
 subfield is cyclic over Q.  Writing u for a cube root of a and c for the
 integer cube root of the norm of a, the element u + c/u is real and
 satisfies X**3 - 3cX - Tr(a), which is the emitted minimal polynomial.
+
+The factors w and pi_i * conj(pi_i)**2 are the slot generators of the
+cubic place basis (sieve.PlaceBasis.generators), which the basis builds
+once; the sieve rows and the absence witnesses read the same generators.
+For a nonzero exponent vector a is no cube in Z[w], so the emitted cubic
+is irreducible; build_generator still rejects one with an integer root
+(nfroot.integer_root), which would otherwise pass as a cubic field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .arith import FactorBudget, factor_integer
-from .eisenstein import EisensteinInt, OMEGA, ONE, split_prime
+from .eisenstein import EisensteinInt, ONE
 from .errors import ZeroExponentVector
+from .nfroot import integer_root
 from .poly import Poly
 from .ramify import CandidateSet
 from .sieve import PlaceBasis
@@ -31,8 +39,9 @@ class CubicCandidate:
     minpoly: Poly                     # X^3 - 3cX - t
 
 
-def build_generator(exps, primes: list[tuple[int, EisensteinInt]]) -> CubicCandidate:
-    """The cubic candidate for an exponent vector over (unit axis, primes).
+def build_generator(exps, basis: PlaceBasis) -> CubicCandidate:
+    """The cubic candidate for an exponent vector over a cubic place basis:
+    a = prod basis.generators[i]**exps[i] and c = prod p_i**exps[i].
 
     Rejects the zero vector and any degenerate candidate whose cubic has a
     rational root (those do not define a cubic field).
@@ -40,38 +49,23 @@ def build_generator(exps, primes: list[tuple[int, EisensteinInt]]) -> CubicCandi
     exps = tuple(e % 3 for e in exps)
     if not any(exps):
         raise ZeroExponentVector("zero exponent vector gives the trivial class")
-    if len(exps) != len(primes) + 1:
-        raise ValueError("exponent vector width does not match the prime list")
-    a = OMEGA**exps[0] if exps[0] else ONE
-    c = 1
-    for e_i, (p, pi) in zip(exps[1:], primes):
-        if e_i == 0:
-            continue
-        gen = pi * pi.conj() * pi.conj()
+    if len(exps) != basis.width:
+        raise ValueError("exponent vector width does not match the place basis")
+    a = ONE
+    for gen, e_i in zip(basis.generators, exps):
         a = a * gen**e_i
-        c *= p**e_i
+    c = math.prod(p**e_i for p, e_i in zip(basis.primes, exps[1:]))
     n = a.norm()
     if c**3 != n:
         raise ArithmeticError("norm is not the expected cube")
     t = a.trace()
     minpoly = Poly([-t, -3 * c, 0, 1])
-    if _has_rational_root(minpoly):
+    if integer_root(minpoly) is not None:
         raise ZeroExponentVector(f"degenerate candidate: {minpoly} has a rational root")
     return CubicCandidate(exps, a, c, t, a.y, minpoly)
 
 
-def _has_rational_root(cubic: Poly) -> bool:
-    """Rational-root test for a monic integral cubic (reducible iff true)."""
-    t = int(cubic[0])
-    if t == 0:
-        return True
-    divisors = {1}
-    for p, e in factor_integer(t, FactorBudget()).factors.items():
-        divisors = {d * p**i for d in divisors for i in range(e + 1)}
-    return any(cubic.evaluate(r) == 0 or cubic.evaluate(-r) == 0 for r in divisors)
-
-
-def cubic_place_basis(candidate_set: CandidateSet) -> tuple[PlaceBasis, list[tuple[int, EisensteinInt]]]:
+def cubic_place_basis(candidate_set: CandidateSet) -> PlaceBasis:
     """Slots for the F3 exponent space of a cubic candidate set.
 
     Only tame primes p = 1 (mod 3) can carry tame total ramification of a
@@ -80,6 +74,4 @@ def cubic_place_basis(candidate_set: CandidateSet) -> tuple[PlaceBasis, list[tup
     """
     if candidate_set.e != 3:
         raise ValueError("cubic basis needs a degree-3 candidate set")
-    usable = [p for p in candidate_set.tame_primes if p % 3 == 1]
-    return PlaceBasis(3, tuple(usable)), [(p, split_prime(p)) for p in usable]
-
+    return PlaceBasis(3, tuple(p for p in candidate_set.tame_primes if p % 3 == 1))

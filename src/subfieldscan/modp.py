@@ -19,15 +19,15 @@ keeps it while factors are divided out.  Its first stage, x^p, takes
 squarings alone; the later ones compose with a table of the powers of x^p
 whose size (none, sqrt(n) baby steps, all n) follows the products spent.
 gcd is a remainder-only Euclid that fuses each one-degree step into a
-single pass and keeps no quotient.  The schoolbook mul and pdivmod remain
-for xgcd, exact division, a ring without a given Barrett constant and
-one-off reductions; division needs a divisor with a unit leading
-coefficient.
+single pass and keeps no quotient.  pdivmod remains for exact division,
+a ring without a given Barrett constant and one-off reductions; division
+needs a divisor with a unit leading coefficient.  The schoolbook mul is
+the reference the packed products are tested against.
 
 Public operations: squarefree test, distinct-degree factor degrees, full
-factorization (distinct-degree + Cantor-Zassenhaus), root extraction (the
-quadratic formula for a quadratic) and xgcd.  The root tests' Newton
-lifting to Z/p^k lives in nfroot (_lift_idempotents, _lift_root).
+factorization (distinct-degree + Cantor-Zassenhaus) and root extraction
+(the quadratic formula for a quadratic).  The root tests' idempotents and
+Newton lifting to Z/p^k live in nfroot (_lift_idempotents, _lift_root).
 
 The prime walks of the scans and the root tests' prime selection ask only
 part of this.  They settle squarefreeness themselves (NumberField.
@@ -318,24 +318,6 @@ def gcd(a, b, p):
             del r[db:]
         a, b = b, trim(r)
     return monic(a, p)
-
-
-def xgcd(a, b, p):
-    """(g, s, t) over F_p with s*a + t*b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mul(q, s1, p), p)
-        t0, t1 = t1, sub(t0, mul(q, t1, p), p)
-    if r0 and r0[-1] != 1:
-        inv = inverse_mod(r0[-1], p)
-        r0 = scale(r0, inv, p)
-        s0 = scale(s0, inv, p)
-        t0 = scale(t0, inv, p)
-    return r0, s0, t0
 
 
 def derivative(a, m):

@@ -215,7 +215,7 @@ def select_prime(field: NumberField, h: Poly, rng: random.Random | None = None,
     return PrimeData(p, factors, roots)
 
 
-def _integer_root(h: Poly) -> int | None:
+def integer_root(h: Poly) -> int | None:
     """The least integer root of a monic integral h, or None.
 
     An integer root lies within the Cauchy bound B = 1 + max |h_i|, so it
@@ -270,18 +270,19 @@ def _lift_root(h: Poly, s0: int, p: int, k: int) -> int:
 
 
 def _lift_idempotents(field: NumberField, factors, p: int, k: int) -> list[list[int]]:
-    """The CRT idempotents of the pairwise coprime factors of f mod p,
-    Newton-lifted (e -> 3e^2 - 2e^3) to Z/p^k."""
+    """The CRT idempotents of the distinct monic irreducible factors of
+    f mod p, Newton-lifted (e -> 3e^2 - 2e^3) to Z/p^k.
+
+    Mod p the idempotent of a factor g of degree d is c * u with c = f/g
+    and u = c**(p**d - 2) in F_p[x]/(g) = F_(p^d), the inverse of c there:
+    c is 0 modulo every other factor and c * u is 1 modulo g."""
     f_p = modp.monic(modp.from_poly(field.f, p), p)
     ring = modp.QuotientRing(f_p, p, field.barrett())
     idems = []
     for fac in factors:
-        fac = list(fac)
-        cof = modp.pdivmod(f_p, fac, p)[0]
-        g, s, _ = modp.xgcd(cof, fac, p)
-        if modp.deg(g) != 0:
-            raise ValueError("factors are not pairwise coprime")
-        idems.append(ring.mul(cof, s))
+        cof = modp.pdivmod(f_p, list(fac), p)[0]
+        inverse = modp.QuotientRing(fac, p).pow(cof, p ** modp.deg(fac) - 2)
+        idems.append(ring.mul(cof, inverse))
     j = 1
     while j < k:
         j = min(2 * j, k)
@@ -444,7 +445,7 @@ def find_root(field: NumberField, h: Poly, config=None,
     changes no answer."""
     if not (h.is_monic() and h.is_integral() and h.degree in (2, 3)):
         raise ValueError("h must be monic integral of degree 2 or 3")
-    root = _integer_root(h)
+    root = integer_root(h)
     if root is not None:
         y = field.fprime.scale(root).coeffs
         cert = RootCertificate(tuple(y) + (0,) * (field.n - len(y)), h)

@@ -11,10 +11,12 @@ chance of about 2**-8 that costs one failed root test.  The walk keeps
 the span of the found vectors: a candidate in it is a subfield by
 closure, one in the coset of an excluded vector is excluded with it, and
 any other gets one exact root test, followed on failure by a search for
-an absence witness.  The sieve and both witness searches share one prime
-walk (_frobenius_primes), and a witness search goes on from the last
-prime the sieve walked; _Quad and _Cubic hold what differs between the
-two kinds.
+an absence witness.  A witness is a prime whose Frobenius row
+(sieve.frobenius_row) the candidate's exponent vector fails, for both
+kinds: absence_witness is the one search, the sieve and it share one prime
+walk (_frobenius_primes), and a witness search goes on from the last prime
+the sieve walked; _Quad and _Cubic hold what differs between the two
+kinds.
 
 The prime walk computes only what a row or a witness needs: squarefreeness
 mod q from disc(f), computed once per field unless it is too large to pay
@@ -44,7 +46,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from . import modp
-from .arith import iter_primes, legendre
+from .arith import factor_integer, iter_primes, legendre
 from .config import ScanConfig
 from .errors import ZeroExponentVector
 from .kummer3 import CubicCandidate, build_generator, cubic_place_basis
@@ -53,9 +55,8 @@ from .nfroot import (PROVED, NumberField, RootCertificate, find_root,
 from .poly import Poly, normalize_input
 from .ramify import candidate_ramified_primes
 from .sieve import (CubicClass, PlaceBasis, QuadClass, Row, Span, class_decided,
-                    classify_prime_cubic, classify_prime_quadratic, cubic_basis_generators,
-                    cubic_constraint, decides_class, frobenius_row, solve_f2,
-                    solve_f3_kernel, vector_satisfies)
+                    classify_prime_cubic, classify_prime_quadratic, cubic_constraint,
+                    decides_class, frobenius_row, solve_f2, solve_f3_kernel, vector_satisfies)
 
 STATUS_PROVED = "proved"
 STATUS_CERTIFIED_ABSENT = "certified_absent"
@@ -115,13 +116,15 @@ class ScanReport:
             if not verify_certificate(field, h, e.certificate):
                 raise AssertionError(f"certificate fails for {e.delta or e.minpoly}")
         if self.kind == "quad":
+            # the kernel of d1 * d2 is k1 * k2 / gcd(k1, k2)**2 for the
+            # squarefree kernels k1, k2 of d1, d2: one factorization per delta
             deltas = {e.delta for e in self.subfields}
-            for d1 in deltas:
-                for d2 in deltas:
-                    if d1 != d2:
-                        prod = _squarefree_kernel(d1 * d2)
-                        if prod != 1 and prod not in deltas:
-                            raise AssertionError("found set is not twist-closed")
+            kernels = {_squarefree_kernel(d) for d in deltas}
+            for k1 in kernels:
+                for k2 in kernels:
+                    prod = k1 * k2 // math.gcd(k1, k2) ** 2
+                    if prod != 1 and prod not in deltas:
+                        raise AssertionError("found set is not twist-closed")
         for e in self.excluded:
             q = e.witness_prime
             if e.status != STATUS_CERTIFIED_ABSENT or q is None:
@@ -148,8 +151,6 @@ class ScanReport:
 
 
 def _squarefree_kernel(d: int) -> int:
-    from .arith import factor_integer
-
     fd = factor_integer(d)
     out = fd.sign
     for p, e in fd.factors.items():
@@ -162,20 +163,20 @@ def _squarefree_kernel(d: int) -> int:
 
 
 def _frobenius_primes(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int,
-                      generators=None, after: int = 0, trivial_rows: bool = False):
+                      after: int = 0, trivial_rows: bool = False):
     """(q, factor degrees of f mod q, cubic row or None) for the primes
     after < q <= bound, from 3 (l = basis.e = 2) or 5 (l = 3), that are
     not in the basis, do not divide gcd_value, the leading coefficient or
-    the norm of a cubic slot generator, and modulo which f is squarefree
-    (NumberField.squarefree_mod).  The degrees come from the field, which
-    keeps them (NumberField.factor_degrees): a DDF stops at the first
-    degree that decides the class (sieve.class_decided), and a kept
-    answer on which that rule holds is used as it is.  For l = 3 the row
-    comes first: a prime at which every generator is a cube gives no row,
-    so it is skipped without a DDF unless trivial_rows asks for its
-    class."""
+    the norm of a cubic slot generator (PlaceBasis.generators), and
+    modulo which f is squarefree (NumberField.squarefree_mod).  The
+    degrees come from the field, which keeps them (NumberField.
+    factor_degrees): a DDF stops at the first degree that decides the
+    class (sieve.class_decided), and a kept answer on which that rule
+    holds is used as it is.  For l = 3 the row comes first: a prime at
+    which every generator is a cube gives no row, so it is skipped without
+    a DDF unless trivial_rows asks for its class."""
     f, ell = field.f, basis.e
-    norms = [g.norm() for g in generators or ()]
+    norms = [g.norm() for g in basis.generators] if ell == 3 else []
     stop = class_decided(ell)
     for q in iter_primes(max(after + 1, 3 if ell == 2 else 5), bound):
         if (q in basis.primes or gcd_value % q == 0 or int(f.lc) % q == 0
@@ -183,7 +184,7 @@ def _frobenius_primes(field: NumberField, basis: PlaceBasis, gcd_value: int, bou
             continue
         row = None
         if ell == 3:
-            row = cubic_constraint(q, basis, generators)
+            row = cubic_constraint(q, basis)
             if row is None and not trivial_rows:
                 continue
         if field.squarefree_mod(q):
@@ -207,8 +208,7 @@ class SieveRows:
     walked: int
 
 
-def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int,
-               generators=None) -> SieveRows:
+def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int) -> SieveRows:
     """The nontrivial F_l rows (l = basis.e) of the primes up to bound,
     walked in order until the span of the rows (with the right-hand side
     for l = 2) stops growing:
@@ -223,13 +223,12 @@ def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int
       system inconsistent, as the report says.
 
     Otherwise it walks on to the bound; a bound below the first prime
-    (3 for l = 2, 5 for l = 3) keeps no row.  generators are the cubic
-    slot generators (l = 3; computed from the basis when None)."""
+    (3 for l = 2, 5 for l = 3) keeps no row."""
     ell, width = basis.e, basis.width
     span = Span(ell, width + 1 if ell == 2 else width)
     rows: list[Row] = []
     stale = 0
-    for q, degrees, cubic_row in _frobenius_primes(field, basis, gcd_value, bound, generators,
+    for q, degrees, cubic_row in _frobenius_primes(field, basis, gcd_value, bound,
                                                    trivial_rows=True):
         if not decides_class(degrees, field.n, ell):
             continue
@@ -255,29 +254,15 @@ def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int
 ABSENCE_PRIME_BOUND = 10_000
 
 
-def absence_witness_quad(field: NumberField, delta: int, basis: PlaceBasis,
-                         gcd_value: int, after: int = 0) -> int | None:
-    """First prime above after whose cycle-type constraint contradicts
-    Q(sqrt(delta)) being a subfield; None if the bound is exhausted.  At a
-    prime with a row that is the row failing for delta's vector."""
-    for q, degrees, _ in _frobenius_primes(field, basis, gcd_value, ABSENCE_PRIME_BOUND,
-                                           after=after):
-        cls = classify_prime_quadratic(degrees, field.n)
-        sym = legendre(delta, q)
-        if (cls == QuadClass.SPLIT and sym == -1) or (cls == QuadClass.INERT and sym == 1):
-            return q
-    return None
-
-
-def absence_witness_cubic(field: NumberField, cand: CubicCandidate,
-                          generators, basis: PlaceBasis, gcd_value: int,
-                          after: int = 0) -> int | None:
-    """First prime above after that splits in all cyclic cubic subfields but
-    at which the candidate class has a nonzero character sum."""
+def absence_witness(field: NumberField, basis: PlaceBasis, gcd_value: int, vec,
+                    after: int = 0) -> int | None:
+    """The first prime above after whose Frobenius row the exponent vector
+    vec over basis fails: at such a prime the candidate of vec cannot be a
+    subfield.  None if no prime up to ABSENCE_PRIME_BOUND is a witness."""
     for q, degrees, cubic_row in _frobenius_primes(field, basis, gcd_value,
-                                                   ABSENCE_PRIME_BOUND, generators, after):
+                                                   ABSENCE_PRIME_BOUND, after):
         row = frobenius_row(q, degrees, field.n, basis, cubic_row)
-        if row is not None and not vector_satisfies(row, cand.exponents, 3):
+        if row is not None and not vector_satisfies(row, vec, basis.e):
             return q
     return None
 
@@ -292,7 +277,6 @@ class _Quad:
     or as a product, and a span member is certified by its product."""
 
     name, ell = "quad", 2
-    generators = None
     test_representative = True
 
     def __init__(self, field, cs):
@@ -349,10 +333,6 @@ class _Quad:
             raise AssertionError("twist-product certificate failed verification")
         return cert
 
-    def witness(self, vec, after):
-        return absence_witness_quad(self.field, self.basis.delta_of_vector(vec), self.basis,
-                                    self.gcd_value, after)
-
 
 class _Cubic:
     """l = 3: Kummer classes, one per pair {v, 2v}.  The root test runs on
@@ -366,15 +346,14 @@ class _Cubic:
     def __init__(self, field, cs):
         self.field = field
         self.gcd_value = cs.gcd_value
-        self.basis, self.prime_pis = cubic_place_basis(cs)
-        self.generators = cubic_basis_generators(self.basis)
+        self.basis = cubic_place_basis(cs)
         self.candidates: dict[tuple[int, ...], CubicCandidate] = {}
 
     def solve(self, rows):
         reps = solve_f3_kernel(rows, self.basis.width)
         for rep in reps:
             try:
-                cand = build_generator(rep, self.prime_pis)
+                cand = build_generator(rep, self.basis)
             except ZeroExponentVector:
                 continue  # degenerate classes give no cubic field
             self.candidates[cand.exponents] = cand
@@ -398,10 +377,6 @@ class _Cubic:
             raise AssertionError(f"no root found for {self.h(vec)}, which the "
                                  "found cubic subfields generate")
         return result.certificate
-
-    def witness(self, vec, after):
-        return absence_witness_cubic(self.field, self.candidates[vec], self.generators,
-                                     self.basis, self.gcd_value, after)
 
 
 # -- the scan and the candidate walk ------------------------------------------------
@@ -443,8 +418,7 @@ def _scan(kind_type, f_raw: Poly, config: ScanConfig) -> ScanReport:
     report.gcd_value = cs.gcd_value
 
     t0 = time.perf_counter()
-    sieve = sieve_rows(field, kind.basis, cs.gcd_value, config.sieve_prime_bound,
-                       kind.generators)
+    sieve = sieve_rows(field, kind.basis, cs.gcd_value, config.sieve_prime_bound)
     rows = sieve.rows
     candidates, dim = kind.solve(rows)
     phase("sieve", t0)
@@ -500,7 +474,7 @@ def _walk(kind, rows: list[Row], candidates, walked: int):
                         else kind.member_certificate(vec, span))
                 subfields.append(SubfieldEntry(cert, **label))
                 continue
-            witness = kind.witness(target, walked)
+            witness = absence_witness(field, kind.basis, kind.gcd_value, target, walked)
             outcome = (target, STATUS_CERTIFIED_ABSENT if witness else STATUS_UNPROVEN_ABSENT,
                        witness)
             settled.append(outcome)
@@ -512,29 +486,33 @@ def _walk(kind, rows: list[Row], candidates, walked: int):
     return subfields, excluded, direct_tests
 
 
-def absence_certificate_search(field: NumberField, target, basis: PlaceBasis | None = None,
-                               gcd_value: int = 1) -> ExcludedEntry:
+def absence_certificate_search(field: NumberField, target,
+                               basis: PlaceBasis | None = None) -> ExcludedEntry:
     """Try to upgrade a not-found candidate to a certified absence.
 
-    target is either a squarefree integer delta (quadratic candidate) or a
-    CubicCandidate.  Returns an ExcludedEntry with status certified_absent
-    and a witness prime, or unproven_absent when no prime up to
-    ABSENCE_PRIME_BOUND is a witness.  A delta that is 0 or a square raises
-    ValueError: Q(sqrt(delta)) is Q then, a subfield of every field, and no
-    prime can witness its absence.
+    target is either a nonzero integer delta (quadratic candidate) or a
+    CubicCandidate with its cubic place basis.  A delta is searched as its
+    exponent-parity vector over its own basis, the primes of delta and 2.
+    Returns an ExcludedEntry with status certified_absent and a witness
+    prime, or unproven_absent when no prime up to ABSENCE_PRIME_BOUND is a
+    witness.  A delta that is 0 or a square raises ValueError:
+    Q(sqrt(delta)) is Q then, a subfield of every field, and no prime can
+    witness its absence.
     """
     if isinstance(target, CubicCandidate):
         if basis is None:
             raise ValueError("cubic absence search needs the place basis")
-        gens = cubic_basis_generators(basis)
-        witness = absence_witness_cubic(field, target, gens, basis, gcd_value)
+        vec = target.exponents
         label = {"minpoly": target.minpoly}
     else:
         delta = int(target)
         if delta >= 0 and math.isqrt(delta) ** 2 == delta:
             raise ValueError(f"delta = {delta} is 0 or a square: Q(sqrt(delta)) is no "
                              "quadratic field")
-        witness = absence_witness_quad(field, delta, basis or PlaceBasis(2, ()), gcd_value)
+        fd = factor_integer(delta)
+        basis = PlaceBasis(2, tuple(sorted(fd.factors.keys() | {2})))
+        vec = (int(delta < 0), *(fd.factors.get(p, 0) % 2 for p in basis.primes))
         label = {"delta": delta}
+    witness = absence_witness(field, basis, 1, vec)
     status = STATUS_CERTIFIED_ABSENT if witness else STATUS_UNPROVEN_ABSENT
     return ExcludedEntry(status, witness_prime=witness, **label)

@@ -2,8 +2,11 @@
 
 A quadratic (l = 2) or cyclic cubic (l = 3) candidate is an exponent
 vector over F_l on a fixed place basis: of the discriminant, or of the
-Kummer class over Q(zeta_3).  A prime whose factor-degree pattern is known
-constrains every such subfield at once: frobenius_row gives its F_l row.
+Kummer class over Q(zeta_3), whose slot generators the cubic basis carries
+(PlaceBasis.generators).  A prime whose factor-degree pattern is known
+constrains every such subfield at once: frobenius_row gives its F_l row,
+and a candidate whose vector fails that row (vector_satisfies) is no
+subfield.  That one rule gives every sieve row and every absence witness.
 Span, a span in reduced echelon form, is the one elimination over F_l:
 solve_f2, solve_f3_kernel and the candidate walk of the scans use it.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .arith import legendre
 from .eisenstein import EisensteinInt, OMEGA, cubic_residue_class, split_prime
@@ -44,6 +48,15 @@ class PlaceBasis:
     @property
     def width(self) -> int:
         return len(self.primes) + 1
+
+    @cached_property
+    def generators(self) -> tuple[EisensteinInt, ...]:
+        """e = 3 only: the slot generators in Z[w], computed once: w for the
+        unit axis, then pi * conj(pi)**2 per prime, pi = split_prime(p)."""
+        if self.e != 3:
+            raise ValueError("slot generators belong to a cubic basis")
+        pis = [split_prime(p) for p in self.primes]
+        return (OMEGA, *(pi * pi.conj() * pi.conj() for pi in pis))
 
     def delta_of_vector(self, vec) -> int:
         """e = 2 only: the squarefree discriminant for an exponent vector."""
@@ -227,19 +240,10 @@ def class_decided(ell: int):
     return lambda degrees, left: any(d % ell for d in degrees)
 
 
-def cubic_basis_generators(basis: PlaceBasis) -> list[EisensteinInt]:
-    """Slot generators: the unit axis, then pi * conj(pi)**2 per split prime."""
-    gens = [OMEGA]
-    for p in basis.primes:
-        pi = split_prime(p)
-        gens.append(pi * pi.conj() * pi.conj())
-    return gens
-
-
-def cubic_constraint(q: int, basis: PlaceBasis, generators=None) -> Row | None:
-    """Homogeneous F3 row at a prime q that splits in all cubic subfields."""
-    gens = generators if generators is not None else cubic_basis_generators(basis)
-    coeffs = tuple(cubic_residue_class(g, q) for g in gens)
+def cubic_constraint(q: int, basis: PlaceBasis) -> Row | None:
+    """Homogeneous F3 row at a prime q that splits in all cubic subfields:
+    the cubic residue classes of the slot generators at q."""
+    coeffs = tuple(cubic_residue_class(g, q) for g in basis.generators)
     if not any(coeffs):
         return None
     return Row(coeffs, 0, q)

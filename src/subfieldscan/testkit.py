@@ -14,9 +14,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .arith import factor_integer, is_probable_prime
-from .eisenstein import split_prime
 from .kummer3 import build_generator
 from .poly import Poly, compositum_minpoly, disc_poly
+from .sieve import PlaceBasis
 
 
 def ramified_superset_bruteforce(f: Poly) -> set[int]:
@@ -308,9 +308,9 @@ def _cubic_compositum_entry(tokens) -> CorpusEntry:
         # is a C3 x C3 field with exactly four cyclic cubic subfields: the
         # two constituents plus the two mixed classes
         f = compositum_minpoly(_CUBIC_COND63, _CUBIC_COND9)
-        pi7 = split_prime(7)
-        mixed1 = build_generator((1, 1), [(7, pi7)]).minpoly
-        mixed2 = build_generator((1, 2), [(7, pi7)]).minpoly
+        basis7 = PlaceBasis(3, (7,))
+        mixed1 = build_generator((1, 1), basis7).minpoly
+        mixed2 = build_generator((1, 2), basis7).minpoly
         return CorpusEntry(
             f, cubic=[_CUBIC_COND9, _CUBIC_COND63, mixed1, mixed2],
             recipe="compositum of the two coded cyclic cubics (C3 x C3)")

@@ -3,17 +3,15 @@ import random
 import mpmath
 import pytest
 
-from subfieldscan.eisenstein import split_prime
 from subfieldscan.errors import ZeroExponentVector
 from subfieldscan.kummer3 import build_generator, cubic_place_basis
 from subfieldscan.poly import Poly, disc_poly
 from subfieldscan.ramify import CandidateSet
-from subfieldscan.sieve import solve_f3_kernel
+from subfieldscan.sieve import PlaceBasis, solve_f3_kernel
 
 
 def test_conductor7_generator():
-    pi = split_prime(7)
-    cand = build_generator((0, 1), [(7, pi)])
+    cand = build_generator((0, 1), PlaceBasis(3, (7,)))
     assert (cand.a.x, cand.a.y) == (14, -7)
     assert cand.c == 7 and cand.t == 35 and cand.v == -7
     assert cand.minpoly == Poly.from_desc([1, 0, -21, -35])
@@ -21,7 +19,7 @@ def test_conductor7_generator():
 
 
 def test_unit_axis_generator():
-    cand = build_generator((1,), [])
+    cand = build_generator((1,), PlaceBasis(3, ()))
     assert cand.minpoly == Poly.from_desc([1, 0, -3, 1])
     assert cand.c == 1 and cand.t == -1
     assert disc_poly(cand.minpoly) == 81
@@ -29,18 +27,18 @@ def test_unit_axis_generator():
 
 def test_zero_vector_rejected():
     with pytest.raises(ZeroExponentVector):
-        build_generator((0, 0), [(7, split_prime(7))])
+        build_generator((0, 0), PlaceBasis(3, (7,)))
 
 
 def test_candidate_invariants():
     rng = random.Random(0)
-    split_primes = [(p, split_prime(p)) for p in (7, 13, 19, 31, 37, 43)]
+    split_primes = (7, 13, 19, 31, 37, 43)
     for _ in range(100):
         chosen = rng.sample(split_primes, k=rng.randint(1, 3))
         exps = [rng.randint(0, 2)] + [rng.randint(0, 2) for _ in chosen]
         if not any(exps):
             exps[0] = 1
-        cand = build_generator(tuple(exps), chosen)
+        cand = build_generator(tuple(exps), PlaceBasis(3, tuple(chosen)))
         assert cand.a.norm() == cand.c**3
         assert disc_poly(cand.minpoly) == (9 * cand.v) ** 2
 
@@ -49,14 +47,14 @@ def test_emitted_polynomial_has_the_symmetric_root():
     # u + c/u with u a complex cube root of a must satisfy the cubic
     mpmath.mp.dps = 60
     rng = random.Random(1)
-    split_primes = [(p, split_prime(p)) for p in (7, 13, 19, 31)]
+    split_primes = (7, 13, 19, 31)
     omega = mpmath.mpc(-0.5, mpmath.sqrt(3) / 2)
     for _ in range(100):
         chosen = rng.sample(split_primes, k=rng.randint(1, 2))
         exps = [rng.randint(0, 2)] + [rng.randint(0, 2) for _ in chosen]
         if not any(exps):
             exps[0] = 1
-        cand = build_generator(tuple(exps), chosen)
+        cand = build_generator(tuple(exps), PlaceBasis(3, tuple(chosen)))
         a = cand.a.x + cand.a.y * omega
         u = mpmath.power(a, mpmath.mpf(1) / 3)
         beta = u + cand.c / u
@@ -66,8 +64,8 @@ def test_emitted_polynomial_has_the_symmetric_root():
 
 def candidates(cs, width):
     """One candidate per representative of the unconstrained F3 space."""
-    _, primes = cubic_place_basis(cs)
-    return [build_generator(rep, primes) for rep in solve_f3_kernel([], width)]
+    basis = cubic_place_basis(cs)
+    return [build_generator(rep, basis) for rep in solve_f3_kernel([], width)]
 
 
 def test_enumerate_examples():
@@ -82,7 +80,7 @@ def test_enumerate_examples():
     assert cands[0].minpoly == Poly.from_desc([1, 0, -3, 1])
 
     cs = CandidateSet(3, (5,), (3,), False, 5)
-    basis, primes = cubic_place_basis(cs)
+    basis = cubic_place_basis(cs)
     assert basis.primes == ()  # 5 = 2 mod 3 discarded
     cands = candidates(cs, 1)
     assert len(cands) == 1

@@ -106,8 +106,9 @@ S4_QUARTIC = Poly.from_desc([1, 0, 0, -1, -1])
 
 
 def _case_id(kind, params, scan, config, digest):
+    # the digest stays out of the id, so a re-pin keeps every case's name
     settings = ",".join(f"{k}={v}" for k, v in config.items())
-    return "-".join(part for part in (kind, params, scan, settings, digest) if part)
+    return "-".join(part for part in (kind, params, scan, settings) if part)
 
 
 def _poly(kind, params):

@@ -153,9 +153,9 @@ def test_cubic_span_member_without_root_is_an_error(monkeypatch):
 
 @pytest.mark.parametrize("scan, kind, params, bound, where", [
     (quad_subfield_scan, "cyclotomic", "12", 10_000, "sieve_rows"),
-    (quad_subfield_scan, "cyclotomic", "12", 2, "absence_witness_quad"),
+    (quad_subfield_scan, "cyclotomic", "12", 2, "absence_witness"),
     (cubic_subfield_scan, "cyclotomic", "7", 10_000, "sieve_rows"),
-    (cubic_subfield_scan, "cyclotomic", "7", 2, "absence_witness_cubic"),
+    (cubic_subfield_scan, "cyclotomic", "7", 2, "absence_witness"),
 ])
 def test_ddf_fault_reaches_the_caller(monkeypatch, scan, kind, params, bound, where):
     # only NotSquarefree means "no information at this prime"; any other
@@ -200,11 +200,12 @@ def test_prime_dividing_v_is_no_cubic_witness():
     # a = w (pi7 conj(pi7)^2) (pi13 conj(pi13)^2)^2 has w-coefficient
     # v = 2 * 7 * 13^2 * 19: its minimal polynomial has a double root mod
     # 19, and a is a cube at 19, so 19 cannot witness its absence
-    from subfieldscan.eisenstein import cubic_residue_class, split_prime
+    from subfieldscan.eisenstein import cubic_residue_class
     from subfieldscan.kummer3 import build_generator
     from subfieldscan.modp import squarefree_mod_p
+    from subfieldscan.sieve import PlaceBasis
 
-    cand = build_generator((1, 1, 2), [(p, split_prime(p)) for p in (7, 13)])
+    cand = build_generator((1, 1, 2), PlaceBasis(3, (7, 13)))
     assert cand.v == 2 * 7 * 13**2 * 19
     assert not squarefree_mod_p(cand.minpoly, 19)
     assert cubic_residue_class(cand.a, 19) == 0
@@ -219,13 +220,14 @@ def test_cubic_witness_recheck_agrees_with_the_residue_class(primes, exps):
     # class of a at q (nonzero): the two agree at every q >= 5 prime to c,
     # including the primes dividing v, where both say "no witness"
     from subfieldscan.arith import primes_up_to
-    from subfieldscan.eisenstein import cubic_residue_class, split_prime
+    from subfieldscan.eisenstein import cubic_residue_class
     from subfieldscan.errors import ZeroExponentVector
     from subfieldscan.kummer3 import build_generator
     from subfieldscan.modp import roots_mod_p, squarefree_mod_p
+    from subfieldscan.sieve import PlaceBasis
 
     try:
-        cand = build_generator(exps[:len(primes) + 1], [(p, split_prime(p)) for p in primes])
+        cand = build_generator(exps[:len(primes) + 1], PlaceBasis(3, tuple(primes)))
     except ZeroExponentVector:
         return
     for q in primes_up_to(400)[2:]:
@@ -326,6 +328,44 @@ def test_absence_certificate_search():
     assert entry.witness_prime is not None
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("cyclotomic", "12"), ("cyclotomic", "15"), ("multiquadratic", "2,3,5")])
+def test_quad_witness_is_the_first_prime_where_split_or_inert_contradicts_legendre(
+        monkeypatch, kind, params):
+    # the Frobenius-row witness of a discriminant vector is the prime the
+    # direct rule picks: q splits in every quadratic subfield while delta is
+    # no square mod q, or q is inert in every one while delta is a square
+    import itertools
+
+    import subfieldscan.scan as scan_mod
+    from subfieldscan.arith import legendre
+    from subfieldscan.ramify import candidate_ramified_primes
+    from subfieldscan.sieve import QuadClass, classify_prime_quadratic
+
+    monkeypatch.setattr(scan_mod, "ABSENCE_PRIME_BOUND", 1_000)
+    f = corpus_generate(kind, params).poly
+    field = NumberField(f)
+    kind_ = scan_mod._Quad(field, candidate_ramified_primes(f, 2))
+    basis, gcd_value = kind_.basis, kind_.gcd_value
+
+    def legendre_witness(delta):
+        for q, degrees, _ in scan_mod._frobenius_primes(field, basis, gcd_value, 1_000):
+            cls = classify_prime_quadratic(degrees, field.n)
+            sym = legendre(delta, q)
+            if (cls == QuadClass.SPLIT and sym == -1) or (cls == QuadClass.INERT and sym == 1):
+                return q
+        return None
+
+    witnesses = []
+    for vec in itertools.product((0, 1), repeat=basis.width):
+        if any(vec):
+            expect = legendre_witness(basis.delta_of_vector(vec))
+            assert scan_mod.absence_witness(field, basis, gcd_value, vec) == expect, vec
+            witnesses.append(expect)
+    # both outcomes occur: true subfields have no witness, the others one
+    assert None in witnesses and any(witnesses)
+
+
 @pytest.mark.parametrize("delta", [0, 1, 4, 9])
 def test_absence_search_rejects_zero_and_squares(delta):
     # Q(sqrt(delta)) = Q for a square delta: a subfield of every field, which
@@ -381,6 +421,25 @@ def test_report_group_closure_checked():
         rep.check_invariants()
 
 
+def test_check_invariants_factors_each_found_delta_once(monkeypatch):
+    # the twist-closure check takes each delta's squarefree kernel once and
+    # forms the kernel of a product from two kernels, never factoring it
+    import subfieldscan.scan as scan_mod
+
+    rep = quad_subfield_scan(corpus_generate("multiquadratic", "2,3,5").poly)
+    calls = []
+
+    def factor_integer(n, *args, **kwargs):
+        calls.append(n)
+        return real(n, *args, **kwargs)
+
+    real = scan_mod.factor_integer
+    monkeypatch.setattr(scan_mod, "factor_integer", factor_integer)
+    rep.check_invariants()
+    assert len(rep.subfields) == 7
+    assert sorted(calls) == deltas(rep)
+
+
 def test_representative_testing_with_product_certificates():
     # Q(sqrt6, sqrt10) without sieve rows: the candidate list contains all
     # 31 vectors over [-1, 2, 3, 5].  When delta = 10 comes up, the found
@@ -433,17 +492,16 @@ def test_sieve_rows_sound_for_true_cubic_subfields(kind, params, vec):
     from subfieldscan.nfroot import PROVED, find_root
     from subfieldscan.ramify import candidate_ramified_primes
     from subfieldscan.scan import sieve_rows
-    from subfieldscan.sieve import cubic_basis_generators, vector_satisfies
+    from subfieldscan.sieve import vector_satisfies
 
     entry = corpus_generate(kind, params)
     cs = candidate_ramified_primes(entry.poly, 3)
-    basis, pis = cubic_place_basis(cs)
+    basis = cubic_place_basis(cs)
     assert basis.primes == (7,)
     [cubic] = entry.cubic
-    candidate = build_generator(vec, pis).minpoly
+    candidate = build_generator(vec, basis).minpoly
     assert find_root(NumberField(cubic), candidate).status == PROVED
-    gens = cubic_basis_generators(basis)
-    rows = sieve_rows(NumberField(entry.poly), basis, cs.gcd_value, 100_000, gens).rows
+    rows = sieve_rows(NumberField(entry.poly), basis, cs.gcd_value, 100_000).rows
     assert rows
     for row in rows:
         assert vector_satisfies(row, vec, 3), row
@@ -467,16 +525,16 @@ def test_absence_search_starts_after_the_sieve(monkeypatch, kind, params, bound,
             absence_primes.append(q)
         return real_ddf(f, q, *args, **kwargs)
 
-    def absence_witness_quad(*args, **kwargs):
+    def absence_witness(*args, **kwargs):
         searching.append(True)
         try:
             return real_witness(*args, **kwargs)
         finally:
             searching.pop()
 
-    real_ddf, real_witness = modp.ddf_degrees, scan_mod.absence_witness_quad
+    real_ddf, real_witness = modp.ddf_degrees, scan_mod.absence_witness
     monkeypatch.setattr(modp, "ddf_degrees", ddf_degrees)
-    monkeypatch.setattr(scan_mod, "absence_witness_quad", absence_witness_quad)
+    monkeypatch.setattr(scan_mod, "absence_witness", absence_witness)
     report = quad_subfield_scan(corpus_generate(kind, params).poly,
                                 ScanConfig(sieve_prime_bound=bound))
     assert report.sieve.rows == 1
@@ -503,7 +561,7 @@ def test_absence_search_starts_after_a_stable_sieve(monkeypatch):
             absence_primes.append(q)
         return real_ddf(f, q, *args, **kwargs)
 
-    def absence_witness_quad(*args, **kwargs):
+    def absence_witness(*args, **kwargs):
         searching.append(True)
         try:
             return real_witness(*args, **kwargs)
@@ -517,10 +575,10 @@ def test_absence_search_starts_after_a_stable_sieve(monkeypatch):
     def find_root(field, h):
         return RootSearch(NOT_FOUND) if not absence_primes else real_find(field, h)
 
-    real_ddf, real_witness = modp.ddf_degrees, scan_mod.absence_witness_quad
+    real_ddf, real_witness = modp.ddf_degrees, scan_mod.absence_witness
     real_sieve, real_find = scan_mod.sieve_rows, scan_mod.find_root
     monkeypatch.setattr(modp, "ddf_degrees", ddf_degrees)
-    monkeypatch.setattr(scan_mod, "absence_witness_quad", absence_witness_quad)
+    monkeypatch.setattr(scan_mod, "absence_witness", absence_witness)
     monkeypatch.setattr(scan_mod, "sieve_rows", sieve_rows)
     monkeypatch.setattr(scan_mod, "find_root", find_root)
     config = ScanConfig()

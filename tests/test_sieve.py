@@ -8,7 +8,7 @@ from subfieldscan.eisenstein import EisensteinInt, OMEGA, cubic_residue_class, s
 from subfieldscan.errors import PrimeInBasis
 from subfieldscan.sieve import (CubicClass, PlaceBasis, QuadClass, Row, Span, canonical_f3,
                                 classify_prime_cubic, classify_prime_quadratic,
-                                cubic_basis_generators, cubic_constraint,
+                                cubic_constraint,
                                 quad_constraint, solve_f2, solve_f3_kernel,
                                 vector_satisfies)
 
@@ -110,9 +110,9 @@ def test_cubic_constraint_slot_values():
     gen = b7 * b7.conj() * b7.conj()
     assert cubic_residue_class(EisensteinInt(2, 0), 5) == 0
     basis = PlaceBasis(3, (7,))
-    gens = cubic_basis_generators(basis)
+    gens = basis.generators
     assert gens[0] == OMEGA and gens[1] == gen
-    row = cubic_constraint(13, basis, gens)
+    row = cubic_constraint(13, basis)
     if row is not None:
         assert len(row.coeffs) == 2 and row.rhs == 0
 

@@ -82,7 +82,7 @@ def _span_up_to(field, kind, bound):
     it is full."""
     span, width = _span(kind), kind.basis.width
     for q, degrees, cubic_row in scan_mod._frobenius_primes(field, kind.basis, kind.gcd_value,
-                                                            bound, kind.generators):
+                                                            bound):
         row = frobenius_row(q, degrees, field.n, kind.basis, cubic_row)
         if row is not None:
             _insert(span, row)
@@ -102,7 +102,7 @@ def _cases():
 @pytest.mark.parametrize("poly, scan", _cases())
 def test_stopped_sieve_spans_every_row_up_to_the_bound(poly, scan):
     field, kind = _setting(poly, scan)
-    sieve = scan_mod.sieve_rows(field, kind.basis, kind.gcd_value, BOUND, kind.generators)
+    sieve = scan_mod.sieve_rows(field, kind.basis, kind.gcd_value, BOUND)
     assert _echelon(_span(kind, sieve.rows)) == _echelon(_span_up_to(field, kind, BOUND))
 
 
@@ -112,8 +112,7 @@ def test_stopped_sieve_spans_every_row_up_to_the_bound(poly, scan):
 ])
 def test_sieve_without_rows_stops_early(monkeypatch, kind, params, scan):
     field, adapter = _setting(corpus_generate(kind, params).poly, scan)
-    walk = list(scan_mod._frobenius_primes(field, adapter.basis, adapter.gcd_value, BOUND,
-                                           adapter.generators))
+    walk = list(scan_mod._frobenius_primes(field, adapter.basis, adapter.gcd_value, BOUND))
     # no prime below the bound gives a row, so a sieve that waits for rows
     # runs one DDF at each of these primes
     assert not any(frobenius_row(q, d, field.n, adapter.basis, r) for q, d, r in walk)
@@ -126,8 +125,7 @@ def test_sieve_without_rows_stops_early(monkeypatch, kind, params, scan):
     real = modp.ddf_degrees
     monkeypatch.setattr(modp, "ddf_degrees", ddf_degrees)
     # a fresh field: the walk above left its factor degrees in this one
-    sieve = scan_mod.sieve_rows(NumberField(field.f), adapter.basis, adapter.gcd_value, BOUND,
-                                adapter.generators)
+    sieve = scan_mod.sieve_rows(NumberField(field.f), adapter.basis, adapter.gcd_value, BOUND)
     assert sieve.rows == [] and 0 < sieve.walked < BOUND
     assert max(calls) == sieve.walked
     assert 4 * len(calls) <= len(walk)
@@ -138,7 +136,7 @@ def test_sieve_without_rows_stops_early(monkeypatch, kind, params, scan):
     for i, (scan, poly) in enumerate(GENERIC_EMPTY)])
 def test_field_without_subfield_stops_at_the_row_that_empties_the_solutions(scan, poly):
     field, kind = _setting(Poly(list(poly)), scan)
-    sieve = scan_mod.sieve_rows(field, kind.basis, kind.gcd_value, BOUND, kind.generators)
+    sieve = scan_mod.sieve_rows(field, kind.basis, kind.gcd_value, BOUND)
     assert sieve.walked == sieve.rows[-1].prime
     width = kind.basis.width
     if scan == "quad":
@@ -160,7 +158,7 @@ def test_stable_count_restarts_when_the_span_grows(monkeypatch):
             for q, coeffs in zip(range(101, 1000, 2), plan)]
     monkeypatch.setattr(scan_mod, "_frobenius_primes", lambda *args, **kwargs: iter(walk))
     field = types.SimpleNamespace(n=6)
-    sieve = scan_mod.sieve_rows(field, basis, 1, BOUND, generators=())
+    sieve = scan_mod.sieve_rows(field, basis, 1, BOUND)
     # units[2] grows the span; the seven repeats of units[1] and the one of
     # units[0] after it make eight in a row, and the sieve stops there
     stop = plan.index(units[2]) + 8
