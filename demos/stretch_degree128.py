@@ -8,12 +8,12 @@ Its best prime, p = 47, splits the field into 64 completions of degree 2,
 so the knapsack that picks a root per completion has 63 unknowns.  The
 fixed bit budget that settles the degree-32 field at dimension 23 gives a
 dimension-87 lattice of 17-bit entries here, which is too thin for LLL to
-single out the 0/1 solution: one root test lifts once, to the precision
-k = 83 that its coefficient bound asks for, and answers "not found" after
-about 13 s (CPython 3.11, one core of a 2-core machine), of which LLL
-takes 4 s and the p-adic lift most of the rest.  So the full scan is not
-attempted by default, and it ends with unproven exclusions rather than
-wrong answers.
+single out the 0/1 solution: one root test lifts the 64 factors of f
+once, to the precision k = 83 that its coefficient bound asks for, and
+answers "not found" after about 4 s (CPython 3.11, one core of a 2-core
+machine), of which LLL takes 3.6 s and the p-adic lift 0.2 s.  So the
+full scan is not attempted by default, and it ends with unproven
+exclusions rather than wrong answers.
 
 Run with: python3 demos/stretch_degree128.py            (cheap phases only)
           python3 demos/stretch_degree128.py --full     (attempt everything)

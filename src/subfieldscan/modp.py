@@ -21,13 +21,15 @@ whose size (none, sqrt(n) baby steps, all n) follows the products spent.
 gcd is a remainder-only Euclid that fuses each one-degree step into a
 single pass and keeps no quotient.  pdivmod remains for exact division,
 a ring without a given Barrett constant and one-off reductions; division
-needs a divisor with a unit leading coefficient.  The schoolbook mul is
-the reference the packed products are tested against.
+needs a divisor with a unit leading coefficient.  mul, a plain product
+packed the same way, with pdivmod is the reference the ring's products
+are tested against; invert is an extended Euclid over F_p.
 
 Public operations: squarefree test, distinct-degree factor degrees, full
 factorization (distinct-degree + Cantor-Zassenhaus) and root extraction
-(the quadratic formula for a quadratic).  The root tests' idempotents and
-Newton lifting to Z/p^k live in nfroot (_lift_idempotents, _lift_root).
+(the quadratic formula for a quadratic).  The root tests' Hensel lifts to
+Z/p^k, of the factors of f and of the roots of h, live in nfroot
+(_lift_factors, _lift_root).
 
 The prime walks of the scans and the root tests' prime selection ask only
 part of this.  They settle squarefreeness themselves (NumberField.
@@ -78,15 +80,16 @@ def sub(a, b, m):
 
 
 def mul(a, b, m):
+    """a*b for reduced a and b by Kronecker substitution: one big-integer
+    product, with slots wide enough for min(len(a), len(b)) * m^2."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return trim([c % m for c in out])
+    width = -(-(min(len(a), len(b)) * m * m).bit_length() // 8)
+    x = int.from_bytes(b"".join([c.to_bytes(width, "little") for c in a]), "little")
+    y = int.from_bytes(b"".join([c.to_bytes(width, "little") for c in b]), "little")
+    data = (x * y).to_bytes(width * (len(a) + len(b) - 1), "little")
+    return trim([int.from_bytes(data[i:i + width], "little") % m
+                 for i in range(0, len(data), width)])
 
 
 def scale(a, k, m):
@@ -318,6 +321,20 @@ def gcd(a, b, p):
             del r[db:]
         a, b = b, trim(r)
     return monic(a, p)
+
+
+def invert(a, b, p):
+    """a^-1 modulo b over F_p, for a reduced a prime to b: an extended
+    Euclid that keeps only the cofactor of a."""
+    r0, r1 = list(b), pmod(a, b, p)
+    s0, s1 = [], [1]
+    while deg(r1) > 0:
+        q, r = pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, sub(s0, mul(q, s1, p), p)
+    if not r1:
+        raise ValueError("not invertible: a and b have a common factor")
+    return scale(s1, inverse_mod(r1[0], p), p)
 
 
 def derivative(a, m):

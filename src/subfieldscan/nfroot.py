@@ -269,32 +269,58 @@ def _lift_root(h: Poly, s0: int, p: int, k: int) -> int:
     return s
 
 
-def _lift_idempotents(field: NumberField, factors, p: int, k: int) -> list[list[int]]:
-    """The CRT idempotents of the distinct monic irreducible factors of
-    f mod p, Newton-lifted (e -> 3e^2 - 2e^3) to Z/p^k.
+def _lift_factors(field: NumberField, factors, p: int, k: int) -> list[list[int]]:
+    """The monic factors of f mod p**k that reduce to the given distinct
+    monic irreducible factors of f mod p, in the same order.
 
-    Mod p the idempotent of a factor g of degree d is c * u with c = f/g
-    and u = c**(p**d - 2) in F_p[x]/(g) = F_(p^d), the inverse of c there:
-    c is 0 modulo every other factor and c * u is 1 modulo g."""
-    f_p = modp.monic(modp.from_poly(field.f, p), p)
-    ring = modp.QuotientRing(f_p, p, field.barrett())
-    idems = []
-    for fac in factors:
-        cof = modp.pdivmod(f_p, list(fac), p)[0]
-        inverse = modp.QuotientRing(fac, p).pow(cof, p ** modp.deg(fac) - 2)
-        idems.append(ring.mul(cof, inverse))
-    j = 1
+    A multifactor Hensel lift (von zur Gathen & Gerhard, Modern Computer
+    Algebra, 15.5) over a balanced binary tree of the factors: each inner
+    node splits the product F of its leaves as a*b and keeps u = a^-1 mod b,
+    from an extended Euclid mod p (modp.invert).  A step from p**j to p**j2,
+    j2 = min(2j, k), corrects each node, root first, at the new digits only:
+
+        e = (F - a*b) / p**j mod p**(j2 - j),  b += p**j * (u*e mod b),
+        a = F div b,  u = u*(2 - a*u) mod b (not after the last step),
+
+    with F the root's f or the parent's new a or b.  Then a*b = F mod
+    p**j2, both monic, and u is right mod p**min(j2, k - j2), the precision
+    the next step's correction needs.  Monic lifts are unique, so the
+    tree's shape changes no result."""
+    lifted = [list(g) for g in factors]
+    tree, j = _factor_tree(lifted, p)[1], 1
     while j < k:
-        j = min(2 * j, k)
-        m = p**j
-        ring = modp.QuotientRing(modp.from_poly(field.f, m), m, field.barrett())
-        new = []
-        for e in idems:
-            e2 = ring.mul(e, e)
-            e3 = ring.mul(e2, e)
-            new.append(modp.sub(modp.scale(e2, 3, m), modp.scale(e3, 2, m), m))
-        idems = new
-    return idems
+        j2 = min(2 * j, k)
+        lifted = _hensel_step(tree, modp.from_poly(field.f, p**j2), p, j, j2, p**min(j2, k - j2))
+        j = j2
+    return lifted
+
+
+def _factor_tree(factors, p):
+    """(product of the factors mod p, their tree): None for one factor,
+    else [a, b, u, left, right] with a and b the products of the halves."""
+    if len(factors) == 1:
+        return factors[0], None
+    half = len(factors) // 2
+    (a, left), (b, right) = _factor_tree(factors[:half], p), _factor_tree(factors[half:], p)
+    return modp.mul(a, b, p), [a, b, modp.invert(a, b, p), left, right]
+
+
+def _hensel_step(node, F, p, j, j2, mu):
+    """The leaves under node, lifted from a product F mod p**j to F mod
+    p**j2 (see _lift_factors); u is lifted mod mu, 1 after the last step."""
+    if node is None:
+        return [F]
+    a, b, u, left, right = node
+    pj, m2, m = p**j, p**(j2 - j), p**j2
+    e = [c // pj for c in modp.sub(F, modp.mul(a, b, m), m)]
+    b = modp.add(b, [c * pj for c in modp.pmod(modp.mul(u, e, m2), b, m2)], m)
+    a = modp.pdivmod(F, b, m)[0]
+    if mu > 1:
+        au, bu, u = ([c % mu for c in v] for v in (a, b, u))
+        au = modp.pmod(modp.mul(au, u, mu), bu, mu)
+        u = modp.pmod(modp.mul(u, modp.sub([2], au, mu), mu), bu, mu)
+    node[:3] = a, b, u
+    return _hensel_step(left, a, p, j, j2, mu) + _hensel_step(right, b, p, j, j2, mu)
 
 
 # -- knapsack reconstruction ------------------------------------------------------
@@ -382,13 +408,21 @@ def root_knapsack(field: NumberField, h: Poly, pdata: PrimeData) -> RootSearch:
     is roots[0] as a 0/1 knapsack over the other completions.
 
     Modulo p**k the scaled root is y = y0 + sum delta_ij * w_ij, where
-    y0 = s_1 * f' (the idempotents sum to 1), w_ij = (s_j - s_1) * f' * e_i
-    for completions i >= 2 and roots j >= 2, and delta_ij is 1 exactly when
-    completion i takes root j.  The true y has small coefficients, so fixed
-    small combinations of the coefficients of y0 + sum delta * w sit next
-    to multiples of p**k (k from knapsack_precision); one LLL on their
-    leading fractional bits finds the indicators.  Each candidate is
-    rechecked exactly, so a wrong one only costs time.
+    y0 = s_1 * f' (the CRT idempotents e_i of the completions sum to 1),
+    w_ij = (s_j - s_1) * f' * e_i for completions i >= 2 and roots j >= 2,
+    and delta_ij is 1 exactly when completion i takes root j.  With g_i the
+    factor of f mod p**k of completion i (_lift_factors),
+
+        f' * e_i = (f/g_i) * g_i'  (mod f, p**k):
+
+    the right side has degree below n and is divisible by every g_j with
+    j != i, and modulo g_i it is f', as f' = (f/g_i)' * g_i + (f/g_i) * g_i'.
+    So a column needs no product modulo f.  The true y has small
+    coefficients, so fixed small combinations of the coefficients of
+    y0 + sum delta * w sit next to multiples of p**k (k from
+    knapsack_precision); one LLL on their leading fractional bits finds the
+    indicators.  Each candidate is rechecked exactly, so a wrong one only
+    costs time.
     """
     p, n = pdata.p, field.n
     per_completion = h.degree - 1
@@ -397,13 +431,12 @@ def root_knapsack(field: NumberField, h: Poly, pdata: PrimeData) -> RootSearch:
     weights = _projection(n, c)
     k = knapsack_precision(field, h, p, s)
     m = p**k
-    ring = modp.QuotientRing(modp.from_poly(field.f, m), m, field.barrett())
-    fp_m = modp.from_poly(field.fprime, m)
+    f_m = modp.from_poly(field.f, m)
     roots = [_lift_root(h, s0, p, k) for s0 in pdata.roots]
-    y0 = modp.scale(fp_m, roots[0], m)
+    y0 = modp.scale(modp.from_poly(field.fprime, m), roots[0], m)
     w = []
-    for e in _lift_idempotents(field, pdata.factors[1:], p, k):
-        fe = ring.mul(fp_m, e)
+    for g in _lift_factors(field, pdata.factors, p, k)[1:]:
+        fe = modp.mul(modp.pdivmod(f_m, g, m)[0], modp.derivative(g, m), m)
         w.extend(modp.scale(fe, sj - roots[0], m) for sj in roots[1:])
     basis = _knapsack_basis(_fraction_bits(y0, weights, s, m),
                             [_fraction_bits(v, weights, s, m) for v in w], s)

@@ -17,8 +17,9 @@ from subfieldscan.arith import factor_integer
 from subfieldscan.config import ScanConfig
 from subfieldscan.errors import NotSquarefree
 from subfieldscan.lattice import gram_schmidt, lll_reduce
-from subfieldscan.modp import QuotientRing, add, ddf_degrees, factor_mod_p, from_poly, pdivmod, trim
-from subfieldscan.nfroot import (NumberField, RootCertificate, _lift_idempotents, _lift_root,
+from subfieldscan.modp import (ddf_degrees, derivative, factor_mod_p, from_poly, mul, pdivmod,
+                               pmod, trim)
+from subfieldscan.nfroot import (NumberField, RootCertificate, _lift_factors, _lift_root,
                                  find_root, select_prime, verify_certificate)
 from subfieldscan.poly import (Poly, disc_poly, eth_root_coeffs, eth_root_newton,
                                poly_from_power_sums, power_sums)
@@ -209,8 +210,8 @@ def test_criterion_7c_ddf_degree_sums():
 
 
 def test_criterion_7d_newton_lifts():
-    # the lifts the root test runs: the CRT idempotents of f mod p and the
-    # simple roots of a polynomial, from F_p to Z/p^k
+    # the lifts the root test runs: the factors of f mod p and the simple
+    # roots of a polynomial, from F_p to Z/p^k
     rng = random.Random(103)
     checked = 0
     while checked < 60:
@@ -225,21 +226,24 @@ def test_criterion_7d_newton_lifts():
         checked += 1
         k = rng.randint(2, 7)
         m = p**k
-        ring = QuotientRing(from_poly(f, m), m)
-        idems = _lift_idempotents(NumberField(f), factors, p, k)
-        total = []
-        for i, e in enumerate(idems):
-            assert ring.mul(e, e) == e
-            assert all(ring.mul(e, e2) == [] for e2 in idems[i + 1:])
-            total = add(total, e, m)
-            for j, fac in enumerate(factors):
-                assert pdivmod(trim([c % p for c in e]), fac, p)[1] == ([1] if i == j else [])
-        assert total == [1]
+        f_m, fp_m = from_poly(f, m), from_poly(f.derivative(), m)
+        lifted = _lift_factors(NumberField(f), factors, p, k)
+        assert len(lifted) == len(factors)
+        product = [1]
+        for i, g in enumerate(lifted):
+            assert g[-1] == 1
+            assert trim([c % p for c in g]) == factors[i]
+            product = mul(product, g, m)
+            # the knapsack column (f/g)*g' is f' modulo g and 0 modulo the others
+            column = mul(pdivmod(f_m, g, m)[0], derivative(g, m), m)
+            for j, g2 in enumerate(lifted):
+                assert pmod(column, g2, m) == (pmod(fp_m, g2, m) if i == j else [])
+        assert product == f_m
         for fac in factors:
             if len(fac) == 2:
                 s = _lift_root(f, -fac[0], p, k)
                 assert f.evaluate(s) % m == 0
-    _pass("7d", "lifted idempotents and roots hold mod p^k on random instances")
+    _pass("7d", "lifted factors and roots hold mod p^k on random instances")
 
 
 def test_criterion_7e_lll_postconditions():

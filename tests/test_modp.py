@@ -103,7 +103,7 @@ def test_roots_large_prime_path():
     assert modp.roots_mod_p(h2, p) == {1, 2}
 
 
-# -- the packed quotient ring against the schoolbook reference ---------------------
+# -- the packed products against the schoolbook reference --------------------------
 
 SMALL_PRIMES = [5, 7, 11, 13, 101, 1009, 9973, 65521]
 
@@ -144,6 +144,33 @@ def schoolbook_pow(a, e, v, m):
         base = modp.pmod(modp.mul(base, base, m), v, m)
         e >>= 1
     return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(moduli, st.data())
+def test_mul_matches_the_convolution(m, data):
+    a, b = data.draw(residues(m, 40)), data.draw(residues(m, 40))
+    conv = [sum(a[i] * b[t - i] for i in range(len(a)) if 0 <= t - i < len(b)) % m
+            for t in range(len(a) + len(b) - 1)]
+    assert modp.mul(a, b, m) == modp.trim(conv)
+
+
+def test_invert_is_the_inverse_modulo_b():
+    rng = random.Random(7)
+    inverted = 0
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7, 101, 65521])
+        b = [rng.randrange(p) for _ in range(rng.randint(1, 12))] + [1]
+        a = modp.trim([rng.randrange(p) for _ in range(rng.randint(1, 20))])
+        if modp.gcd(a, b, p) != [1]:
+            with pytest.raises(ValueError):
+                modp.invert(a, b, p)
+            continue
+        u = modp.invert(a, b, p)
+        assert modp.deg(u) < modp.deg(b)
+        assert modp.pmod(modp.mul(a, u, p), b, p) == [1]
+        inverted += 1
+    assert inverted > 150
 
 
 @settings(max_examples=300, deadline=None)

@@ -279,6 +279,15 @@ def test_knapsack_degree32_subfields():
     assert_matches_oracle((2, 3, 5, 7, 11), deltas=(5, 77, 2310))
 
 
+def test_knapsack_degree64_root_tests():
+    # Q(sqrt 2, ..., sqrt 13): the factor tree has 32 leaves
+    field = NumberField(multiquadratic_minpoly((2, 3, 5, 7, 11, 13)))
+    h = Poly([-2, 0, 1])
+    res = find_root(field, h)
+    assert res.status == PROVED and verify_certificate(field, h, res.certificate)
+    assert find_root(field, Poly([1, 0, 1])).status == NOT_FOUND
+
+
 @pytest.mark.parametrize("h", [Poly([-30, 0, 1]), Poly([1, 0, 1]), Poly([-4, 0, 1])])
 def test_find_root_ignores_its_config_and_needs_no_rng(h):
     # the benchmark harness still calls find_root(field, h, ScanConfig(), rng)
@@ -359,6 +368,70 @@ def test_knapsack_lifts_once_to_the_bound_precision(monkeypatch):
     assert k > 1 and pdata.p ** (k - 1) < 2 ** bits <= pdata.p ** k
     assert find_root(field, h).status == PROVED
     assert set(lifted) == {k}
+
+
+def reference_columns(field, pdata, k):
+    """f' * e_i mod (f, p^k) for the completions i >= 2, from the CRT
+    idempotents: e_i = c * c^-1 mod p with c = f/g_i and its inverse in
+    F_p[x]/(g_i) = F_(p^d) (Fermat), then Newton e -> 3e^2 - 2e^3."""
+    p = pdata.p
+    f_p = modp.from_poly(field.f, p)
+    columns = []
+    for g in pdata.factors[1:]:
+        c = modp.pdivmod(f_p, list(g), p)[0]
+        inverse = modp.QuotientRing(g, p).pow(c, p ** (len(g) - 1) - 2)
+        e, j = modp.pmod(modp.mul(c, inverse, p), f_p, p), 1
+        while j < k:
+            j = min(2 * j, k)
+            m = p**j
+            f_m = modp.from_poly(field.f, m)
+            e2 = modp.pmod(modp.mul(e, e, m), f_m, m)
+            e3 = modp.pmod(modp.mul(e2, e, m), f_m, m)
+            e = modp.sub(modp.scale(e2, 3, m), modp.scale(e3, 2, m), m)
+        columns.append(modp.pmod(modp.mul(modp.from_poly(field.fprime, m), e, m), f_m, m))
+    return columns
+
+
+def _prime_data(f, h, p):
+    return PrimeData(p, tuple(tuple(g) for g in factor_mod_p(f, p)),
+                     tuple(sorted(roots_mod_p(h, p))))
+
+
+S4_SQRT5 = compositum_minpoly(Poly.from_desc([1, 0, -5]), S4_QUARTIC)
+
+
+@pytest.mark.parametrize("f, h, p, r, k", [
+    (multiquadratic_minpoly((2, 3, 5)), Poly([-30, 0, 1]), 7, 4, 20),
+    (multiquadratic_minpoly((2, 3, 5, 7, 11)), Poly([-5, 0, 1]), 19, 16, 31),
+    # factors of degrees 1, 1, 3, 3 and 1, 1, 1, 1, 2, 2
+    (S4_SQRT5, Poly([-5, 0, 1]), 11, 4, 16),
+    (S4_SQRT5, Poly([-5, 0, 1]), 79, 6, 9),
+    (corpus_generate("cubic-compositum", "7,9").poly, Poly.from_desc([1, 0, -3, 1]), 17, 3, 15),
+])
+def test_knapsack_columns_equal_f_prime_times_the_idempotents(monkeypatch, f, h, p, r, k):
+    # the lattice gets (s_j - s_1) * (f/g_i) * g_i' for the lifted factors
+    # g_i, byte for byte the (s_j - s_1) * f' * e_i of the idempotents
+    import subfieldscan.nfroot as nfroot
+
+    field = NumberField(f)
+    pdata = _prime_data(f, h, p)
+    _, s = knapsack_size(field.n, (pdata.r - 1) * (h.degree - 1))
+    assert pdata.r == r and knapsack_precision(field, h, p, s) == k
+    m = p**k
+    roots = [nfroot._lift_root(h, s0, p, k) for s0 in pdata.roots]
+    y0 = modp.scale(modp.from_poly(field.fprime, m), roots[0], m)
+    expect = [y0] + [modp.scale(col, sj - roots[0], m)
+                     for col in reference_columns(field, pdata, k) for sj in roots[1:]]
+    vectors = []
+
+    def fraction_bits(vec, weights, s, m):
+        vectors.append(vec)
+        return real_bits(vec, weights, s, m)
+
+    real_bits = nfroot._fraction_bits
+    monkeypatch.setattr(nfroot, "_fraction_bits", fraction_bits)
+    assert nfroot.root_knapsack(field, h, pdata).status == PROVED
+    assert vectors == expect
 
 
 def test_cubic_root():
