@@ -1,8 +1,8 @@
 """Arbitrary-precision integer utilities.
 
 Primality testing, complete integer factorization with an explicit budget,
-Legendre symbols, and a few modular helpers (inverses, Tonelli-Shanks
-square roots, prime iteration) used throughout the library.
+Legendre symbols, and a few modular helpers (Tonelli-Shanks square roots,
+prime iteration) used throughout the library.
 
 The one randomized routine, Miller-Rabin above the deterministic bound,
 draws its bases from a stream seeded from n, so every answer is
@@ -99,13 +99,11 @@ def iter_primes(start: int = 2, bound: int | None = None):
         lo, size = hi, min(2 * size, 1 << 16)
 
 
-@dataclass(frozen=True)
-class FactorBudget:
-    """Caps for factor_integer: trial-division bound and Pollard rho effort."""
-
-    trial_bound: int = 10_000
-    rho_iteration_cap: int = 1 << 24
-    rho_restarts: int = 24
+# The caps of factor_integer: the trial-division bound, and the Pollard rho
+# effort per composite cofactor (iterations over all restarts, and restarts).
+TRIAL_BOUND = 10_000
+RHO_ITERATION_CAP = 1 << 24
+RHO_RESTARTS = 24
 
 
 @dataclass
@@ -125,7 +123,7 @@ class FactoredInt:
         return sorted(self.factors)
 
 
-def _pollard_brent(n: int, budget: FactorBudget) -> int:
+def _pollard_brent(n: int) -> int:
     """A non-trivial factor of odd composite n, or raise BudgetExceeded.
 
     Brent's cycle-finding variant with batched gcds.  Restarts with a new
@@ -134,7 +132,7 @@ def _pollard_brent(n: int, budget: FactorBudget) -> int:
     if n % 2 == 0:
         return 2
     spent = 0
-    for c in range(1, budget.rho_restarts + 1):
+    for c in range(1, RHO_RESTARTS + 1):
         y, r, q = 2, 1, 1
         g = 1
         x = ys = y
@@ -153,7 +151,7 @@ def _pollard_brent(n: int, budget: FactorBudget) -> int:
                 k += batch
             r *= 2
             spent += r
-            if spent > budget.rho_iteration_cap:
+            if spent > RHO_ITERATION_CAP:
                 raise BudgetExceeded(f"pollard rho budget exhausted on {n}")
         if g == n:
             # Backtrack one step at a time from the batched run.
@@ -166,27 +164,25 @@ def _pollard_brent(n: int, budget: FactorBudget) -> int:
     raise BudgetExceeded(f"pollard rho restarts exhausted on {n}")
 
 
-def factor_integer(n: int, budget: FactorBudget | None = None) -> FactoredInt:
+def factor_integer(n: int) -> FactoredInt:
     """Exact complete factorization of n != 0.
 
-    Trial division up to budget.trial_bound, then Miller-Rabin plus Pollard
-    rho (Brent) recursively.  Raises BudgetExceeded when a composite cofactor
-    resists splitting within the configured effort.
+    Trial division up to TRIAL_BOUND, then Miller-Rabin plus Pollard rho
+    (Brent) recursively.  Raises BudgetExceeded when a composite cofactor
+    resists splitting within RHO_ITERATION_CAP and RHO_RESTARTS.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    if budget is None:
-        budget = FactorBudget()
     sign = 1 if n > 0 else -1
     n = abs(n)
     factors: dict[int, int] = {}
-    for p in primes_up_to(min(budget.trial_bound, math.isqrt(n) + 1)):
+    for p in primes_up_to(min(TRIAL_BOUND, math.isqrt(n) + 1)):
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
         if n == 1:
             break
-    if n > 1 and n <= budget.trial_bound * budget.trial_bound:
+    if n > 1 and n <= TRIAL_BOUND * TRIAL_BOUND:
         # Cofactor below the square of the trial bound must be prime.
         factors[n] = factors.get(n, 0) + 1
         n = 1
@@ -198,7 +194,7 @@ def factor_integer(n: int, budget: FactorBudget | None = None) -> FactoredInt:
         if is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        d = _pollard_brent(m, budget)
+        d = _pollard_brent(m)
         stack.append(d)
         stack.append(m // d)
     return FactoredInt(sign, dict(sorted(factors.items())))
@@ -211,13 +207,6 @@ def legendre(a: int, p: int) -> int:
         return 0
     t = pow(a, (p - 1) // 2, p)
     return 1 if t == 1 else -1
-
-
-def inverse_mod(a: int, m: int) -> int:
-    try:
-        return pow(a, -1, m)
-    except ValueError:
-        raise ValueError(f"{a} not invertible mod {m}") from None
 
 
 def sqrt_mod_prime(a: int, p: int) -> int | None:

@@ -48,7 +48,7 @@ import operator
 import random
 import struct
 
-from .arith import inverse_mod, sqrt_mod_prime
+from .arith import sqrt_mod_prime
 from .errors import LeadingCoefficientVanishes, NotSquarefree, RetryLimitExceeded
 from .poly import Poly
 
@@ -101,7 +101,7 @@ def pdivmod(a, b, m):
     """Division with remainder; b's leading coefficient must be a unit mod m."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    inv = 1 if b[-1] == 1 else inverse_mod(b[-1], m)
+    inv = 1 if b[-1] == 1 else pow(b[-1], -1, m)
     rem = list(a)
     db = len(b) - 1
     if len(rem) - 1 < db:
@@ -281,7 +281,7 @@ def monic(a, p):
         return a
     if a[-1] == 1:
         return list(a)
-    inv = inverse_mod(a[-1], p)
+    inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
 
@@ -334,7 +334,7 @@ def invert(a, b, p):
         s0, s1 = s1, sub(s0, mul(q, s1, p), p)
     if not r1:
         raise ValueError("not invertible: a and b have a common factor")
-    return scale(s1, inverse_mod(r1[0], p), p)
+    return scale(s1, pow(r1[0], -1, p), p)
 
 
 def derivative(a, m):

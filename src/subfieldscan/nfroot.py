@@ -52,15 +52,13 @@ import random
 from dataclasses import dataclass
 
 from . import modp
-from .arith import inverse_mod, is_probable_prime, iter_primes
+from .arith import is_probable_prime, iter_primes
 from .errors import NoPrimeFound
 from .lattice import lll_reduce
 from .poly import Poly, disc_poly, is_squarefree_q, xgcd_q
 
 PROVED = "proved"
 NOT_FOUND = "not_found"
-KNAPSACK = "knapsack"
-INTEGER = "integer"
 
 # disc(f) replaces one gcd(f, f') mod p per prime that a walk visits, up to
 # about 1 200 primes at the default sieve bound.  Its subresultant PRS pays
@@ -174,7 +172,6 @@ class PrimeData:
 class RootSearch:
     status: str
     certificate: RootCertificate | None = None
-    strategy: str | None = None
 
 
 def select_prime(field: NumberField, h: Poly, rng: random.Random | None = None,
@@ -260,7 +257,7 @@ def verify_certificate(field: NumberField, h: Poly, cert: RootCertificate) -> bo
 def _lift_root(h: Poly, s0: int, p: int, k: int) -> int:
     """Newton lift of a simple root s0 of h mod p to a root mod p**k."""
     hprime = h.derivative()
-    s, u, j = s0 % p, inverse_mod(int(hprime.evaluate(s0)) % p, p), 1
+    s, u, j = s0 % p, pow(int(hprime.evaluate(s0)), -1, p), 1
     while j < k:
         j = min(2 * j, k)
         m = p**j
@@ -456,8 +453,8 @@ def root_knapsack(field: NumberField, h: Poly, pdata: PrimeData) -> RootSearch:
         yc = modp.center_lift(y, m)
         cert = RootCertificate(tuple(yc + [0] * (n - len(yc))), h)
         if verify_certificate(field, h, cert):
-            return RootSearch(PROVED, cert, strategy=KNAPSACK)
-    return RootSearch(NOT_FOUND, strategy=KNAPSACK)
+            return RootSearch(PROVED, cert)
+    return RootSearch(NOT_FOUND)
 
 
 # -- entry point -----------------------------------------------------------------
@@ -484,7 +481,7 @@ def find_root(field: NumberField, h: Poly, config=None,
         cert = RootCertificate(tuple(y) + (0,) * (field.n - len(y)), h)
         if not verify_certificate(field, h, cert):
             raise AssertionError(f"integer root {root} of {h} fails verification")
-        return RootSearch(PROVED, cert, strategy=INTEGER)
+        return RootSearch(PROVED, cert)
     pdata = select_prime(field, h, rng)
     if pdata.r < h.degree:
         return RootSearch(NOT_FOUND)

@@ -259,23 +259,6 @@ def _prem(a: Poly, b: Poly) -> Poly:
     return r
 
 
-def gcd_int(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd of two integer polynomials (primitive PRS)."""
-    if not a:
-        return b.primitive()
-    if not b:
-        return a.primitive()
-    a, b = a.primitive(), b.primitive()
-    if a.degree < b.degree:
-        a, b = b, a
-    while b:
-        r = _prem(a, b)
-        a, b = b, r.primitive()
-    if a.lc < 0:
-        a = -a
-    return a
-
-
 def xgcd_q(a: Poly, b: Poly):
     """(g, s, t) over Q with s*a + t*b = g = gcd(a, b), g monic."""
     r0, r1 = a, b
@@ -292,22 +275,12 @@ def xgcd_q(a: Poly, b: Poly):
     return r0, s0, t0
 
 
-def gcd_q(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q (zero polynomial if both inputs are zero)."""
-    ai, _ = a.clear_denominators()
-    bi, _ = b.clear_denominators()
-    g = gcd_int(ai, bi)
-    if not g:
-        return g
-    return g.monic()
-
-
 def is_squarefree_q(f: Poly) -> bool:
     """Squarefree test over Q.
 
     One squarefree reduction mod a prime proves squarefreeness; the exact
-    gcd runs only when every small prime fails (which for a squarefree f
-    essentially never happens).
+    test, a nonzero resultant of f and f', runs only when every small prime
+    fails (which for a squarefree f essentially never happens).
     """
     from . import modp
 
@@ -317,7 +290,7 @@ def is_squarefree_q(f: Poly) -> bool:
             continue
         if modp.squarefree_mod_p(fi, p):
             return True
-    return gcd_q(f, f.derivative()).degree == 0
+    return resultant_int(fi, fi.derivative()) != 0
 
 
 def resultant_int(a: Poly, b: Poly) -> int:

@@ -65,8 +65,6 @@ def candidate_ramified_primes(f: Poly, e: int) -> CandidateSet:
             continue
         num = c.numerator if isinstance(c, Fraction) else c
         d = math.gcd(d, abs(num))
-    if d == 0:
-        raise InputIsPower("difference vanished unexpectedly")
     tame = []
     if d > 1:
         for p in factor_integer(d).primes():

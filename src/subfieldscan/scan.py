@@ -7,11 +7,13 @@ primes, keeps one F_l row per prime whose Frobenius cycle type is usable
 (_walk).  The sieve keeps the span of its rows and stops once that span
 is full or STABLE_PRIMES class-deciding primes in a row have not grown
 it: the rows a longer walk would add then change nothing, but for a
-chance of about 2**-8 that costs one failed root test.  The walk keeps
-the span of the found vectors: a candidate in it is a subfield by
-closure, one in the coset of an excluded vector is excluded with it, and
-any other gets one exact root test, followed on failure by a search for
-an absence witness.  A witness is a prime whose Frobenius row
+chance of about 2**-8 that costs one failed root test.  It hands that
+span over, and the candidates are read from it (sieve.kernel_vectors):
+the rows are eliminated once per scan.  The walk keeps the span of the
+found vectors: a candidate in it is a subfield by closure, one in the
+coset of an excluded vector is excluded with it, and any other gets one
+exact root test, followed on failure by a search for an absence
+witness.  A witness is a prime whose Frobenius row
 (sieve.frobenius_row) the candidate's exponent vector fails, for both
 kinds: absence_witness is the one search, the sieve and it share one prime
 walk (_frobenius_primes), and a witness search goes on from the last prime
@@ -56,7 +58,7 @@ from .poly import Poly, normalize_input
 from .ramify import candidate_ramified_primes
 from .sieve import (CubicClass, PlaceBasis, QuadClass, Row, Span, class_decided,
                     classify_prime_cubic, classify_prime_quadratic, cubic_constraint,
-                    decides_class, frobenius_row, solve_f2, solve_f3_kernel, vector_satisfies)
+                    decides_class, frobenius_row, kernel_vectors, vector_satisfies)
 
 STATUS_PROVED = "proved"
 STATUS_CERTIFIED_ABSENT = "certified_absent"
@@ -202,9 +204,11 @@ STABLE_PRIMES = 8
 
 @dataclass
 class SieveRows:
-    """The rows sieve_rows kept, in prime order, and the last prime it
-    walked (0: none)."""
+    """The rows sieve_rows kept, in prime order, their span (for l = 2
+    with the right-hand side as last column), from which the scans read
+    their candidates, and the last prime it walked (0: none)."""
     rows: list[Row]
+    span: Span
     walked: int
 
 
@@ -245,8 +249,8 @@ def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int
         else:
             full = len(span.rows) == width
         if full or stale >= STABLE_PRIMES:
-            return SieveRows(rows, q)
-    return SieveRows(rows, bound)
+            return SieveRows(rows, span, q)
+    return SieveRows(rows, span, bound)
 
 
 # The witness searches walk the primes up to this bound; a candidate with
@@ -284,16 +288,17 @@ class _Quad:
         self.gcd_value = cs.gcd_value
         self.basis = PlaceBasis(2, cs.all_finite_primes())
 
-    def solve(self, rows):
+    def solve(self, span):
         """(candidates in walk order, or None if the rows are inconsistent;
-        the dimension of the solution space)."""
-        solution = solve_f2(rows, self.basis.width)
-        if solution.inconsistent:
+        the dimension of the solution space) from the span of the sieve's
+        rows, whose last column is the right-hand side."""
+        width = self.basis.width
+        if width in span.rows:
             return None, 0
         delta = self.basis.delta_of_vector
-        candidates = [v for v in solution.enumerate() if any(v)]
+        candidates = [v[:width] for v in kernel_vectors(span) if v[width] and any(v[:width])]
         candidates.sort(key=lambda v: (abs(delta(v)), delta(v) < 0))
-        return candidates, len(solution.kernel)
+        return candidates, len(span.kernel()) - 1
 
     def label(self, vec):
         return {"delta": self.basis.delta_of_vector(vec)}
@@ -326,7 +331,8 @@ class _Quad:
     def member_certificate(self, vec, span):
         """The product's scaled root, checked."""
         combo, y = span.product(vec)
-        assert combo == vec
+        if combo != vec:
+            raise AssertionError("twist-product vector differs from the span member")
         h = self.h(vec)
         cert = RootCertificate(y.coeffs, h)
         if not verify_certificate(self.field, h, cert):
@@ -349,9 +355,11 @@ class _Cubic:
         self.basis = cubic_place_basis(cs)
         self.candidates: dict[tuple[int, ...], CubicCandidate] = {}
 
-    def solve(self, rows):
-        reps = solve_f3_kernel(rows, self.basis.width)
-        for rep in reps:
+    def solve(self, span):
+        """(candidates in walk order; the dimension of the kernel of the
+        span of the sieve's rows, whose (3**dim - 1) / 2 classes are the
+        candidates before degenerate ones are dropped)."""
+        for rep in kernel_vectors(span):
             try:
                 cand = build_generator(rep, self.basis)
             except ZeroExponentVector:
@@ -359,8 +367,7 @@ class _Cubic:
             self.candidates[cand.exponents] = cand
         cands = self.candidates
         order = sorted(cands, key=lambda v: (cands[v].c, abs(cands[v].t), cands[v].t))
-        # there are (3**dim - 1) / 2 representatives
-        return order, round(math.log(2 * len(reps) + 1, 3))
+        return order, len(span.kernel())
 
     def label(self, vec):
         return {"minpoly": self.candidates[vec].minpoly}
@@ -420,7 +427,7 @@ def _scan(kind_type, f_raw: Poly, config: ScanConfig) -> ScanReport:
     t0 = time.perf_counter()
     sieve = sieve_rows(field, kind.basis, cs.gcd_value, config.sieve_prime_bound)
     rows = sieve.rows
-    candidates, dim = kind.solve(rows)
+    candidates, dim = kind.solve(sieve.span)
     phase("sieve", t0)
     report.sieve = SieveSummary(primes_used=[r.prime for r in rows], rows=len(rows),
                                 solution_dim=dim, inconsistent=candidates is None)

@@ -8,7 +8,12 @@ constrains every such subfield at once: frobenius_row gives its F_l row,
 and a candidate whose vector fails that row (vector_satisfies) is no
 subfield.  That one rule gives every sieve row and every absence witness.
 Span, a span in reduced echelon form, is the one elimination over F_l:
-solve_f2, solve_f3_kernel and the candidate walk of the scans use it.
+the sieve of the scans builds the span of its rows once, and the scans
+read their candidates from it with kernel_vectors, the one enumeration of
+a solution space.  For l = 2 the rows carry their right-hand side as a
+last column: the system is inconsistent when that column is a pivot, and
+its solutions are the kernel vectors that are 1 there, truncated.  The
+candidate walk keeps a second span, of the subfields it found.
 """
 
 from __future__ import annotations
@@ -72,26 +77,6 @@ class Row:
     coeffs: tuple[int, ...]
     rhs: int
     prime: int
-
-
-@dataclass
-class SolutionSpace:
-    inconsistent: bool
-    particular: tuple[int, ...] | None
-    kernel: list[tuple[int, ...]]
-
-    def enumerate(self):
-        """All solution vectors (F2 systems)."""
-        if self.inconsistent:
-            return
-        base = list(self.particular)
-        dim = len(self.kernel)
-        for mask in range(1 << dim):
-            v = list(base)
-            for i in range(dim):
-                if (mask >> i) & 1:
-                    v = [(a + b) % 2 for a, b in zip(v, self.kernel[i])]
-            yield tuple(v)
 
 
 class Span:
@@ -169,6 +154,21 @@ class Span:
         return out
 
 
+def kernel_vectors(span: Span):
+    """The nonzero vectors orthogonal to every row of span, one per class
+    {v, 2v} over F3: the combinations of span.kernel() whose top
+    coefficient is 1, in the base-l order of the lower ones, each with
+    first nonzero entry 1 (canonical_f3; over F2 every vector has it)."""
+    ell, kernel = span.ell, span.kernel()
+    for top, k in enumerate(kernel):
+        for low in range(ell**top):
+            v = list(k)
+            for i in range(top):
+                c = low // ell**i % ell
+                v = [(a + c * b) % ell for a, b in zip(v, kernel[i])]
+            yield canonical_f3(v)
+
+
 def classify_prime_quadratic(degrees: dict[int, int], n: int) -> QuadClass:
     """Split / inert classification from the factor-degree multiset mod p.
 
@@ -212,18 +212,6 @@ def quad_constraint(p: int, cls: QuadClass, basis: PlaceBasis) -> Row | None:
     return Row(tuple(coeffs), rhs, p)
 
 
-def solve_f2(rows: list[Row], width: int) -> SolutionSpace:
-    """Solutions of an F2 system: particular solution plus kernel basis."""
-    span = Span(2, width + 1)
-    for r in rows:
-        span.insert((*r.coeffs, r.rhs))
-    if width in span.rows:
-        return SolutionSpace(True, None, [])
-    # the right-hand side is the last free column: its kernel vector ends in 1
-    *kernel, particular = span.kernel()
-    return SolutionSpace(False, particular[:width], [k[:width] for k in kernel])
-
-
 def classify_prime_cubic(degrees: dict[int, int]) -> CubicClass:
     """A factor degree not divisible by 3 forces splitting in every cyclic
     cubic subfield; otherwise nothing can be concluded.  The degrees may
@@ -247,25 +235,6 @@ def cubic_constraint(q: int, basis: PlaceBasis) -> Row | None:
     if not any(coeffs):
         return None
     return Row(coeffs, 0, q)
-
-
-def solve_f3_kernel(rows: list[Row], width: int) -> list[tuple[int, ...]]:
-    """Kernel representatives of a homogeneous F3 system, one per pair
-    {v, 2v}, enumerated deterministically: (3**dim - 1) / 2 vectors, in the
-    base-3 order of their coefficients over the kernel basis (top one 1)."""
-    span = Span(3, width)
-    for r in rows:
-        span.insert(r.coeffs)
-    kernel = span.kernel()
-    reps = []
-    for top, k in enumerate(kernel):
-        for low in range(3**top):
-            v = list(k)
-            for i in range(top):
-                c = low // 3**i % 3
-                v = [(a + c * b) % 3 for a, b in zip(v, kernel[i])]
-            reps.append(canonical_f3(v))
-    return reps
 
 
 def decides_class(degrees: dict[int, int], n: int, ell: int) -> bool:

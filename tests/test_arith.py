@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subfieldscan import arith
-from subfieldscan.arith import (FactorBudget, factor_integer, is_probable_prime,
-                                legendre, primes_up_to, sqrt_mod_prime)
+from subfieldscan.arith import (factor_integer, is_probable_prime, legendre, primes_up_to,
+                                sqrt_mod_prime)
 from subfieldscan.errors import BudgetExceeded
 
 PRIMES_1M = primes_up_to(100_000)
@@ -35,16 +35,16 @@ def test_factor_recombines_small():
         assert all(is_probable_prime(p) for p in fi.factors)
 
 
-def test_factor_recombines_large_within_budget():
+def test_factor_recombines_large_within_budget(monkeypatch):
     # random 128-bit numbers; a budget-capped failure is acceptable, a wrong
     # factorization is not
     rng = random.Random(7)
-    budget = FactorBudget(rho_iteration_cap=1 << 18)
+    monkeypatch.setattr(arith, "RHO_ITERATION_CAP", 1 << 18)
     done = 0
     for _ in range(60):
         n = rng.randrange(1 << 100, 1 << 128)
         try:
-            fi = factor_integer(n, budget)
+            fi = factor_integer(n)
         except BudgetExceeded:
             continue
         assert fi.value() == n

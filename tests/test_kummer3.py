@@ -7,7 +7,7 @@ from subfieldscan.errors import ZeroExponentVector
 from subfieldscan.kummer3 import build_generator, cubic_place_basis
 from subfieldscan.poly import Poly, disc_poly
 from subfieldscan.ramify import CandidateSet
-from subfieldscan.sieve import PlaceBasis, solve_f3_kernel
+from subfieldscan.sieve import PlaceBasis, Span, kernel_vectors
 
 
 def test_conductor7_generator():
@@ -65,7 +65,7 @@ def test_emitted_polynomial_has_the_symmetric_root():
 def candidates(cs, width):
     """One candidate per representative of the unconstrained F3 space."""
     basis = cubic_place_basis(cs)
-    return [build_generator(rep, basis) for rep in solve_f3_kernel([], width)]
+    return [build_generator(rep, basis) for rep in kernel_vectors(Span(3, width))]
 
 
 def test_enumerate_examples():

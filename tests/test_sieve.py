@@ -8,9 +8,9 @@ from subfieldscan.eisenstein import EisensteinInt, OMEGA, cubic_residue_class, s
 from subfieldscan.errors import PrimeInBasis
 from subfieldscan.sieve import (CubicClass, PlaceBasis, QuadClass, Row, Span, canonical_f3,
                                 classify_prime_cubic, classify_prime_quadratic,
-                                cubic_constraint,
-                                quad_constraint, solve_f2, solve_f3_kernel,
+                                cubic_constraint, kernel_vectors, quad_constraint,
                                 vector_satisfies)
+from tests_sieve_helpers import f2_solutions, row_span
 
 
 def brute_force_f2(rows, width):
@@ -63,29 +63,28 @@ def test_quad_constraint_examples():
         quad_constraint(7, QuadClass.NO_INFO, basis)
 
 
-def test_solve_f2_examples():
-    sol = solve_f2([Row((0, 1), 1, 5), Row((1, 1), 1, 3)], 2)
-    assert not sol.inconsistent
-    assert sol.particular == (0, 1) and sol.kernel == []
-    sol = solve_f2([], 2)
-    assert len(sol.kernel) == 2
-    assert len(set(sol.enumerate())) == 4
-    sol = solve_f2([Row((1, 0), 0, 3), Row((1, 0), 1, 5)], 2)
-    assert sol.inconsistent
+def test_f2_kernel_vectors_examples():
+    span = row_span([Row((0, 1), 1, 5), Row((1, 1), 1, 3)], 2, 2)
+    assert f2_solutions(span, 2) == [(0, 1)] and len(span.kernel()) - 1 == 0
+    span = row_span([], 2, 2)
+    assert len(span.kernel()) - 1 == 2
+    assert len(set(f2_solutions(span, 2))) == 4
+    span = row_span([Row((1, 0), 0, 3), Row((1, 0), 1, 5)], 2, 2)
+    assert f2_solutions(span, 2) is None
 
 
-def test_solve_f2_matches_bruteforce():
+def test_f2_kernel_vectors_match_bruteforce():
     rng = random.Random(1)
     for _ in range(150):
         width = rng.randint(1, 6)
         rows = [Row(tuple(rng.randint(0, 1) for _ in range(width)), rng.randint(0, 1), 0)
                 for _ in range(rng.randint(0, 5))]
-        sol = solve_f2(rows, width)
+        sols = f2_solutions(row_span(rows, 2, width), width)
         brute = brute_force_f2(rows, width)
-        if sol.inconsistent:
+        if sols is None:
             assert brute == set()
         else:
-            assert set(sol.enumerate()) == brute
+            assert set(sols) == brute
 
 
 def test_zero_vector_never_solves_inert_system():
@@ -93,9 +92,9 @@ def test_zero_vector_never_solves_inert_system():
     for _ in range(100):
         width = rng.randint(1, 5)
         rows = [Row(tuple(rng.randint(0, 1) for _ in range(width)), 1, 0)]
-        sol = solve_f2(rows, width)
-        if not sol.inconsistent:
-            assert tuple([0] * width) not in set(sol.enumerate())
+        sols = f2_solutions(row_span(rows, 2, width), width)
+        if sols is not None:
+            assert tuple([0] * width) not in set(sols)
 
 
 def test_classify_cubic_examples():
@@ -117,23 +116,23 @@ def test_cubic_constraint_slot_values():
         assert len(row.coeffs) == 2 and row.rhs == 0
 
 
-def test_solve_f3_kernel_examples():
-    reps = solve_f3_kernel([], 2)
+def test_f3_kernel_vectors_examples():
+    reps = list(kernel_vectors(row_span([], 3, 2)))
     assert reps == [(1, 0), (0, 1), (1, 1), (1, 2)]
-    reps = solve_f3_kernel([Row((1, 0), 0, 7), Row((0, 1), 0, 13)], 2)
+    reps = list(kernel_vectors(row_span([Row((1, 0), 0, 7), Row((0, 1), 0, 13)], 3, 2)))
     assert reps == []
-    reps = solve_f3_kernel([Row((1, 2), 0, 7)], 2)
+    reps = list(kernel_vectors(row_span([Row((1, 2), 0, 7)], 3, 2)))
     # kernel of x + 2y = 0 is spanned by (1, 1)
     assert reps == [(1, 1)]
 
 
-def test_solve_f3_kernel_matches_bruteforce():
+def test_f3_kernel_vectors_match_bruteforce():
     rng = random.Random(3)
     for _ in range(150):
         width = rng.randint(1, 4)
         rows = [Row(tuple(rng.randint(0, 2) for _ in range(width)), 0, 0)
                 for _ in range(rng.randint(0, 3))]
-        reps = solve_f3_kernel(rows, width)
+        reps = list(kernel_vectors(row_span(rows, 3, width)))
         brute = set()
         for vec in itertools.product((0, 1, 2), repeat=width):
             if any(vec) and all(vector_satisfies(r, vec, 3) for r in rows):

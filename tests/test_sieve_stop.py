@@ -11,8 +11,7 @@ from subfieldscan.config import ScanConfig
 from subfieldscan.nfroot import NumberField
 from subfieldscan.poly import Poly, compositum_minpoly, normalize_input
 from subfieldscan.ramify import candidate_ramified_primes
-from subfieldscan.sieve import (PlaceBasis, Row, Span, frobenius_row, solve_f2,
-                               solve_f3_kernel)
+from subfieldscan.sieve import PlaceBasis, Row, Span, frobenius_row, kernel_vectors
 from subfieldscan.testkit import CYCLOTOMIC_QUAD_TRUTH, corpus_generate
 
 CORPUS = ([("cyclotomic", str(m), "quad") for m in CYCLOTOMIC_QUAD_TRUTH]
@@ -103,7 +102,10 @@ def _cases():
 def test_stopped_sieve_spans_every_row_up_to_the_bound(poly, scan):
     field, kind = _setting(poly, scan)
     sieve = scan_mod.sieve_rows(field, kind.basis, kind.gcd_value, BOUND)
-    assert _echelon(_span(kind, sieve.rows)) == _echelon(_span_up_to(field, kind, BOUND))
+    kept = _echelon(_span(kind, sieve.rows))
+    # the span the sieve hands to the scans is the span of its rows
+    assert _echelon(sieve.span) == kept
+    assert kept == _echelon(_span_up_to(field, kind, BOUND))
 
 
 @pytest.mark.parametrize("kind, params, scan", [
@@ -139,12 +141,14 @@ def test_field_without_subfield_stops_at_the_row_that_empties_the_solutions(scan
     sieve = scan_mod.sieve_rows(field, kind.basis, kind.gcd_value, BOUND)
     assert sieve.walked == sieve.rows[-1].prime
     width = kind.basis.width
+    before = _span(kind, sieve.rows[:-1])
     if scan == "quad":
-        assert not solve_f2(sieve.rows[:-1], width).inconsistent
-        assert solve_f2(sieve.rows, width).inconsistent
+        # inconsistent: the right-hand-side column is a pivot
+        assert width not in before.rows
+        assert width in sieve.span.rows
     else:
-        assert solve_f3_kernel(sieve.rows[:-1], width)
-        assert solve_f3_kernel(sieve.rows, width) == []
+        assert list(kernel_vectors(before))
+        assert list(kernel_vectors(sieve.span)) == []
 
 
 def test_stable_count_restarts_when_the_span_grows(monkeypatch):
