@@ -8,24 +8,24 @@ and results are reproducible bit for bit.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DependentBasis
+
+# The Lovasz condition of every reduction, delta = 3/4 (1/4 < delta < 1),
+# as numerator and denominator
+LOVASZ_DELTA = (3, 4)
 
 
 def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
+def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
     """LLL-reduced basis of the lattice spanned by the input rows.
 
     The output spans the same lattice, is size-reduced (|mu_ij| <= 1/2) and
-    satisfies the Lovasz condition for the given delta (default 3/4,
-    1/4 < delta < 1).  Raises DependentBasis on dependent input rows.
+    satisfies the Lovasz condition for LOVASZ_DELTA.  Raises DependentBasis
+    on dependent input rows.
     """
-    if not Fraction(1, 4) < delta < 1:
-        raise ValueError("delta must be in (1/4, 1)")
     b = [[int(x) for x in row] for row in basis]
     n = len(b)
     if n == 0:
@@ -33,7 +33,7 @@ def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list
     width = len(b[0])
     if any(len(row) != width for row in b) or n > width:
         raise DependentBasis("basis shape is not r <= n row vectors of equal length")
-    nd, dd = delta.numerator, delta.denominator
+    nd, dd = LOVASZ_DELTA
 
     d = [0] * (n + 1)
     d[0] = 1
@@ -91,19 +91,3 @@ def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list
             k += 1
     return b
 
-
-def gram_schmidt(basis: list[list[int]]):
-    """Exact rational Gram-Schmidt: (orthogonal vectors, mu coefficients)."""
-    n = len(basis)
-    bstar = []
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        v = [Fraction(x) for x in basis[i]]
-        for j in range(i):
-            denom = _dot(bstar[j], bstar[j])
-            if denom == 0:
-                raise DependentBasis("dependent basis vectors")
-            mu[i][j] = _dot(v, bstar[j]) / denom
-            v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-        bstar.append(v)
-    return bstar, mu

@@ -174,8 +174,11 @@ class RootSearch:
     certificate: RootCertificate | None = None
 
 
-def select_prime(field: NumberField, h: Poly, rng: random.Random | None = None,
-                 prime_bound: int = 50_000) -> PrimeData:
+# select_prime looks for its prime below this bound.
+SELECT_PRIME_BOUND = 50_000
+
+
+def select_prime(field: NumberField, h: Poly, rng: random.Random | None = None) -> PrimeData:
     """An odd prime where f mod p is squarefree and h mod p splits into
     deg(h) distinct roots: the first such prime with at most deg(h) factors
     of f mod p, or else the one with the fewest factors among the first 25
@@ -192,7 +195,7 @@ def select_prime(field: NumberField, h: Poly, rng: random.Random | None = None,
         return best is not None and sum(degrees.values()) + (left > 0) >= best[0]
 
     qualifying = 0
-    for p in iter_primes(3, prime_bound):
+    for p in iter_primes(3, SELECT_PRIME_BOUND):
         if int(f.lc) % p == 0:
             continue
         roots = modp.roots_mod_p(h, p)
@@ -206,7 +209,7 @@ def select_prime(field: NumberField, h: Poly, rng: random.Random | None = None,
         if qualifying >= 25 or best[0] <= h.degree:
             break
     if best is None:
-        raise NoPrimeFound(f"no usable prime below {prime_bound}")
+        raise NoPrimeFound(f"no usable prime below {SELECT_PRIME_BOUND}")
     _, p, roots = best
     factors = tuple(tuple(fac) for fac in modp.factor_mod_p(f, p, rng))
     return PrimeData(p, factors, roots)

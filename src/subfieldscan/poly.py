@@ -6,10 +6,10 @@ polynomials (PolyZ in the docs) are just instances whose coefficients are
 all ints.
 
 Besides ring arithmetic this module provides the subfield-specific
-operations: e-th root candidates (by coefficient recurrence and by Newton
-identities), power sums, integer resultants via the subresultant PRS,
-compositum minimal polynomials by resultant elimination, and input
-normalization to a monic integral defining polynomial.
+operations: e-th root candidates by coefficient recurrence, integer
+resultants via the subresultant PRS, compositum minimal polynomials by
+resultant elimination, and input normalization to a monic integral
+defining polynomial.
 """
 
 from __future__ import annotations
@@ -343,7 +343,7 @@ def disc_poly(f: Poly) -> int:
     return -r if (n * (n - 1) // 2) % 2 else r
 
 
-# -- e-th roots and power sums -------------------------------------------------
+# -- e-th roots -----------------------------------------------------------------
 
 
 def eth_root_coeffs(f: Poly, e: int) -> Poly:
@@ -370,62 +370,6 @@ def eth_root_coeffs(f: Poly, e: int) -> Poly:
             c = (Poly(g) ** e)[target]
         g[j] = Fraction(f[target] - c, e)
     return Poly(g)
-
-
-def power_sums(f: Poly, m: int) -> list:
-    """Power sums s_1..s_m of the roots of monic f, from Newton's identities."""
-    if not f.is_monic():
-        raise ValueError("input must be monic")
-    n = f.degree
-    # elementary symmetric functions: esym[k] = (-1)^k * coeff of X^(n-k)
-    esym = [0] * (n + 1)
-    esym[0] = 1
-    for k in range(1, n + 1):
-        esym[k] = f[n - k] if k % 2 == 0 else -f[n - k]
-    s = []
-    for k in range(1, m + 1):
-        acc = 0
-        for i in range(1, min(k, n) + 1):
-            if k - i < 1:
-                continue
-            term = esym[i] * s[k - i - 1]
-            acc += term if i % 2 == 1 else -term
-        if k <= n:
-            acc += (k * esym[k]) if k % 2 == 1 else -(k * esym[k])
-        s.append(_norm(acc))
-    return s
-
-
-def poly_from_power_sums(s: list) -> Poly:
-    """The unique monic polynomial of degree len(s) with the given power sums."""
-    n = len(s)
-    if n < 1:
-        raise ValueError("need at least one power sum")
-    esym = [Fraction(1)]
-    for k in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            term = esym[k - i] * s[i - 1]
-            acc += term if i % 2 == 1 else -term
-        esym.append(acc / k)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    for k in range(1, n + 1):
-        coeffs[n - k] = esym[k] if k % 2 == 0 else -esym[k]
-    return Poly(coeffs)
-
-
-def eth_root_newton(f: Poly, e: int) -> Poly:
-    """Same candidate as eth_root_coeffs, via power sums divided by e."""
-    if not f.is_monic():
-        raise ValueError("input must be monic")
-    if e < 2:
-        raise ValueError("e must be >= 2")
-    if f.degree % e != 0 or f.degree == 0:
-        raise DegreeNotDivisible(f"degree {f.degree} not divisible by {e}")
-    n = f.degree // e
-    s = power_sums(f, n)
-    return poly_from_power_sums([Fraction(si, e) for si in s])
 
 
 # -- compositum and normalization ----------------------------------------------

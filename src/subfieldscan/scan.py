@@ -31,10 +31,11 @@ The walk asks the field for the factor degrees (NumberField.
 factor_degrees), which keeps them: the root tests' prime selection and a
 later witness search read them instead of running the DDF again.
 
-The twist closure works over Z.  A quadratic payload is the scaled root
-y = f' * sqrt(delta) mod f, as the certificate has it, and the product of
-two is y1 * y2 * T / (D * k) mod f, with f' * T = D mod f computed once
-per field (NumberField.fprime_inverse); the division is exact.
+The twist closure works over Z.  A quadratic member of the span of the
+found vectors multiplies the scaled roots y = f' * sqrt(delta) mod f of the
+direct finds it comes from (_walk): the product of two is y1 * y2 * T /
+(D * k) mod f, with f' * T = D mod f computed once per field
+(NumberField.fprime_inverse); the division is exact.
 
 Every positive entry in the report carries a certificate that passes
 verify_certificate; exclusions are either witnessed by a Frobenius
@@ -244,7 +245,7 @@ def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int
         stale = 0 if len(span.rows) > rank else stale + 1
         if ell == 2:
             full = width in span.rows
-            if len(span.rows) == width and not any(r[width] for r, _ in span.rows.values()):
+            if len(span.rows) == width and not any(r[width] for r in span.rows.values()):
                 stale = 0   # only 0 solves the rows: what is left to learn is inconsistency
         else:
             full = len(span.rows) == width
@@ -276,9 +277,9 @@ def absence_witness(field: NumberField, basis: PlaceBasis, gcd_value: int, vec,
 
 class _Quad:
     """l = 2: discriminant vectors.  The root test runs on the coset
-    representative; every row of the span carries (vector, scaled root
-    y = f' * sqrt(delta) over Z), the root as found (from its certificate)
-    or as a product, and a span member is certified by its product."""
+    representative, and a span member is certified by the product of the
+    scaled roots y = f' * sqrt(delta) over Z of the direct finds it comes
+    from."""
 
     name, ell = "quad", 2
     test_representative = True
@@ -287,6 +288,7 @@ class _Quad:
         self.field = field
         self.gcd_value = cs.gcd_value
         self.basis = PlaceBasis(2, cs.all_finite_primes())
+        self.products: dict[tuple, tuple] = {}  # finds multiplied -> (vector, root)
 
     def solve(self, span):
         """(candidates in walk order, or None if the rows are inconsistent;
@@ -305,9 +307,6 @@ class _Quad:
 
     def h(self, vec):
         return Poly([-self.basis.delta_of_vector(vec), 0, 1])
-
-    def payload(self, vec, certificate):
-        return vec, Poly(certificate.scaled_root)
 
     def merge(self, a, b):
         """The scaled root of the twist product d3 = d1 * d2 / k**2.
@@ -328,9 +327,19 @@ class _Quad:
             raise AssertionError("scaled twist-product root is not integral")
         return vec3, Poly([c // dk for c in y3.coeffs])
 
-    def member_certificate(self, vec, span):
-        """The product's scaled root, checked."""
-        combo, y = span.product(vec)
+    def member_certificate(self, vec, used):
+        """The product of the scaled roots of used, the (vector, certificate)
+        pairs of the direct finds vec comes from, in the order found, checked.
+        Each prefix product is kept, so a member costs one product; each
+        step multiplies disjoint finds, so the sign depends on the set only."""
+        key, product = (), None
+        for gvec, cert in used:
+            key += (gvec,)
+            if key not in self.products:
+                root = (gvec, Poly(cert.scaled_root))
+                self.products[key] = root if product is None else self.merge(product, root)
+            product = self.products[key]
+        combo, y = product
         if combo != vec:
             raise AssertionError("twist-product vector differs from the span member")
         h = self.h(vec)
@@ -343,10 +352,9 @@ class _Quad:
 class _Cubic:
     """l = 3: Kummer classes, one per pair {v, 2v}.  The root test runs on
     the candidate itself; a span member is proved by a root test of its
-    own, which direct_tests does not count."""
+    own, which direct_tests does not count, whatever finds it comes from."""
 
     name, ell = "cubic", 3
-    merge = None
     test_representative = False
 
     def __init__(self, field, cs):
@@ -375,10 +383,7 @@ class _Cubic:
     def h(self, vec):
         return self.candidates[vec].minpoly
 
-    def payload(self, vec, certificate):
-        return None
-
-    def member_certificate(self, vec, span):
+    def member_certificate(self, vec, used):
         result = find_root(self.field, self.h(vec))
         if result.status != PROVED:
             raise AssertionError(f"no root found for {self.h(vec)}, which the "
@@ -451,9 +456,22 @@ def _walk(kind, rows: list[Row], candidates, walked: int):
     The sieve has walked every prime up to walked.  At such a prime a
     witness against a target is exactly a kept row that the target fails,
     and the walk tests the rows first (a cubic target lies in their kernel),
-    so the witness search starts after walked."""
-    field = kind.field
-    span = Span(kind.ell, kind.basis.width, kind.merge)
+    so the witness search starts after walked.
+
+    The span of the found vectors gives the k-th direct find a 1 in tag
+    slot width + k (a find is independent of those before it, so there are
+    at most width): a member reduces to 0 in the vector slots, and its tag
+    slots name the finds it comes from."""
+    field, width = kind.field, kind.basis.width
+    span = Span(kind.ell, 2 * width)
+    found: list[tuple[tuple[int, ...], RootCertificate]] = []  # direct finds, in order
+    no_tags = (0,) * width
+
+    def reduce(vec):
+        """(vec modulo the found vectors, the finds a member comes from)"""
+        r = span.reduce((*vec, *no_tags))
+        return r[:width], [g for g, tag in zip(found, r[width:]) if tag]
+
     subfields: list[SubfieldEntry] = []
     excluded: list[ExcludedEntry] = []
     settled: list[tuple[tuple[int, ...], str, int | None]] = []  # (vector, status, witness)
@@ -461,11 +479,11 @@ def _walk(kind, rows: list[Row], candidates, walked: int):
 
     for vec in candidates:
         label = kind.label(vec)
-        rep = span.reduce(vec)
+        rep, used = reduce(vec)
         if not any(rep):
-            subfields.append(SubfieldEntry(kind.member_certificate(vec, span), **label))
+            subfields.append(SubfieldEntry(kind.member_certificate(vec, used), **label))
             continue
-        outcome = next((s for s in settled if span.reduce(s[0]) == rep), None)
+        outcome = next((s for s in settled if reduce(s[0])[0] == rep), None)
         if outcome is None:  # only inhomogeneous (F2) rows can reject a representative
             violated = next((r for r in rows if not vector_satisfies(r, rep, kind.ell)), None)
             if violated is not None:
@@ -476,9 +494,10 @@ def _walk(kind, rows: list[Row], candidates, walked: int):
             direct_tests += 1
             result = find_root(field, kind.h(target))
             if result.status == PROVED:
-                span.insert(target, kind.payload(target, result.certificate))
+                span.insert((*target, *(int(k == len(found)) for k in range(width))))
+                found.append((target, result.certificate))
                 cert = (result.certificate if target == vec
-                        else kind.member_certificate(vec, span))
+                        else kind.member_certificate(vec, reduce(vec)[1]))
                 subfields.append(SubfieldEntry(cert, **label))
                 continue
             witness = absence_witness(field, kind.basis, kind.gcd_value, target, walked)

@@ -13,7 +13,8 @@ read their candidates from it with kernel_vectors, the one enumeration of
 a solution space.  For l = 2 the rows carry their right-hand side as a
 last column: the system is inconsistent when that column is a pivot, and
 its solutions are the kernel vectors that are 1 there, truncated.  The
-candidate walk keeps a second span, of the subfields it found.
+candidate walk keeps a second span, of the subfields it found, each with a
+tag slot that names it (scan._walk): a Span holds vectors only.
 """
 
 from __future__ import annotations
@@ -85,59 +86,34 @@ class Span:
     Every row is 1 at its pivot and 0 at the other pivots, so reduce maps
     all vectors of a coset of the span to one representative: 0 at the
     pivots and with first nonzero entry 1 (over F3, v and 2v reduce alike).
-
-    With a merge function every row carries a payload, and merge(a, b) is
-    the payload of the sum of the rows that carry a and b.  Payloads need
-    l = 2, where eliminating a row means adding it.
     """
 
-    def __init__(self, ell: int, width: int, merge=None):
+    def __init__(self, ell: int, width: int):
         self.ell = ell
         self.width = width
-        self.merge = merge
-        self.rows: dict[int, tuple[tuple[int, ...], object]] = {}  # pivot -> (row, payload)
-
-    def _eliminate(self, vec, merging=False):
-        """vec minus its part in the span and, when merging, the merged
-        payload of that part."""
-        ell = self.ell
-        v = [a % ell for a in vec]
-        part = None
-        for pivot in sorted(self.rows):
-            c = v[pivot]
-            if c:
-                row, payload = self.rows[pivot]
-                v = [(a - c * b) % ell for a, b in zip(v, row)]
-                if merging:
-                    part = payload if part is None else self.merge(part, payload)
-        return v, part
+        self.rows: dict[int, tuple[int, ...]] = {}  # pivot -> row
 
     def reduce(self, vec) -> tuple[int, ...]:
         """The canonical representative of vec modulo the span."""
-        v, _ = self._eliminate(vec)
-        return canonical_f3(v) if self.ell == 3 else tuple(v)
+        ell = self.ell
+        v = [a % ell for a in vec]
+        for pivot, row in self.rows.items():
+            c = v[pivot]
+            if c:
+                v = [(a - c * b) % ell for a, b in zip(v, row)]
+        return canonical_f3(v) if ell == 3 else tuple(v)
 
-    def product(self, vec):
-        """The merged payload of the rows that reduce vec: for a vector of
-        the span, its own payload (None when vec reduces with no row)."""
-        return self._eliminate(vec, merging=True)[1]
-
-    def insert(self, vec, payload=None) -> None:
-        """Add vec, carrying payload, to the span (no-op if already in it)."""
-        v, part = self._eliminate(vec, merging=self.merge is not None)
+    def insert(self, vec) -> None:
+        """Add vec to the span (no-op if already in it)."""
+        v = self.reduce(vec)   # 1 at its first nonzero entry, the new pivot
         pivot = next((i for i, a in enumerate(v) if a), None)
         if pivot is None:
             return
-        if part is not None:
-            payload = self.merge(payload, part)
-        inv = pow(v[pivot], -1, self.ell)
-        v = tuple(a * inv % self.ell for a in v)
-        for other, (row, p) in list(self.rows.items()):
+        for other, row in list(self.rows.items()):
             c = row[pivot]
             if c:
-                row = tuple((a - c * b) % self.ell for a, b in zip(row, v))
-                self.rows[other] = (row, p if self.merge is None else self.merge(p, payload))
-        self.rows[pivot] = (v, payload)
+                self.rows[other] = tuple((a - c * b) % self.ell for a, b in zip(row, v))
+        self.rows[pivot] = v
 
     def kernel(self) -> list[tuple[int, ...]]:
         """A basis of the vectors orthogonal to every row: per free column,
@@ -148,7 +124,7 @@ class Span:
                 continue
             v = [0] * self.width
             v[free] = 1
-            for pivot, (row, _) in self.rows.items():
+            for pivot, row in self.rows.items():
                 v[pivot] = -row[free] % self.ell
             out.append(tuple(v))
         return out

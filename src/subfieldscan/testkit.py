@@ -2,10 +2,7 @@
 
 Ground-truth subfield sets come from explicit constructions (subset
 products for multiquadratic fields, a coded conductor table for cyclotomic
-ones), not from the scans they check, and resultants can be cross-checked
-against a Sylvester determinant computed by plain fraction elimination.
-Discriminants are not independent: they come from the library's own
-poly.disc_poly, the subresultant PRS that NumberField.squarefree_mod uses.
+ones), not from the scans they check.
 """
 
 from __future__ import annotations
@@ -15,46 +12,8 @@ from fractions import Fraction
 
 from .arith import factor_integer, is_probable_prime
 from .kummer3 import build_generator
-from .poly import Poly, compositum_minpoly, disc_poly
+from .poly import Poly, compositum_minpoly
 from .sieve import PlaceBasis
-
-
-def ramified_superset_bruteforce(f: Poly) -> set[int]:
-    """Prime divisors of disc(f): the expensive baseline the gcd shortcut
-    replaces.  Corpus-sized inputs only."""
-    d = disc_poly(f)
-    if d == 0:
-        raise ValueError("polynomial is not squarefree")
-    return set(factor_integer(d).factors)
-
-
-def sylvester_resultant(a: Poly, b: Poly) -> Fraction:
-    """Res(a, b) as the determinant of the Sylvester matrix, by fraction-free
-    ignorant Gaussian elimination.  Slow; for cross-checking only."""
-    m, n = a.degree, b.degree
-    size = m + n
-    rows = []
-    ac = [Fraction(a[m - i]) for i in range(m + 1)]
-    bc = [Fraction(b[n - i]) for i in range(n + 1)]
-    for i in range(n):
-        rows.append([Fraction(0)] * i + ac + [Fraction(0)] * (n - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + bc + [Fraction(0)] * (m - 1 - i))
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            if rows[r][col] != 0:
-                factor = rows[r][col] * inv
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
 
 
 # -- multiquadratic fields as a structure-constant algebra -----------------------

@@ -16,13 +16,12 @@ import pytest
 from subfieldscan.arith import factor_integer
 from subfieldscan.config import ScanConfig
 from subfieldscan.errors import NotSquarefree
-from subfieldscan.lattice import gram_schmidt, lll_reduce
+from subfieldscan.lattice import lll_reduce
 from subfieldscan.modp import (ddf_degrees, derivative, factor_mod_p, from_poly, mul, pdivmod,
                                pmod, trim)
 from subfieldscan.nfroot import (NumberField, RootCertificate, _lift_factors, _lift_root,
                                  find_root, integer_root, select_prime, verify_certificate)
-from subfieldscan.poly import (Poly, disc_poly, eth_root_coeffs, eth_root_newton,
-                               poly_from_power_sums, power_sums)
+from subfieldscan.poly import Poly, disc_poly, eth_root_coeffs
 from subfieldscan.ramify import candidate_ramified_primes
 from subfieldscan.scan import (STATUS_CERTIFIED_ABSENT, absence_certificate_search,
                                cubic_subfield_scan, quad_subfield_scan)
@@ -30,6 +29,8 @@ from subfieldscan.sieve import Row, canonical_f3, kernel_vectors, vector_satisfi
 from subfieldscan.testkit import (CYCLOTOMIC_QUAD_TRUTH, corpus_generate,
                                   multiquadratic_certificates)
 from subfieldscan.cli import canonical_report_bytes
+from tests_lattice_helpers import gram_schmidt
+from tests_poly_helpers import eth_root_newton, poly_from_power_sums, power_sums
 from tests_sieve_helpers import f2_solutions, row_span
 
 # ramified primes of the coded cyclic cubic fields; conductors certified by

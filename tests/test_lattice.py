@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from subfieldscan.errors import DependentBasis
-from subfieldscan.lattice import gram_schmidt, lll_reduce
-from tests_lattice_helpers import change_of_basis, det_fraction as det_int
+from subfieldscan.lattice import lll_reduce
+from tests_lattice_helpers import change_of_basis, det_fraction as det_int, gram_schmidt
 
 
 def norm2(v):

@@ -114,10 +114,13 @@ def test_early_stop_picks_the_25_prime_rules_prime_for_true_subfields():
             exhaustive_select_prime(field, h, random.Random(5), first_at_most_deg_h=False), h
 
 
-def test_select_prime_pool_exhaustion():
+def test_select_prime_pool_exhaustion(monkeypatch):
+    import subfieldscan.nfroot as nfroot
+
+    monkeypatch.setattr(nfroot, "SELECT_PRIME_BOUND", 6)
     field = NumberField(ZETA8)
     with pytest.raises(NoPrimeFound):
-        select_prime(field, Y2M2, random.Random(0), prime_bound=6)
+        select_prime(field, Y2M2, random.Random(0))
 
 
 def test_theta_itself():

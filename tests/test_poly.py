@@ -5,10 +5,9 @@ import pytest
 
 from subfieldscan.errors import DegreeNotDivisible, NotSquarefree
 from subfieldscan.poly import (Poly, compositum_minpoly, disc_poly, eth_root_coeffs,
-                               eth_root_newton, is_squarefree_q,
-                               normalize_input, poly_from_power_sums, power_sums,
-                               resultant_int, xgcd_q)
-from subfieldscan.testkit import sylvester_resultant
+                               is_squarefree_q, normalize_input, resultant_int, xgcd_q)
+from tests_poly_helpers import (eth_root_newton, poly_from_power_sums, power_sums,
+                                sylvester_resultant)
 
 X = Poly([0, 1])
 

@@ -1,10 +1,10 @@
 import pytest
 
 from subfieldscan.errors import InputIsPower, NotSquarefree
-from subfieldscan.poly import Poly, eth_root_coeffs, eth_root_newton
+from subfieldscan.poly import Poly, eth_root_coeffs
 from subfieldscan.ramify import candidate_ramified_primes
-from subfieldscan.testkit import (corpus_generate, multiquadratic_minpoly,
-                                  ramified_superset_bruteforce)
+from subfieldscan.testkit import corpus_generate, multiquadratic_minpoly
+from tests_poly_helpers import eth_root_newton, ramified_superset_bruteforce
 
 
 def test_examples():

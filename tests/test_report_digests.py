@@ -49,6 +49,15 @@ All nineteen were re-pinned once more when the seed left the scan
 the old one: it equals the old report's dict with stats.seed deleted and
 schema_version set to 2, and nothing else moved.
 
+The last two were taken before the twist closure named each product's
+direct finds in the walk's span instead of merging roots into the span's
+rows, and cover its products:
+
+  multiquadratic 2,3,5,7,11            26 products of 5 direct finds
+  cyclotomic 24                        the negative deltas -1, -2, -3, -6,
+                                       where the sign of a product root
+                                       could depend on how it is multiplied
+
 A change that means to alter reports must say why and update them.
 """
 
@@ -97,6 +106,10 @@ GOLDEN = [
      "75099cc1688f34d06acefd8d01f80d246ed57fd70970879e44c9515117df4d81"),
     ("cyclotomic", "7", "cubic", {"sieve_prime_bound": 29},
      "d74bb607730bf2cdba6e91ff9b139b0d53cca31bcb09f723f43fa3838edc4c92"),
+    ("multiquadratic", "2,3,5,7,11", "quad", {},
+     "4efdc09d1c543968287838c1689b2dd67e4201c363b6973ca47f7c626f2bccc0"),
+    ("cyclotomic", "24", "quad", {},
+     "f2e419eb0c10871f4ec3625356534d69cdffef81683d410fbf030ed5e6b5da81"),
 ]
 
 # x^4 - x - 1 has Galois group S4 (discriminant -283): its field has no

@@ -459,6 +459,56 @@ def test_representative_testing_with_product_certificates():
     assert rep2.direct_tests <= rep.direct_tests
 
 
+@pytest.mark.parametrize("kind, params, products", [
+    ("multiquadratic", "2,3,5,7", 11),
+    ("cyclotomic", "24", 4),   # the negative deltas -1, -2, -3 and -6
+])
+def test_twist_closure_makes_one_product_per_member(monkeypatch, kind, params, products):
+    # every subfield the walk does not test directly is a product of direct
+    # finds, and costs exactly one product: its generator prefix is kept
+    import subfieldscan.scan as scan_mod
+    from subfieldscan.nfroot import PROVED
+
+    merge, member_certificate, find_root = (scan_mod._Quad.merge,
+                                           scan_mod._Quad.member_certificate,
+                                           scan_mod.find_root)
+    merges, members, finds = [], [], []
+
+    def counting_merge(self, a, b):
+        merges.append(1)
+        return merge(self, a, b)
+
+    def recording_member_certificate(self, vec, used):
+        cert = member_certificate(self, vec, used)
+        members.append((self, vec, used, cert))
+        return cert
+
+    def recording_find_root(field, h, *args):
+        result = find_root(field, h, *args)
+        if result.status == PROVED:
+            finds.append((-h[0], result.certificate))
+        return result
+
+    monkeypatch.setattr(scan_mod._Quad, "merge", counting_merge)
+    monkeypatch.setattr(scan_mod._Quad, "member_certificate", recording_member_certificate)
+    monkeypatch.setattr(scan_mod, "find_root", recording_find_root)
+    rep = quad_subfield_scan(corpus_generate(kind, params).poly)
+    rep.check_invariants()
+    assert len(merges) == len(rep.subfields) - rep.direct_tests == products
+    # each product certificate is the product of its generators' found
+    # certificates, multiplied in the order they were found
+    certs = {e.delta: e.certificate for e in rep.subfields}
+    for quad, vec, used, cert in members:
+        delta = quad.basis.delta_of_vector
+        named = [(delta(g), c) for g, c in used]
+        assert named == [f for f in finds if f in named]
+        y = (used[0][0], Poly(used[0][1].scaled_root))
+        for g, c in used[1:]:
+            y = merge(quad, y, (g, Poly(c.scaled_root)))
+        assert y == (vec, Poly(cert.scaled_root))
+        assert certs[delta(vec)] == cert
+
+
 def test_sieve_rows_sound_for_true_quadratic_subfields():
     from subfieldscan.ramify import candidate_ramified_primes
     from subfieldscan.scan import sieve_rows

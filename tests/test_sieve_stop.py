@@ -72,10 +72,6 @@ def _insert(span, row):
     span.insert((*row.coeffs, row.rhs) if span.ell == 2 else row.coeffs)
 
 
-def _echelon(span):
-    return {pivot: row for pivot, (row, _) in span.rows.items()}
-
-
 def _span_up_to(field, kind, bound):
     """The span of the rows of every prime up to bound; the walk ends once
     it is full."""
@@ -102,10 +98,10 @@ def _cases():
 def test_stopped_sieve_spans_every_row_up_to_the_bound(poly, scan):
     field, kind = _setting(poly, scan)
     sieve = scan_mod.sieve_rows(field, kind.basis, kind.gcd_value, BOUND)
-    kept = _echelon(_span(kind, sieve.rows))
+    kept = _span(kind, sieve.rows).rows   # pivot -> row
     # the span the sieve hands to the scans is the span of its rows
-    assert _echelon(sieve.span) == kept
-    assert kept == _echelon(_span_up_to(field, kind, BOUND))
+    assert sieve.span.rows == kept
+    assert kept == _span_up_to(field, kind, BOUND).rows
 
 
 @pytest.mark.parametrize("kind, params, scan", [

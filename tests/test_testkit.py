@@ -4,8 +4,8 @@ from subfieldscan.nfroot import NumberField, RootCertificate, verify_certificate
 from subfieldscan.poly import Poly, disc_poly
 from subfieldscan.testkit import (CYCLOTOMIC_QUAD_TRUTH, MultiquadraticAlgebra,
                                   corpus_generate, cyclotomic_poly,
-                                  multiquadratic_certificates, multiquadratic_minpoly,
-                                  ramified_superset_bruteforce)
+                                  multiquadratic_certificates, multiquadratic_minpoly)
+from tests_poly_helpers import ramified_superset_bruteforce
 
 
 def test_disc_examples():

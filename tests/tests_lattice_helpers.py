@@ -2,6 +2,29 @@
 
 from fractions import Fraction
 
+from subfieldscan.errors import DependentBasis
+
+
+def gram_schmidt(basis: list[list[int]]):
+    """Exact rational Gram-Schmidt: (orthogonal vectors, mu coefficients)."""
+    n = len(basis)
+    bstar = []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        v = [Fraction(x) for x in basis[i]]
+        for j in range(i):
+            denom = _dot(bstar[j], bstar[j])
+            if denom == 0:
+                raise DependentBasis("dependent basis vectors")
+            mu[i][j] = _dot(v, bstar[j]) / denom
+            v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
+        bstar.append(v)
+    return bstar, mu
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
 
 def det_fraction(mat):
     m = [[Fraction(x) for x in row] for row in mat]
