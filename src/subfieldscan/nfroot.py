@@ -17,8 +17,9 @@ a 0/1 choice per other completion, which LLL recovers from the leading
 bits of a few fixed combinations of the coefficients: a lattice of
 dimension about r plus a few, with small entries, whatever the precision.
 The precision comes once, from a bound on the certificate's coefficients
-(scaled_root_bits): one lift, one lattice and one reduction prove the root
-or answer not_found.
+(scaled_root_bits): one lift, one lattice and one reduction prove the root,
+and a lattice that finds nothing gets one retry with wider columns before
+the answer is not_found.
 
 An h with an integer root is answered directly: its scaled root is the
 integer times f'.  Otherwise h is irreducible over Q, and the prime is the
@@ -329,11 +330,15 @@ def _hensel_step(node, F, p, j, j2, mu):
 def knapsack_size(n: int, nvar: int) -> tuple[int, int]:
     """(c, s): how many coefficient combinations the knapsack lattice keeps,
     and how many bits of each one's fractional position, for nvar
-    indicators.  c * s stays at least 2 * nvar + 48 bits, which sets the
-    0/1 solution well apart from the other short vectors for up to about
-    16 completions."""
-    c = min(n, max(4, nvar // 3 + 2))
-    s = max(16, -(-(2 * nvar + 48) // c))
+    indicators.  Few columns with many bits each: c is about nvar / 8,
+    at least 2 and at most min(n, 10), and c * s is at least
+    (nvar + 1 + c) * log2(nvar) bits, the lattice's dimension times its
+    logarithm (van Hoeij, J. Number Theory 95, 2002; Belabas, JSC 37,
+    2004), which keeps the 0/1 solution apart from the other short
+    vectors up to at least 64 completions (degree 128).  log2(nvar) is
+    taken as its bit length, so the size is the same on every platform."""
+    c = min(n, 10, max(2, -(-nvar // 8)))
+    s = max(16, -(-(nvar + 1 + c) * nvar.bit_length() // c))
     return c, s
 
 
@@ -423,11 +428,25 @@ def root_knapsack(field: NumberField, h: Poly, pdata: PrimeData) -> RootSearch:
     knapsack_precision); one LLL on their leading fractional bits finds the
     indicators.  Each candidate is rechecked exactly, so a wrong one only
     costs time.
+
+    knapsack_size is a heuristic, so a lattice that finds nothing gets one
+    more chance with 16 more bits per column, lifted to the precision those
+    bits need; after that the answer is not_found.  (Twice the bits would
+    make a negative test at degree 128 cost almost four positive ones;
+    16 more make it two and a half.)
     """
+    nvar = (pdata.r - 1) * (h.degree - 1)
+    c, s = knapsack_size(field.n, nvar)
+    found = _knapsack_attempt(field, h, pdata, c, s)
+    return found if found.status == PROVED else _knapsack_attempt(field, h, pdata, c, s + 16)
+
+
+def _knapsack_attempt(field: NumberField, h: Poly, pdata: PrimeData, c: int, s: int) -> RootSearch:
+    """One lift, one lattice of c columns of s bits and one lll_reduce
+    (see root_knapsack)."""
     p, n = pdata.p, field.n
     per_completion = h.degree - 1
     nvar = (pdata.r - 1) * per_completion
-    c, s = knapsack_size(n, nvar)
     weights = _projection(n, c)
     k = knapsack_precision(field, h, p, s)
     m = p**k

@@ -12,6 +12,7 @@ from subfieldscan.nfroot import (NOT_FOUND, PROVED, NumberField, PrimeData, Root
 from subfieldscan.poly import Poly, compositum_minpoly
 from subfieldscan.testkit import (CYCLOTOMIC_QUAD_TRUTH, corpus_generate,
                                   multiquadratic_certificates, multiquadratic_minpoly)
+from tests_poly_helpers import taylor_shift
 
 ZETA8 = Poly.from_desc([1, 0, 0, 0, 1])
 Y2M2 = Poly.from_desc([1, 0, -2])
@@ -305,11 +306,22 @@ def test_find_root_ignores_its_config_and_needs_no_rng(h):
 
 
 def test_knapsack_size():
-    # the degree-32 root tests: 16 completions, a dimension-23 lattice
-    # with 17-bit entries
-    assert knapsack_size(32, 15) == (7, 16)
-    # never more columns than coefficients; fewer columns get more bits
-    assert knapsack_size(2, 1) == (2, 25)
+    # few columns with many bits: c * s covers the dimension times its
+    # bit length
+    for nvar in (1, 7, 15, 31, 52, 63):
+        for n in (2, 8, 32, 81, 128):
+            c, s = knapsack_size(n, nvar)
+            assert 1 <= c <= min(n, 10) and s >= 16, (n, nvar)
+            assert c * s >= (nvar + 1 + c) * nvar.bit_length(), (n, nvar)
+
+
+def test_knapsack_size_at_the_corpus_and_stretch_sizes():
+    # degree 32 (16 completions): a dimension-18 lattice of 37-bit entries;
+    # degree 128 (64 completions) and the degree-81 cubic (27 completions)
+    assert knapsack_size(32, 15) == (2, 36)
+    assert knapsack_size(128, 63) == (8, 54)
+    assert knapsack_size(81, 52) == (7, 52)
+    assert knapsack_size(2, 1) == (2, 16)
 
 
 def test_scaled_root_bound_covers_every_certificate():
@@ -331,25 +343,63 @@ def test_scaled_root_bound_covers_every_certificate():
     assert checked > 31
 
 
-@pytest.mark.parametrize("h, status", [(Poly([-30, 0, 1]), PROVED), (Poly([1, 0, 1]), NOT_FOUND)])
-def test_one_reduction_per_knapsack_root_test(monkeypatch, h, status):
-    # one precision, one lattice, one lll_reduce, whether the root is there
-    # (sqrt 30) or not (sqrt -1)
+def _count_reductions(monkeypatch):
     import subfieldscan.nfroot as nfroot
 
     calls = []
+    real_lll = nfroot.lll_reduce
 
     def lll_reduce(basis):
         calls.append(len(basis))
         return real_lll(basis)
 
-    real_lll = nfroot.lll_reduce
     monkeypatch.setattr(nfroot, "lll_reduce", lll_reduce)
+    return calls
+
+
+@pytest.mark.parametrize("h, status, reductions",
+                         [(Poly([-30, 0, 1]), PROVED, 1), (Poly([1, 0, 1]), NOT_FOUND, 2)])
+def test_one_reduction_per_knapsack_root_test(monkeypatch, h, status, reductions):
+    # one precision, one lattice, one lll_reduce when the root is there
+    # (sqrt 30); when it is not (sqrt -1), one retry with wider columns
+    calls = _count_reductions(monkeypatch)
     field = NumberField(multiquadratic_minpoly((2, 3, 5)))
     assert select_prime(field, h, random.Random(0)).r >= 2
     res = find_root(field, h)
     assert res.status == status and integer_root(h) is None
-    assert len(calls) == 1
+    assert len(calls) == reductions
+
+
+def test_a_lattice_too_thin_to_answer_is_retried_once_with_wider_columns(monkeypatch):
+    # at degree 32, 2 columns of 8 bits cannot isolate the 0/1 vector of
+    # 15 indicators; the retry's 24 bits can, and prove the same root
+    import subfieldscan.nfroot as nfroot
+
+    field = NumberField(multiquadratic_minpoly((2, 3, 5, 7, 11)))
+    h = Poly([-2, 0, 1])
+    expect = find_root(field, h)
+    assert expect.status == PROVED
+    monkeypatch.setattr(nfroot, "knapsack_size", lambda n, nvar: (2, 8))
+    calls = _count_reductions(monkeypatch)
+    assert find_root(field, h) == expect
+    assert calls == [18, 18]
+
+
+def test_corpus_size_subfields_prove_at_the_first_lattice(monkeypatch):
+    # the retry is a guard: every quadratic subfield of the fields of
+    # degree 16 and 32, each written three ways, proves with one reduction
+    calls = _count_reductions(monkeypatch)
+    checked = 0
+    for params in ("2,3,5,7", "2,3,5,7,11"):
+        entry = corpus_generate("multiquadratic", params)
+        for c in (0, 1, -2):
+            field = NumberField(taylor_shift(entry.poly, c))
+            for d in entry.quad:
+                calls.clear()
+                res = find_root(field, Poly([-d, 0, 1]))
+                assert res.status == PROVED and len(calls) == 1, (params, c, d)
+                checked += 1
+    assert checked == 3 * (15 + 31)
 
 
 def test_knapsack_lifts_once_to_the_bound_precision(monkeypatch):
@@ -407,7 +457,7 @@ S4_SQRT5 = compositum_minpoly(Poly.from_desc([1, 0, -5]), S4_QUARTIC)
 
 @pytest.mark.parametrize("f, h, p, r, k", [
     (multiquadratic_minpoly((2, 3, 5)), Poly([-30, 0, 1]), 7, 4, 20),
-    (multiquadratic_minpoly((2, 3, 5, 7, 11)), Poly([-5, 0, 1]), 19, 16, 31),
+    (multiquadratic_minpoly((2, 3, 5, 7, 11)), Poly([-5, 0, 1]), 19, 16, 36),
     # factors of degrees 1, 1, 3, 3 and 1, 1, 1, 1, 2, 2
     (S4_SQRT5, Poly([-5, 0, 1]), 11, 4, 16),
     (S4_SQRT5, Poly([-5, 0, 1]), 79, 6, 9),

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from subfieldscan.scan import (STATUS_CERTIFIED_ABSENT, STATUS_TWIST_EXCLUDED,
                                quad_subfield_scan)
 from subfieldscan.sieve import Span
 from subfieldscan.testkit import corpus_generate
+from tests_poly_helpers import cyclic_cubic_compositum
 
 ZETA8 = Poly.from_desc([1, 0, 0, 0, 1])
 
@@ -128,6 +131,24 @@ def test_cubic_composites():
     rep6 = cubic_subfield_scan(entry6.poly)
     assert len(rep6.subfields) == 1
     assert rep6.subfields[0].minpoly == entry6.cubic[0]
+
+
+def test_cubic_compositum_of_three_conductors():
+    # C3^3 of degree 27: 13 cyclic cubic subfields, 3 of them tested
+    # directly.  The scan's minimal polynomials are Kummer-normalised, not
+    # the Gauss period cubics, so the count is what is compared.
+    rep = cubic_subfield_scan(cyclic_cubic_compositum((7, 13, 19)))
+    assert len(rep.subfields) == 13 and rep.direct_tests == 3
+    rep.check_invariants()
+
+
+@pytest.mark.skipif(not os.environ.get("SUBFIELDSCAN_STRETCH"),
+                    reason="stretch run; set SUBFIELDSCAN_STRETCH=1 to enable")
+def test_cubic_compositum_of_four_conductors():
+    # C3^4 of degree 81: each root test has 27 completions
+    rep = cubic_subfield_scan(cyclic_cubic_compositum((7, 13, 19, 31)))
+    assert len(rep.subfields) == 40 and rep.direct_tests == 4
+    rep.check_invariants()
 
 
 def test_cubic_span_member_without_root_is_an_error(monkeypatch):

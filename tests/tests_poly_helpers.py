@@ -4,13 +4,15 @@ the prime divisors of a full discriminant.  The library computes each of
 these another way (poly.eth_root_coeffs, poly.resultant_int and the
 numerator-gcd shortcut of ramify.py).  The discriminant is not independent:
 it comes from the library's own poly.disc_poly, the subresultant PRS that
-NumberField.squarefree_mod uses."""
+NumberField.squarefree_mod uses.  Also test inputs the corpus does not
+code: the Taylor shift f(x + c) and composita of Gauss's period cubics."""
 
 from fractions import Fraction
+from math import isqrt
 
 from subfieldscan.arith import factor_integer
-from subfieldscan.errors import DegreeNotDivisible
-from subfieldscan.poly import Poly, disc_poly
+from subfieldscan.errors import DegreeNotDivisible, NotSquarefree
+from subfieldscan.poly import Poly, compositum_minpoly, disc_poly
 
 
 def power_sums(f: Poly, m: int) -> list:
@@ -105,3 +107,47 @@ def ramified_superset_bruteforce(f: Poly) -> set[int]:
     if d == 0:
         raise ValueError("polynomial is not squarefree")
     return set(factor_integer(d).factors)
+
+
+def taylor_shift(f: Poly, c: int) -> Poly:
+    """f(x + c): the same field, with every coefficient changed."""
+    acc = Poly()
+    for a in reversed(f.coeffs):
+        acc = acc * Poly([c, 1]) + Poly([a])
+    return acc
+
+
+def gauss_period_cubic(p: int) -> Poly:
+    """The minimal polynomial of the Gauss period of length (p - 1)/3 for a
+    prime p = 1 (mod 3), which generates the cyclic cubic field of conductor
+    p: X^3 + X^2 - ((p - 1)/3) X - (p(c + 3) - 1)/27, with 4p = c^2 + 27b^2
+    and c = 1 (mod 3)."""
+    if p % 3 != 1:
+        raise ValueError("p must be 1 mod 3")
+    b = 1
+    while 27 * b * b < 4 * p:
+        c = isqrt(4 * p - 27 * b * b)
+        if c * c + 27 * b * b == 4 * p:
+            c = c if c % 3 == 1 else -c
+            return Poly.from_desc([1, 1, -(p - 1) // 3, -(p * (c + 3) - 1) // 27])
+        b += 1
+    raise ValueError(f"4 * {p} is not c^2 + 27 b^2")
+
+
+def cyclic_cubic_compositum(conductors) -> Poly:
+    """A defining polynomial of the compositum of the cyclic cubic fields of
+    the given prime conductors (a C3^t field of degree 3^t, with (3^t - 1)/2
+    cyclic cubic subfields), from the first shift at which each resultant
+    is squarefree."""
+    f = gauss_period_cubic(conductors[0])
+    for p in conductors[1:]:
+        g = gauss_period_cubic(p)
+        for shift in range(1, 10):
+            try:
+                f = compositum_minpoly(g, f, shift)
+                break
+            except NotSquarefree:
+                continue
+        else:
+            raise NotSquarefree(f"no squarefree compositum with {p}")
+    return f
