@@ -6,12 +6,12 @@ the other 120.  The ramified-prime shortcut is instant and the Frobenius
 sieve takes about 11 s.  The expensive phase is the root test.  Its best
 prime, p = 47, splits the field into 64 completions of degree 2, so the
 knapsack that picks a root per completion has 63 unknowns.  knapsack_size
-gives them 8 columns of 54 bits, a dimension-72 lattice: one root test
-lifts the 64 factors of f once (0.2 s) and LLL singles out the 0/1
-solution in about 4 s.  The full scan takes about 50 s (CPython 3.11, one
-core of a 2-core machine): the sieve 11 s, the 7 root tests 31 s, and the
-120 twist products with the final check of all 127 certificates most of
-the rest.
+gives them 8 columns of at most 54 bits, a dimension-72 lattice: one root
+test lifts the 64 factors of f once (0.2 s) and feeds LLL 16, 24, 32, 40
+and then 48 bits per column, where the 0/1 solution stands out, in about
+3.5-4 s.  The full scan takes about 50 s (CPython 3.11, one core of a
+2-core machine): the sieve 12 s, the 7 root tests 26 s, and the 120 twist
+products with the final check of all 127 certificates most of the rest.
 
 Run with: python3 demos/stretch_degree128.py            (cheap phases only)
           python3 demos/stretch_degree128.py --full     (the whole scan, about a minute)

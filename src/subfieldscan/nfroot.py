@@ -17,9 +17,12 @@ a 0/1 choice per other completion, which LLL recovers from the leading
 bits of a few fixed combinations of the coefficients: a lattice of
 dimension about r plus a few, with small entries, whatever the precision.
 The precision comes once, from a bound on the certificate's coefficients
-(scaled_root_bits): one lift, one lattice and one reduction prove the root,
-and a lattice that finds nothing gets one retry with wider columns before
-the answer is not_found.
+(scaled_root_bits) and the widest lattice's bits.  From that one lift the
+bit columns are fed in rounds (Novocin, Stehle and van Hoeij, ISSAC 2011):
+16 bits, then 8 more at a time, each reduced basis carried exactly to the
+next width, and the first root that verifies ends the test.  A feed that
+finds nothing gets one retry, one lattice with wider columns, before the
+answer is not_found.
 
 An h with an integer root is answered directly: its scaled root is the
 integer times f'.  Otherwise h is irreducible over Q, and the prime is the
@@ -327,14 +330,18 @@ def _hensel_step(node, F, p, j, j2, mu):
 # -- knapsack reconstruction ------------------------------------------------------
 
 
+# The bits per column of a feed's first lattice, and those each next one adds
+FEED_FIRST_BITS, FEED_STEP_BITS = 16, 8
+
+
 def knapsack_size(n: int, nvar: int) -> tuple[int, int]:
     """(c, s): how many coefficient combinations the knapsack lattice keeps,
-    and how many bits of each one's fractional position, for nvar
-    indicators.  Few columns with many bits each: c is about nvar / 8,
-    at least 2 and at most min(n, 10), and c * s is at least
-    (nvar + 1 + c) * log2(nvar) bits, the lattice's dimension times its
-    logarithm (van Hoeij, J. Number Theory 95, 2002; Belabas, JSC 37,
-    2004), which keeps the 0/1 solution apart from the other short
+    and how many bits of each one's fractional position its first lift
+    feeds it at most, for nvar indicators.  Few columns with many bits
+    each: c is about nvar / 8, at least 2 and at most min(n, 10), and c * s
+    is at least (nvar + 1 + c) * log2(nvar) bits, the lattice's dimension
+    times its logarithm (van Hoeij, J. Number Theory 95, 2002; Belabas,
+    JSC 37, 2004), which keeps the 0/1 solution apart from the other short
     vectors up to at least 64 completions (degree 128).  log2(nvar) is
     taken as its bit length, so the size is the same on every platform."""
     c = min(n, 10, max(2, -(-nvar // 8)))
@@ -355,32 +362,42 @@ def _projection(n: int, c: int) -> list[list[int]]:
     return [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(c)]
 
 
-def _fraction_bits(vec: list[int], weights: list[list[int]], s: int, m: int) -> list[int]:
-    """Each weighted sum x of vec modulo m, as the nearest integer to
-    2**s * x / m."""
-    out = []
-    for row in weights:
-        x = sum(a * v for a, v in zip(row, vec)) % m
-        out.append(((x << (s + 1)) + m) // (2 * m))
-    return out
+def _weighted_sums(vec: list[int], weights: list[list[int]], m: int) -> list[int]:
+    """Each weight row's combination of vec, modulo m."""
+    return [sum(a * v for a, v in zip(row, vec)) % m for row in weights]
 
 
-def _knapsack_basis(y0_bits: list[int], w_bits: list[list[int]], s: int) -> list[list[int]]:
-    """Rows: one per indicator (identity block, then its bits), the marker
-    row of y0, and one row of 2**s per bit column, closing it modulo 2**s."""
-    nvar, c = len(w_bits), len(y0_bits)
-    dim = nvar + 1 + c
-    basis = []
-    for v, bits in enumerate(w_bits + [y0_bits]):
-        row = [0] * dim
-        row[v] = 1
-        row[nvar + 1:] = bits
-        basis.append(row)
-    for t in range(c):
-        row = [0] * dim
-        row[nvar + 1 + t] = 1 << s
-        basis.append(row)
-    return basis
+def _fraction_bits(sums: list[int], s: int, m: int) -> list[int]:
+    """Each x in sums as the nearest integer to 2**s * x / m."""
+    return [((x << (s + 1)) + m) // (2 * m) for x in sums]
+
+
+def _knapsack_basis(bits: list[list[int]], s: int) -> list[list[int]]:
+    """Rows: one per indicator, then the marker row of y0 (identity block,
+    then the row's bits), and one row of 2**s per bit column, closing it
+    modulo 2**s."""
+    rows, c = len(bits), len(bits[0])
+    basis = [[int(u == v) for u in range(rows)] + row_bits for v, row_bits in enumerate(bits)]
+    return basis + [[0] * rows + [int(u == t) << s for u in range(c)] for t in range(c)]
+
+
+def _carry_basis(reduced: list[list[int]], bits: list[list[int]], s: int,
+                 wider: list[list[int]], s2: int) -> list[list[int]]:
+    """The rows of reduced, a basis of the lattice of bits at width s, carried
+    to the lattice of wider at width s2: (a, z), with z = sum a_v * bits(v)
+    - 2**s * t for an integer t, becomes (a, sum a_v * wider(v) - 2**s2 * t),
+    the same unimodular transform of the fresh basis at s2."""
+    rows = len(bits)
+    carried = []
+    for row in reduced:
+        a, tail = row[:rows], []
+        for col, z in enumerate(row[rows:]):
+            t, rest = divmod(sum(x * v[col] for x, v in zip(a, bits)) - z, 1 << s)
+            if rest:
+                raise ArithmeticError("a reduced knapsack row left its lattice")
+            tail.append(sum(x * v[col] for x, v in zip(a, wider)) - (t << s2))
+        carried.append(a + tail)
+    return carried
 
 
 def scaled_root_bits(field: NumberField, h: Poly) -> int:
@@ -425,57 +442,69 @@ def root_knapsack(field: NumberField, h: Poly, pdata: PrimeData) -> RootSearch:
     So a column needs no product modulo f.  The true y has small
     coefficients, so fixed small combinations of the coefficients of
     y0 + sum delta * w sit next to multiples of p**k (k from
-    knapsack_precision); one LLL on their leading fractional bits finds the
+    knapsack_precision); LLL on their leading fractional bits finds the
     indicators.  Each candidate is rechecked exactly, so a wrong one only
     costs time.
 
-    knapsack_size is a heuristic, so a lattice that finds nothing gets one
-    more chance with 16 more bits per column, lifted to the precision those
-    bits need; after that the answer is not_found.  (Twice the bits would
-    make a negative test at degree 128 cost almost four positive ones;
-    16 more make it two and a half.)
+    Most roots are isolated by far fewer bits than knapsack_size's s, so
+    one lift to the precision of s feeds the columns FEED_FIRST_BITS wide,
+    then FEED_STEP_BITS more per round up to s, each reduced basis carried
+    to the next width and read for a root.  knapsack_size is a heuristic,
+    so a feed that finds nothing gets one more chance, one lattice with
+    16 more bits per column, lifted to the precision those bits need; after
+    that the answer is not_found.  A negative test at degree 64 or 128
+    thus costs about three positive ones.
     """
     nvar = (pdata.r - 1) * (h.degree - 1)
     c, s = knapsack_size(field.n, nvar)
-    found = _knapsack_attempt(field, h, pdata, c, s)
-    return found if found.status == PROVED else _knapsack_attempt(field, h, pdata, c, s + 16)
+    widths = [*range(FEED_FIRST_BITS, s, FEED_STEP_BITS), s]
+    found = _knapsack_attempt(field, h, pdata, c, widths)
+    return found if found.status == PROVED else _knapsack_attempt(field, h, pdata, c, [s + 16])
 
 
-def _knapsack_attempt(field: NumberField, h: Poly, pdata: PrimeData, c: int, s: int) -> RootSearch:
-    """One lift, one lattice of c columns of s bits and one lll_reduce
-    (see root_knapsack)."""
+def _knapsack_attempt(field: NumberField, h: Poly, pdata: PrimeData, c: int,
+                      widths: list[int]) -> RootSearch:
+    """One lift, to the precision of the last width, then a lattice of c
+    columns per width, each carried from the one before, reduced once and
+    read for a root (see root_knapsack)."""
     p, n = pdata.p, field.n
     per_completion = h.degree - 1
     nvar = (pdata.r - 1) * per_completion
     weights = _projection(n, c)
-    k = knapsack_precision(field, h, p, s)
+    k = knapsack_precision(field, h, p, widths[-1])
     m = p**k
     f_m = modp.from_poly(field.f, m)
     roots = [_lift_root(h, s0, p, k) for s0 in pdata.roots]
     y0 = modp.scale(modp.from_poly(field.fprime, m), roots[0], m)
+    y0_sums = _weighted_sums(y0, weights, m)
     w = []
     for g in _lift_factors(field, pdata.factors, p, k)[1:]:
         fe = modp.mul(modp.pdivmod(f_m, g, m)[0], modp.derivative(g, m), m)
         w.extend(modp.scale(fe, sj - roots[0], m) for sj in roots[1:])
-    basis = _knapsack_basis(_fraction_bits(y0, weights, s, m),
-                            [_fraction_bits(v, weights, s, m) for v in w], s)
-    for row in lll_reduce(basis):
-        sign = row[nvar]
-        if sign not in (1, -1):
-            continue
-        delta = [sign * x for x in row[:nvar]]
-        if any(d not in (0, 1) for d in delta) or \
-                any(sum(delta[i:i + per_completion]) > 1
-                    for i in range(0, nvar, per_completion)):
-            continue
-        y = y0
-        for d, v in zip(delta, w):
-            if d:
-                y = modp.add(y, v, m)
-        yc = modp.center_lift(y, m)
-        cert = RootCertificate(tuple(yc + [0] * (n - len(yc))), h)
-        if verify_certificate(field, h, cert):
-            return RootSearch(PROVED, cert)
+    sums = [_weighted_sums(v, weights, m) for v in w] + [y0_sums]
+    basis = last = None
+    for s in widths:
+        bits = [_fraction_bits(x, s, m) for x in sums]
+        basis = lll_reduce(_knapsack_basis(bits, s) if basis is None
+                           else _carry_basis(basis, *last, bits, s))
+        last = bits, s
+        for row in basis:
+            sign = row[nvar]
+            if sign not in (1, -1):
+                continue
+            delta = [sign * x for x in row[:nvar]]
+            if any(d not in (0, 1) for d in delta) or \
+                    any(sum(delta[i:i + per_completion]) > 1
+                        for i in range(0, nvar, per_completion)):
+                continue
+            y = y0
+            for d, v in zip(delta, w):
+                if d:
+                    y = modp.add(y, v, m)
+            yc = modp.center_lift(y, m)
+            cert = RootCertificate(tuple(yc + [0] * (n - len(yc))), h)
+            if verify_certificate(field, h, cert):
+                return RootSearch(PROVED, cert)
     return RootSearch(NOT_FOUND)
 
 

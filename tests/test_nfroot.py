@@ -385,10 +385,25 @@ def test_a_lattice_too_thin_to_answer_is_retried_once_with_wider_columns(monkeyp
     assert calls == [18, 18]
 
 
+# The subfields of Q(sqrt 2, ..., sqrt 11), written with X -> X + c, whose
+# feed (widths 16, 24, 32, 36) needs its second lattice; the others prove
+# at the first, as do all of degree 16 (one width, 16).
+SECOND_WIDTH_32 = {0: {2, 15, 21, 33, 55, 210, 770},
+                   1: {6, 7, 10, 154, 165, 330, 462, 770, 2310},
+                   -2: {10, 22, 70, 77, 210, 231, 385, 770, 1155}}
+
+
 def test_corpus_size_subfields_prove_at_the_first_lattice(monkeypatch):
     # the retry is a guard: every quadratic subfield of the fields of
-    # degree 16 and 32, each written three ways, proves with one reduction
+    # degree 16 and 32, each written three ways, proves within the first
+    # lift's feed, at its first or second width
+    import subfieldscan.nfroot as nfroot
+
     calls = _count_reductions(monkeypatch)
+    attempts = []
+    real_attempt = nfroot._knapsack_attempt
+    monkeypatch.setattr(nfroot, "_knapsack_attempt",
+                        lambda *args: attempts.append(args[-1]) or real_attempt(*args))
     checked = 0
     for params in ("2,3,5,7", "2,3,5,7,11"):
         entry = corpus_generate("multiquadratic", params)
@@ -396,10 +411,91 @@ def test_corpus_size_subfields_prove_at_the_first_lattice(monkeypatch):
             field = NumberField(taylor_shift(entry.poly, c))
             for d in entry.quad:
                 calls.clear()
+                attempts.clear()
                 res = find_root(field, Poly([-d, 0, 1]))
-                assert res.status == PROVED and len(calls) == 1, (params, c, d)
+                second = params == "2,3,5,7,11" and d in SECOND_WIDTH_32[c]
+                assert res.status == PROVED and len(calls) == 1 + second, (params, c, d)
+                assert attempts == [[16] if params == "2,3,5,7" else [16, 24, 32, 36]]
                 checked += 1
     assert checked == 3 * (15 + 31)
+
+
+# perfbench's mq32-root targets, the 15 subfields of Q(sqrt 2, ..., sqrt 11)
+# whose root test selects p = 19 (16 completions), by the feed width that
+# proves them
+MQ32_FIRST_WIDTH = (5, 6, 7, 11, 30, 35, 42, 66, 77, 330, 385, 462, 2310)
+MQ32_SECOND_WIDTH = (55, 210)
+
+
+def test_mq32_targets_prove_at_their_pinned_width(monkeypatch):
+    # one dimension-18 reduction at 16 bits, or a second one at 24
+    calls = _count_reductions(monkeypatch)
+    field = NumberField(multiquadratic_minpoly((2, 3, 5, 7, 11)))
+    for d in MQ32_FIRST_WIDTH + MQ32_SECOND_WIDTH:
+        h = Poly([-d, 0, 1])
+        assert select_prime(field, h).p == 19
+        calls.clear()
+        res = find_root(field, h)
+        assert res.status == PROVED and verify_certificate(field, h, res.certificate), d
+        assert calls == [18] * (1 + (d in MQ32_SECOND_WIDTH)), d
+
+
+def test_isolation_is_not_monotone_in_the_width():
+    # sqrt 77 at p = 19: one lattice of 18 bits misses the root that 16
+    # and 24 bits find, so the feed's widths are pinned, not searched
+    import subfieldscan.nfroot as nfroot
+
+    field = NumberField(multiquadratic_minpoly((2, 3, 5, 7, 11)))
+    h = Poly([-77, 0, 1])
+    pdata = select_prime(field, h)
+    for widths, status in (([16], PROVED), ([18], NOT_FOUND), ([24], PROVED)):
+        assert nfroot._knapsack_attempt(field, h, pdata, 2, widths).status == status, widths
+
+
+def test_the_feed_carries_each_reduced_basis_exactly(monkeypatch):
+    # x^2 - 13 has no root in Q(sqrt 2, ..., sqrt 11), so the feed runs all
+    # its widths.  Each lattice after the first is the reduced basis before
+    # it, T * (fresh basis at the old width), carried to T * (fresh basis
+    # at the new width): T unimodular, Gram determinant 2**(2 * c * width).
+    import subfieldscan.nfroot as nfroot
+    from tests_lattice_helpers import change_of_basis, det_fraction
+
+    field = NumberField(multiquadratic_minpoly((2, 3, 5, 7, 11)))
+    h = Poly([-13, 0, 1])
+    pdata = select_prime(field, h)
+    c, s = knapsack_size(field.n, pdata.r - 1)
+    widths = [16, 24, 32, 36]
+    assert (pdata.r, s) == (16, 36)
+    bits, reduced_in, reduced_out = {}, [], []
+
+    def fraction_bits(sums, width, m):
+        bits.setdefault(width, []).append(real_bits(sums, width, m))
+        return bits[width][-1]
+
+    def lll_reduce(basis):
+        reduced_in.append(basis)
+        reduced_out.append(real_lll(basis))
+        return reduced_out[-1]
+
+    real_bits, real_lll = nfroot._fraction_bits, nfroot.lll_reduce
+    monkeypatch.setattr(nfroot, "_fraction_bits", fraction_bits)
+    monkeypatch.setattr(nfroot, "lll_reduce", lll_reduce)
+    assert nfroot._knapsack_attempt(field, h, pdata, c, widths).status == NOT_FOUND
+    fresh = [nfroot._knapsack_basis(bits[w], w) for w in widths]
+    assert len(reduced_in) == 4 and reduced_in[0] == fresh[0]
+    for i in range(1, 4):
+        t = change_of_basis(fresh[i - 1], reduced_out[i - 1])
+        assert all(x.denominator == 1 for row in t for x in row)
+        assert abs(det_fraction(t)) == 1
+        carried = [[sum(x * row[j] for x, row in zip(trow, fresh[i]))
+                    for j in range(len(fresh[i][0]))] for trow in t]
+        assert reduced_in[i] == carried, widths[i]
+        gram = [[sum(x * y for x, y in zip(u, v)) for v in carried] for u in carried]
+        assert det_fraction(gram) == 2 ** (2 * c * widths[i])
+    off = [row[:] for row in reduced_out[0]]
+    off[3][-1] += 1
+    with pytest.raises(ArithmeticError):
+        nfroot._carry_basis(off, bits[16], 16, bits[24], 24)
 
 
 def test_knapsack_lifts_once_to_the_bound_precision(monkeypatch):
@@ -479,12 +575,12 @@ def test_knapsack_columns_equal_f_prime_times_the_idempotents(monkeypatch, f, h,
                      for col in reference_columns(field, pdata, k) for sj in roots[1:]]
     vectors = []
 
-    def fraction_bits(vec, weights, s, m):
+    def weighted_sums(vec, weights, m):
         vectors.append(vec)
-        return real_bits(vec, weights, s, m)
+        return real_sums(vec, weights, m)
 
-    real_bits = nfroot._fraction_bits
-    monkeypatch.setattr(nfroot, "_fraction_bits", fraction_bits)
+    real_sums = nfroot._weighted_sums
+    monkeypatch.setattr(nfroot, "_weighted_sums", weighted_sums)
     assert nfroot.root_knapsack(field, h, pdata).status == PROVED
     assert vectors == expect
 
