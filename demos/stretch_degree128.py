@@ -6,7 +6,7 @@ the other 120.  The ramified-prime shortcut is instant and the Frobenius
 sieve takes about 11 s.  The expensive phase is the root test.  Its best
 prime, p = 47, splits the field into 64 completions of degree 2, so the
 knapsack that picks a root per completion has 63 unknowns.  knapsack_size
-gives them 8 columns of at most 54 bits, a dimension-72 lattice: one root
+gives them 8 columns of at most 70 bits, a dimension-72 lattice: one root
 test lifts the 64 factors of f once (0.2 s) and feeds LLL 16, 24, 32, 40
 and then 48 bits per column, where the 0/1 solution stands out, in about
 3.5-4 s.  The full scan takes about 50 s (CPython 3.11, one core of a

@@ -6,8 +6,8 @@ certificates), corpus (emit test polynomials with ground-truth sidecars).
 All integers in report JSON are serialized as decimal strings so values
 beyond 53 bits survive every JSON implementation.  Exit codes: 0 complete,
 1 an invalid certificate (certify), 2 complete with unproven absences,
-3 input error (one line "input error: ..." on stderr), 4 factoring budget
-exceeded.
+3 input error (one line "input error: ..." on stderr), 4 a factoring or
+splitting budget exceeded.
 """
 
 from __future__ import annotations
@@ -88,6 +88,8 @@ def _parse_expression(text: str) -> Poly:
             pos += 1
             expect_term = True
             continue
+        if not expect_term:
+            raise PolyParseError("missing operator between terms", pos)
         m = _TERM_RE.match(text, pos)
         if not m or m.end() == pos:
             raise PolyParseError(f"cannot parse near {text[pos:pos+10]!r}", pos)

@@ -42,15 +42,15 @@ class PrimeInBasis(SubfieldScanError):
 
 
 class NoPrimeFound(SubfieldScanError):
-    """No working prime in the configured pool; retry with a larger bound."""
+    """No usable prime below nfroot.SELECT_PRIME_BOUND."""
 
 
 class ZeroExponentVector(SubfieldScanError):
     pass
 
 
-class RetryLimitExceeded(SubfieldScanError):
-    pass
+class RetryLimitExceeded(BudgetExceeded):
+    """Cantor-Zassenhaus splitting stalled after modp._CZ_RETRY_CAP tries."""
 
 
 class PolyParseError(SubfieldScanError):

@@ -21,8 +21,7 @@ The precision comes once, from a bound on the certificate's coefficients
 bit columns are fed in rounds (Novocin, Stehle and van Hoeij, ISSAC 2011):
 16 bits, then 8 more at a time, each reduced basis carried exactly to the
 next width, and the first root that verifies ends the test.  A feed that
-finds nothing gets one retry, one lattice with wider columns, before the
-answer is not_found.
+finds nothing at its widest lattice answers not_found.
 
 An h with an integer root is answered directly: its scaled root is the
 integer times f'.  Otherwise h is irreducible over Q, and the prime is the
@@ -336,17 +335,17 @@ FEED_FIRST_BITS, FEED_STEP_BITS = 16, 8
 
 def knapsack_size(n: int, nvar: int) -> tuple[int, int]:
     """(c, s): how many coefficient combinations the knapsack lattice keeps,
-    and how many bits of each one's fractional position its first lift
-    feeds it at most, for nvar indicators.  Few columns with many bits
-    each: c is about nvar / 8, at least 2 and at most min(n, 10), and c * s
-    is at least (nvar + 1 + c) * log2(nvar) bits, the lattice's dimension
+    and how many bits of each one's fractional position its lift feeds it
+    at most, for nvar indicators.  Few columns with many bits each: c is
+    about nvar / 8, at least 2 and at most min(n, 10), and c * (s - 16) is
+    at least (nvar + 1 + c) * log2(nvar) bits, the lattice's dimension
     times its logarithm (van Hoeij, J. Number Theory 95, 2002; Belabas,
     JSC 37, 2004), which keeps the 0/1 solution apart from the other short
-    vectors up to at least 64 completions (degree 128).  log2(nvar) is
+    vectors up to at least 64 completions (degree 128).  That count is a
+    heuristic, so s keeps 16 bits per column beyond it.  log2(nvar) is
     taken as its bit length, so the size is the same on every platform."""
     c = min(n, 10, max(2, -(-nvar // 8)))
-    s = max(16, -(-(nvar + 1 + c) * nvar.bit_length() // c))
-    return c, s
+    return c, 16 + max(16, -(-(nvar + 1 + c) * nvar.bit_length() // c))
 
 
 def _projection(n: int, c: int) -> list[list[int]]:
@@ -449,17 +448,11 @@ def root_knapsack(field: NumberField, h: Poly, pdata: PrimeData) -> RootSearch:
     Most roots are isolated by far fewer bits than knapsack_size's s, so
     one lift to the precision of s feeds the columns FEED_FIRST_BITS wide,
     then FEED_STEP_BITS more per round up to s, each reduced basis carried
-    to the next width and read for a root.  knapsack_size is a heuristic,
-    so a feed that finds nothing gets one more chance, one lattice with
-    16 more bits per column, lifted to the precision those bits need; after
-    that the answer is not_found.  A negative test at degree 64 or 128
-    thus costs about three positive ones.
+    to the next width and read for a root.  Only the first lattice is
+    fresh; a feed that finds nothing at s answers not_found.
     """
-    nvar = (pdata.r - 1) * (h.degree - 1)
-    c, s = knapsack_size(field.n, nvar)
-    widths = [*range(FEED_FIRST_BITS, s, FEED_STEP_BITS), s]
-    found = _knapsack_attempt(field, h, pdata, c, widths)
-    return found if found.status == PROVED else _knapsack_attempt(field, h, pdata, c, [s + 16])
+    c, s = knapsack_size(field.n, (pdata.r - 1) * (h.degree - 1))
+    return _knapsack_attempt(field, h, pdata, c, [*range(FEED_FIRST_BITS, s, FEED_STEP_BITS), s])
 
 
 def _knapsack_attempt(field: NumberField, h: Poly, pdata: PrimeData, c: int,

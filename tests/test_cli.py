@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from subfieldscan.cli import (EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNPROVEN, main,
+from subfieldscan.cli import (EXIT_BUDGET, EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNPROVEN, main,
                               canonical_report_bytes, parse_poly, render_poly,
                               report_from_dict, report_json, report_to_dict)
 from subfieldscan.config import ScanConfig
@@ -35,6 +35,10 @@ def test_parse_variants():
         parse_poly("x^2 -")
     with pytest.raises(PolyParseError):
         parse_poly("-")
+    # a term needs an operator before it: none of these is silently a sum
+    for text in ("x2 + 1", "x^2 3", "3x^2x", "x^2 - 3 x", "1/2 x"):
+        with pytest.raises(PolyParseError, match="missing operator"):
+            parse_poly(text)
 
 
 def test_parse_render_roundtrip():
@@ -165,6 +169,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     code = main(["quad", "-i", str(phi12), "--sieve-bound", "2"])
     assert code == EXIT_OK  # absences all certified by default bound
     capsys.readouterr()
+
+
+def test_stalled_split_exits_as_a_budget_failure(tmp_path, capsys, monkeypatch):
+    # a Cantor-Zassenhaus split that stops before a factor falls out is a
+    # bounded search running out, not an input error
+    import subfieldscan.modp as modp_mod
+
+    poly_file = tmp_path / "c12.txt"
+    assert main(["corpus", "--kind", "cyclotomic", "--params", "12",
+                 "-o", str(poly_file)]) == EXIT_OK
+    monkeypatch.setattr(modp_mod, "_CZ_RETRY_CAP", 0)
+    assert main(["quad", "-i", str(poly_file)]) == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("budget exceeded: equal-degree splitting stalled")
 
 
 def test_unproven_exit_code(tmp_path, capsys, monkeypatch):

@@ -306,22 +306,23 @@ def test_find_root_ignores_its_config_and_needs_no_rng(h):
 
 
 def test_knapsack_size():
-    # few columns with many bits: c * s covers the dimension times its
-    # bit length
+    # few columns with many bits: c * (s - 16) covers the dimension times
+    # its bit length, and 16 more bits per column are the guard
     for nvar in (1, 7, 15, 31, 52, 63):
         for n in (2, 8, 32, 81, 128):
             c, s = knapsack_size(n, nvar)
-            assert 1 <= c <= min(n, 10) and s >= 16, (n, nvar)
-            assert c * s >= (nvar + 1 + c) * nvar.bit_length(), (n, nvar)
+            assert 1 <= c <= min(n, 10) and s >= 32, (n, nvar)
+            assert c * (s - 16) >= (nvar + 1 + c) * nvar.bit_length(), (n, nvar)
 
 
 def test_knapsack_size_at_the_corpus_and_stretch_sizes():
-    # degree 32 (16 completions): a dimension-18 lattice of 37-bit entries;
-    # degree 128 (64 completions) and the degree-81 cubic (27 completions)
-    assert knapsack_size(32, 15) == (2, 36)
-    assert knapsack_size(128, 63) == (8, 54)
-    assert knapsack_size(81, 52) == (7, 52)
-    assert knapsack_size(2, 1) == (2, 16)
+    # degree 32 (16 completions): a dimension-18 lattice whose widest
+    # columns have 36 bits plus the 16 guard bits; degree 128 (64
+    # completions) and the degree-81 cubic (27 completions)
+    assert knapsack_size(32, 15) == (2, 52)
+    assert knapsack_size(128, 63) == (8, 70)
+    assert knapsack_size(81, 52) == (7, 68)
+    assert knapsack_size(2, 1) == (2, 32)
 
 
 def test_scaled_root_bound_covers_every_certificate():
@@ -358,10 +359,11 @@ def _count_reductions(monkeypatch):
 
 
 @pytest.mark.parametrize("h, status, reductions",
-                         [(Poly([-30, 0, 1]), PROVED, 1), (Poly([1, 0, 1]), NOT_FOUND, 2)])
+                         [(Poly([-30, 0, 1]), PROVED, 1), (Poly([1, 0, 1]), NOT_FOUND, 3)])
 def test_one_reduction_per_knapsack_root_test(monkeypatch, h, status, reductions):
     # one precision, one lattice, one lll_reduce when the root is there
-    # (sqrt 30); when it is not (sqrt -1), one retry with wider columns
+    # (sqrt 30); when it is not (sqrt -1), one per width of the feed: 16,
+    # 24 and 32 bits, and nothing after the last
     calls = _count_reductions(monkeypatch)
     field = NumberField(multiquadratic_minpoly((2, 3, 5)))
     assert select_prime(field, h, random.Random(0)).r >= 2
@@ -370,9 +372,11 @@ def test_one_reduction_per_knapsack_root_test(monkeypatch, h, status, reductions
     assert len(calls) == reductions
 
 
-def test_a_lattice_too_thin_to_answer_is_retried_once_with_wider_columns(monkeypatch):
+def test_a_lattice_too_thin_to_answer_is_carried_to_a_wider_width(monkeypatch):
     # at degree 32, 2 columns of 8 bits cannot isolate the 0/1 vector of
-    # 15 indicators; the retry's 24 bits can, and prove the same root
+    # 15 indicators: a feed of that one width answers not_found after one
+    # reduction, with no second lattice; a feed of 8 and then 16 bits
+    # proves the same root at its carried second width
     import subfieldscan.nfroot as nfroot
 
     field = NumberField(multiquadratic_minpoly((2, 3, 5, 7, 11)))
@@ -381,22 +385,27 @@ def test_a_lattice_too_thin_to_answer_is_retried_once_with_wider_columns(monkeyp
     assert expect.status == PROVED
     monkeypatch.setattr(nfroot, "knapsack_size", lambda n, nvar: (2, 8))
     calls = _count_reductions(monkeypatch)
+    assert find_root(field, h).status == NOT_FOUND
+    assert calls == [18]
+    monkeypatch.setattr(nfroot, "FEED_FIRST_BITS", 8)
+    monkeypatch.setattr(nfroot, "knapsack_size", lambda n, nvar: (2, 16))
+    calls.clear()
     assert find_root(field, h) == expect
     assert calls == [18, 18]
 
 
 # The subfields of Q(sqrt 2, ..., sqrt 11), written with X -> X + c, whose
-# feed (widths 16, 24, 32, 36) needs its second lattice; the others prove
-# at the first, as do all of degree 16 (one width, 16).
-SECOND_WIDTH_32 = {0: {2, 15, 21, 33, 55, 210, 770},
-                   1: {6, 7, 10, 154, 165, 330, 462, 770, 2310},
-                   -2: {10, 22, 70, 77, 210, 231, 385, 770, 1155}}
+# feed (widths 16, 24, 32, 40, 48, 52) needs its second lattice; the others
+# prove at the first, as do all of degree 16 (widths 16, 24, 32).
+SECOND_WIDTH_32 = {0: {10, 22, 30, 35, 42, 55, 66, 330, 385, 1155},
+                   1: {3, 11, 21, 22, 70, 165, 210, 231, 2310},
+                   -2: {3, 14, 21, 22, 30, 33, 42, 105, 210, 231, 330, 770, 2310}}
 
 
 def test_corpus_size_subfields_prove_at_the_first_lattice(monkeypatch):
-    # the retry is a guard: every quadratic subfield of the fields of
-    # degree 16 and 32, each written three ways, proves within the first
-    # lift's feed, at its first or second width
+    # the last widths are a guard: every quadratic subfield of the fields
+    # of degree 16 and 32, each written three ways, proves in its one
+    # lift's feed at its first or second width
     import subfieldscan.nfroot as nfroot
 
     calls = _count_reductions(monkeypatch)
@@ -415,7 +424,8 @@ def test_corpus_size_subfields_prove_at_the_first_lattice(monkeypatch):
                 res = find_root(field, Poly([-d, 0, 1]))
                 second = params == "2,3,5,7,11" and d in SECOND_WIDTH_32[c]
                 assert res.status == PROVED and len(calls) == 1 + second, (params, c, d)
-                assert attempts == [[16] if params == "2,3,5,7" else [16, 24, 32, 36]]
+                assert attempts == [[16, 24, 32] if params == "2,3,5,7"
+                                    else [16, 24, 32, 40, 48, 52]]
                 checked += 1
     assert checked == 3 * (15 + 31)
 
@@ -423,8 +433,8 @@ def test_corpus_size_subfields_prove_at_the_first_lattice(monkeypatch):
 # perfbench's mq32-root targets, the 15 subfields of Q(sqrt 2, ..., sqrt 11)
 # whose root test selects p = 19 (16 completions), by the feed width that
 # proves them
-MQ32_FIRST_WIDTH = (5, 6, 7, 11, 30, 35, 42, 66, 77, 330, 385, 462, 2310)
-MQ32_SECOND_WIDTH = (55, 210)
+MQ32_FIRST_WIDTH = (5, 6, 7, 11, 77, 210, 462, 2310)
+MQ32_SECOND_WIDTH = (30, 35, 42, 55, 66, 330, 385)
 
 
 def test_mq32_targets_prove_at_their_pinned_width(monkeypatch):
@@ -453,8 +463,9 @@ def test_isolation_is_not_monotone_in_the_width():
 
 
 def test_the_feed_carries_each_reduced_basis_exactly(monkeypatch):
-    # x^2 - 13 has no root in Q(sqrt 2, ..., sqrt 11), so the feed runs all
-    # its widths.  Each lattice after the first is the reduced basis before
+    # x^2 - 13 has no root in Q(sqrt 2, ..., sqrt 11), so root_knapsack's
+    # feed runs all its widths, up to the guard width s, and builds one
+    # fresh lattice, the first.  Each later one is the reduced basis before
     # it, T * (fresh basis at the old width), carried to T * (fresh basis
     # at the new width): T unimodular, Gram determinant 2**(2 * c * width).
     import subfieldscan.nfroot as nfroot
@@ -464,9 +475,8 @@ def test_the_feed_carries_each_reduced_basis_exactly(monkeypatch):
     h = Poly([-13, 0, 1])
     pdata = select_prime(field, h)
     c, s = knapsack_size(field.n, pdata.r - 1)
-    widths = [16, 24, 32, 36]
-    assert (pdata.r, s) == (16, 36)
-    bits, reduced_in, reduced_out = {}, [], []
+    assert (pdata.r, c, s) == (16, 2, 52)
+    bits, built, reduced_in, reduced_out = {}, [], [], []
 
     def fraction_bits(sums, width, m):
         bits.setdefault(width, []).append(real_bits(sums, width, m))
@@ -477,13 +487,21 @@ def test_the_feed_carries_each_reduced_basis_exactly(monkeypatch):
         reduced_out.append(real_lll(basis))
         return reduced_out[-1]
 
+    def knapsack_basis(columns, width):
+        built.append(width)
+        return real_basis(columns, width)
+
     real_bits, real_lll = nfroot._fraction_bits, nfroot.lll_reduce
+    real_basis = nfroot._knapsack_basis
     monkeypatch.setattr(nfroot, "_fraction_bits", fraction_bits)
     monkeypatch.setattr(nfroot, "lll_reduce", lll_reduce)
-    assert nfroot._knapsack_attempt(field, h, pdata, c, widths).status == NOT_FOUND
-    fresh = [nfroot._knapsack_basis(bits[w], w) for w in widths]
-    assert len(reduced_in) == 4 and reduced_in[0] == fresh[0]
-    for i in range(1, 4):
+    monkeypatch.setattr(nfroot, "_knapsack_basis", knapsack_basis)
+    assert nfroot.root_knapsack(field, h, pdata).status == NOT_FOUND
+    widths = list(bits)
+    assert widths == [16, 24, 32, 40, 48, s] and built == [16]
+    fresh = [real_basis(bits[w], w) for w in widths]
+    assert len(reduced_in) == len(widths) and reduced_in[0] == fresh[0]
+    for i in range(1, len(widths)):
         t = change_of_basis(fresh[i - 1], reduced_out[i - 1])
         assert all(x.denominator == 1 for row in t for x in row)
         assert abs(det_fraction(t)) == 1
@@ -515,6 +533,7 @@ def test_knapsack_lifts_once_to_the_bound_precision(monkeypatch):
     pdata = select_prime(field, h, random.Random(0))
     _, s = knapsack_size(field.n, pdata.r - 1)
     k = knapsack_precision(field, h, pdata.p, s)
+    assert (pdata.p, s, k) == (7, 32, 26)
     bits = scaled_root_bits(field, h) + field.n.bit_length() + s + 8
     assert k > 1 and pdata.p ** (k - 1) < 2 ** bits <= pdata.p ** k
     assert find_root(field, h).status == PROVED
@@ -552,12 +571,12 @@ S4_SQRT5 = compositum_minpoly(Poly.from_desc([1, 0, -5]), S4_QUARTIC)
 
 
 @pytest.mark.parametrize("f, h, p, r, k", [
-    (multiquadratic_minpoly((2, 3, 5)), Poly([-30, 0, 1]), 7, 4, 20),
-    (multiquadratic_minpoly((2, 3, 5, 7, 11)), Poly([-5, 0, 1]), 19, 16, 36),
+    (multiquadratic_minpoly((2, 3, 5)), Poly([-30, 0, 1]), 7, 4, 26),
+    (multiquadratic_minpoly((2, 3, 5, 7, 11)), Poly([-5, 0, 1]), 19, 16, 39),
     # factors of degrees 1, 1, 3, 3 and 1, 1, 1, 1, 2, 2
-    (S4_SQRT5, Poly([-5, 0, 1]), 11, 4, 16),
-    (S4_SQRT5, Poly([-5, 0, 1]), 79, 6, 9),
-    (corpus_generate("cubic-compositum", "7,9").poly, Poly.from_desc([1, 0, -3, 1]), 17, 3, 15),
+    (S4_SQRT5, Poly([-5, 0, 1]), 11, 4, 20),
+    (S4_SQRT5, Poly([-5, 0, 1]), 79, 6, 11),
+    (corpus_generate("cubic-compositum", "7,9").poly, Poly.from_desc([1, 0, -3, 1]), 17, 3, 19),
 ])
 def test_knapsack_columns_equal_f_prime_times_the_idempotents(monkeypatch, f, h, p, r, k):
     # the lattice gets (s_j - s_1) * (f/g_i) * g_i' for the lifted factors
