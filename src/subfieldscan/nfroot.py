@@ -26,7 +26,8 @@ finds nothing at its widest lattice answers not_found.
 An h with an integer root is answered directly: its scaled root is the
 integer times f'.  Otherwise h is irreducible over Q, and the prime is the
 first qualifying one with r <= deg h completions, or else the one with the
-fewest among the first 25 qualifying ones (ties go to the smaller prime).
+fewest among the first SELECT_PRIME_QUALIFYING (25) qualifying ones (ties
+go to the smaller prime).
 A prime p qualifies when f mod p is squarefree and h mod p splits into
 deg h distinct roots.  By Dedekind-Kummer (Cohen, GTM 138, Thm 4.8.13),
 for a prime p not dividing disc(g) the factors of a monic g mod p match
@@ -34,7 +35,7 @@ the primes above p of the field g defines.  If h has a root a in L, then
 Q(a) has degree deg h, p (which does not divide disc(h)) splits into
 deg h primes of Q(a), each lying below at least one prime of L, and the
 r factors of f mod p are the primes of L above p: r >= deg h.  So the
-first prime with r = deg h is the one the 25-prime rule picks, and a
+first prime with r = deg h is the one the fewest-factors rule picks, and a
 prime with r < deg h proves that h has no root in L, with no lattice
 (find_root still answers not_found: the report takes its proofs of
 absence from Frobenius witnesses).
@@ -42,11 +43,12 @@ absence from Frobenius witnesses).
 The factor degrees come from NumberField.factor_degrees, which keeps what
 the DDFs of the scans' prime walks learned at each prime.  In a Galois
 field all factors of f mod p have one degree, so each of those DDFs is
-complete, and a root test runs a DDF only at a prime the sieve did not
-walk.  Squarefreeness mod p comes from NumberField.squarefree_mod (the
-discriminant, computed once per field, when it is cheap), and each DDF
-stops as soon as its prime cannot beat the best so far, so only the
-winner's factor count is known in full.
+complete, and a root test runs a DDF only at a prime above the one where
+the sieve stopped.  The prime selection keeps none of its own, so another
+root test on the field runs such a DDF again.  Squarefreeness mod p comes
+from NumberField.squarefree_mod (the discriminant, computed once per
+field, when it is cheap), and each DDF stops as soon as its prime cannot
+beat the best so far, so only the winner's factor count is known in full.
 """
 
 from __future__ import annotations
@@ -177,16 +179,20 @@ class RootSearch:
     certificate: RootCertificate | None = None
 
 
-# select_prime looks for its prime below this bound.
+# select_prime looks for its prime below this bound, and among at most
+# this many qualifying primes.
 SELECT_PRIME_BOUND = 50_000
+SELECT_PRIME_QUALIFYING = 25
 
 
 def select_prime(field: NumberField, h: Poly, rng: random.Random | None = None) -> PrimeData:
     """An odd prime where f mod p is squarefree and h mod p splits into
     deg(h) distinct roots: the first such prime with at most deg(h) factors
-    of f mod p, or else the one with the fewest factors among the first 25
-    such primes (ties go to the smaller prime).  For an irreducible h with
-    a root in L both rules pick the same prime (see the module docstring).
+    of f mod p, or else the one with the fewest factors among the first
+    SELECT_PRIME_QUALIFYING such primes (ties go to the smaller prime).
+    For an irreducible h with a root in L both rules pick the same prime
+    (see the module docstring).  That count of DDFs is also the sieve's
+    budget for primes that decide nothing (scan.sieve_rows).
 
     A prime's DDF is abandoned as soon as the factors found, plus one for
     any degree left, reach the best count so far: the prime can then only
@@ -209,7 +215,7 @@ def select_prime(field: NumberField, h: Poly, rng: random.Random | None = None) 
         r = sum(degrees.values())
         if not left and (best is None or r < best[0]):
             best = (r, p, tuple(sorted(roots)))
-        if qualifying >= 25 or best[0] <= h.degree:
+        if qualifying >= SELECT_PRIME_QUALIFYING or best[0] <= h.degree:
             break
     if best is None:
         raise NoPrimeFound(f"no usable prime below {SELECT_PRIME_BOUND}")

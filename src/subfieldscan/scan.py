@@ -5,9 +5,11 @@ ramified places (sieve.py).  A scan normalizes f, bounds the ramified
 primes, keeps one F_l row per prime whose Frobenius cycle type is usable
 (sieve_rows) and walks the candidates the rows leave in increasing size
 (_walk).  The sieve keeps the span of its rows and stops once that span
-is full or STABLE_PRIMES class-deciding primes in a row have not grown
-it: the rows a longer walk would add then change nothing, but for a
-chance of about 2**-8 that costs one failed root test.  It hands that
+is full, once STABLE_PRIMES class-deciding primes in a row have not grown
+it, or once it has spent on primes that decide nothing since the span
+grew as many DDFs as a root test's prime selection may run: the rows a
+longer walk would add then most likely change nothing, and a row missed
+costs one failed root test, never a wrong answer.  It hands that
 span over, and the candidates are read from it (sieve.kernel_vectors):
 the rows are eliminated once per scan.  The walk keeps the span of the
 found vectors: a candidate in it is a subfield by closure, one in the
@@ -53,8 +55,8 @@ from .arith import factor_integer, iter_primes, legendre
 from .config import ScanConfig
 from .errors import ZeroExponentVector
 from .kummer3 import CubicCandidate, build_generator, cubic_place_basis
-from .nfroot import (PROVED, NumberField, RootCertificate, find_root,
-                     verify_certificate)
+from .nfroot import (PROVED, SELECT_PRIME_QUALIFYING, NumberField, RootCertificate,
+                     find_root, verify_certificate)
 from .poly import Poly, normalize_input
 from .ramify import candidate_ramified_primes
 from .sieve import (CubicClass, PlaceBasis, QuadClass, Row, Span, class_decided,
@@ -199,7 +201,9 @@ def _frobenius_primes(field: NumberField, basis: PlaceBasis, gcd_value: int, bou
 # all rows up to the bound, each such prime enlarges it with probability
 # about 1/2 or more (Chebotarev), so a stop that misses a row is about
 # 2**-8 likely; it costs one failed root test, after which the witness
-# search goes on from the prime where the sieve stopped.
+# search goes on from the prime where the sieve stopped.  The sieve's other
+# stop, after SELECT_PRIME_QUALIFYING primes that decide nothing, bounds
+# no such chance: see sieve_rows.
 STABLE_PRIMES = 8
 
 
@@ -220,36 +224,52 @@ def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int
 
     - at once when it is full: for l = 2 the system is inconsistent, for
       l = 3 its kernel is 0, and no later row can change the solutions;
-    - or after STABLE_PRIMES class-deciding primes in a row (SPLIT or
+    - after STABLE_PRIMES class-deciding primes in a row (SPLIT or
       INERT for l = 2, SPLITS_ALL for l = 3) that leave it as it was,
-      counting those whose row is trivial.  For l = 2 the count waits
-      while only the zero vector solves the rows: no candidate is left,
-      and only an INERT prime, which may be rare, can still make the
-      system inconsistent, as the report says.
+      counting those whose row is trivial;
+    - or once SELECT_PRIME_QUALIFYING primes that decide nothing have
+      been walked since it last grew, and at least one class-deciding
+      prime since then has left it as it was.  This is a ski rental
+      counted in DDFs of f: each further prime costs one, and a row
+      missed by stopping costs at most one failed root test, whose
+      prime selection runs up to as many DDFs before it lifts anything.
+      Unlike the stable count it bounds the cost of a miss, not its
+      chance: where few primes decide the class (Galois groups of small
+      exponent) it stops well before the bound and may leave out a row.
+      The scan stays sound: a candidate the missed row would have ruled
+      out fails its root test, and the witness search goes on from the
+      prime where the sieve stopped.
 
-    Otherwise it walks on to the bound; a bound below the first prime
-    (3 for l = 2, 5 for l = 3) keeps no row."""
+    For l = 2 both counts wait while only the zero vector solves the
+    rows: no candidate is left, and only an INERT prime, which may be
+    rare, can still make the system inconsistent, as the report says.
+    Otherwise the sieve walks on to the bound; a bound below the first
+    prime (3 for l = 2, 5 for l = 3) keeps no row."""
     ell, width = basis.e, basis.width
     span = Span(ell, width + 1 if ell == 2 else width)
     rows: list[Row] = []
-    stale = 0
+    stale = idle = 0
+    full = False
     for q, degrees, cubic_row in _frobenius_primes(field, basis, gcd_value, bound,
                                                    trivial_rows=True):
         if not decides_class(degrees, field.n, ell):
-            continue
-        row = frobenius_row(q, degrees, field.n, basis, cubic_row)
-        rank = len(span.rows)
-        if row is not None:
-            rows.append(row)
-            span.insert((*row.coeffs, row.rhs) if ell == 2 else row.coeffs)
-        stale = 0 if len(span.rows) > rank else stale + 1
-        if ell == 2:
-            full = width in span.rows
-            if len(span.rows) == width and not any(r[width] for r in span.rows.values()):
-                stale = 0   # only 0 solves the rows: what is left to learn is inconsistency
+            idle += 1
         else:
-            full = len(span.rows) == width
-        if full or stale >= STABLE_PRIMES:
+            row = frobenius_row(q, degrees, field.n, basis, cubic_row)
+            rank = len(span.rows)
+            if row is not None:
+                rows.append(row)
+                span.insert((*row.coeffs, row.rhs) if ell == 2 else row.coeffs)
+            stale = 0 if len(span.rows) > rank else stale + 1
+            if ell == 2:
+                full = width in span.rows
+                if len(span.rows) == width and not any(r[width] for r in span.rows.values()):
+                    stale = 0   # only 0 solves the rows: what is left to learn is inconsistency
+            else:
+                full = len(span.rows) == width
+            if not stale:
+                idle = 0
+        if full or stale >= STABLE_PRIMES or (stale and idle >= SELECT_PRIME_QUALIFYING):
             return SieveRows(rows, span, q)
     return SieveRows(rows, span, bound)
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -698,28 +699,44 @@ def test_root_tests_on_one_field_repeat_their_work(monkeypatch):
     assert runs[0] and runs[0] == runs[1]
 
 
-def test_corpus_scans_run_no_ddf_twice(monkeypatch):
+# DDFs a corpus scan runs twice, all at primes above the last prime its
+# sieve walked: the root tests' prime selection walks on past the sieve's
+# stop, and select_prime keeps nothing of its own
+DDF_REPEATS_ABOVE_SIEVE = {("cyclotomic", "24"): 14, ("multiquadratic", "2,3,5"): 6}
+
+
+def test_corpus_scans_run_no_ddf_twice_up_to_the_sieve_stop(monkeypatch):
     # the sieve, the witness searches and the root tests' prime selection
     # share each field's factor degrees; check_invariants runs DDFs of its
     # own at witness primes, and none of these scans has one
-    from subfieldscan.scan import cubic_subfield_scan, quad_subfield_scan
+    import subfieldscan.scan as scan_mod
 
-    calls = []
+    calls, walked = [], []
 
     def ddf_degrees(g, q, stop=None, barrett=None):
         calls.append((g.coeffs, q))
         return real_ddf(g, q, stop, barrett)
 
-    real_ddf = modp.ddf_degrees
+    def sieve_rows(*args):
+        sieve = real_sieve(*args)
+        walked.append(sieve.walked)
+        return sieve
+
+    real_ddf, real_sieve = modp.ddf_degrees, scan_mod.sieve_rows
     monkeypatch.setattr(modp, "ddf_degrees", ddf_degrees)
-    plan = [("cyclotomic", str(m), quad_subfield_scan) for m in CYCLOTOMIC_QUAD_TRUTH]
-    plan += [("cyclotomic", "7", cubic_subfield_scan)]
-    plan += [("multiquadratic", p, quad_subfield_scan) for p in ("2,3", "2,3,5", "2,3,5,7")]
-    plan += [("cubic-compositum", "7,9", cubic_subfield_scan),
-             ("cubic-compositum", "7,q5", quad_subfield_scan),
-             ("cubic-compositum", "7,q5", cubic_subfield_scan)]
+    monkeypatch.setattr(scan_mod, "sieve_rows", sieve_rows)
+    plan = [("cyclotomic", str(m), scan_mod.quad_subfield_scan) for m in CYCLOTOMIC_QUAD_TRUTH]
+    plan += [("cyclotomic", "7", scan_mod.cubic_subfield_scan)]
+    plan += [("multiquadratic", p, scan_mod.quad_subfield_scan) for p in ("2,3", "2,3,5", "2,3,5,7")]
+    plan += [("cubic-compositum", "7,9", scan_mod.cubic_subfield_scan),
+             ("cubic-compositum", "7,q5", scan_mod.quad_subfield_scan),
+             ("cubic-compositum", "7,q5", scan_mod.cubic_subfield_scan)]
     for kind, params, scan in plan:
         calls.clear()
+        walked.clear()
         report = scan(corpus_generate(kind, params).poly)
-        assert report.direct_tests > 0 and calls, (kind, params)
-        assert len(set(calls)) == len(calls), (kind, params)
+        assert report.direct_tests > 0 and calls and len(walked) == 1, (kind, params)
+        repeats = {call: k - 1 for call, k in Counter(calls).items() if k > 1}
+        assert all(q > walked[0] for _, q in repeats), (kind, params)
+        assert sum(repeats.values()) == DDF_REPEATS_ABOVE_SIEVE.get((kind, params), 0), \
+            (kind, params)

@@ -1,6 +1,8 @@
-"""The sieve stops once the span of its rows stops growing; it must lose
-nothing the rows of every prime up to the bound would give."""
+"""The sieve stops once the span of its rows stops growing, or once it has
+spent its budget of primes that decide nothing; on the fields below it
+must lose nothing the rows of every prime up to the bound would give."""
 
+import os
 import types
 
 import pytest
@@ -8,11 +10,12 @@ import pytest
 import subfieldscan.modp as modp
 import subfieldscan.scan as scan_mod
 from subfieldscan.config import ScanConfig
-from subfieldscan.nfroot import NumberField
+from subfieldscan.nfroot import SELECT_PRIME_QUALIFYING, NumberField
 from subfieldscan.poly import Poly, compositum_minpoly, normalize_input
 from subfieldscan.ramify import candidate_ramified_primes
 from subfieldscan.sieve import PlaceBasis, Row, Span, frobenius_row, kernel_vectors
 from subfieldscan.testkit import CYCLOTOMIC_QUAD_TRUTH, corpus_generate
+from tests_poly_helpers import cyclic_cubic_compositum
 
 CORPUS = ([("cyclotomic", str(m), "quad") for m in CYCLOTOMIC_QUAD_TRUTH]
           + [("cyclotomic", "7", "cubic")]
@@ -30,6 +33,10 @@ GENERIC_PLANTED = [
     ("quad", (3, 1, 2, 0, 1, 0, -5, 3, 3, 4, 4, 0, 1), (-2, 0, 1)),
     ("cubic", (2, 4, -5, -2, 5, -3, 1), (-1, -2, 1, 1)),
     ("cubic", (3, 4, -3, -4, 3, -1, -5, 1), (-1, -4, -1, 1)),
+    # seed 102: the INERT row at 173 that grows the span comes after 7 stale
+    # class-deciding primes and 20 no-information ones; a budget of 25 that
+    # counted every prime would stop at 157 and leave a solution too many
+    ("quad", (-3, -2, 3, 1, -3, -3, 1), (3, 0, 1)),
 ]
 GENERIC_EMPTY = [
     ("quad", (-3, 4, -4, -1, -4, 2, 1)),
@@ -92,6 +99,10 @@ def _cases():
     for i, (scan, base, planted) in enumerate(GENERIC_PLANTED):
         poly = compositum_minpoly(Poly(list(planted)), Poly(list(base)))
         yield pytest.param(poly, scan, id=f"generic-{scan}-{i}")
+    # where few primes decide the class and the budget stops the sieve
+    yield pytest.param(corpus_generate("multiquadratic", "2,3,5,7,11").poly, "quad",
+                       id="multiquadratic-2,3,5,7,11-quad")
+    yield pytest.param(cyclic_cubic_compositum((7, 13, 19)), "cubic", id="C3^3-7,13,19-cubic")
 
 
 @pytest.mark.parametrize("poly, scan", _cases())
@@ -102,6 +113,21 @@ def test_stopped_sieve_spans_every_row_up_to_the_bound(poly, scan):
     # the span the sieve hands to the scans is the span of its rows
     assert sieve.span.rows == kept
     assert kept == _span_up_to(field, kind, BOUND).rows
+
+
+@pytest.mark.skipif(not os.environ.get("SUBFIELDSCAN_STRETCH"),
+                    reason="stretch run; set SUBFIELDSCAN_STRETCH=1 to enable")
+@pytest.mark.parametrize("make, scan", [
+    pytest.param(lambda: corpus_generate("multiquadratic", "2,3,5,7,11,13").poly, "quad",
+                 id="multiquadratic-2,3,5,7,11,13-quad"),
+    pytest.param(lambda: corpus_generate("multiquadratic", "2,3,5,7,11,13,17").poly, "quad",
+                 id="multiquadratic-2,3,5,7,11,13,17-quad"),
+    pytest.param(lambda: cyclic_cubic_compositum((7, 13, 19, 31)), "cubic",
+                 id="C3^4-7,13,19,31-cubic"),
+])
+def test_stopped_sieve_spans_every_row_up_to_the_bound_at_scale(make, scan):
+    # degrees 64, 128 and 81, where the budget stops the sieve; about 25 s
+    test_stopped_sieve_spans_every_row_up_to_the_bound(make(), scan)
 
 
 @pytest.mark.parametrize("kind, params, scan", [
@@ -164,3 +190,50 @@ def test_stable_count_restarts_when_the_span_grows(monkeypatch):
     stop = plan.index(units[2]) + 8
     assert sieve.walked == walk[stop][0]
     assert [r.coeffs for r in sieve.rows] == [c for c in plan[:stop + 1] if c is not None]
+
+
+def _made_up_sieve(monkeypatch, basis, n, plan, no_info, deciding):
+    """sieve_rows over a made-up prime walk: None in plan is a prime with the
+    factor degrees no_info, any other entry (coeffs, rhs) a prime with the
+    factor degrees deciding and that row."""
+    walk = list(zip(range(101, 10_000, 2), plan))
+    rows = {q: entry and Row(*entry, q) for q, entry in walk}
+    monkeypatch.setattr(scan_mod, "_frobenius_primes", lambda *args, **kwargs: (
+        (q, no_info if entry is None else deciding, rows[q]) for q, entry in walk))
+    if basis.e == 2:
+        monkeypatch.setattr(scan_mod, "frobenius_row", lambda q, *args: rows[q])
+    sieve = scan_mod.sieve_rows(types.SimpleNamespace(n=n), basis, 1, BOUND)
+    return sieve, [q for q, _ in walk]
+
+
+def test_budget_stops_after_as_many_no_information_primes_as_select_prime_takes(monkeypatch):
+    # over F_3, width 4; NO_INFO primes have all degrees 3
+    basis = PlaceBasis(3, (7, 13, 19))
+    units = [(tuple(int(i == j) for j in range(4)), 0) for i in range(4)]
+    idle = [None] * (SELECT_PRIME_QUALIFYING - 1)
+    # 30 NO_INFO primes with no stale class-deciding prime since the span
+    # grew; 24 after a stale one, then a growth that restarts the count;
+    # a stale prime and the 25th NO_INFO prime after that growth stop it
+    plan = ([units[0]] + [None] * 30 + [units[1], units[1]] + idle + [units[2], units[2]]
+            + idle + [None] * 5)
+    sieve, primes = _made_up_sieve(monkeypatch, basis, 6, plan, {3: 2}, {1: 6})
+    stop = len(plan) - 5
+    assert sieve.walked == primes[stop]
+    assert [r.coeffs for r in sieve.rows] == [units[i][0] for i in (0, 1, 1, 2, 2)]
+    # the 30 NO_INFO primes count once a stale prime comes: it stops there
+    plan = [units[0]] + [None] * 30 + [units[0], units[1]]
+    sieve, primes = _made_up_sieve(monkeypatch, basis, 6, plan, {3: 2}, {1: 6})
+    assert sieve.walked == primes[31]
+
+
+def test_budget_waits_while_only_zero_solves_the_quadratic_rows(monkeypatch):
+    # over F_2, width 2 with the right-hand side last: once the rows leave
+    # only 0, NO_INFO primes (degrees 2, 2) and SPLIT primes that add
+    # nothing do not stop the sieve; the INERT row that makes the system
+    # inconsistent does
+    basis = PlaceBasis(2, (2,))
+    plan = ([((1, 0), 0), ((0, 1), 0)] + ([None] * 20 + [((1, 1), 0)]) * 3
+            + [None] * 30 + [((0, 0), 1), None])
+    sieve, primes = _made_up_sieve(monkeypatch, basis, 4, plan, {2: 2}, {1: 4})
+    assert sieve.walked == primes[len(plan) - 2]
+    assert sieve.rows[-1].rhs == 1 and 2 in sieve.span.rows
