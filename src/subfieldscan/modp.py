@@ -23,7 +23,8 @@ single pass and keeps no quotient.  pdivmod remains for exact division,
 a ring without a given Barrett constant and one-off reductions; division
 needs a divisor with a unit leading coefficient.  mul, a plain product
 packed the same way, with pdivmod is the reference the ring's products
-are tested against; invert is an extended Euclid over F_p.
+are tested against; invert is an extended Euclid over F_p, and
+QuotientRing.inverse lifts its answer to Z/p^k.
 
 Public operations: squarefree test, distinct-degree factor degrees, full
 factorization (distinct-degree + Cantor-Zassenhaus) and root extraction
@@ -274,6 +275,15 @@ class QuotientRing:
         for i in range(top - k, -1, -k):
             acc = self._reduce(self._pack(acc) * giant + sum(map(operator.mul, a[i:i + k], table)))
         return acc
+
+    def inverse(self, a, p: int) -> list[int]:
+        """a^-1 for a reduced a prime to v mod p, where m is a power of the
+        prime p: a^-1 mod p (invert), then Newton's iteration g <- g(2 - ag),
+        which squares the power of p that g is right modulo."""
+        g, right = invert(trim([c % p for c in a]), [c % p for c in self.v], p), p
+        while right < self.m:
+            g, right = self.mul(g, sub([2], self.mul(a, g), self.m)), right * right
+        return g
 
 
 def monic(a, p):

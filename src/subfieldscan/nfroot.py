@@ -60,7 +60,7 @@ from . import modp
 from .arith import is_probable_prime, iter_primes
 from .errors import NoPrimeFound
 from .lattice import lll_reduce
-from .poly import Poly, disc_poly, is_squarefree_q, xgcd_q
+from .poly import Poly, disc_poly, is_squarefree_q
 
 PROVED = "proved"
 NOT_FOUND = "not_found"
@@ -78,8 +78,8 @@ class NumberField:
     """Q[X]/(f) for a monic integral squarefree f; theta is the class of X.
 
     Besides f it keeps what is computed once per field: disc(f) when it is
-    cheap, the Barrett constant of f, the scaled inverse of f' and the
-    factor degrees of f mod p learned at each prime (factor_degrees)."""
+    cheap, the Barrett constant of f and the factor degrees of f mod p
+    learned at each prime (factor_degrees)."""
 
     def __init__(self, f: Poly):
         if not (f.is_monic() and f.is_integral()):
@@ -91,7 +91,6 @@ class NumberField:
         self.f = f
         self.n = f.degree
         self.fprime = f.derivative()
-        self._fprime_inverse = None
         self._disc = None
         self._barrett = None
         self._degrees: dict[int, tuple[dict[int, int], int]] = {}
@@ -134,17 +133,6 @@ class NumberField:
             if keep:
                 self._degrees[p] = entry
         return entry
-
-    def fprime_inverse(self) -> tuple[Poly, int]:
-        """(T, D), T integral and D the least positive integer with
-        f' * T = D mod f, computed once on demand: 1/f' = T/D in L."""
-        if self._fprime_inverse is None:
-            g, _, t = xgcd_q(self.f, self.fprime)
-            if g.degree != 0:
-                raise ValueError("f' is not invertible mod f")
-            t, d = (t % self.f).clear_denominators()
-            self._fprime_inverse = t, d
-        return self._fprime_inverse
 
 
 def _disc_bits_bound(f: Poly) -> float:

@@ -259,22 +259,6 @@ def _prem(a: Poly, b: Poly) -> Poly:
     return r
 
 
-def xgcd_q(a: Poly, b: Poly):
-    """(g, s, t) over Q with s*a + t*b = g = gcd(a, b), g monic."""
-    r0, r1 = a, b
-    s0, s1 = Poly([1]), Poly()
-    t0, t1 = Poly(), Poly([1])
-    while r1:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0 and r0.lc != 1:
-        inv = Fraction(1) / Fraction(r0.lc)
-        r0, s0, t0 = r0.scale(inv), s0.scale(inv), t0.scale(inv)
-    return r0, s0, t0
-
-
 def is_squarefree_q(f: Poly) -> bool:
     """Squarefree test over Q.
 

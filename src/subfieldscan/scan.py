@@ -20,7 +20,7 @@ witness.  A witness is a prime whose Frobenius row
 kinds: absence_witness is the one search, the sieve and it share one prime
 walk (_frobenius_primes), and a witness search goes on from the last prime
 the sieve walked; _Quad and _Cubic hold what differs between the two
-kinds.
+kinds, _Kind what they share.
 
 The prime walk computes only what a row or a witness needs: squarefreeness
 mod q from disc(f), computed once per field unless it is too large to pay
@@ -33,11 +33,14 @@ The walk asks the field for the factor degrees (NumberField.
 factor_degrees), which keeps them: the root tests' prime selection and a
 later witness search read them instead of running the DDF again.
 
-The twist closure works over Z.  A quadratic member of the span of the
-found vectors multiplies the scaled roots y = f' * sqrt(delta) mod f of the
-direct finds it comes from (_walk): the product of two is y1 * y2 * T /
-(D * k) mod f, with f' * T = D mod f computed once per field
-(NumberField.fprime_inverse); the division is exact.
+The twist closure works mod p**k, for the first odd prime p outside the
+place basis at which f is squarefree (_Kind.ring).  A member of the span of
+the found vectors gets its root from the roots y / f' of the direct finds
+it comes from: sqrt(d1) * sqrt(d2) / k for l = 2, Lagrange resolvents of
+their Galois conjugates for l = 3 (Cohen, GTM 138, 6.4; _Cubic.merge).
+p**k exceeds 2**(B + 2) for every candidate's scaled_root_bits B, so its
+scaled root is the centred lift of its residue.  check_invariants checks
+it once, with every certificate, and raises if it fails.
 
 Every positive entry in the report carries a certificate that passes
 verify_certificate; exclusions are either witnessed by a Frobenius
@@ -53,13 +56,14 @@ from dataclasses import dataclass, field as dc_field
 from . import modp
 from .arith import factor_integer, iter_primes, legendre
 from .config import ScanConfig
+from .eisenstein import OMEGA, split_prime
 from .errors import ZeroExponentVector
 from .kummer3 import CubicCandidate, build_generator, cubic_place_basis
 from .nfroot import (PROVED, SELECT_PRIME_QUALIFYING, NumberField, RootCertificate,
-                     find_root, verify_certificate)
+                     find_root, scaled_root_bits, verify_certificate)
 from .poly import Poly, normalize_input
 from .ramify import candidate_ramified_primes
-from .sieve import (CubicClass, PlaceBasis, QuadClass, Row, Span, class_decided,
+from .sieve import (CubicClass, PlaceBasis, QuadClass, Row, Span, canonical_f3, class_decided,
                     classify_prime_cubic, classify_prime_quadratic, cubic_constraint,
                     decides_class, frobenius_row, kernel_vectors, vector_satisfies)
 
@@ -111,9 +115,9 @@ class ScanReport:
         return any(e.status == STATUS_UNPROVEN_ABSENT for e in self.excluded)
 
     def check_invariants(self, field: NumberField | None = None) -> None:
-        """Re-verify every certificate, every witness prime, and the group
-        closure of the found quadratic set.  Witness primes get a full,
-        gcd-checked DDF of their own."""
+        """Verify every certificate (the one check of a twist product's),
+        every witness prime, and the group closure of the found quadratic
+        set.  Witness primes get a full, gcd-checked DDF of their own."""
         if field is None:
             field = NumberField(self.poly)
         for e in self.subfields:
@@ -295,20 +299,72 @@ def absence_witness(field: NumberField, basis: PlaceBasis, gcd_value: int, vec,
 # -- the two kinds --------------------------------------------------------------
 
 
-class _Quad:
+class _Kind:
+    """What both kinds share: a span member's certificate, from the product
+    of the scaled roots of the direct finds it comes from, mod p**k (see
+    the module docstring).  Each prefix product is kept, so a member costs
+    one product."""
+
+    def __init__(self, field, cs):
+        self.field, self.gcd_value, self.basis = field, cs.gcd_value, self.place_basis(cs)
+        self.candidates, self.roots, self.conjugates = {}, {}, {}
+        self.products: dict[tuple, tuple] = {}  # ((find, tag), ...) -> (tag-weighted sum, y)
+        self._ring = None
+
+    def ring(self):
+        """(Z/p**k [X]/(f), p, 1/f' in it), built at the scan's first product;
+        for l = 3, p divides neither 3 nor any v: h'(theta) is then a unit
+        mod p, as its norm is a power of disc h = 81 v**2."""
+        if self._ring is None:
+            field = self.field
+            bits = max(scaled_root_bits(field, self.h(v)) for v in self.candidates) + 2
+            avoid = 3 * math.prod(c.v for c in self.candidates.values()) if self.ell == 3 else 1
+            p = next(q for q in iter_primes(3) if q not in self.basis.primes
+                     and avoid % q and field.squarefree_mod(q))
+            m = p
+            while m.bit_length() <= bits:
+                m *= p
+            ring = modp.QuotientRing(field.f.coeffs, m, field.barrett())
+            self._ring = ring, p, ring.inverse(ring.element(field.fprime.coeffs), p)
+        return self._ring
+
+    def root(self, vec, y):
+        """theta = y / f' mod p**k for the scaled root y of the candidate
+        vec, computed once."""
+        if vec not in self.roots:
+            ring, _, fprime_inv = self.ring()
+            self.roots[vec] = ring.mul(y, fprime_inv)
+        return self.roots[vec]
+
+    def member_certificate(self, vec, used):
+        """The certificate of vec, the class of the tag-weighted sum of the
+        vectors in used, the (vector, tag value, certificate) triples of the
+        direct finds it comes from, in the order found.  Each step multiplies
+        disjoint finds, so the root depends on the tagged set only."""
+        ring = self.ring()[0]
+        key, product = (), None
+        for gvec, tag, cert in used:
+            key += ((gvec, tag),)
+            if key not in self.products:
+                y = ring.element(cert.scaled_root)
+                if product is None:
+                    self.products[key] = gvec, y
+                else:
+                    total = tuple((a + tag * b) % self.ell for a, b in zip(product[0], gvec))
+                    self.products[key] = total, self.merge(product, (gvec, y), total)
+            product = self.products[key]
+        if canonical_f3(product[0]) != vec:
+            raise AssertionError("twist-product vector differs from the span member")
+        return RootCertificate(tuple(modp.center_lift(product[1], ring.m)), self.h(vec))
+
+
+class _Quad(_Kind):
     """l = 2: discriminant vectors.  The root test runs on the coset
-    representative, and a span member is certified by the product of the
-    scaled roots y = f' * sqrt(delta) over Z of the direct finds it comes
-    from."""
+    representative."""
 
     name, ell = "quad", 2
     test_representative = True
-
-    def __init__(self, field, cs):
-        self.field = field
-        self.gcd_value = cs.gcd_value
-        self.basis = PlaceBasis(2, cs.all_finite_primes())
-        self.products: dict[tuple, tuple] = {}  # finds multiplied -> (vector, root)
+    place_basis = staticmethod(lambda cs: PlaceBasis(2, cs.all_finite_primes()))
 
     def solve(self, span):
         """(candidates in walk order, or None if the rows are inconsistent;
@@ -318,9 +374,9 @@ class _Quad:
         if width in span.rows:
             return None, 0
         delta = self.basis.delta_of_vector
-        candidates = [v[:width] for v in kernel_vectors(span) if v[width] and any(v[:width])]
-        candidates.sort(key=lambda v: (abs(delta(v)), delta(v) < 0))
-        return candidates, len(span.kernel()) - 1
+        self.candidates = [v[:width] for v in kernel_vectors(span) if v[width] and any(v[:width])]
+        self.candidates.sort(key=lambda v: (abs(delta(v)), delta(v) < 0))
+        return self.candidates, len(span.kernel()) - 1
 
     def label(self, vec):
         return {"delta": self.basis.delta_of_vector(vec)}
@@ -328,60 +384,23 @@ class _Quad:
     def h(self, vec):
         return Poly([-self.basis.delta_of_vector(vec), 0, 1])
 
-    def merge(self, a, b):
-        """The scaled root of the twist product d3 = d1 * d2 / k**2.
-
-        Its root is sqrt(d1) * sqrt(d2) / k, so with y_i = f' * sqrt(d_i)
-        and f' * T = D mod f (NumberField.fprime_inverse), y3 = y1 * y2 *
-        T / (D * k) mod f.  The division is exact: f' times an algebraic
-        integer of L lies in Z[theta]."""
-        (vec1, y1), (vec2, y2) = a, b
-        f = self.field.f
-        vec3 = tuple(p ^ q for p, q in zip(vec1, vec2))
-        d1, d2, d3 = (self.basis.delta_of_vector(v) for v in (vec1, vec2, vec3))
-        k = math.isqrt(abs(d1 * d2 // d3))
-        t, d = self.field.fprime_inverse()
-        y3 = ((y1 * y2) % f * t) % f
-        dk = d * k
-        if any(c % dk for c in y3.coeffs):
-            raise AssertionError("scaled twist-product root is not integral")
-        return vec3, Poly([c // dk for c in y3.coeffs])
-
-    def member_certificate(self, vec, used):
-        """The product of the scaled roots of used, the (vector, certificate)
-        pairs of the direct finds vec comes from, in the order found, checked.
-        Each prefix product is kept, so a member costs one product; each
-        step multiplies disjoint finds, so the sign depends on the set only."""
-        key, product = (), None
-        for gvec, cert in used:
-            key += (gvec,)
-            if key not in self.products:
-                root = (gvec, Poly(cert.scaled_root))
-                self.products[key] = root if product is None else self.merge(product, root)
-            product = self.products[key]
-        combo, y = product
-        if combo != vec:
-            raise AssertionError("twist-product vector differs from the span member")
-        h = self.h(vec)
-        cert = RootCertificate(y.coeffs, h)
-        if not verify_certificate(self.field, h, cert):
-            raise AssertionError("twist-product certificate failed verification")
-        return cert
+    def merge(self, a, b, vec3):
+        """The scaled root y1 sqrt(d2) / k of sqrt(d1) sqrt(d2) / k, for d3 =
+        d1 d2 / k**2, from those of d1 and d2 (b is a direct find, so one
+        product per member); p is not in the basis, so it divides no k."""
+        d1, d2, d3 = (self.basis.delta_of_vector(v) for v in (a[0], b[0], vec3))
+        ring = self.ring()[0]
+        y = ring.mul(a[1], self.root(*b))
+        return modp.scale(y, pow(math.isqrt(d1 * d2 // d3), -1, ring.m), ring.m)
 
 
-class _Cubic:
+class _Cubic(_Kind):
     """l = 3: Kummer classes, one per pair {v, 2v}.  The root test runs on
-    the candidate itself; a span member is proved by a root test of its
-    own, which direct_tests does not count, whatever finds it comes from."""
+    the candidate itself."""
 
     name, ell = "cubic", 3
     test_representative = False
-
-    def __init__(self, field, cs):
-        self.field = field
-        self.gcd_value = cs.gcd_value
-        self.basis = cubic_place_basis(cs)
-        self.candidates: dict[tuple[int, ...], CubicCandidate] = {}
+    place_basis = staticmethod(cubic_place_basis)
 
     def solve(self, span):
         """(candidates in walk order; the dimension of the kernel of the
@@ -403,12 +422,55 @@ class _Cubic:
     def h(self, vec):
         return self.candidates[vec].minpoly
 
-    def member_certificate(self, vec, used):
-        result = find_root(self.field, self.h(vec))
-        if result.status != PROVED:
-            raise AssertionError(f"no root found for {self.h(vec)}, which the "
-                                 "found cubic subfields generate")
-        return result.certificate
+    def merge(self, a, b, total):
+        """The root of the class a3 of total = vec1 + t * vec2 from the roots
+        of the classes a1, a2 of vec1 and vec2.  With theta_i^(j) = w^j u_i +
+        w^-j conj(u_i), u_i**3 = a_i (galois_conjugates), the resolvent D_j =
+        sum_i theta1^(i) theta2^(j - i) is 3 (w^j U + w^-j conj(U)), U = u1
+        u2; the conjugates in reverse order swap u_i and conj(u_i).  Exactly
+        one of the four b = a1^(+-) a2^(+-) is a3 g**3 with g = g0 + g1 w in
+        Q(w), and then theta3 = (g0 D_0 + g1 D_2) / (3 N(g))."""
+        ring, p, _ = self.ring()
+        m, vecs, conj = ring.m, (canonical_f3(a[0]), b[0], canonical_f3(total)), []
+        for vec, y in zip(vecs, (a[1], b[1])):
+            if vec not in self.conjugates:
+                self.conjugates[vec] = galois_conjugates(ring, p, self.root(vec, y),
+                                                         self.candidates[vec])
+            conj.append(self.conjugates[vec])
+
+        def exponents(vec, bar):   # of w, pi, conj(pi), ... in w**e0 prod (pi conj(pi)**2)**e
+            pairs = ((2 * e, e) if bar else (e, 2 * e) for e in vec[1:])
+            return [vec[0] * (1 + bar), *(x for pair in pairs for x in pair)]
+
+        for flips in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            d = [x + y - z for x, y, z in zip(*map(exponents, vecs, flips + (0,)))]
+            if any(x % 3 for x in d):
+                continue
+            g, den = OMEGA ** (d[0] // 3 % 3), 1   # g * den, in Z[w]
+            for q, e, ebar in zip(self.basis.primes, d[1::2], d[2::2]):
+                lift, pi = max(0, -e // 3, -ebar // 3), split_prime(q)   # 1 / pi = conj(pi) / q
+                g, den = g * pi ** (e // 3 + lift) * pi.conj() ** (ebar // 3 + lift), den * q**lift
+            t1, t2 = ([c[0], c[2], c[1]] if flip else c for c, flip in zip(conj, flips))
+            s = []   # g0 D_0 + g1 D_2, one product per conjugate of theta1
+            for i in range(3):
+                mix = modp.add(modp.scale(t2[-i % 3], g.x, m), modp.scale(t2[2 - i], g.y, m), m)
+                s = modp.add(s, ring.mul(t1[i], mix), m)
+            y = ring.mul(s, ring.element(self.field.fprime.coeffs))
+            return modp.scale(y, den * pow(3 * g.norm(), -1, m), m)
+        raise AssertionError("no cube root of a twist-product class")
+
+
+def galois_conjugates(ring, p, root, cand: CubicCandidate) -> list:
+    """[theta, sigma theta, sigma^2 theta] in ring, modulo f and a power of
+    p, for a root theta = u + c/u of cand's h = X^3 - 3cX - t, u**3 = a and
+    sigma(u) = w u.  h'(theta) = (theta - sigma theta)(theta - sigma^2
+    theta) = 3 (u^2 + c + c^2/u^2) and a - conj(a) = v (w - w^2) give
+    (sigma theta - sigma^2 theta) h'(theta) = -9v."""
+    m = ring.m
+    hprime = modp.sub(modp.scale(ring.mul(root, root), 3, m), [3 * cand.c % m], m)
+    delta = modp.scale(ring.inverse(hprime, p), 9 * cand.v, m)
+    minus, half = [-c % m for c in root], (m + 1) // 2
+    return [root, *(modp.scale(op(minus, delta, m), half, m) for op in (modp.sub, modp.add))]
 
 
 # -- the scan and the candidate walk ------------------------------------------------
@@ -481,16 +543,18 @@ def _walk(kind, rows: list[Row], candidates, walked: int):
     The span of the found vectors gives the k-th direct find a 1 in tag
     slot width + k (a find is independent of those before it, so there are
     at most width): a member reduces to 0 in the vector slots, and its tag
-    slots name the finds it comes from."""
+    slots name the finds it comes from and their coefficients, up to one
+    common factor over F3."""
     field, width = kind.field, kind.basis.width
     span = Span(kind.ell, 2 * width)
     found: list[tuple[tuple[int, ...], RootCertificate]] = []  # direct finds, in order
     no_tags = (0,) * width
 
     def reduce(vec):
-        """(vec modulo the found vectors, the finds a member comes from)"""
+        """(vec modulo the found vectors, the (vector, tag value,
+        certificate) triples of the finds a member comes from)"""
         r = span.reduce((*vec, *no_tags))
-        return r[:width], [g for g, tag in zip(found, r[width:]) if tag]
+        return r[:width], [(g, tag, cert) for (g, cert), tag in zip(found, r[width:]) if tag]
 
     subfields: list[SubfieldEntry] = []
     excluded: list[ExcludedEntry] = []

@@ -173,6 +173,23 @@ def test_invert_is_the_inverse_modulo_b():
     assert inverted > 150
 
 
+def test_ring_inverse_lifts_the_inverse_mod_p_to_the_ring_modulus():
+    # Newton's iteration from invert's answer mod p gives a^-1 mod p**k for
+    # every k, odd or even, including k = 1
+    rng = random.Random(11)
+    lifted = 0
+    for _ in range(200):
+        p = rng.choice([3, 5, 7, 101])
+        v = [rng.randrange(-50, 50) for _ in range(rng.randint(1, 10))] + [1]
+        ring = modp.QuotientRing(v, p ** rng.randint(1, 40))
+        a = ring.element([rng.randrange(ring.m) for _ in range(rng.randint(1, 12))])
+        if modp.gcd(modp.trim([c % p for c in a]), [c % p for c in ring.v], p) != [1]:
+            continue
+        assert ring.mul(a, ring.inverse(a, p)) == [1]
+        lifted += 1
+    assert lifted > 100
+
+
 @settings(max_examples=300, deadline=None)
 @given(rings())
 def test_ring_mul_matches_schoolbook(case):

@@ -5,9 +5,9 @@ import pytest
 
 from subfieldscan.errors import DegreeNotDivisible, NotSquarefree
 from subfieldscan.poly import (Poly, compositum_minpoly, disc_poly, eth_root_coeffs,
-                               is_squarefree_q, normalize_input, resultant_int, xgcd_q)
+                               is_squarefree_q, normalize_input, resultant_int)
 from tests_poly_helpers import (eth_root_newton, poly_from_power_sums, power_sums,
-                                sylvester_resultant)
+                                sylvester_resultant, xgcd_q)
 
 X = Poly([0, 1])
 

@@ -3,15 +3,17 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subfieldscan import modp
 from subfieldscan.config import ScanConfig
-from subfieldscan.nfroot import NumberField
+from subfieldscan.nfroot import NumberField, RootCertificate
 from subfieldscan.poly import Poly
 from subfieldscan.scan import (STATUS_CERTIFIED_ABSENT, STATUS_TWIST_EXCLUDED,
                                STATUS_UNPROVEN_ABSENT, absence_certificate_search, cubic_subfield_scan,
                                quad_subfield_scan)
 from subfieldscan.sieve import Span
 from subfieldscan.testkit import corpus_generate
-from tests_poly_helpers import cyclic_cubic_compositum
+from tests_poly_helpers import (cyclic_cubic_compositum, fprime_inverse_q, mixed_compositum,
+                                rational_twist_product)
 
 ZETA8 = Poly.from_desc([1, 0, 0, 0, 1])
 
@@ -133,43 +135,86 @@ def test_cubic_composites():
     assert rep6.subfields[0].minpoly == entry6.cubic[0]
 
 
-def test_cubic_compositum_of_three_conductors():
+def _count_find_root(monkeypatch):
+    """The (h, status) of every root test in L the scans run (find_root)."""
+    import subfieldscan.scan as scan_mod
+
+    calls, real = [], scan_mod.find_root
+
+    def find_root(field, h, *args):
+        result = real(field, h, *args)
+        calls.append((h, result.status))
+        return result
+
+    monkeypatch.setattr(scan_mod, "find_root", find_root)
+    return calls
+
+
+def test_cubic_compositum_of_three_conductors(monkeypatch):
     # C3^3 of degree 27: 13 cyclic cubic subfields, 3 of them tested
-    # directly.  The scan's minimal polynomials are Kummer-normalised, not
-    # the Gauss period cubics, so the count is what is compared.
+    # directly, and those 3 are the only root tests in L: the other 10 are
+    # twist products.  The scan's minimal polynomials are Kummer-normalised,
+    # not the Gauss period cubics, so the count is what is compared.
+    calls = _count_find_root(monkeypatch)
     rep = cubic_subfield_scan(cyclic_cubic_compositum((7, 13, 19)))
-    assert len(rep.subfields) == 13 and rep.direct_tests == 3
-    rep.check_invariants()
+    assert len(rep.subfields) == 13 and rep.direct_tests == len(calls) == 3
 
 
 @pytest.mark.skipif(not os.environ.get("SUBFIELDSCAN_STRETCH"),
                     reason="stretch run; set SUBFIELDSCAN_STRETCH=1 to enable")
-def test_cubic_compositum_of_four_conductors():
-    # C3^4 of degree 81: each root test has 27 completions
+def test_cubic_compositum_of_four_conductors(monkeypatch):
+    # C3^4 of degree 81: each root test has 27 completions; 4 root tests in
+    # L, and 36 twist products
+    calls = _count_find_root(monkeypatch)
     rep = cubic_subfield_scan(cyclic_cubic_compositum((7, 13, 19, 31)))
-    assert len(rep.subfields) == 40 and rep.direct_tests == 4
-    rep.check_invariants()
+    assert len(rep.subfields) == 40 and rep.direct_tests == len(calls) == 4
+
+
+def test_mixed_compositum_of_degree_36(monkeypatch):
+    # C3^2 x V4 (conductors 7 and 13, with sqrt 2 and sqrt 5; 48-bit
+    # coefficients): the quadratic scan proves sqrt 2 and sqrt 5 by root
+    # tests, fails one on -1 (a witness excludes it) and gets sqrt 10 as a
+    # product; the cubic scan finds 4 cyclic cubic subfields from 2 root tests
+    from subfieldscan.nfroot import PROVED
+
+    calls = _count_find_root(monkeypatch)
+    f = mixed_compositum((7, 13), (2, 5))
+    assert f.degree == 36 and max(abs(c) for c in f.coeffs).bit_length() == 48
+    rep = quad_subfield_scan(f)
+    assert deltas(rep) == [2, 5, 10] and rep.direct_tests == len(calls) == 3
+    assert [e.witness_prime for e in rep.excluded if e.delta == -1] == [151]
+    assert [h for h, status in calls if status == PROVED] == [Poly([-2, 0, 1]), Poly([-5, 0, 1])]
+    del calls[:]
+    rep = cubic_subfield_scan(f)
+    assert len(rep.subfields) == 4 and rep.direct_tests == len(calls) == 2
+
+
+@pytest.mark.skipif(not os.environ.get("SUBFIELDSCAN_STRETCH"),
+                    reason="stretch run; set SUBFIELDSCAN_STRETCH=1 to enable")
+def test_mixed_compositum_of_degree_72():
+    # C3^2 x C2^3 (adding sqrt 13; 129-bit coefficients): the 7 quadratic
+    # subfields, 4 of them twist products
+    rep = quad_subfield_scan(mixed_compositum((7, 13), (2, 5, 13)))
+    assert rep.degree == 72
+    assert deltas(rep) == [2, 5, 10, 13, 26, 65, 130] and rep.direct_tests == 3
 
 
 def test_cubic_span_member_without_root_is_an_error(monkeypatch):
     # in the C3 x C3 compositum the first two root tests find subfields that
-    # generate the other two; a failed root test on one of those raises
-    # instead of becoming an unproven exclusion
+    # generate the other two; a twist product that is no root raises (from
+    # the scan's one check of every certificate) instead of becoming an
+    # exclusion
     import subfieldscan.scan as scan_mod
-    from subfieldscan.nfroot import NOT_FOUND, RootSearch
 
-    real = scan_mod.find_root
-    calls = []
+    merge = scan_mod._Cubic.merge
 
-    def find_root(field, h):
-        calls.append(h)
-        return real(field, h) if len(calls) <= 2 else RootSearch(NOT_FOUND)
+    def corrupted_merge(self, a, b, total):
+        return modp.add(merge(self, a, b, total), [1], self.ring()[0].m)
 
-    monkeypatch.setattr(scan_mod, "find_root", find_root)
+    monkeypatch.setattr(scan_mod._Cubic, "merge", corrupted_merge)
     entry = corpus_generate("cubic-compositum", "7,9")
-    with pytest.raises(AssertionError, match="found cubic subfields generate"):
+    with pytest.raises(AssertionError, match="certificate fails"):
         cubic_subfield_scan(entry.poly)
-    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("scan, kind, params, bound, where", [
@@ -279,13 +324,14 @@ def test_gcd_and_discriminant_walks_agree(monkeypatch, scan, kind, params, bound
 
 def test_found_root_is_not_inverted_unless_multiplied(monkeypatch):
     # one quadratic subfield: its square root is never multiplied by another,
-    # so the scan never computes (f')^-1 mod f
+    # so the scan never builds the ring mod p**k in which it inverts f'
+    import subfieldscan.scan as scan_mod
     from subfieldscan.poly import compositum_minpoly
 
-    def no_inverse(self):
-        raise AssertionError("f' was inverted")
+    def no_ring(self):
+        raise AssertionError("the twist products' ring was built")
 
-    monkeypatch.setattr(NumberField, "fprime_inverse", no_inverse)
+    monkeypatch.setattr(scan_mod._Kind, "ring", no_ring)
     f = compositum_minpoly(Poly.from_desc([1, 0, -5]), Poly.from_desc([1, 0, 0, -1, -1]))
     rep = quad_subfield_scan(f)
     assert deltas(rep) == [5] and rep.direct_tests == 1
@@ -495,9 +541,9 @@ def test_twist_closure_makes_one_product_per_member(monkeypatch, kind, params, p
                                            scan_mod.find_root)
     merges, members, finds = [], [], []
 
-    def counting_merge(self, a, b):
+    def counting_merge(self, a, b, total):
         merges.append(1)
-        return merge(self, a, b)
+        return merge(self, a, b, total)
 
     def recording_member_certificate(self, vec, used):
         cert = member_certificate(self, vec, used)
@@ -514,20 +560,90 @@ def test_twist_closure_makes_one_product_per_member(monkeypatch, kind, params, p
     monkeypatch.setattr(scan_mod._Quad, "member_certificate", recording_member_certificate)
     monkeypatch.setattr(scan_mod, "find_root", recording_find_root)
     rep = quad_subfield_scan(corpus_generate(kind, params).poly)
-    rep.check_invariants()
     assert len(merges) == len(rep.subfields) - rep.direct_tests == products
-    # each product certificate is the product of its generators' found
-    # certificates, multiplied in the order they were found
+    # each product certificate is the product over Q of its generators'
+    # found certificates, multiplied in the order they were found
     certs = {e.delta: e.certificate for e in rep.subfields}
     for quad, vec, used, cert in members:
         delta = quad.basis.delta_of_vector
-        named = [(delta(g), c) for g, c in used]
-        assert named == [f for f in finds if f in named]
-        y = (used[0][0], Poly(used[0][1].scaled_root))
-        for g, c in used[1:]:
-            y = merge(quad, y, (g, Poly(c.scaled_root)))
-        assert y == (vec, Poly(cert.scaled_root))
+        named = [(delta(g), c) for g, tag, c in used]
+        assert named == [f for f in finds if f in named] and {tag for _, tag, _ in used} == {1}
+        assert cert == _rational_member_certificate(quad, vec, used)
         assert certs[delta(vec)] == cert
+
+
+def _rational_member_certificate(quad, vec, used):
+    """_Quad.member_certificate over Q: the products of the scaled roots of
+    used in order, each dividing by f' through xgcd_q."""
+    field, delta = quad.field, quad.basis.delta_of_vector
+    inverse = fprime_inverse_q(field)
+    (acc, _, cert), *rest = used
+    y = Poly(cert.scaled_root)
+    for g, _, c in rest:
+        total = tuple(a ^ b for a, b in zip(acc, g))
+        y = rational_twist_product(field, inverse, delta(acc), y, delta(g), Poly(c.scaled_root),
+                                   delta(total))
+        acc = total
+    assert acc == vec
+    return RootCertificate(y.coeffs, quad.h(vec))
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("cyclotomic", "24"), ("multiquadratic", "2,3,5,7"), ("multiquadratic", "2,3,5,7,11,13")])
+def test_p_adic_quadratic_products_equal_the_rational_ones(monkeypatch, kind, params):
+    # a scaled root is unique, so the products mod p**k give the reports
+    # byte for byte that the same products over Q give
+    import subfieldscan.scan as scan_mod
+    from subfieldscan.cli import canonical_report_bytes
+
+    f = corpus_generate(kind, params).poly
+    p_adic = canonical_report_bytes(quad_subfield_scan(f))
+    monkeypatch.setattr(scan_mod._Quad, "member_certificate", _rational_member_certificate)
+    assert canonical_report_bytes(quad_subfield_scan(f)) == p_adic
+
+
+def test_each_certificate_is_verified_once(monkeypatch):
+    # the scan's check_invariants is the one check of every certificate,
+    # product or not; a root test checks its own through nfroot
+    import subfieldscan.scan as scan_mod
+
+    verify, checked = scan_mod.verify_certificate, []
+
+    def counting_verify(field, h, cert):
+        checked.append(h)
+        return verify(field, h, cert)
+
+    monkeypatch.setattr(scan_mod, "verify_certificate", counting_verify)
+    rep = quad_subfield_scan(corpus_generate("multiquadratic", "2,3,5,7").poly)
+    assert len(checked) == len(rep.subfields) == 15
+
+
+@pytest.mark.parametrize("vec", [(1, 0), (0, 1), (1, 1), (1, 2), (0, 1, 2), (1, 1, 1)])
+def test_galois_conjugates_take_u_to_w_u(vec):
+    # in the cubic field of a Kummer class a, with theta = u + c/u for the
+    # principal complex cube root u of a and w = exp(2 pi i / 3), the
+    # conjugates are w^j u + w^-j c/u: compare the scaled conjugates,
+    # centre-lifted from mod p**k and read in C
+    import cmath
+
+    from subfieldscan.kummer3 import build_generator
+    from subfieldscan.nfroot import scaled_root_bits
+    from subfieldscan.scan import galois_conjugates
+    from subfieldscan.sieve import PlaceBasis
+
+    cand = build_generator(vec, PlaceBasis(3, (7, 13)[:len(vec) - 1]))
+    field = NumberField(cand.minpoly)
+    p = next(q for q in (101, 103, 107, 109) if field.squarefree_mod(q) and cand.v % q)
+    m = p ** (scaled_root_bits(field, cand.minpoly) + 2)   # more than 2**(B + 2)
+    ring = modp.QuotientRing(field.f.coeffs, m)
+    w = cmath.exp(2j * cmath.pi / 3)
+    u = (cand.a.x + cand.a.y * w) ** (1 / 3)
+    theta = u + cand.c / u
+    fprime = field.fprime
+    for j, root in enumerate(galois_conjugates(ring, p, [0, 1], cand)):
+        y = Poly(modp.center_lift(ring.mul(root, modp.from_poly(fprime, m)), m))
+        expect = w**j * u + cand.c / (w**j * u)
+        assert abs(y.evaluate(theta) / fprime.evaluate(theta) - expect) < 1e-6
 
 
 def test_sieve_rows_sound_for_true_quadratic_subfields():

@@ -4,8 +4,10 @@ the prime divisors of a full discriminant.  The library computes each of
 these another way (poly.eth_root_coeffs, poly.resultant_int and the
 numerator-gcd shortcut of ramify.py).  The discriminant is not independent:
 it comes from the library's own poly.disc_poly, the subresultant PRS that
-NumberField.squarefree_mod uses.  Also test inputs the corpus does not
-code: the Taylor shift f(x + c) and composita of Gauss's period cubics."""
+NumberField.squarefree_mod uses.  The rational extended Euclid and the
+quadratic twist product over Q it gives are the reference for the scan's
+products mod a prime power.  Also test inputs the corpus does not code:
+the Taylor shift f(x + c) and composita of Gauss's period cubics."""
 
 from fractions import Fraction
 from math import isqrt
@@ -100,6 +102,44 @@ def sylvester_resultant(a: Poly, b: Poly) -> Fraction:
     return det
 
 
+def xgcd_q(a: Poly, b: Poly):
+    """(g, s, t) over Q with s*a + t*b = g = gcd(a, b), g monic."""
+    r0, r1 = a, b
+    s0, s1 = Poly([1]), Poly()
+    t0, t1 = Poly(), Poly([1])
+    while r1:
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0 and r0.lc != 1:
+        inv = Fraction(1) / Fraction(r0.lc)
+        r0, s0, t0 = r0.scale(inv), s0.scale(inv), t0.scale(inv)
+    return r0, s0, t0
+
+
+def fprime_inverse_q(field) -> tuple[Poly, int]:
+    """(T, D), T integral and D the least positive integer with f' * T = D
+    mod f, from xgcd_q: 1/f' = T/D in the field."""
+    g, _, t = xgcd_q(field.f, field.fprime)
+    assert g.degree == 0, "f' is not invertible mod f"
+    return (t % field.f).clear_denominators()
+
+
+def rational_twist_product(field, inverse, d1: int, y1: Poly, d2: int, y2: Poly,
+                           d3: int) -> Poly:
+    """The scaled root f' * sqrt(d1) * sqrt(d2) / k of Q(sqrt(d3)), d3 =
+    d1 * d2 / k**2, from the scaled roots y_i = f' * sqrt(d_i), over Q: with
+    (T, D) = inverse = fprime_inverse_q(field) it is y1 * y2 * T / (D * k)
+    mod f.  The division is exact: f' times an algebraic integer of the
+    field lies in Z[theta]."""
+    t, d = inverse
+    dk = d * isqrt(abs(d1 * d2 // d3))
+    y3 = ((y1 * y2) % field.f * t) % field.f
+    assert all(c % dk == 0 for c in y3.coeffs), "scaled twist-product root is not integral"
+    return Poly([c // dk for c in y3.coeffs])
+
+
 def ramified_superset_bruteforce(f: Poly) -> set[int]:
     """Prime divisors of disc(f): the expensive baseline the gcd shortcut
     replaces.  Corpus-sized inputs only."""
@@ -137,17 +177,28 @@ def gauss_period_cubic(p: int) -> Poly:
 def cyclic_cubic_compositum(conductors) -> Poly:
     """A defining polynomial of the compositum of the cyclic cubic fields of
     the given prime conductors (a C3^t field of degree 3^t, with (3^t - 1)/2
-    cyclic cubic subfields), from the first shift at which each resultant
-    is squarefree."""
+    cyclic cubic subfields)."""
     f = gauss_period_cubic(conductors[0])
     for p in conductors[1:]:
-        g = gauss_period_cubic(p)
-        for shift in range(1, 10):
-            try:
-                f = compositum_minpoly(g, f, shift)
-                break
-            except NotSquarefree:
-                continue
-        else:
-            raise NotSquarefree(f"no squarefree compositum with {p}")
+        f = compositum(gauss_period_cubic(p), f)
+    return f
+
+
+def compositum(g: Poly, f: Poly) -> Poly:
+    """compositum_minpoly(g, f, shift) at the first shift from 1 to 9 at
+    which the resultant is squarefree."""
+    for shift in range(1, 10):
+        try:
+            return compositum_minpoly(g, f, shift)
+        except NotSquarefree:
+            continue
+    raise NotSquarefree(f"no squarefree compositum of {g} and {f}")
+
+
+def mixed_compositum(conductors, deltas) -> Poly:
+    """The C3^t field of cyclic_cubic_compositum(conductors) with sqrt(d)
+    adjoined for each d in deltas: degree 3^t * 2^len(deltas)."""
+    f = cyclic_cubic_compositum(conductors)
+    for d in deltas:
+        f = compositum(Poly([-d, 0, 1]), f)
     return f
