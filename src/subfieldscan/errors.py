@@ -17,10 +17,6 @@ class NotSquarefree(SubfieldScanError):
     pass
 
 
-class InputIsPower(SubfieldScanError):
-    """The defining polynomial is an exact e-th power, so it is reducible."""
-
-
 class LeadingCoefficientVanishes(SubfieldScanError):
     pass
 

@@ -67,10 +67,11 @@ NOT_FOUND = "not_found"
 
 # disc(f) replaces one gcd(f, f') mod p per prime that a walk visits, up to
 # about 1 200 primes at the default sieve bound.  Its subresultant PRS pays
-# for that while disc(f) is small and stops paying as it grows: 0.07-0.16 s
-# against 0.6-1 ms per gcd for Q(sqrt 2, ..., sqrt 13) of degree 64
-# (Hadamard bound about 17 000 bits), but 3.7-8.5 s against 1.6-3.1 ms for
-# degree 128 (about 75 000 bits).  Above this bound the gcds are kept.
+# for that while disc(f) is small and stops paying as it grows (a Xeon core,
+# CPython 3.11): 0.05 s against 0.3 ms per gcd for Q(sqrt 2, ..., sqrt 13)
+# of degree 64 (Hadamard bound about 17 000 bits), but 3.0 s against
+# 0.9-1.4 ms for degree 128 (about 75 000 bits).  Above this bound the gcds
+# are kept.
 DISC_BITS_MAX = 32_000
 
 

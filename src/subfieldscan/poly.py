@@ -6,16 +6,17 @@ polynomials (PolyZ in the docs) are just instances whose coefficients are
 all ints.
 
 Besides ring arithmetic this module provides the subfield-specific
-operations: e-th root candidates by coefficient recurrence, integer
-resultants via the subresultant PRS, compositum minimal polynomials by
-resultant elimination, and input normalization to a monic integral
-defining polynomial.
+operations: e-th root candidates by a top-down coefficient recurrence in
+integers, integer resultants and discriminants by the subresultant PRS on
+int lists, compositum minimal polynomials by resultant elimination, and
+input normalization to a monic integral defining polynomial.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from . import arith
 from .errors import DegreeNotDivisible, NotSquarefree
@@ -188,19 +189,6 @@ class Poly:
 
     # -- integer-polynomial helpers ----------------------------------------
 
-    def content(self) -> int:
-        """Positive gcd of the coefficients (integral polynomials only)."""
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-        return g
-
-    def primitive(self):
-        g = self.content()
-        if g in (0, 1):
-            return self
-        return Poly([c // g for c in self.coeffs])
-
     def clear_denominators(self):
         """(integer polynomial, positive multiplier m) with m*self integral."""
         m = 1
@@ -243,20 +231,7 @@ def _karatsuba(a, b):
 
 # -- gcd and resultants ------------------------------------------------------
 
-
-def _prem(a: Poly, b: Poly) -> Poly:
-    """Pseudo-remainder: lc(b)**(deg a - deg b + 1) * a mod b, over Z."""
-    d = b.degree
-    lb = b.lc
-    r = a
-    e = a.degree - d + 1
-    while r and r.degree >= d:
-        s = Poly([0] * (r.degree - d) + [r.lc])
-        r = r.scale(lb) - s * b
-        e -= 1
-    if e > 0:
-        r = r.scale(lb**e)
-    return r
+_SMALL_PRIMES = tuple(arith.primes_up_to(200))    # sieved once, not per squarefree test
 
 
 def is_squarefree_q(f: Poly) -> bool:
@@ -269,47 +244,56 @@ def is_squarefree_q(f: Poly) -> bool:
     from . import modp
 
     fi, _ = f.clear_denominators()
-    for p in arith.primes_up_to(200):
+    for p in _SMALL_PRIMES:
         if fi.lc % p == 0:
             continue
         if modp.squarefree_mod_p(fi, p):
             return True
-    return resultant_int(fi, fi.derivative()) != 0
+    return resultant_int(fi.coeffs, fi.derivative().coeffs) != 0
 
 
-def resultant_int(a: Poly, b: Poly) -> int:
-    """Res(a, b) for nonzero integer polynomials, by the subresultant PRS."""
+def resultant_int(a, b) -> int:
+    """Res(a, b) of nonzero integer polynomials given as ascending
+    coefficient sequences without trailing zeros (Poly.coeffs, or lists),
+    by the subresultant PRS (Cohen, GTM 138, Alg. 3.3.7) on int lists, each
+    pseudo-remainder lc(b)**(deg a - deg b + 1) * a mod b made in place."""
     if not a or not b:
         raise ValueError("resultant of zero polynomial")
     s = 1
-    if a.degree < b.degree:
-        if (a.degree * b.degree) % 2 == 1:
+    if len(a) < len(b):
+        if (len(a) - 1) * (len(b) - 1) % 2:
             s = -s
         a, b = b, a
-    if b.degree == 0:
-        return s * b.lc ** a.degree
-    ca, cb = a.content(), b.content()
-    a, b = a.primitive(), b.primitive()
-    t = ca**b.degree * cb**a.degree
+    if len(b) == 1:
+        return s * b[0] ** (len(a) - 1)
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    a, b = [c // ca for c in a], [c // cb for c in b]
     g = h = 1
     while True:
-        delta = a.degree - b.degree
-        if a.degree % 2 == 1 and b.degree % 2 == 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
             s = -s
-        r = _prem(a, b)
-        a = b
+        lb = b[-1]
+        for i in range(da, db - 1, -1):     # a becomes prem(a, b)
+            c, m = a.pop(), i - db
+            a[:m] = [x * lb for x in a[:m]]
+            a[m:] = [x * lb - c * y for x, y in zip(a[m:], b)]
+        while a and a[-1] == 0:
+            a.pop()
         denom = g * h**delta
-        b = Poly([c // denom for c in r.coeffs])
-        g = a.lc
-        if delta > 0:
-            h = g**delta // h ** (delta - 1) if delta > 1 else g
+        a, b = b, [c // denom for c in a]
+        g = a[-1]
+        if delta:
+            h = g**delta // h ** (delta - 1)
         if not b:
             return 0
-        if b.degree == 0:
+        if len(b) == 1:
             break
-    last = b.lc ** a.degree
-    if a.degree > 1:
-        last //= h ** (a.degree - 1)
+    last = b[0] ** (len(a) - 1)
+    if len(a) > 2:
+        last //= h ** (len(a) - 2)
     return s * t * last
 
 
@@ -320,22 +304,48 @@ def disc_poly(f: Poly) -> int:
     n = f.degree
     if n < 2:
         raise ValueError("degree must be >= 2")
-    fp = f.derivative()
-    if not fp:
-        return 0
-    r = resultant_int(f, fp)
+    r = resultant_int(f.coeffs, [i * c for i, c in enumerate(f.coeffs)][1:])
     return -r if (n * (n - 1) // 2) % 2 else r
 
 
 # -- e-th roots -----------------------------------------------------------------
 
 
+def eth_power_top_down(F: list[int], e: int) -> tuple[list[int], list[int]]:
+    """(G, G**e) for the monic G of degree n = deg(F)/e whose e-th power
+    matches the top n + 1 coefficients of the monic integral F.
+
+    Top-down: the coefficient of X**((k-1)*n + j) in G**k is k*G[j] plus
+    products of known coefficients, so G[j] costs one division by e, and
+    below X**((e-1)*n) the same sums finish G**2, ..., G**e: O(e**2 * n**2)
+    integer products.  For F = s**deg(f) * f(X/s), f monic integral and
+    s = e**2, G is integral, as the series (1 + e**2 y)**(1/e) is; an
+    inexact division raises."""
+    n = (len(F) - 1) // e
+    G = [0] * n + [1]
+    pw = [G] + [[0] * (k * n) + [1] for k in range(2, e + 1)]   # pw[k - 1] = G**k
+    for j in range(n - 1, -(e - 1) * n - 1, -1):
+        lo = max(0, j)
+        for k in range(1, e):
+            i = k * n + j
+            if i >= 0:    # with G[j] still 0 the sum lacks (k + 1) * G[j]
+                hi = min(n, i)
+                pw[k][i] = sum(map(mul, G[lo:hi + 1], reversed(pw[k - 1][i - hi:i - lo + 1])))
+        if j >= 0:
+            q, r = divmod(F[(e - 1) * n + j] - pw[-1][(e - 1) * n + j], e)
+            if r:
+                raise ArithmeticError("inexact division in the e-th root recurrence")
+            G[j] = q
+            for k in range(1, e):
+                pw[k][k * n + j] += (k + 1) * q
+    return G, pw[-1]
+
+
 def eth_root_coeffs(f: Poly, e: int) -> Poly:
     """The unique monic degree-n candidate g whose top coefficients of g**e
-    match f, where deg f = e*n.
-
-    Solved by the triangular recurrence: each unknown coefficient of g first
-    appears linearly with factor e.
+    match f, where deg f = e*n: the rational view of eth_power_top_down,
+    run on m**(e*n) * f(X/m) with m = e**2 times the least common
+    denominator of f.
     """
     if not f.is_monic():
         raise ValueError("input must be monic")
@@ -343,17 +353,10 @@ def eth_root_coeffs(f: Poly, e: int) -> Poly:
         raise ValueError("e must be >= 2")
     if f.degree % e != 0 or f.degree == 0:
         raise DegreeNotDivisible(f"degree {f.degree} not divisible by {e}")
-    n = f.degree // e
-    g = [Fraction(0)] * n + [Fraction(1)]
-    for j in range(n - 1, -1, -1):
-        target = (e - 1) * n + j
-        if e == 2:
-            c = sum(g[u] * g[target - u] for u in range(max(0, target - n), n + 1)
-                    if 0 <= target - u <= n)
-        else:
-            c = (Poly(g) ** e)[target]
-        g[j] = Fraction(f[target] - c, e)
-    return Poly(g)
+    N, n = f.degree, f.degree // e
+    m = e * e * f.clear_denominators()[1]
+    G, _ = eth_power_top_down([int(c * m ** (N - i)) for i, c in enumerate(f.coeffs)], e)
+    return Poly([Fraction(c, m ** (n - i)) for i, c in enumerate(G)])
 
 
 # -- compositum and normalization ----------------------------------------------
@@ -398,7 +401,7 @@ def compositum_minpoly(g: Poly, h: Poly, shift: int = 1) -> Poly:
         for k in range(n + 1):
             if h[k] != 0:
                 acc = acc + powers[k].scale(h[k])
-        points.append((x0, resultant_int(g, acc)))
+        points.append((x0, resultant_int(g.coeffs, acc.coeffs)))
         x0 = -x0 + (1 if x0 <= 0 else 0)
     r = _interpolate(points)
     if r.degree != total or not r.is_monic():

@@ -6,18 +6,20 @@ whose e-th power matches the top coefficients of f, and take the gcd D of
 the numerators of the nonzero coefficients of f - g**e.  Any prime that is
 tamely (totally) ramified in a degree-e cyclic subfield forces f mod p to
 be an e-th power, hence divides every such numerator.  D is typically tiny
-compared to disc(f), so factoring it is cheap.
+compared to disc(f), so factoring it is cheap.  D comes from integers
+alone: with s = e**2, the top-down recurrence on s**N f(X/s) gives
+s**N (f - g**e)(X/s), whose coefficient at X**i is s**(N - i) times that
+of f - g**e.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import factor_integer
-from .errors import InputIsPower, NotSquarefree
-from .poly import Poly, eth_root_coeffs, is_squarefree_q
+from .errors import NotSquarefree
+from .poly import Poly, eth_power_top_down, is_squarefree_q
 
 
 @dataclass(frozen=True)
@@ -55,16 +57,14 @@ def candidate_ramified_primes(f: Poly, e: int) -> CandidateSet:
         raise ValueError(f"degree {f.degree} is not divisible by {e}")
     if not is_squarefree_q(f):
         raise NotSquarefree("defining polynomial has repeated roots")
-    g = eth_root_coeffs(f, e)
-    diff = f - g**e
-    if not diff:
-        raise InputIsPower(f"f is exactly a {e}-th power, hence reducible")
+    N, s = f.degree, e * e
+    F = [c * s ** (N - i) for i, c in enumerate(f.coeffs)]
+    _, ge = eth_power_top_down(F, e)
     d = 0
-    for c in diff.coeffs:
-        if c == 0:
-            continue
-        num = c.numerator if isinstance(c, Fraction) else c
-        d = math.gcd(d, abs(num))
+    for i in range(N - N // e):     # the top N/e + 1 coefficients agree
+        h = F[i] - ge[i]
+        if h:
+            d = math.gcd(d, h // math.gcd(h, s ** (N - i)))
     tame = []
     if d > 1:
         for p in factor_integer(d).primes():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from subfieldscan.errors import DegreeNotDivisible, NotSquarefree
 from subfieldscan.poly import (Poly, compositum_minpoly, disc_poly, eth_root_coeffs,
                                is_squarefree_q, normalize_input, resultant_int)
+from subfieldscan.testkit import multiquadratic_minpoly
 from tests_poly_helpers import (eth_root_newton, poly_from_power_sums, power_sums,
                                 sylvester_resultant, xgcd_q)
 
@@ -84,17 +86,24 @@ def test_eth_root_newton_equals_coeffs_on_non_powers():
     rng = random.Random(4)
     for _ in range(100):
         e = rng.choice([2, 3])
-        n = rng.randint(1, 4)
+        n = rng.randint(1, 12)
         f = rand_poly(rng, e * n, monic=True)
         assert eth_root_coeffs(f, e) == eth_root_newton(f, e)
 
 
+def res(a: Poly, b: Poly) -> int:
+    return resultant_int(a.coeffs, b.coeffs)
+
+
 def test_resultant_examples():
-    assert resultant_int(Poly.from_desc([1, 0, -2]), Poly.from_desc([1, 0, -3])) == 1
+    assert res(Poly.from_desc([1, 0, -2]), Poly.from_desc([1, 0, -3])) == 1
     g = Poly.from_desc([2, -1, 7])
     a = 4
-    assert resultant_int(Poly.from_desc([1, -a]), g) == g.evaluate(a)
-    assert resultant_int(Poly.from_desc([1, 0, -2]), Poly.from_desc([1, 0, -2])) == 0
+    assert res(Poly.from_desc([1, -a]), g) == g.evaluate(a)
+    assert res(Poly.from_desc([1, 0, -2]), Poly.from_desc([1, 0, -2])) == 0
+    assert resultant_int([3, -1, 2], [5]) == 5**2
+    with pytest.raises(ValueError):
+        resultant_int([], [1, 1])
 
 
 def test_resultant_properties():
@@ -104,15 +113,43 @@ def test_resultant_properties():
         g = rand_poly(rng, rng.randint(1, 4))
         h = rand_poly(rng, rng.randint(1, 3))
         sign = -1 if (f.degree * g.degree) % 2 else 1
-        assert resultant_int(f, g) == sign * resultant_int(g, f)
-        assert resultant_int(f, g * h) == resultant_int(f, g) * resultant_int(f, h)
-        assert resultant_int(f, g) == sylvester_resultant(f, g)
+        assert res(f, g) == sign * res(g, f)
+        assert res(f, g * h) == res(f, g) * res(f, h)
+        assert res(f, g) == sylvester_resultant(f, g)
+
+
+def test_resultant_matches_sylvester_to_degree_12():
+    # non-monic operands, content above 1 and negative leading coefficients
+    rng = random.Random(12)
+    for _ in range(80):
+        f = rand_poly(rng, rng.randint(1, 12), bound=50).scale(rng.choice([1, 1, 6, -4]))
+        g = rand_poly(rng, rng.randint(1, 12), bound=50).scale(rng.choice([1, -1, 9, -10]))
+        assert res(f, g) == sylvester_resultant(f, g)
+        c = Poly([rng.choice([-7, -2, 3, 12])])          # a degree-0 operand
+        assert res(f, c) == c[0] ** f.degree == sylvester_resultant(f, c)
+        assert res(c, g) == c[0] ** g.degree
+        shared = rand_poly(rng, rng.randint(1, 3))       # a shared root: 0
+        assert res(f * shared, g * shared) == 0
+        # a remainder of degree deg g - 2 or less: the PRS drops two degrees
+        r = rand_poly(rng, rng.randint(0, g.degree - 2), bound=50) if g.degree > 1 else Poly([1])
+        a = g * rand_poly(rng, rng.randint(1, 3), bound=50) + r
+        assert res(a, g) == sylvester_resultant(a, g)
+    # a = x*b + 7 is 7 at both roots of b, and its PRS ends after one step
+    assert res(Poly([7, 1, 0, 3]), Poly([1, 0, 3])) == 3**3 * 7**2
 
 
 def test_disc_poly():
     assert disc_poly(Poly.from_desc([1, 0, -2])) == 8
     assert disc_poly(Poly.from_desc([1, 0, -3, 1])) == 81
     assert disc_poly(Poly([0, 0, 1])) == 0
+
+
+def test_disc_poly_degree_32_multiquadratic():
+    # Q(sqrt 2, sqrt 3, sqrt 5, sqrt 7, sqrt 11), a 651-digit discriminant
+    d = disc_poly(multiquadratic_minpoly((2, 3, 5, 7, 11)))
+    pinned = {2: 1328, 3: 116, 5: 52, 7: 16, 11: 16, 13: 12, 17: 8, 43: 4, 59: 8, 67: 2,
+              83: 8, 131: 4, 139: 8, 163: 2, 173: 4, 1997: 4, 2999: 4}
+    assert d == math.prod(p**k for p, k in pinned.items())
 
 
 def test_compositum_examples():

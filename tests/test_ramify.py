@@ -1,10 +1,30 @@
+import math
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
-from subfieldscan.errors import InputIsPower, NotSquarefree
-from subfieldscan.poly import Poly, eth_root_coeffs
-from subfieldscan.ramify import candidate_ramified_primes
+from subfieldscan.arith import factor_integer
+from subfieldscan.errors import NotSquarefree
+from subfieldscan.poly import Poly, eth_root_coeffs, is_squarefree_q
+from subfieldscan.ramify import CandidateSet, candidate_ramified_primes
 from subfieldscan.testkit import corpus_generate, multiquadratic_minpoly
-from tests_poly_helpers import eth_root_newton, ramified_superset_bruteforce
+from tests_poly_helpers import (eth_root_newton, numerator_gcd_reference,
+                                ramified_superset_bruteforce, taylor_shift)
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench.workloads import corpus_ops, generic_mix_ops  # noqa: E402
+
+
+def reference_set(f: Poly, e: int) -> CandidateSet:
+    """The CandidateSet from the numerator gcd over Fractions."""
+    d = numerator_gcd_reference(f, e)
+    tame = [p for p in factor_integer(d).primes() if e % p] if d > 1 else []
+    return CandidateSet(e=e, tame_primes=tuple(sorted(tame)), wild_primes=(2,) if e == 2 else (3,),
+                        include_minus_one=e == 2, gcd_value=d)
 
 
 def test_examples():
@@ -22,7 +42,7 @@ def test_examples():
 
 def test_power_input_rejected():
     f = Poly.from_desc([1, 0, 1]) ** 2
-    with pytest.raises((InputIsPower, NotSquarefree)):
+    with pytest.raises(NotSquarefree):
         candidate_ramified_primes(f, 2)
 
 
@@ -65,3 +85,39 @@ def test_applies_to_full_degree():
     # e = deg f: the scan of a quadratic field itself
     cs = candidate_ramified_primes(Poly.from_desc([1, 0, -5]), 2)
     assert 5 in cs.tame_primes
+
+
+def test_numerator_gcd_matches_fraction_route():
+    # 60-bit coefficients up to degree 24 (e = 2) and 27 (e = 3), and their
+    # Taylor shifts, whose root candidates have denominators; half of the
+    # inputs are g**e + m*h with deg h < deg f - deg g, whose gcd is m
+    # times the content of h, before and after the shift
+    rng = random.Random(22)
+    checked = 0
+    for trial in range(60):
+        e = rng.choice([2, 3])
+        n = rng.randint(1, 12 if e == 2 else 9)
+        if trial % 2:
+            f = Poly([rng.randint(-2**60, 2**60) for _ in range(e * n)] + [1])
+        else:
+            m = rng.choice([5 * 7, 11 * 13 * 17, 2**5 * 3**4 * 1009])
+            h = Poly([rng.randint(-2**20, 2**20) for _ in range((e - 1) * n)])
+            f = Poly([rng.randint(-2**12, 2**12) for _ in range(n)] + [1]) ** e + h.scale(m)
+        for fc in (f, taylor_shift(f, rng.choice([-3, -1, 1, 2, 7]))):
+            if not is_squarefree_q(fc):
+                continue
+            d = candidate_ramified_primes(fc, e).gcd_value
+            assert d == numerator_gcd_reference(fc, e)
+            if trial % 2 == 0:
+                assert d == m * math.gcd(*h.coeffs)
+            checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_candidate_set_matches_reference_on_benchmark_inputs(seed):
+    for op in corpus_ops(seed) + generic_mix_ops(seed):
+        f = Poly(list(op.poly))
+        for e in (2, 3):
+            if f.degree % e == 0:
+                assert candidate_ramified_primes(f, e) == reference_set(f, e), op.label

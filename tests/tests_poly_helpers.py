@@ -1,16 +1,18 @@
 """Slow, independent polynomial oracles shared by the tests: e-th root
-candidates from Newton's identities, a Sylvester-determinant resultant and
-the prime divisors of a full discriminant.  The library computes each of
-these another way (poly.eth_root_coeffs, poly.resultant_int and the
-numerator-gcd shortcut of ramify.py).  The discriminant is not independent:
-it comes from the library's own poly.disc_poly, the subresultant PRS that
-NumberField.squarefree_mod uses.  The rational extended Euclid and the
-quadratic twist product over Q it gives are the reference for the scan's
-products mod a prime power.  Also test inputs the corpus does not code:
-the Taylor shift f(x + c) and composita of Gauss's period cubics."""
+candidates from Newton's identities, the numerator gcd of f - g**e over
+Fractions, a Sylvester-determinant resultant and the prime divisors of a
+full discriminant.  The library computes each of these another way
+(poly.eth_root_coeffs, the integer recurrence poly.eth_power_top_down,
+poly.resultant_int and the numerator-gcd shortcut).  The discriminant is
+not independent: it comes from the library's own poly.disc_poly, the
+subresultant PRS that NumberField.squarefree_mod uses.  The rational
+extended Euclid and the quadratic twist product over Q it gives are the
+reference for the scan's products mod a prime power.  Also test inputs
+the corpus does not code: the Taylor shift f(x + c) and composita of
+Gauss's period cubics."""
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from subfieldscan.arith import factor_integer
 from subfieldscan.errors import DegreeNotDivisible, NotSquarefree
@@ -71,6 +73,26 @@ def eth_root_newton(f: Poly, e: int) -> Poly:
     n = f.degree // e
     s = power_sums(f, n)
     return poly_from_power_sums([Fraction(si, e) for si in s])
+
+
+def eth_root_fractions(f: Poly, e: int) -> Poly:
+    """The e-th root candidate by the top-down recurrence over Fractions,
+    each coefficient of g**e recomputed from a fresh power of g."""
+    n = f.degree // e
+    g = [Fraction(0)] * n + [Fraction(1)]
+    for j in range(n - 1, -1, -1):
+        target = (e - 1) * n + j
+        g[j] = Fraction(f[target] - (Poly(g) ** e)[target], e)
+    return Poly(g)
+
+
+def numerator_gcd_reference(f: Poly, e: int) -> int:
+    """gcd of the numerators of the nonzero coefficients of f - g**e, over
+    Fractions: the value ramify.candidate_ramified_primes reports."""
+    d = 0
+    for c in (f - eth_root_fractions(f, e) ** e).coeffs:
+        d = gcd(d, Fraction(c).numerator)
+    return d
 
 
 def sylvester_resultant(a: Poly, b: Poly) -> Fraction:
