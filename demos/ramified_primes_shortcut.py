@@ -3,14 +3,16 @@
 Every prime that is tamely (totally) ramified in a degree-e cyclic
 subfield divides the gcd of the numerators of f - g**e, where g is the
 degree-(n/e) candidate e-th root of f.  That gcd is tiny compared to
-disc(f), so the candidate place set costs almost nothing.
+disc(f), so the candidate place set costs almost nothing.  The shortcut
+takes the NumberField of f, whose constructor has already checked that f
+is monic, integral and squarefree.
 
 Run with: python3 demos/ramified_primes_shortcut.py
 """
 
 import time
 
-from subfieldscan import candidate_ramified_primes
+from subfieldscan import NumberField, candidate_ramified_primes
 from subfieldscan.poly import disc_poly, eth_root_coeffs
 from subfieldscan.testkit import corpus_generate
 
@@ -24,7 +26,11 @@ def main():
     print(f"square-root candidate g has degree {g.degree}")
 
     t0 = time.perf_counter()
-    cs = candidate_ramified_primes(f, 2)
+    field = NumberField(f)
+    print(f"NumberField(f) checked f squarefree ({(time.perf_counter() - t0) * 1000:.1f} ms)")
+
+    t0 = time.perf_counter()
+    cs = candidate_ramified_primes(field, 2)
     dt_gcd = time.perf_counter() - t0
     print(f"numerator gcd: {cs.gcd_value}")
     print(f"candidate ramified primes: tame {list(cs.tame_primes)}, "

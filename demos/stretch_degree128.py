@@ -20,7 +20,7 @@ Run with: python3 demos/stretch_degree128.py            (cheap phases only)
 import sys
 import time
 
-from subfieldscan import candidate_ramified_primes, quad_subfield_scan
+from subfieldscan import NumberField, candidate_ramified_primes, quad_subfield_scan
 from subfieldscan.testkit import corpus_generate
 
 
@@ -32,7 +32,11 @@ def main(full: bool):
     print(f"ground truth: {len(entry.quad)} quadratic subfields")
 
     t0 = time.perf_counter()
-    cs = candidate_ramified_primes(entry.poly, 2)
+    field = NumberField(entry.poly)
+    print(f"NumberField checked the polynomial squarefree ({time.perf_counter() - t0:.2f}s)")
+
+    t0 = time.perf_counter()
+    cs = candidate_ramified_primes(field, 2)
     print(f"ramified-prime shortcut ({time.perf_counter() - t0:.2f}s): "
           f"tame candidates {list(cs.tame_primes)}, gcd has "
           f"{len(str(cs.gcd_value))} digits")

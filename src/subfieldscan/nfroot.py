@@ -78,6 +78,10 @@ DISC_BITS_MAX = 32_000
 class NumberField:
     """Q[X]/(f) for a monic integral squarefree f; theta is the class of X.
 
+    The constructor is the scan's one input gate, run before any answer:
+    it raises ValueError unless f is monic, integral, of degree >= 2 and
+    squarefree, and every layer after it takes f as valid.
+
     Besides f it keeps what is computed once per field: disc(f) when it is
     cheap, the Barrett constant of f and the factor degrees of f mod p
     learned at each prime (factor_degrees)."""
@@ -194,8 +198,6 @@ def select_prime(field: NumberField, h: Poly, rng: random.Random | None = None) 
 
     qualifying = 0
     for p in iter_primes(3, SELECT_PRIME_BOUND):
-        if int(f.lc) % p == 0:
-            continue
         roots = modp.roots_mod_p(h, p)
         if len(roots) != h.degree or not field.squarefree_mod(p):
             continue

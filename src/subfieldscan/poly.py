@@ -21,8 +21,6 @@ from operator import mul
 from . import arith
 from .errors import DegreeNotDivisible, NotSquarefree
 
-_KARATSUBA_CUTOFF = 64
-
 
 def _norm(c):
     """Fractions with denominator 1 collapse to int."""
@@ -118,8 +116,6 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        if min(len(a), len(b)) > _KARATSUBA_CUTOFF:
-            return Poly(_karatsuba(list(a), list(b)))
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai == 0:
@@ -198,35 +194,6 @@ class Poly:
         if m == 1:
             return self, 1
         return Poly([int(c * m) for c in self.coeffs]), m
-
-
-def _karatsuba(a, b):
-    if min(len(a), len(b)) <= _KARATSUBA_CUTOFF:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return out
-    m = min(len(a), len(b)) // 2
-    a0, a1 = a[:m], a[m:]
-    b0, b1 = b[:m], b[m:]
-    z0 = _karatsuba(a0, b0)
-    z2 = _karatsuba(a1, b1)
-    s_a = [x + y for x, y in zip(a0, a1)] + (a1[len(a0):] or a0[len(a1):])
-    s_b = [x + y for x, y in zip(b0, b1)] + (b1[len(b0):] or b0[len(b1):])
-    z1 = _karatsuba(s_a, s_b)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] += c
-        out[i + m] -= c
-    for i, c in enumerate(z1):
-        out[i + m] += c
-    for i, c in enumerate(z2):
-        out[i + m] -= c
-        out[i + 2 * m] += c
-    return out
 
 
 # -- gcd and resultants ------------------------------------------------------

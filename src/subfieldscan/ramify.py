@@ -1,5 +1,6 @@
-"""Candidate ramified primes of degree-e cyclic subfields, without factoring
-the discriminant of the defining polynomial.
+"""Candidate ramified primes of the degree-e cyclic subfields of a
+NumberField, whose constructor has checked that f is squarefree, without
+factoring the discriminant of the defining polynomial.
 
 The shortcut: compute the unique monic candidate g with deg g = deg(f)/e
 whose e-th power matches the top coefficients of f, and take the gcd D of
@@ -18,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .arith import factor_integer
-from .errors import NotSquarefree
-from .poly import Poly, eth_power_top_down, is_squarefree_q
+from .nfroot import NumberField
+from .poly import eth_power_top_down
 
 
 @dataclass(frozen=True)
@@ -42,21 +43,18 @@ class CandidateSet:
         return tuple(sorted(set(self.tame_primes) | set(self.wild_primes)))
 
 
-def candidate_ramified_primes(f: Poly, e: int) -> CandidateSet:
+def candidate_ramified_primes(field: NumberField, e: int) -> CandidateSet:
     """Superset of the ramified primes of any degree-e cyclic subfield of
-    Q[X]/(f), for e in {2, 3}.
+    the field Q[X]/(f), for e in {2, 3}.
 
-    f must be monic and integral; squarefreeness over Q is verified,
-    irreducibility is the caller's responsibility.
+    NumberField has made f monic, integral and squarefree; irreducibility
+    is the caller's responsibility.
     """
+    f = field.f
     if e not in (2, 3):
         raise ValueError("only e = 2 and e = 3 are supported")
-    if not (f.is_monic() and f.is_integral()):
-        raise ValueError("f must be monic and integral")
     if f.degree % e != 0:
         raise ValueError(f"degree {f.degree} is not divisible by {e}")
-    if not is_squarefree_q(f):
-        raise NotSquarefree("defining polynomial has repeated roots")
     N, s = f.degree, e * e
     F = [c * s ** (N - i) for i, c in enumerate(f.coeffs)]
     _, ge = eth_power_top_down(F, e)

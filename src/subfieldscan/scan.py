@@ -1,10 +1,10 @@
 """Subfield scans: one algorithm over F_l, l = 2 (quadratic) or 3 (cyclic cubic).
 
 A candidate is an exponent vector over F_l on a basis of the possibly
-ramified places (sieve.py).  A scan normalizes f, bounds the ramified
-primes, keeps one F_l row per prime whose Frobenius cycle type is usable
-(sieve_rows) and walks the candidates the rows leave in increasing size
-(_walk).  The sieve keeps the span of its rows and stops once that span
+ramified places (sieve.py).  A scan validates f first (NumberField), bounds
+the ramified primes, keeps one F_l row per prime whose Frobenius cycle type
+is usable (sieve_rows) and walks the candidates the rows leave in increasing
+size (_walk).  The sieve keeps the span of its rows and stops once that span
 is full, once STABLE_PRIMES class-deciding primes in a row have not grown
 it, or once it has spent on primes that decide nothing since the span
 grew as many DDFs as a root test's prime selection may run: the rows a
@@ -175,21 +175,19 @@ def _frobenius_primes(field: NumberField, basis: PlaceBasis, gcd_value: int, bou
                       after: int = 0, trivial_rows: bool = False):
     """(q, factor degrees of f mod q, cubic row or None) for the primes
     after < q <= bound, from 3 (l = basis.e = 2) or 5 (l = 3), that are
-    not in the basis, do not divide gcd_value, the leading coefficient or
-    the norm of a cubic slot generator (PlaceBasis.generators), and
-    modulo which f is squarefree (NumberField.squarefree_mod).  The
-    degrees come from the field, which keeps them (NumberField.
-    factor_degrees): a DDF stops at the first degree that decides the
-    class (sieve.class_decided), and a kept answer on which that rule
-    holds is used as it is.  For l = 3 the row comes first: a prime at
-    which every generator is a cube gives no row, so it is skipped without
-    a DDF unless trivial_rows asks for its class."""
-    f, ell = field.f, basis.e
+    not in the basis, do not divide gcd_value or the norm of a cubic slot
+    generator (PlaceBasis.generators), and modulo which f is squarefree
+    (NumberField.squarefree_mod).  The degrees come from the field, which
+    keeps them (NumberField.factor_degrees): a DDF stops at the first
+    degree that decides the class (sieve.class_decided), and a kept answer
+    on which that rule holds is used as it is.  For l = 3 the row comes
+    first: a prime at which every generator is a cube gives no row, so it
+    is skipped without a DDF unless trivial_rows asks for its class."""
+    ell = basis.e
     norms = [g.norm() for g in basis.generators] if ell == 3 else []
     stop = class_decided(ell)
     for q in iter_primes(max(after + 1, 3 if ell == 2 else 5), bound):
-        if (q in basis.primes or gcd_value % q == 0 or int(f.lc) % q == 0
-                or any(n % q == 0 for n in norms)):
+        if q in basis.primes or gcd_value % q == 0 or any(n % q == 0 for n in norms):
             continue
         row = None
         if ell == 3:
@@ -495,6 +493,7 @@ def _scan(kind_type, f_raw: Poly, config: ScanConfig) -> ScanReport:
 
     t0 = time.perf_counter()
     f, lam = normalize_input(f_raw)
+    field = NumberField(f)
     phase("normalize", t0)
     report = ScanReport(kind=kind_type.name, poly=f, scale=lam, degree=f.degree,
                         candidate_primes=[], gcd_value=0, sieve=SieveSummary(),
@@ -503,9 +502,8 @@ def _scan(kind_type, f_raw: Poly, config: ScanConfig) -> ScanReport:
         phase("total", t_start)
         return report
 
-    field = NumberField(f)
     t0 = time.perf_counter()
-    cs = candidate_ramified_primes(f, kind_type.ell)
+    cs = candidate_ramified_primes(field, kind_type.ell)
     phase("ramify", t0)
     kind = kind_type(field, cs)
     report.candidate_primes = list(kind.basis.primes)

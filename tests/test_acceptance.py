@@ -148,7 +148,7 @@ def test_criterion_6_ramification_shortcut():
         for e in (2, 3):
             if f.degree % e != 0:
                 continue
-            cs = candidate_ramified_primes(f, e)
+            cs = candidate_ramified_primes(NumberField(f), e)
             t0 = time.perf_counter()
             factor_integer(cs.gcd_value)
             factoring_time += time.perf_counter() - t0

@@ -242,6 +242,15 @@ def test_certify_rejects_a_bad_polynomial(tmp_path, capsys, text):
     assert _one_input_error_line(capsys)
 
 
+def test_quad_rejects_a_repeated_root_of_odd_degree(tmp_path, capsys):
+    # (x - 1)^2 (x + 1): no quadratic subfield can exist, yet the input is
+    # checked before any answer
+    poly_file = tmp_path / "f.txt"
+    poly_file.write_text("x^3 - x^2 - x + 1\n")
+    assert main(["quad", "-i", str(poly_file)]) == EXIT_INPUT_ERROR
+    assert _one_input_error_line(capsys)
+
+
 @pytest.mark.parametrize("data", ['[1, 2]', '{"subfields": ["x"]}', '"abc"',
                                   '{"subfields": 5}', '7'])
 def test_certify_rejects_json_of_the_wrong_shape(tmp_path, capsys, data):

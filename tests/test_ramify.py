@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from subfieldscan.arith import factor_integer
-from subfieldscan.errors import NotSquarefree
+from subfieldscan.nfroot import NumberField
 from subfieldscan.poly import Poly, eth_root_coeffs, is_squarefree_q
 from subfieldscan.ramify import CandidateSet, candidate_ramified_primes
 from subfieldscan.testkit import corpus_generate, multiquadratic_minpoly
@@ -28,28 +28,29 @@ def reference_set(f: Poly, e: int) -> CandidateSet:
 
 
 def test_examples():
-    cs = candidate_ramified_primes(Poly.from_desc([1, 0, 0, 0, 1]), 2)
+    cs = candidate_ramified_primes(NumberField(Poly.from_desc([1, 0, 0, 0, 1])), 2)
     assert cs.gcd_value == 1 and cs.tame_primes == () and cs.wild_primes == (2,)
     assert cs.include_minus_one
 
-    cs = candidate_ramified_primes(Poly.from_desc([1, 0, -1, 0, 1]), 2)
+    cs = candidate_ramified_primes(NumberField(Poly.from_desc([1, 0, -1, 0, 1])), 2)
     assert cs.gcd_value == 3 and cs.tame_primes == (3,)
 
-    cs = candidate_ramified_primes(Poly.from_desc([1, 0, -21, -35]), 3)
+    cs = candidate_ramified_primes(NumberField(Poly.from_desc([1, 0, -21, -35])), 3)
     assert cs.gcd_value == 7 and cs.tame_primes == (7,)
     assert cs.wild_primes == (3,) and not cs.include_minus_one
 
 
+# the field is the input gate: a repeated root is rejected before ramify runs
 def test_power_input_rejected():
     f = Poly.from_desc([1, 0, 1]) ** 2
-    with pytest.raises(NotSquarefree):
-        candidate_ramified_primes(f, 2)
+    with pytest.raises(ValueError, match="repeated roots"):
+        NumberField(f)
 
 
 def test_non_squarefree_rejected():
     f = Poly.from_desc([1, 0, -2]) * Poly.from_desc([1, 0, -2])
-    with pytest.raises(NotSquarefree):
-        candidate_ramified_primes(f, 2)
+    with pytest.raises(ValueError, match="repeated roots"):
+        NumberField(f)
 
 
 def test_tame_primes_divide_disc():
@@ -61,14 +62,14 @@ def test_tame_primes_divide_disc():
         corpus_generate("multiquadratic", "2,3,5").poly,
     ]
     for f in polys:
-        cs = candidate_ramified_primes(f, 2)
+        cs = candidate_ramified_primes(NumberField(f), 2)
         disc_primes = ramified_superset_bruteforce(f)
         assert set(cs.tame_primes) <= disc_primes
 
 
 def test_candidate_set_covers_true_ramified_primes():
     entry = corpus_generate("multiquadratic", "2,3,5")
-    cs = candidate_ramified_primes(entry.poly, 2)
+    cs = candidate_ramified_primes(NumberField(entry.poly), 2)
     cands = set(cs.tame_primes) | set(cs.wild_primes)
     for delta in entry.quad:
         for p in ramified_superset_bruteforce(Poly.from_desc([1, 0, -delta])):
@@ -83,7 +84,7 @@ def test_root_variant_independence():
 
 def test_applies_to_full_degree():
     # e = deg f: the scan of a quadratic field itself
-    cs = candidate_ramified_primes(Poly.from_desc([1, 0, -5]), 2)
+    cs = candidate_ramified_primes(NumberField(Poly.from_desc([1, 0, -5])), 2)
     assert 5 in cs.tame_primes
 
 
@@ -106,7 +107,7 @@ def test_numerator_gcd_matches_fraction_route():
         for fc in (f, taylor_shift(f, rng.choice([-3, -1, 1, 2, 7]))):
             if not is_squarefree_q(fc):
                 continue
-            d = candidate_ramified_primes(fc, e).gcd_value
+            d = candidate_ramified_primes(NumberField(fc), e).gcd_value
             assert d == numerator_gcd_reference(fc, e)
             if trial % 2 == 0:
                 assert d == m * math.gcd(*h.coeffs)
@@ -117,7 +118,30 @@ def test_numerator_gcd_matches_fraction_route():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_candidate_set_matches_reference_on_benchmark_inputs(seed):
     for op in corpus_ops(seed) + generic_mix_ops(seed):
-        f = Poly(list(op.poly))
+        field = NumberField(Poly(list(op.poly)))
         for e in (2, 3):
-            if f.degree % e == 0:
-                assert candidate_ramified_primes(f, e) == reference_set(f, e), op.label
+            if field.n % e == 0:
+                assert candidate_ramified_primes(field, e) == reference_set(field.f, e), op.label
+
+
+@pytest.mark.parametrize("scan", ["quad_subfield_scan", "cubic_subfield_scan"])
+def test_one_squarefree_test_per_scan(monkeypatch, scan):
+    # NumberField is the one input gate: ramify trusts the field it is given,
+    # and a scan whose degree the kind does not divide is gated too
+    import subfieldscan
+    import subfieldscan.poly as poly_mod
+
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return is_squarefree_q(f)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("subfieldscan") and hasattr(mod, "is_squarefree_q"):
+            monkeypatch.setattr(mod, "is_squarefree_q", counted)
+    assert poly_mod.is_squarefree_q is counted
+    for op in corpus_ops(1):
+        calls.clear()
+        getattr(subfieldscan, scan)(Poly(list(op.poly)))
+        assert len(calls) == 1, op.label

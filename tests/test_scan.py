@@ -27,6 +27,17 @@ def scaled(field, x):
     return (x * field.fprime) % field.f
 
 
+@pytest.mark.parametrize("scan, f", [
+    (quad_subfield_scan, Poly.from_desc([1, -1, -1, 1])),   # (x - 1)^2 (x + 1), odd degree
+    (cubic_subfield_scan, Poly.from_desc([1, 0, -1]) ** 2),  # degree 4, prime to 3
+])
+def test_repeated_root_rejected_before_any_answer(scan, f):
+    # the field is built before the degree decides that no subfield of the
+    # kind can exist: an input with a repeated root gets no answer
+    with pytest.raises(ValueError, match="repeated roots"):
+        scan(f)
+
+
 def test_zeta8_quad():
     rep = quad_subfield_scan(ZETA8)
     assert deltas(rep) == [-2, -1, 2]
@@ -412,7 +423,7 @@ def test_quad_witness_is_the_first_prime_where_split_or_inert_contradicts_legend
     monkeypatch.setattr(scan_mod, "ABSENCE_PRIME_BOUND", 1_000)
     f = corpus_generate(kind, params).poly
     field = NumberField(f)
-    kind_ = scan_mod._Quad(field, candidate_ramified_primes(f, 2))
+    kind_ = scan_mod._Quad(field, candidate_ramified_primes(field, 2))
     basis, gcd_value = kind_.basis, kind_.gcd_value
 
     def legendre_witness(delta):
@@ -654,9 +665,10 @@ def test_sieve_rows_sound_for_true_quadratic_subfields():
     for kind, params in (("multiquadratic", "2,3,5"), ("cyclotomic", "24"),
                          ("cyclotomic", "15")):
         entry = corpus_generate(kind, params)
-        cs = candidate_ramified_primes(entry.poly, 2)
+        field = NumberField(entry.poly)
+        cs = candidate_ramified_primes(field, 2)
         basis = PlaceBasis(2, cs.all_finite_primes())
-        rows = sieve_rows(NumberField(entry.poly), basis, cs.gcd_value,
+        rows = sieve_rows(field, basis, cs.gcd_value,
                           ScanConfig().sieve_prime_bound).rows
         # zero rows is legitimate (e.g. elementary abelian fields give no
         # usable constraints); generated rows must never exclude the truth
@@ -682,13 +694,14 @@ def test_sieve_rows_sound_for_true_cubic_subfields(kind, params, vec):
     from subfieldscan.sieve import vector_satisfies
 
     entry = corpus_generate(kind, params)
-    cs = candidate_ramified_primes(entry.poly, 3)
+    field = NumberField(entry.poly)
+    cs = candidate_ramified_primes(field, 3)
     basis = cubic_place_basis(cs)
     assert basis.primes == (7,)
     [cubic] = entry.cubic
     candidate = build_generator(vec, basis).minpoly
     assert find_root(NumberField(cubic), candidate).status == PROVED
-    rows = sieve_rows(NumberField(entry.poly), basis, cs.gcd_value, 100_000).rows
+    rows = sieve_rows(field, basis, cs.gcd_value, 100_000).rows
     assert rows
     for row in rows:
         assert vector_satisfies(row, vec, 3), row

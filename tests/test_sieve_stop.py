@@ -63,7 +63,7 @@ def _setting(poly, scan):
     f, _ = normalize_input(poly)
     field = NumberField(f)
     kind_type = scan_mod._Quad if scan == "quad" else scan_mod._Cubic
-    cs = candidate_ramified_primes(f, kind_type.ell)
+    cs = candidate_ramified_primes(field, kind_type.ell)
     return field, kind_type(field, cs)
 
 
