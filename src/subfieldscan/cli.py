@@ -6,8 +6,8 @@ certificates), corpus (emit test polynomials with ground-truth sidecars).
 All integers in report JSON are serialized as decimal strings so values
 beyond 53 bits survive every JSON implementation.  Exit codes: 0 complete,
 1 an invalid certificate (certify), 2 complete with unproven absences,
-3 input error (one line "input error: ..." on stderr), 4 a factoring or
-splitting budget exceeded.
+3 input error, a usage error of the command line included (one line
+"input error: ..." on stderr), 4 a factoring or splitting budget exceeded.
 """
 
 from __future__ import annotations
@@ -383,8 +383,18 @@ def _cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors (an unknown or malformed flag, a
+    missing argument) exit EXIT_INPUT_ERROR with one "input error: ..."
+    line, not argparse's 2, which is EXIT_UNPROVEN.  Subcommand parsers are
+    of the same class."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT_ERROR, f"input error: {self.prog}: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="subfieldscan",
         description="Quadratic and cyclic cubic subfields of number fields, "
                     "with verifiable certificates.")

@@ -28,9 +28,11 @@ QuotientRing.inverse lifts its answer to Z/p^k.
 
 Public operations: squarefree test, distinct-degree factor degrees, full
 factorization (distinct-degree + Cantor-Zassenhaus) and root extraction
-(the quadratic formula for a quadratic).  The root tests' Hensel lifts to
-Z/p^k, of the factors of f and of the roots of h, live in nfroot
-(_lift_factors, _lift_root).
+(the quadratic formula for a quadratic).  The Cantor-Zassenhaus split
+draws from a stream seeded by p, which no caller chooses: the factors, and
+the work spent finding them, depend on the polynomial and p alone.  The
+root tests' Hensel lifts to Z/p^k, of the factors of f and of the roots of
+h, live in nfroot (_lift_factors, _lift_root).
 
 The prime walks of the scans and the root tests' prime selection ask only
 part of this.  They settle squarefreeness themselves (NumberField.
@@ -453,31 +455,17 @@ def ddf_degrees(f: Poly, p: int, stop=None, barrett=None) -> dict[int, int]:
     return out
 
 
-def _split_candidates(n, p, rng: random.Random):
-    """Monic u of degree n over F_p, one per splitting attempt.
-
-    Each u is drawn from rng.  A u tried before is replaced by one from a
-    private stream, so an rng that keeps returning the same values cannot
-    stall the split; rng itself is drawn from exactly as without the check.
-    """
-    tried, spare = set(), None
-    while True:
-        u = tuple(rng.randrange(p) for _ in range(n)) + (1,)
-        if u in tried:
-            spare = spare or random.Random(n * p)
-            u = tuple(spare.randrange(p) for _ in range(n)) + (1,)
-        tried.add(u)
-        yield list(u)
-
-
 def _split_equal_degree(g, d, p, rng: random.Random):
-    """All monic irreducible factors of g, where every factor has degree d."""
+    """All monic irreducible factors of g, where every factor has degree d,
+    by Cantor-Zassenhaus splitting with monic u of degree deg(g) drawn from
+    rng, a stream seeded by p at both callers."""
     if deg(g) == d:
         return [g]
     if deg(g) == 0:
         return []
     ring = QuotientRing(g, p)
-    for _, u in zip(range(_CZ_RETRY_CAP), _split_candidates(deg(g), p, rng)):
+    for _ in range(_CZ_RETRY_CAP):
+        u = [rng.randrange(p) for _ in range(deg(g))] + [1]
         if p == 2:
             t = []
             acc = ring.element(u)
@@ -494,19 +482,18 @@ def _split_equal_degree(g, d, p, rng: random.Random):
     raise RetryLimitExceeded(f"equal-degree splitting stalled mod {p}")
 
 
-def factor_mod_p(f: Poly, p: int, rng: random.Random | None = None) -> list[list[int]]:
+def factor_mod_p(f: Poly, p: int) -> list[list[int]]:
     """Complete factorization of squarefree f mod p into monic irreducibles,
     sorted by degree then coefficients.
 
-    The Cantor-Zassenhaus splitting draws from rng, by default a stream
-    seeded with p itself.  The sort makes the output independent of the
-    draws: they change the time the split takes, not its result.
+    The Cantor-Zassenhaus splitting draws from a stream seeded with p.  The
+    sort makes the output independent of the draws: they change the time
+    the split takes, not its result.
     """
-    if rng is None:
-        rng = random.Random(p)
     if not squarefree_mod_p(f, p):
         raise NotSquarefree(f"f mod {p} is not squarefree")
     fb = monic(from_poly(f, p), p)
+    rng = random.Random(p)
     factors = []
     for d, g in _ddf_stages(fb, p):
         factors.extend(_split_equal_degree(g, d, p, rng))

@@ -178,7 +178,7 @@ SELECT_PRIME_BOUND = 50_000
 SELECT_PRIME_QUALIFYING = 25
 
 
-def select_prime(field: NumberField, h: Poly, rng: random.Random | None = None) -> PrimeData:
+def select_prime(field: NumberField, h: Poly) -> PrimeData:
     """An odd prime where f mod p is squarefree and h mod p splits into
     deg(h) distinct roots: the first such prime with at most deg(h) factors
     of f mod p, or else the one with the fewest factors among the first
@@ -211,7 +211,7 @@ def select_prime(field: NumberField, h: Poly, rng: random.Random | None = None) 
     if best is None:
         raise NoPrimeFound(f"no usable prime below {SELECT_PRIME_BOUND}")
     _, p, roots = best
-    factors = tuple(tuple(fac) for fac in modp.factor_mod_p(f, p, rng))
+    factors = tuple(tuple(fac) for fac in modp.factor_mod_p(f, p))
     return PrimeData(p, factors, roots)
 
 
@@ -501,19 +501,18 @@ def _knapsack_attempt(field: NumberField, h: Poly, pdata: PrimeData, c: int,
 # -- entry point -----------------------------------------------------------------
 
 
-def find_root(field: NumberField, h: Poly, config=None,
-              rng: random.Random | None = None) -> RootSearch:
+def find_root(field: NumberField, h: Poly, config=None, rng=None) -> RootSearch:
     """An integer root of h gives its certificate at once.  Otherwise h is
     irreducible: select a prime, and unless it has fewer completions than
     deg(h), which proves that h has no root in L, run the knapsack
     reconstruction.
 
-    config is ignored.  It stays as the third positional parameter only
-    because the benchmark harness (perfbench/run.py) still passes a
-    ScanConfig there; no setting changes a root test, whose precision comes
-    from a bound.  rng, if given, drives the Cantor-Zassenhaus splitting of
-    f mod p (modp.factor_mod_p); the factors come back sorted, so it
-    changes no answer."""
+    config and rng are ignored.  They stay as the third and fourth
+    positional parameters only because the benchmark harness
+    (perfbench/run.py) still passes a ScanConfig and a random.Random there:
+    no setting changes a root test, whose precision comes from a bound, and
+    the Cantor-Zassenhaus splitting of f mod p draws from a stream seeded
+    by p (modp.factor_mod_p)."""
     if not (h.is_monic() and h.is_integral() and h.degree in (2, 3)):
         raise ValueError("h must be monic integral of degree 2 or 3")
     root = integer_root(h)
@@ -523,7 +522,7 @@ def find_root(field: NumberField, h: Poly, config=None,
         if not verify_certificate(field, h, cert):
             raise AssertionError(f"integer root {root} of {h} fails verification")
         return RootSearch(PROVED, cert)
-    pdata = select_prime(field, h, rng)
+    pdata = select_prime(field, h)
     if pdata.r < h.degree:
         return RootSearch(NOT_FOUND)
     return root_knapsack(field, h, pdata)

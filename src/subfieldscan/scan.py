@@ -26,9 +26,9 @@ The prime walk computes only what a row or a witness needs: squarefreeness
 mod q from disc(f), computed once per field unless it is too large to pay
 for itself (NumberField.squarefree_mod); a DDF that stops at the first
 factor degree deciding the class; and, for cubic scans, the residue classes
-of the slot generators before the DDF, so a prime at which they are all 0,
-which can give no row, costs a witness search no DDF (the sieve still
-takes its class, to count it as a prime that left the span as it was).
+of the slot generators only at a prime that splits in every cyclic cubic
+subfield (sieve.frobenius_row).  What a prime gives, its class and its row,
+depends on f and q alone, the same for the sieve and a witness search.
 The walk asks the field for the factor degrees (NumberField.
 factor_degrees), which keeps them: the root tests' prime selection and a
 later witness search read them instead of running the DDF again.
@@ -64,8 +64,8 @@ from .nfroot import (PROVED, SELECT_PRIME_QUALIFYING, NumberField, RootCertifica
 from .poly import Poly, normalize_input
 from .ramify import candidate_ramified_primes
 from .sieve import (CubicClass, PlaceBasis, QuadClass, Row, Span, canonical_f3, class_decided,
-                    classify_prime_cubic, classify_prime_quadratic, cubic_constraint,
-                    decides_class, frobenius_row, kernel_vectors, vector_satisfies)
+                    classify_prime_cubic, classify_prime_quadratic, frobenius_row,
+                    kernel_vectors, vector_satisfies)
 
 STATUS_PROVED = "proved"
 STATUS_CERTIFIED_ABSENT = "certified_absent"
@@ -172,30 +172,18 @@ def _squarefree_kernel(d: int) -> int:
 
 
 def _frobenius_primes(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int,
-                      after: int = 0, trivial_rows: bool = False):
-    """(q, factor degrees of f mod q, cubic row or None) for the primes
-    after < q <= bound, from 3 (l = basis.e = 2) or 5 (l = 3), that are
-    not in the basis, do not divide gcd_value or the norm of a cubic slot
-    generator (PlaceBasis.generators), and modulo which f is squarefree
-    (NumberField.squarefree_mod).  The degrees come from the field, which
-    keeps them (NumberField.factor_degrees): a DDF stops at the first
-    degree that decides the class (sieve.class_decided), and a kept answer
-    on which that rule holds is used as it is.  For l = 3 the row comes
-    first: a prime at which every generator is a cube gives no row, so it
-    is skipped without a DDF unless trivial_rows asks for its class."""
-    ell = basis.e
-    norms = [g.norm() for g in basis.generators] if ell == 3 else []
-    stop = class_decided(ell)
-    for q in iter_primes(max(after + 1, 3 if ell == 2 else 5), bound):
-        if q in basis.primes or gcd_value % q == 0 or any(n % q == 0 for n in norms):
-            continue
-        row = None
-        if ell == 3:
-            row = cubic_constraint(q, basis)
-            if row is None and not trivial_rows:
-                continue
-        if field.squarefree_mod(q):
-            yield q, field.factor_degrees(q, stop)[0], row
+                      after: int = 0):
+    """(q, factor degrees of f mod q) for the primes after < q <= bound,
+    from 3 (l = basis.e = 2) or 5 (l = 3), that are not in the basis, do
+    not divide gcd_value, and modulo which f is squarefree (NumberField.
+    squarefree_mod).  The degrees come from the field, which keeps them
+    (NumberField.factor_degrees): a DDF stops at the first degree that
+    decides the class (sieve.class_decided), and a kept answer on which
+    that rule holds is used as it is."""
+    stop = class_decided(basis.e)
+    for q in iter_primes(max(after + 1, 3 if basis.e == 2 else 5), bound):
+        if q not in basis.primes and gcd_value % q and field.squarefree_mod(q):
+            yield q, field.factor_degrees(q, stop)[0]
 
 
 # The sieve stops after this many class-deciding primes in a row have left
@@ -252,14 +240,13 @@ def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int
     rows: list[Row] = []
     stale = idle = 0
     full = False
-    for q, degrees, cubic_row in _frobenius_primes(field, basis, gcd_value, bound,
-                                                   trivial_rows=True):
-        if not decides_class(degrees, field.n, ell):
+    for q, degrees in _frobenius_primes(field, basis, gcd_value, bound):
+        row = frobenius_row(q, degrees, field.n, basis)
+        if row is None:
             idle += 1
         else:
-            row = frobenius_row(q, degrees, field.n, basis, cubic_row)
             rank = len(span.rows)
-            if row is not None:
+            if not row.trivial:
                 rows.append(row)
                 span.insert((*row.coeffs, row.rhs) if ell == 2 else row.coeffs)
             stale = 0 if len(span.rows) > rank else stale + 1
@@ -286,9 +273,8 @@ def absence_witness(field: NumberField, basis: PlaceBasis, gcd_value: int, vec,
     """The first prime above after whose Frobenius row the exponent vector
     vec over basis fails: at such a prime the candidate of vec cannot be a
     subfield.  None if no prime up to ABSENCE_PRIME_BOUND is a witness."""
-    for q, degrees, cubic_row in _frobenius_primes(field, basis, gcd_value,
-                                                   ABSENCE_PRIME_BOUND, after):
-        row = frobenius_row(q, degrees, field.n, basis, cubic_row)
+    for q, degrees in _frobenius_primes(field, basis, gcd_value, ABSENCE_PRIME_BOUND, after):
+        row = frobenius_row(q, degrees, field.n, basis)
         if row is not None and not vector_satisfies(row, vec, basis.e):
             return q
     return None

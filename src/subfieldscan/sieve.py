@@ -7,6 +7,10 @@ Kummer class over Q(zeta_3), whose slot generators the cubic basis carries
 constrains every such subfield at once: frobenius_row gives its F_l row,
 and a candidate whose vector fails that row (vector_satisfies) is no
 subfield.  That one rule gives every sieve row and every absence witness.
+It takes nothing but q, the factor degrees of f mod q and the basis: it
+decides the class (None for a prime that decides nothing) and makes the
+row, which may be trivial (Row.trivial); a cubic row's residue classes
+are computed only at a prime that splits in every cyclic cubic subfield.
 Span, a span in reduced echelon form, is the one elimination over F_l:
 the sieve of the scans builds the span of its rows once, and the scans
 read their candidates from it with kernel_vectors, the one enumeration of
@@ -78,6 +82,11 @@ class Row:
     coeffs: tuple[int, ...]
     rhs: int
     prime: int
+
+    @property
+    def trivial(self) -> bool:
+        """All zero, right-hand side too: every vector satisfies the row."""
+        return not (self.rhs or any(self.coeffs))
 
 
 class Span:
@@ -169,11 +178,11 @@ def classify_prime_quadratic(degrees: dict[int, int], n: int) -> QuadClass:
     return QuadClass.INERT
 
 
-def quad_constraint(p: int, cls: QuadClass, basis: PlaceBasis) -> Row | None:
+def quad_constraint(p: int, cls: QuadClass, basis: PlaceBasis) -> Row:
     """The F2 row contributed by an odd prime with known classification.
 
     Coefficient for slot m is (1 - legendre(m, p)) / 2; right-hand side is
-    0 for split, 1 for inert.  Trivial rows (all zero, rhs 0) return None.
+    0 for split, 1 for inert.  The row may be trivial (Row.trivial).
     """
     if cls == QuadClass.NO_INFO:
         raise ValueError("no constraint from an unclassified prime")
@@ -182,10 +191,7 @@ def quad_constraint(p: int, cls: QuadClass, basis: PlaceBasis) -> Row | None:
     coeffs = [(1 - legendre(-1, p)) // 2]
     for q in basis.primes:
         coeffs.append((1 - legendre(q, p)) // 2)
-    rhs = 0 if cls == QuadClass.SPLIT else 1
-    if rhs == 0 and not any(coeffs):
-        return None
-    return Row(tuple(coeffs), rhs, p)
+    return Row(tuple(coeffs), 0 if cls == QuadClass.SPLIT else 1, p)
 
 
 def classify_prime_cubic(degrees: dict[int, int]) -> CubicClass:
@@ -204,35 +210,29 @@ def class_decided(ell: int):
     return lambda degrees, left: any(d % ell for d in degrees)
 
 
-def cubic_constraint(q: int, basis: PlaceBasis) -> Row | None:
+def cubic_constraint(q: int, basis: PlaceBasis) -> Row:
     """Homogeneous F3 row at a prime q that splits in all cubic subfields:
-    the cubic residue classes of the slot generators at q."""
-    coeffs = tuple(cubic_residue_class(g, q) for g in basis.generators)
-    if not any(coeffs):
-        return None
-    return Row(coeffs, 0, q)
+    the cubic residue classes of the slot generators at q, all 0 (a
+    trivial row) when every generator is a cube there.  q is neither 3 nor
+    in the basis, so it divides no generator's norm (1 or p**3)."""
+    return Row(tuple(cubic_residue_class(g, q) for g in basis.generators), 0, q)
 
 
-def decides_class(degrees: dict[int, int], n: int, ell: int) -> bool:
-    """Whether a prime with these factor degrees (f of degree n) decides
-    its class over F_l: SPLIT or INERT for l = 2, SPLITS_ALL for l = 3.
-    Such a prime gives a row, which may be trivial."""
-    if ell == 2:
-        return classify_prime_quadratic(degrees, n) != QuadClass.NO_INFO
-    return classify_prime_cubic(degrees) == CubicClass.SPLITS_ALL
-
-
-def frobenius_row(q: int, degrees: dict[int, int], n: int, basis: PlaceBasis,
-                  cubic_row: Row | None = None) -> Row | None:
-    """The F_l row (l = basis.e) of a usable prime q at which f of degree n
-    has the given factor degrees; None when the cycle type says nothing or
-    the row is trivial.  For l = 3 the row itself does not depend on the
-    degrees: cubic_row is cubic_constraint(q, basis), which holds when q
-    splits in every cyclic cubic subfield."""
+def frobenius_row(q: int, degrees: dict[int, int], n: int, basis: PlaceBasis) -> Row | None:
+    """The F_l row (l = basis.e) of a prime q outside the basis at which f
+    of degree n is squarefree and has the given factor degrees, which may
+    come from a DDF stopped by class_decided(l): None when the cycle type
+    decides nothing, else the row of the class it decides (SPLIT or INERT
+    for l = 2, SPLITS_ALL for l = 3), which may be trivial.  Nothing else
+    goes in: the row is fixed by f and q alone.  For l = 3 it does not
+    depend on the degrees beyond the class, and its residue classes are
+    computed only once the class is decided."""
     if basis.e == 2:
         cls = classify_prime_quadratic(degrees, n)
         return None if cls == QuadClass.NO_INFO else quad_constraint(q, cls, basis)
-    return cubic_row if classify_prime_cubic(degrees) == CubicClass.SPLITS_ALL else None
+    if classify_prime_cubic(degrees) == CubicClass.NO_INFO:
+        return None
+    return cubic_constraint(q, basis)
 
 
 def canonical_f3(vec) -> tuple[int, ...]:

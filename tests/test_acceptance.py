@@ -83,7 +83,7 @@ def test_criterion_3_multiquadratic_degree32():
     # the 2^15-assignment case: the selected prime leaves more sign
     # choices than the 1024 an enumeration could afford
     config = ScanConfig()
-    pdata = select_prime(field, Poly([-2, 0, 1]), random.Random(0))
+    pdata = select_prime(field, Poly([-2, 0, 1]))
     assert 2 ** (pdata.r - 1) > 1024
     probe = find_root(field, Poly([-2, 0, 1]))
     # no integer root: the knapsack answered
@@ -204,7 +204,7 @@ def test_criterion_7c_ddf_degree_sums():
             continue
         checked += 1
         assert sum(d * c for d, c in degs.items()) == f.degree
-        factors = factor_mod_p(f, p, rng)
+        factors = factor_mod_p(f, p)
         by_deg = {}
         for fac in factors:
             by_deg[len(fac) - 1] = by_deg.get(len(fac) - 1, 0) + 1
@@ -221,7 +221,7 @@ def test_criterion_7d_newton_lifts():
         p = rng.choice([3, 5, 7, 11])
         f = Poly([rng.randint(-20, 20) for _ in range(rng.randint(2, 7))] + [1])
         try:
-            factors = factor_mod_p(f, p, rng)
+            factors = factor_mod_p(f, p)
         except NotSquarefree:
             continue
         if len(factors) < 2:

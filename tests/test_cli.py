@@ -277,10 +277,27 @@ def test_certify_marks_an_entry_of_the_wrong_type_invalid(tmp_path, capsys, entr
     assert "INVALID" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["quad", "-i", "f.txt", "--sieve-bound", "x"],   # a malformed flag value
+    ["quad", "--sieve-bound", "5"],                  # no -i
+    ["certify", "-i", "f.txt"],                      # no --cert
+    ["cubic", "-i", "f.txt", "--seed", "1"],         # an unknown flag
+    ["scan", "-i", "f.txt"],                         # an unknown subcommand
+])
+def test_usage_error_exits_as_an_input_error(capsys, argv):
+    # argparse's own exit code, 2, is EXIT_UNPROVEN: a script would read a
+    # mistyped flag as a finished scan
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert _one_input_error_line(capsys)
+
+
 def test_quad_flags(capsys):
     import re
 
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["quad", "--help"])
+    assert exc.value.code == EXIT_OK
     flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
     assert flags == {"--help", "--input", "--json", "--sieve-bound"}

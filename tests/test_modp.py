@@ -29,12 +29,11 @@ def test_ddf_examples():
 
 
 def test_factor_examples():
-    rng = random.Random(0)
-    fs = modp.factor_mod_p(Poly.from_desc([1, 0, 0, 0, 1]), 5, rng)
+    fs = modp.factor_mod_p(Poly.from_desc([1, 0, 0, 0, 1]), 5)
     assert fs == [[2, 0, 1], [3, 0, 1]]
-    fs = modp.factor_mod_p(Poly.from_desc([1, 0, -1]), 7, rng)
+    fs = modp.factor_mod_p(Poly.from_desc([1, 0, -1]), 7)
     assert fs == [[1, 1], [6, 1]]
-    fs = modp.factor_mod_p(Poly.from_desc([1, 0, -2]), 3, rng)
+    fs = modp.factor_mod_p(Poly.from_desc([1, 0, -2]), 3)
     assert fs == [[1, 0, 1]]  # x^2 - 2 = x^2 + 1 mod 3, irreducible
 
 
@@ -51,7 +50,7 @@ def test_ddf_and_factor_agree():
             continue
         checked += 1
         assert sum(d * c for d, c in degs.items()) == f.degree
-        factors = modp.factor_mod_p(f, p, rng)
+        factors = modp.factor_mod_p(f, p)
         got = {}
         for fac in factors:
             got[len(fac) - 1] = got.get(len(fac) - 1, 0) + 1
@@ -67,12 +66,11 @@ def test_ddf_and_factor_agree():
 
 
 def test_factor_gf2():
-    rng = random.Random(2)
     f = Poly.from_desc([1, 0, 1, 1])  # irreducible mod 2? x^3+x+1 yes
-    assert modp.factor_mod_p(f, 2, rng) == [[1, 1, 0, 1]]
+    assert modp.factor_mod_p(f, 2) == [[1, 1, 0, 1]]
     g = Poly.from_desc([1, 1, 0, 1])  # x^3+x^2+1 irreducible
     h = (f * g)
-    fs = modp.factor_mod_p(h, 2, rng)
+    fs = modp.factor_mod_p(h, 2)
     assert sorted(fs) == sorted([[1, 1, 0, 1], [1, 0, 1, 1]])
 
 
@@ -325,15 +323,14 @@ def test_cubic_and_quartic_roots_match_brute_force(desc):
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3] + SMALL_PRIMES[:5]),
-       st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=16),
-       st.randoms(use_true_random=False))
-def test_ddf_matches_factor_degrees(p, low, rng):
+       st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=16))
+def test_ddf_matches_factor_degrees(p, low):
     f = Poly(low + [1])
     try:
         degs = modp.ddf_degrees(f, p)
     except NotSquarefree:
         assume(False)
-    factors = modp.factor_mod_p(f, p, rng)
+    factors = modp.factor_mod_p(f, p)
     got = {}
     for fac in factors:
         got[len(fac) - 1] = got.get(len(fac) - 1, 0) + 1
@@ -344,35 +341,26 @@ def test_ddf_matches_factor_degrees(p, low, rng):
     assert prod == modp.from_poly(f, p)
 
 
-class StuckRandom(random.Random):
-    """An rng whose every draw is the lowest value, as a shrunk generated one can be."""
-
-    def randrange(self, start, stop=None, step=1):
-        return 0 if stop is None else start
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_factor_mod_p_survives_an_rng_that_repeats_itself(p):
-    # f = x^2 - 1: every draw of the stuck rng gives u = x^2, which is 1
-    # modulo f, so u^((p-1)/2) - 1 = 0 never splits f
-    f = Poly([-1, 0, 1])
-    expect = modp.factor_mod_p(f, p, random.Random(0))
-    assert len(expect) == 2
-    assert modp.factor_mod_p(f, p, StuckRandom()) == expect
-
-
 @pytest.mark.parametrize("p", [2, 3, 31, 257])
-def test_factor_mod_p_default_stream_gives_the_sorted_factors_of_any_rng(p):
-    # several factors of one degree, whose order only the sort fixes
-    f = Poly([1])
-    for a in range(min(p, 5)):
-        f = f * Poly([-a, 1])
+def test_split_equal_degree_gives_the_same_factors_under_any_stream(p):
+    # several factors of one degree, whose order only the sort fixes: the
+    # stream a split draws from changes its steps, not its factors, so no
+    # caller chooses one (factor_mod_p seeds it with p)
+    groups = {1: [[-a % p, 1] for a in range(min(p, 5))]}
     if p == 2:
-        f = f * Poly([1, 1, 0, 1]) * Poly([1, 0, 1, 1])
-    expect = modp.factor_mod_p(f, p, random.Random(5))
-    assert len(expect) >= 3
-    assert modp.factor_mod_p(f, p) == expect
-    assert modp.factor_mod_p(f, p) == modp.factor_mod_p(f, p, random.Random(987654))
+        groups[3] = [[1, 1, 0, 1], [1, 0, 1, 1]]
+    f = [1]
+    for d, factors in groups.items():
+        g = [1]
+        for fac in factors:
+            g = modp.mul(g, fac, p)
+        f = modp.mul(f, g, p)
+        splits = [sorted(modp._split_equal_degree(g, d, p, random.Random(seed)))
+                  for seed in (p, 987654)]
+        assert len(factors) >= 2 and splits[0] == splits[1] == sorted(factors)
+    expect = sorted((fac for factors in groups.values() for fac in factors),
+                    key=lambda a: (len(a), tuple(reversed(a))))
+    assert modp.factor_mod_p(Poly(f), p) == expect
 
 
 @settings(max_examples=300, deadline=None)

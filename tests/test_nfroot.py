@@ -26,8 +26,7 @@ def scaled(field, x):
 
 def test_select_prime_conditions():
     field = NumberField(ZETA8)
-    rng = random.Random(0)
-    pd = select_prime(field, Y2M2, rng)
+    pd = select_prime(field, Y2M2)
     assert pd.p % 2 == 1
     assert squarefree_mod_p(field.f, pd.p)
     assert len(pd.roots) == 2
@@ -42,7 +41,7 @@ def test_select_prime_conditions():
     assert len(roots_mod_p(Y2M2, 17)) == 2
 
 
-def exhaustive_select_prime(field, h, rng, first_at_most_deg_h=True):
+def exhaustive_select_prime(field, h, first_at_most_deg_h=True):
     """The selection rule with nothing skipped: a full, gcd-checked DDF at
     each qualifying prime, up to the first with r <= deg h or else the 25th,
     then the least (r, p).  Without first_at_most_deg_h, the 25-prime rule:
@@ -60,7 +59,7 @@ def exhaustive_select_prime(field, h, rng, first_at_most_deg_h=True):
         if len(qualifying) >= 25 or (first_at_most_deg_h and r <= h.degree):
             break
     _, p, roots = min(qualifying)
-    return PrimeData(p, tuple(tuple(fac) for fac in factor_mod_p(field.f, p, rng)), roots)
+    return PrimeData(p, tuple(tuple(fac) for fac in factor_mod_p(field.f, p)), roots)
 
 
 S4_QUARTIC = Poly.from_desc([1, 0, 0, -1, -1])   # Galois group S4
@@ -87,8 +86,7 @@ def test_select_prime_matches_exhaustive_rule(kind, params, hs):
          "S5": Poly.from_desc([1, 0, 0, 0, -1, -1])}.get(kind)
     field = NumberField(f or corpus_generate(kind, params).poly)
     for h in hs:
-        assert select_prime(field, h, random.Random(5)) == \
-            exhaustive_select_prime(field, h, random.Random(5)), h
+        assert select_prime(field, h) == exhaustive_select_prime(field, h), h
 
 
 def _true_subfields():
@@ -111,9 +109,9 @@ def test_early_stop_picks_the_25_prime_rules_prime_for_true_subfields():
         for p in primes_up_to(300)[1:]:
             if len(roots_mod_p(h, p)) == h.degree and squarefree_mod_p(field.f, p):
                 assert sum(ddf_degrees(field.f, p).values()) >= h.degree, (field.f, h, p)
-        chosen = select_prime(field, h, random.Random(5))
-        assert chosen == exhaustive_select_prime(field, h, random.Random(5)) == \
-            exhaustive_select_prime(field, h, random.Random(5), first_at_most_deg_h=False), h
+        chosen = select_prime(field, h)
+        assert chosen == exhaustive_select_prime(field, h) == \
+            exhaustive_select_prime(field, h, first_at_most_deg_h=False), h
 
 
 def test_select_prime_pool_exhaustion(monkeypatch):
@@ -122,7 +120,7 @@ def test_select_prime_pool_exhaustion(monkeypatch):
     monkeypatch.setattr(nfroot, "SELECT_PRIME_BOUND", 6)
     field = NumberField(ZETA8)
     with pytest.raises(NoPrimeFound):
-        select_prime(field, Y2M2, random.Random(0))
+        select_prime(field, Y2M2)
 
 
 def test_theta_itself():
@@ -172,7 +170,7 @@ def test_fewer_completions_than_deg_h_prove_absence(monkeypatch):
     monkeypatch.setattr(nfroot, "root_knapsack", no_lattice)
     field = NumberField(S4_QUARTIC)
     h = Poly.from_desc([1, 0, -11])
-    assert select_prime(field, h, random.Random(0)).r == 1
+    assert select_prime(field, h).r == 1
     assert find_root(field, h).status == NOT_FOUND
 
 
@@ -278,7 +276,7 @@ def test_knapsack_degree16_all_subfields():
     # sqrt 15 is tested at a prime with r = 8 completions, where the
     # leading coefficients alone cannot tell two 0/1 choices apart
     field = NumberField(multiquadratic_minpoly((2, 3, 5, 7)))
-    assert select_prime(field, Poly([-15, 0, 1]), random.Random(0)).r == 8
+    assert select_prime(field, Poly([-15, 0, 1])).r == 8
     assert_matches_oracle((2, 3, 5, 7))
 
 
@@ -297,7 +295,8 @@ def test_knapsack_degree64_root_tests():
 
 @pytest.mark.parametrize("h", [Poly([-30, 0, 1]), Poly([1, 0, 1]), Poly([-4, 0, 1])])
 def test_find_root_ignores_its_config_and_needs_no_rng(h):
-    # the benchmark harness still calls find_root(field, h, ScanConfig(), rng)
+    # the benchmark harness still calls find_root(field, h, ScanConfig(), rng);
+    # both are ignored
     from subfieldscan.config import ScanConfig
 
     field = NumberField(multiquadratic_minpoly((2, 3, 5)))
@@ -367,7 +366,7 @@ def test_one_reduction_per_knapsack_root_test(monkeypatch, h, status, reductions
     # 24 and 32 bits, and nothing after the last
     calls = _count_reductions(monkeypatch)
     field = NumberField(multiquadratic_minpoly((2, 3, 5)))
-    assert select_prime(field, h, random.Random(0)).r >= 2
+    assert select_prime(field, h).r >= 2
     res = find_root(field, h)
     assert res.status == status and integer_root(h) is None
     assert len(calls) == reductions
@@ -531,7 +530,7 @@ def test_knapsack_lifts_once_to_the_bound_precision(monkeypatch):
     monkeypatch.setattr(nfroot, "_lift_root", lift_root)
     field = NumberField(multiquadratic_minpoly((2, 3, 5)))
     h = Poly([-30, 0, 1])
-    pdata = select_prime(field, h, random.Random(0))
+    pdata = select_prime(field, h)
     _, s = knapsack_size(field.n, pdata.r - 1)
     k = knapsack_precision(field, h, pdata.p, s)
     assert (pdata.p, s, k) == (7, 32, 26)
@@ -620,7 +619,7 @@ def test_cubic_roots_over_three_completions():
     entry = corpus_generate("cubic-compositum", "7,9")
     field = NumberField(entry.poly)
     for h in entry.cubic:
-        assert select_prime(field, h, random.Random(0)).r >= 3
+        assert select_prime(field, h).r >= 3
         res = find_root(field, h)
         assert res.status == PROVED and verify_certificate(field, h, res.certificate)
 

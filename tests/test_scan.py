@@ -427,7 +427,7 @@ def test_quad_witness_is_the_first_prime_where_split_or_inert_contradicts_legend
     basis, gcd_value = kind_.basis, kind_.gcd_value
 
     def legendre_witness(delta):
-        for q, degrees, _ in scan_mod._frobenius_primes(field, basis, gcd_value, 1_000):
+        for q, degrees in scan_mod._frobenius_primes(field, basis, gcd_value, 1_000):
             cls = classify_prime_quadratic(degrees, field.n)
             sym = legendre(delta, q)
             if (cls == QuadClass.SPLIT and sym == -1) or (cls == QuadClass.INERT and sym == 1):
@@ -442,6 +442,88 @@ def test_quad_witness_is_the_first_prime_where_split_or_inert_contradicts_legend
             witnesses.append(expect)
     # both outcomes occur: true subfields have no witness, the others one
     assert None in witnesses and any(witnesses)
+
+
+@pytest.mark.parametrize("params", ["7", "7,q5", "7,9"])
+def test_cubic_witness_is_the_first_splits_all_prime_where_the_minpoly_has_no_root(
+        monkeypatch, params):
+    # the Frobenius-row witness of a Kummer class is the prime the direct
+    # rule picks: a full DDF says q splits in every cyclic cubic subfield,
+    # while the class's minimal polynomial is squarefree with no root mod q
+    import subfieldscan.scan as scan_mod
+    from subfieldscan.arith import iter_primes
+    from subfieldscan.errors import ZeroExponentVector
+    from subfieldscan.kummer3 import build_generator
+    from subfieldscan.ramify import candidate_ramified_primes
+    from subfieldscan.sieve import (CubicClass, classify_prime_cubic, cubic_constraint,
+                                    kernel_vectors)
+
+    monkeypatch.setattr(scan_mod, "ABSENCE_PRIME_BOUND", 1_000)
+    kind, params = ("cyclotomic", params) if params == "7" else ("cubic-compositum", params)
+    entry = corpus_generate(kind, params)
+    field = NumberField(entry.poly)
+    kind_ = scan_mod._Cubic(field, candidate_ramified_primes(field, 3))
+    basis, gcd_value = kind_.basis, kind_.gcd_value
+    splits_all = [q for q in iter_primes(5, 1_000) if q not in basis.primes and gcd_value % q
+                  and modp.squarefree_mod_p(field.f, q)
+                  and classify_prime_cubic(modp.ddf_degrees(field.f, q)) == CubicClass.SPLITS_ALL]
+
+    def minpoly_witness(h, after):
+        return next((q for q in splits_all if q > after
+                     and modp.squarefree_mod_p(h, q) and not modp.roots_mod_p(h, q)), None)
+
+    # the walks also start at primes where every slot generator is a cube:
+    # their row is trivial, and no class has a witness there
+    cubes = [q for q in splits_all if not any(cubic_constraint(q, basis).coeffs)]
+    assert cubes
+    first = []
+    for vec in kernel_vectors(Span(3, basis.width)):
+        try:
+            h = build_generator(vec, basis).minpoly
+        except ZeroExponentVector:
+            continue
+        for after in (0, *(q - 1 for q in cubes[:3])):
+            expect = minpoly_witness(h, after)
+            assert scan_mod.absence_witness(field, basis, gcd_value, vec, after) == expect, \
+                (vec, after)
+        first.append(minpoly_witness(h, 0))
+    # exactly the true subfields have no witness
+    assert first.count(None) == len(entry.cubic)
+
+
+def test_cubic_residue_classes_only_at_primes_that_split_in_every_cubic_subfield(monkeypatch):
+    # a prime's cubic row is made once its DDF says it splits in every
+    # cyclic cubic subfield: one residue class per slot there, none at a
+    # prime that decides nothing
+    from collections import Counter
+
+    import subfieldscan.scan as scan_mod
+    import subfieldscan.sieve as sieve_mod
+    from subfieldscan.arith import iter_primes
+    from subfieldscan.ramify import candidate_ramified_primes
+    from subfieldscan.sieve import CubicClass, classify_prime_cubic
+
+    f = corpus_generate("cubic-compositum", "7,9").poly
+    field = NumberField(f)
+    kind = scan_mod._Cubic(field, candidate_ramified_primes(field, 3))
+    walked = scan_mod.sieve_rows(field, kind.basis, kind.gcd_value,
+                                 ScanConfig().sieve_prime_bound).walked
+    walk = [q for q in iter_primes(5, walked) if q not in kind.basis.primes
+            and kind.gcd_value % q and modp.squarefree_mod_p(f, q)]
+    splits_all = [q for q in walk
+                  if classify_prime_cubic(modp.ddf_degrees(f, q)) == CubicClass.SPLITS_ALL]
+    assert 0 < len(splits_all) < len(walk)
+    calls = []
+
+    def cubic_residue_class(a, q):
+        calls.append(q)
+        return real(a, q)
+
+    real = sieve_mod.cubic_residue_class
+    monkeypatch.setattr(sieve_mod, "cubic_residue_class", cubic_residue_class)
+    report = cubic_subfield_scan(f)
+    assert len(report.subfields) == 4 and not report.excluded
+    assert Counter(calls) == {q: kind.basis.width for q in splits_all}
 
 
 @pytest.mark.parametrize("delta", [0, 1, 4, 9])
@@ -460,34 +542,6 @@ def test_determinism_same_seed():
     rep1 = quad_subfield_scan(f, ScanConfig())
     rep2 = quad_subfield_scan(f, ScanConfig())
     assert canonical_report_bytes(rep1) == canonical_report_bytes(rep2)
-
-
-def test_reports_do_not_depend_on_the_splitting_stream(monkeypatch):
-    # the scans' only randomness is the Cantor-Zassenhaus split inside
-    # factor_mod_p, whose factors come back sorted: no stream it draws from,
-    # not even one stuck at its lowest value, reaches a report
-    import random
-
-    from subfieldscan import modp
-    from subfieldscan.cli import canonical_report_bytes
-    from test_modp import StuckRandom
-
-    real = modp.factor_mod_p
-    streams = [lambda: random.Random(1), lambda: random.Random(987654), StuckRandom]
-    cases = [(kind, params, scan) for kind, params in (
-        ("cyclotomic", "7"), ("cyclotomic", "12"), ("multiquadratic", "2,3,5"),
-        ("cubic-compositum", "7,q5")) for scan in (quad_subfield_scan, cubic_subfield_scan)]
-    blobs, calls = [], []
-    for stream in streams:
-        def factor_mod_p(f, p, rng=None, stream=stream):
-            calls.append(p)
-            return real(f, p, stream() if rng is None else rng)
-
-        monkeypatch.setattr(modp, "factor_mod_p", factor_mod_p)
-        blobs.append([canonical_report_bytes(scan(corpus_generate(kind, params).poly))
-                      for kind, params, scan in cases])
-    assert calls
-    assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_report_group_closure_checked():

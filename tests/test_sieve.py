@@ -4,12 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subfieldscan.arith import iter_primes
 from subfieldscan.eisenstein import EisensteinInt, OMEGA, cubic_residue_class, split_prime
 from subfieldscan.errors import PrimeInBasis
 from subfieldscan.sieve import (CubicClass, PlaceBasis, QuadClass, Row, Span, canonical_f3,
                                 classify_prime_cubic, classify_prime_quadratic,
-                                cubic_constraint, kernel_vectors, quad_constraint,
-                                vector_satisfies)
+                                cubic_constraint, frobenius_row, kernel_vectors,
+                                quad_constraint, vector_satisfies)
 from tests_sieve_helpers import f2_solutions, row_span
 
 
@@ -56,7 +57,8 @@ def test_quad_constraint_examples():
     assert row.coeffs == (0, 1) and row.rhs == 1
     row = quad_constraint(3, QuadClass.INERT, basis)
     assert row.coeffs == (1, 1) and row.rhs == 1
-    assert quad_constraint(17, QuadClass.SPLIT, basis) is None
+    row = quad_constraint(17, QuadClass.SPLIT, basis)
+    assert row.coeffs == (0, 0) and row.rhs == 0 and row.trivial
     with pytest.raises(PrimeInBasis):
         quad_constraint(2, QuadClass.SPLIT, basis)
     with pytest.raises(ValueError):
@@ -112,8 +114,31 @@ def test_cubic_constraint_slot_values():
     gens = basis.generators
     assert gens[0] == OMEGA and gens[1] == gen
     row = cubic_constraint(13, basis)
-    if row is not None:
-        assert len(row.coeffs) == 2 and row.rhs == 0
+    assert row.coeffs == (cubic_residue_class(OMEGA, 13), cubic_residue_class(gen, 13))
+    assert row.rhs == 0 and row.prime == 13
+
+
+def test_slot_generator_norms_are_one_or_the_cube_of_their_prime():
+    # a walked prime is neither 3 nor in the basis, so it divides no norm
+    # and cubic_residue_class never meets a generator it cannot classify
+    basis = PlaceBasis(3, (7, 13, 19, 31, 37))
+    norms = [g.norm() for g in basis.generators]
+    assert norms == [1] + [p**3 for p in basis.primes]
+
+
+def test_frobenius_row_tells_a_trivial_row_from_no_information():
+    # a class-deciding prime gives a row even when it is all zero; a prime
+    # whose cycle type decides nothing gives None
+    basis2 = PlaceBasis(2, (2,))
+    assert frobenius_row(17, {1: 1, 3: 1}, 4, basis2).trivial           # SPLIT, 2 = 6^2 mod 17
+    assert frobenius_row(5, {4: 1}, 4, basis2) == Row((0, 1), 1, 5)       # INERT
+    assert frobenius_row(17, {2: 2}, 4, basis2) is None                   # NO_INFO
+    basis3 = PlaceBasis(3, (7,))
+    cubes = next(q for q in iter_primes(5, 10_000)
+                 if q != 7 and not any(cubic_constraint(q, basis3).coeffs))
+    assert frobenius_row(cubes, {1: 3}, 3, basis3) == Row((0, 0), 0, cubes)
+    assert frobenius_row(cubes, {1: 3}, 3, basis3).trivial
+    assert frobenius_row(cubes, {3: 1}, 3, basis3) is None
 
 
 def test_f3_kernel_vectors_examples():

@@ -83,9 +83,8 @@ def _span_up_to(field, kind, bound):
     """The span of the rows of every prime up to bound; the walk ends once
     it is full."""
     span, width = _span(kind), kind.basis.width
-    for q, degrees, cubic_row in scan_mod._frobenius_primes(field, kind.basis, kind.gcd_value,
-                                                            bound):
-        row = frobenius_row(q, degrees, field.n, kind.basis, cubic_row)
+    for q, degrees in scan_mod._frobenius_primes(field, kind.basis, kind.gcd_value, bound):
+        row = frobenius_row(q, degrees, field.n, kind.basis)
         if row is not None:
             _insert(span, row)
             if (width in span.rows) if kind.ell == 2 else len(span.rows) == width:
@@ -137,9 +136,10 @@ def test_stopped_sieve_spans_every_row_up_to_the_bound_at_scale(make, scan):
 def test_sieve_without_rows_stops_early(monkeypatch, kind, params, scan):
     field, adapter = _setting(corpus_generate(kind, params).poly, scan)
     walk = list(scan_mod._frobenius_primes(field, adapter.basis, adapter.gcd_value, BOUND))
-    # no prime below the bound gives a row, so a sieve that waits for rows
-    # runs one DDF at each of these primes
-    assert not any(frobenius_row(q, d, field.n, adapter.basis, r) for q, d, r in walk)
+    # no prime below the bound gives a nontrivial row, so a sieve that waits
+    # for rows runs one DDF at each of these primes
+    rows = [frobenius_row(q, d, field.n, adapter.basis) for q, d in walk]
+    assert all(row is None or row.trivial for row in rows)
     calls = []
 
     def ddf_degrees(f, q, *args, **kwargs):
@@ -173,41 +173,36 @@ def test_field_without_subfield_stops_at_the_row_that_empties_the_solutions(scan
         assert list(kernel_vectors(sieve.span)) == []
 
 
+def _made_up_sieve(monkeypatch, basis, plan):
+    """sieve_rows over a made-up prime walk: None in plan is a prime that
+    decides nothing, any other entry (coeffs, rhs) a class-deciding prime
+    with that row (frobenius_row's two kinds of answer)."""
+    walk = list(zip(range(101, 10_000, 2), plan))
+    rows = {q: entry and Row(*entry, q) for q, entry in walk}
+    monkeypatch.setattr(scan_mod, "_frobenius_primes",
+                        lambda *args, **kwargs: ((q, {}) for q, _ in walk))
+    monkeypatch.setattr(scan_mod, "frobenius_row", lambda q, *args: rows[q])
+    sieve = scan_mod.sieve_rows(types.SimpleNamespace(n=0), basis, 1, BOUND)
+    return sieve, [q for q, _ in walk]
+
+
 def test_stable_count_restarts_when_the_span_grows(monkeypatch):
     # a made-up prime walk over F_3, width 4: every row grows the span or
-    # repeats a row before it; NO_INFO primes (all degrees 3) do not count
+    # repeats a row before it; NO_INFO primes (None) do not count
     basis = PlaceBasis(3, (7, 13, 19))
     units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     plan = ([units[0]] + [units[0], None] * 7 + [units[1]] + [units[1], None] * 7
             + [units[2]] + [units[1]] * 7 + [units[0]] + [units[3]])
-    walk = [(q, {3: 2} if coeffs is None else {1: 6}, Row(coeffs or units[0], 0, q))
-            for q, coeffs in zip(range(101, 1000, 2), plan)]
-    monkeypatch.setattr(scan_mod, "_frobenius_primes", lambda *args, **kwargs: iter(walk))
-    field = types.SimpleNamespace(n=6)
-    sieve = scan_mod.sieve_rows(field, basis, 1, BOUND)
+    sieve, primes = _made_up_sieve(monkeypatch, basis, [c and (c, 0) for c in plan])
     # units[2] grows the span; the seven repeats of units[1] and the one of
     # units[0] after it make eight in a row, and the sieve stops there
     stop = plan.index(units[2]) + 8
-    assert sieve.walked == walk[stop][0]
+    assert sieve.walked == primes[stop]
     assert [r.coeffs for r in sieve.rows] == [c for c in plan[:stop + 1] if c is not None]
 
 
-def _made_up_sieve(monkeypatch, basis, n, plan, no_info, deciding):
-    """sieve_rows over a made-up prime walk: None in plan is a prime with the
-    factor degrees no_info, any other entry (coeffs, rhs) a prime with the
-    factor degrees deciding and that row."""
-    walk = list(zip(range(101, 10_000, 2), plan))
-    rows = {q: entry and Row(*entry, q) for q, entry in walk}
-    monkeypatch.setattr(scan_mod, "_frobenius_primes", lambda *args, **kwargs: (
-        (q, no_info if entry is None else deciding, rows[q]) for q, entry in walk))
-    if basis.e == 2:
-        monkeypatch.setattr(scan_mod, "frobenius_row", lambda q, *args: rows[q])
-    sieve = scan_mod.sieve_rows(types.SimpleNamespace(n=n), basis, 1, BOUND)
-    return sieve, [q for q, _ in walk]
-
-
 def test_budget_stops_after_as_many_no_information_primes_as_select_prime_takes(monkeypatch):
-    # over F_3, width 4; NO_INFO primes have all degrees 3
+    # over F_3, width 4; None is a NO_INFO prime
     basis = PlaceBasis(3, (7, 13, 19))
     units = [(tuple(int(i == j) for j in range(4)), 0) for i in range(4)]
     idle = [None] * (SELECT_PRIME_QUALIFYING - 1)
@@ -216,24 +211,24 @@ def test_budget_stops_after_as_many_no_information_primes_as_select_prime_takes(
     # a stale prime and the 25th NO_INFO prime after that growth stop it
     plan = ([units[0]] + [None] * 30 + [units[1], units[1]] + idle + [units[2], units[2]]
             + idle + [None] * 5)
-    sieve, primes = _made_up_sieve(monkeypatch, basis, 6, plan, {3: 2}, {1: 6})
+    sieve, primes = _made_up_sieve(monkeypatch, basis, plan)
     stop = len(plan) - 5
     assert sieve.walked == primes[stop]
     assert [r.coeffs for r in sieve.rows] == [units[i][0] for i in (0, 1, 1, 2, 2)]
     # the 30 NO_INFO primes count once a stale prime comes: it stops there
     plan = [units[0]] + [None] * 30 + [units[0], units[1]]
-    sieve, primes = _made_up_sieve(monkeypatch, basis, 6, plan, {3: 2}, {1: 6})
+    sieve, primes = _made_up_sieve(monkeypatch, basis, plan)
     assert sieve.walked == primes[31]
 
 
 def test_budget_waits_while_only_zero_solves_the_quadratic_rows(monkeypatch):
     # over F_2, width 2 with the right-hand side last: once the rows leave
-    # only 0, NO_INFO primes (degrees 2, 2) and SPLIT primes that add
+    # only 0, NO_INFO primes (None) and SPLIT primes that add
     # nothing do not stop the sieve; the INERT row that makes the system
     # inconsistent does
     basis = PlaceBasis(2, (2,))
     plan = ([((1, 0), 0), ((0, 1), 0)] + ([None] * 20 + [((1, 1), 0)]) * 3
             + [None] * 30 + [((0, 0), 1), None])
-    sieve, primes = _made_up_sieve(monkeypatch, basis, 4, plan, {2: 2}, {1: 4})
+    sieve, primes = _made_up_sieve(monkeypatch, basis, plan)
     assert sieve.walked == primes[len(plan) - 2]
     assert sieve.rows[-1].rhs == 1 and 2 in sieve.span.rows
