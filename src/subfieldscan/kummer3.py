@@ -12,8 +12,7 @@ The factors w and pi_i * conj(pi_i)**2 are the slot generators of the
 cubic place basis (sieve.PlaceBasis.generators), which the basis builds
 once; the sieve rows and the absence witnesses read the same generators.
 For a nonzero exponent vector a is no cube in Z[w], so the emitted cubic
-is irreducible; build_generator still rejects one with an integer root
-(nfroot.integer_root), which would otherwise pass as a cubic field.
+is irreducible over Q: it has no rational root, and defines a cubic field.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from dataclasses import dataclass
 
 from .eisenstein import EisensteinInt, ONE
 from .errors import ZeroExponentVector
-from .nfroot import integer_root
 from .poly import Poly
 from .ramify import CandidateSet
 from .sieve import PlaceBasis
@@ -43,8 +41,8 @@ def build_generator(exps, basis: PlaceBasis) -> CubicCandidate:
     """The cubic candidate for an exponent vector over a cubic place basis:
     a = prod basis.generators[i]**exps[i] and c = prod p_i**exps[i].
 
-    Rejects the zero vector and any degenerate candidate whose cubic has a
-    rational root (those do not define a cubic field).
+    Rejects the zero vector, the trivial class; every other vector gives
+    an irreducible cubic (see the module docstring).
     """
     exps = tuple(e % 3 for e in exps)
     if not any(exps):
@@ -59,10 +57,7 @@ def build_generator(exps, basis: PlaceBasis) -> CubicCandidate:
     if c**3 != n:
         raise ArithmeticError("norm is not the expected cube")
     t = a.trace()
-    minpoly = Poly([-t, -3 * c, 0, 1])
-    if integer_root(minpoly) is not None:
-        raise ZeroExponentVector(f"degenerate candidate: {minpoly} has a rational root")
-    return CubicCandidate(exps, a, c, t, a.y, minpoly)
+    return CubicCandidate(exps, a, c, t, a.y, Poly([-t, -3 * c, 0, 1]))
 
 
 def cubic_place_basis(candidate_set: CandidateSet) -> PlaceBasis:

@@ -26,13 +26,14 @@ packed the same way, with pdivmod is the reference the ring's products
 are tested against; invert is an extended Euclid over F_p, and
 QuotientRing.inverse lifts its answer to Z/p^k.
 
-Public operations: squarefree test, distinct-degree factor degrees, full
-factorization (distinct-degree + Cantor-Zassenhaus) and root extraction
-(the quadratic formula for a quadratic).  The Cantor-Zassenhaus split
-draws from a stream seeded by p, which no caller chooses: the factors, and
-the work spent finding them, depend on the polynomial and p alone.  The
-root tests' Hensel lifts to Z/p^k, of the factors of f and of the roots of
-h, live in nfroot (_lift_factors, _lift_root).
+Public operations: squarefree test, distinct-degree factorization
+(ddf_degrees, stage products by degree; degree_counts), its
+Cantor-Zassenhaus split (split_stages), the one way f mod p is factored,
+and root extraction (the quadratic formula for a quadratic).  The split
+draws from a stream seeded by p, which no caller chooses: the factors,
+and the work spent finding them, depend on the polynomial and p alone.
+The root tests' Hensel lifts to Z/p^k, of the factors of f and of the
+roots of h, live in nfroot (_lift_factors, _lift_root).
 
 The prime walks of the scans and the root tests' prime selection ask only
 part of this.  They settle squarefreeness themselves (NumberField.
@@ -430,35 +431,41 @@ def _ddf_stages(fb, p, barrett=None):
         yield deg(v), v
 
 
-def ddf_degrees(f: Poly, p: int, stop=None, barrett=None) -> dict[int, int]:
-    """Multiset of irreducible factor degrees of f mod p (degree -> count).
+def ddf_degrees(f: Poly, p: int, stop=None, barrett=None) -> dict[int, list[int]]:
+    """Distinct-degree factorization of f mod p: degree d -> the monic
+    product of its irreducible factors of degree d, d increasing.
 
-    Distinct-degree factorization only; no equal-degree splitting.  Without
-    a stop rule, raises NotSquarefree when f mod p is not squarefree.  A
-    caller that gives stop has already made sure that f mod p is
-    squarefree, and the gcd(f, f') test is skipped.  stop(degrees, left) is
-    asked after each stage that finds factors, with the degrees so far and
-    the degree of f not yet factored; when it is true the DDF ends there and
-    returns the degrees so far, which cover all of f exactly when left is 0.
-    barrett is barrett_constant(f) for a monic f (NumberField.barrett).
+    Without a stop rule, raises NotSquarefree when f mod p is not
+    squarefree.  A caller that gives stop has already made sure that f mod
+    p is squarefree, and the gcd(f, f') test is skipped.  stop(degrees,
+    left) is asked after each stage that finds factors, with the factor
+    degrees so far (degree_counts) and the degree of f not yet factored;
+    when it is true the DDF ends there and returns the stages so far, which
+    cover all of f exactly when left is 0.  barrett is barrett_constant(f)
+    for a monic f (NumberField.barrett).
     """
     if stop is None and not squarefree_mod_p(f, p):
         raise NotSquarefree(f"f mod {p} is not squarefree")
     fb = monic(from_poly(f, p), p)
     left = deg(fb)
-    out: dict[int, int] = {}
+    stages: dict[int, list[int]] = {}
     for d, g in _ddf_stages(fb, p, barrett):
-        out[d] = out.get(d, 0) + deg(g) // d
+        stages[d] = g
         left -= deg(g)
-        if stop is not None and stop(out, left):
+        if stop is not None and stop(degree_counts(stages), left):
             break
-    return out
+    return stages
+
+
+def degree_counts(stages: dict[int, list[int]]) -> dict[int, int]:
+    """The multiset of factor degrees (degree -> count) of DDF stages."""
+    return {d: deg(g) // d for d, g in stages.items()}
 
 
 def _split_equal_degree(g, d, p, rng: random.Random):
     """All monic irreducible factors of g, where every factor has degree d,
     by Cantor-Zassenhaus splitting with monic u of degree deg(g) drawn from
-    rng, a stream seeded by p at both callers."""
+    rng, a stream seeded by p (split_stages)."""
     if deg(g) == d:
         return [g]
     if deg(g) == 0:
@@ -482,20 +489,17 @@ def _split_equal_degree(g, d, p, rng: random.Random):
     raise RetryLimitExceeded(f"equal-degree splitting stalled mod {p}")
 
 
-def factor_mod_p(f: Poly, p: int) -> list[list[int]]:
-    """Complete factorization of squarefree f mod p into monic irreducibles,
-    sorted by degree then coefficients.
+def split_stages(stages: dict[int, list[int]], p: int) -> list[list[int]]:
+    """The monic irreducible factors of the DDF stages (ddf_degrees), sorted
+    by degree then coefficients.
 
-    The Cantor-Zassenhaus splitting draws from a stream seeded with p.  The
-    sort makes the output independent of the draws: they change the time
-    the split takes, not its result.
+    The Cantor-Zassenhaus splitting draws from a stream seeded with p, in
+    stage order.  The sort makes the output independent of the draws: they
+    change the time the split takes, not its result.
     """
-    if not squarefree_mod_p(f, p):
-        raise NotSquarefree(f"f mod {p} is not squarefree")
-    fb = monic(from_poly(f, p), p)
     rng = random.Random(p)
     factors = []
-    for d, g in _ddf_stages(fb, p):
+    for d, g in stages.items():
         factors.extend(_split_equal_degree(g, d, p, rng))
     factors.sort(key=lambda a: (len(a), tuple(reversed(a))))
     return factors
@@ -522,5 +526,4 @@ def roots_mod_p(h: Poly, p: int) -> set[int]:
         return {r for r in range(p) if evaluate(hb, r, p) == 0}
     hb = monic(hb, p)
     w = sub(QuotientRing(hb, p).xpow(p), [0, 1], p)
-    g = gcd(w, hb, p)
-    return {-u[0] % p for u in _split_equal_degree(g, 1, p, random.Random(p))}
+    return {-u[0] % p for u in split_stages({1: gcd(w, hb, p)}, p)}

@@ -40,15 +40,15 @@ prime with r < deg h proves that h has no root in L, with no lattice
 (find_root still answers not_found: the report takes its proofs of
 absence from Frobenius witnesses).
 
-The factor degrees come from NumberField.factor_degrees, which keeps what
-the DDFs of the scans' prime walks learned at each prime.  In a Galois
-field all factors of f mod p have one degree, so each of those DDFs is
-complete, and a root test runs a DDF only at a prime above the one where
-the sieve stopped.  The prime selection keeps none of its own, so another
-root test on the field runs such a DDF again.  Squarefreeness mod p comes
-from NumberField.squarefree_mod (the discriminant, computed once per
-field, when it is cheap), and each DDF stops as soon as its prime cannot
-beat the best so far, so only the winner's factor count is known in full.
+f mod p is factored by one DDF per prime (NumberField.ddf), which keeps
+the stages the DDFs of the scans' prime walks found.  In a Galois field
+all factors of f mod p have one degree, so each of those DDFs is complete,
+and a root test runs a DDF only at a prime above the one where the sieve
+stopped; it keeps none of its own.  Squarefreeness mod p comes from
+NumberField.squarefree_mod, and each DDF stops as soon as its prime cannot
+beat the best so far, so only the winner's stages cover f.  Their split
+(modp.split_stages) gives the factors of f mod p, with no second
+squarefree test or DDF.
 """
 
 from __future__ import annotations
@@ -83,8 +83,10 @@ class NumberField:
     squarefree, and every layer after it takes f as valid.
 
     Besides f it keeps what is computed once per field: disc(f) when it is
-    cheap, the Barrett constant of f and the factor degrees of f mod p
-    learned at each prime (factor_degrees)."""
+    cheap, the Barrett constant of f and the DDF stages of f mod p that the
+    prime walks learn (ddf).  Root tests keep none (keep=False): the
+    benchmark harness reuses a field across passes and compares their DDF
+    counts, so no DDF state may cross from one root test to the next."""
 
     def __init__(self, f: Poly):
         if not (f.is_monic() and f.is_integral()):
@@ -98,7 +100,7 @@ class NumberField:
         self.fprime = f.derivative()
         self._disc = None
         self._barrett = None
-        self._degrees: dict[int, tuple[dict[int, int], int]] = {}
+        self._stages: dict[int, tuple[dict[int, list[int]], int]] = {}
 
     def barrett(self) -> list[int]:
         """x^(2n-1) div f over Z, computed once on first use: every
@@ -119,24 +121,23 @@ class NumberField:
             return self._disc % p != 0
         return modp.squarefree_mod_p(self.f, p)
 
-    def factor_degrees(self, p: int, stop, keep: bool = True) -> tuple[dict[int, int], int]:
-        """(factor degrees of f mod p, degree of f left unfactored), for a
-        p modulo which f is squarefree, from a DDF that ends once
-        stop(degrees, left) holds (modp.ddf_degrees).
+    def ddf(self, p: int, stop, keep: bool = True) -> tuple[dict[int, list[int]], int]:
+        """(DDF stages of f mod p, degree of f left unfactored), for a p
+        modulo which f is squarefree, from a DDF that ends once
+        stop(degrees, left) holds (modp.ddf_degrees; the degrees are
+        modp.degree_counts of the stages).
 
         A kept answer answers a later call when it is complete (left = 0)
         or when that call's stop rule holds on it; otherwise the DDF runs
         again.  Either way the caller learns at least what its own DDF
-        would tell it.  With keep, a DDF's answer is kept, replacing the
-        one before; the prime walks keep theirs.  select_prime does not:
-        then a root test does the same work whatever root tests ran on the
-        field before it.  The degrees are shared: do not change them."""
-        entry = self._degrees.get(p)
-        if entry is None or (entry[1] and not stop(*entry)):
-            degrees = modp.ddf_degrees(self.f, p, stop=stop, barrett=self.barrett())
-            entry = degrees, self.n - sum(d * c for d, c in degrees.items())
+        would tell it.  With keep, a DDF's answer replaces the one kept.
+        The stages are shared: do not change them."""
+        entry = self._stages.get(p)
+        if entry is None or (entry[1] and not stop(modp.degree_counts(entry[0]), entry[1])):
+            stages = modp.ddf_degrees(self.f, p, stop=stop, barrett=self.barrett())
+            entry = stages, self.n - sum(modp.deg(g) for g in stages.values())
             if keep:
-                self._degrees[p] = entry
+                self._stages[p] = entry
         return entry
 
 
@@ -189,9 +190,9 @@ def select_prime(field: NumberField, h: Poly) -> PrimeData:
 
     A prime's DDF is abandoned as soon as the factors found, plus one for
     any degree left, reach the best count so far: the prime can then only
-    tie with an earlier one or lose.  It still counts as qualifying."""
-    f = field.f
-    best = None   # (r, p, roots)
+    tie with an earlier one or lose.  It still counts as qualifying.  The
+    factors of f mod p are the split of the DDF stages that chose p."""
+    best = None   # (r, p, roots, stages)
 
     def cannot_win(degrees, left):
         return best is not None and sum(degrees.values()) + (left > 0) >= best[0]
@@ -202,17 +203,16 @@ def select_prime(field: NumberField, h: Poly) -> PrimeData:
         if len(roots) != h.degree or not field.squarefree_mod(p):
             continue
         qualifying += 1
-        degrees, left = field.factor_degrees(p, cannot_win, keep=False)
-        r = sum(degrees.values())
+        stages, left = field.ddf(p, cannot_win, keep=False)
+        r = sum(modp.degree_counts(stages).values())
         if not left and (best is None or r < best[0]):
-            best = (r, p, tuple(sorted(roots)))
+            best = (r, p, tuple(sorted(roots)), stages)
         if qualifying >= SELECT_PRIME_QUALIFYING or best[0] <= h.degree:
             break
     if best is None:
         raise NoPrimeFound(f"no usable prime below {SELECT_PRIME_BOUND}")
-    _, p, roots = best
-    factors = tuple(tuple(fac) for fac in modp.factor_mod_p(f, p))
-    return PrimeData(p, factors, roots)
+    _, p, roots, stages = best
+    return PrimeData(p, tuple(tuple(fac) for fac in modp.split_stages(stages, p)), roots)
 
 
 def integer_root(h: Poly) -> int | None:
@@ -511,8 +511,8 @@ def find_root(field: NumberField, h: Poly, config=None, rng=None) -> RootSearch:
     positional parameters only because the benchmark harness
     (perfbench/run.py) still passes a ScanConfig and a random.Random there:
     no setting changes a root test, whose precision comes from a bound, and
-    the Cantor-Zassenhaus splitting of f mod p draws from a stream seeded
-    by p (modp.factor_mod_p)."""
+    the Cantor-Zassenhaus split of the DDF stages of f mod p draws from a
+    stream seeded by p (modp.split_stages)."""
     if not (h.is_monic() and h.is_integral() and h.degree in (2, 3)):
         raise ValueError("h must be monic integral of degree 2 or 3")
     root = integer_root(h)

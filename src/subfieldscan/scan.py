@@ -29,9 +29,10 @@ factor degree deciding the class; and, for cubic scans, the residue classes
 of the slot generators only at a prime that splits in every cyclic cubic
 subfield (sieve.frobenius_row).  What a prime gives, its class and its row,
 depends on f and q alone, the same for the sieve and a witness search.
-The walk asks the field for the factor degrees (NumberField.
-factor_degrees), which keeps them: the root tests' prime selection and a
-later witness search read them instead of running the DDF again.
+The walk asks the field for the DDF stages (NumberField.ddf), which keeps
+them: the root tests' prime selection, which splits the winner's stages
+into the factors of f mod p, and a later witness search read them instead
+of running the DDF again.
 
 The twist closure works mod p**k, for the first odd prime p outside the
 place basis at which f is squarefree (_Kind.ring).  A member of the span of
@@ -57,7 +58,6 @@ from . import modp
 from .arith import factor_integer, iter_primes, legendre
 from .config import ScanConfig
 from .eisenstein import OMEGA, split_prime
-from .errors import ZeroExponentVector
 from .kummer3 import CubicCandidate, build_generator, cubic_place_basis
 from .nfroot import (PROVED, SELECT_PRIME_QUALIFYING, NumberField, RootCertificate,
                      find_root, scaled_root_bits, verify_certificate)
@@ -138,7 +138,7 @@ class ScanReport:
             q = e.witness_prime
             if e.status != STATUS_CERTIFIED_ABSENT or q is None:
                 continue
-            degrees = modp.ddf_degrees(field.f, q)
+            degrees = modp.degree_counts(modp.ddf_degrees(field.f, q))
             if e.delta is not None:
                 cls = classify_prime_quadratic(degrees, field.n)
                 sym = legendre(e.delta, q)
@@ -176,14 +176,14 @@ def _frobenius_primes(field: NumberField, basis: PlaceBasis, gcd_value: int, bou
     """(q, factor degrees of f mod q) for the primes after < q <= bound,
     from 3 (l = basis.e = 2) or 5 (l = 3), that are not in the basis, do
     not divide gcd_value, and modulo which f is squarefree (NumberField.
-    squarefree_mod).  The degrees come from the field, which keeps them
-    (NumberField.factor_degrees): a DDF stops at the first degree that
+    squarefree_mod).  The degrees come from the field, which keeps its DDF
+    stages (NumberField.ddf): a DDF stops at the first degree that
     decides the class (sieve.class_decided), and a kept answer on which
     that rule holds is used as it is."""
     stop = class_decided(basis.e)
     for q in iter_primes(max(after + 1, 3 if basis.e == 2 else 5), bound):
         if q not in basis.primes and gcd_value % q and field.squarefree_mod(q):
-            yield q, field.factor_degrees(q, stop)[0]
+            yield q, modp.degree_counts(field.ddf(q, stop)[0])
 
 
 # The sieve stops after this many class-deciding primes in a row have left
@@ -389,12 +389,10 @@ class _Cubic(_Kind):
     def solve(self, span):
         """(candidates in walk order; the dimension of the kernel of the
         span of the sieve's rows, whose (3**dim - 1) / 2 classes are the
-        candidates before degenerate ones are dropped)."""
+        candidates: kernel_vectors yields no zero vector, and every nonzero
+        one gives a cubic field)."""
         for rep in kernel_vectors(span):
-            try:
-                cand = build_generator(rep, self.basis)
-            except ZeroExponentVector:
-                continue  # degenerate classes give no cubic field
+            cand = build_generator(rep, self.basis)
             self.candidates[cand.exponents] = cand
         cands = self.candidates
         order = sorted(cands, key=lambda v: (cands[v].c, abs(cands[v].t), cands[v].t))

@@ -17,8 +17,8 @@ from subfieldscan.arith import factor_integer
 from subfieldscan.config import ScanConfig
 from subfieldscan.errors import NotSquarefree
 from subfieldscan.lattice import lll_reduce
-from subfieldscan.modp import (ddf_degrees, derivative, factor_mod_p, from_poly, mul, pdivmod,
-                               pmod, trim)
+from subfieldscan.modp import (ddf_degrees, degree_counts, derivative, from_poly, mul, pdivmod,
+                               pmod, split_stages, trim)
 from subfieldscan.nfroot import (NumberField, RootCertificate, _lift_factors, _lift_root,
                                  find_root, integer_root, select_prime, verify_certificate)
 from subfieldscan.poly import Poly, disc_poly, eth_root_coeffs
@@ -199,12 +199,13 @@ def test_criterion_7c_ddf_degree_sums():
         p = rng.choice([3, 5, 7, 11, 13, 101])
         f = Poly([rng.randint(-30, 30) for _ in range(rng.randint(2, 10))] + [1])
         try:
-            degs = ddf_degrees(f, p)
+            stages = ddf_degrees(f, p)
         except NotSquarefree:
             continue
         checked += 1
+        degs = degree_counts(stages)
         assert sum(d * c for d, c in degs.items()) == f.degree
-        factors = factor_mod_p(f, p)
+        factors = split_stages(stages, p)
         by_deg = {}
         for fac in factors:
             by_deg[len(fac) - 1] = by_deg.get(len(fac) - 1, 0) + 1
@@ -221,7 +222,7 @@ def test_criterion_7d_newton_lifts():
         p = rng.choice([3, 5, 7, 11])
         f = Poly([rng.randint(-20, 20) for _ in range(rng.randint(2, 7))] + [1])
         try:
-            factors = factor_mod_p(f, p)
+            factors = split_stages(ddf_degrees(f, p), p)
         except NotSquarefree:
             continue
         if len(factors) < 2:

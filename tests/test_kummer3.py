@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import mpmath
@@ -5,6 +6,7 @@ import pytest
 
 from subfieldscan.errors import ZeroExponentVector
 from subfieldscan.kummer3 import build_generator, cubic_place_basis
+from subfieldscan.nfroot import integer_root
 from subfieldscan.poly import Poly, disc_poly
 from subfieldscan.ramify import CandidateSet
 from subfieldscan.sieve import PlaceBasis, Span, kernel_vectors
@@ -41,6 +43,17 @@ def test_candidate_invariants():
         cand = build_generator(tuple(exps), PlaceBasis(3, tuple(chosen)))
         assert cand.a.norm() == cand.c**3
         assert disc_poly(cand.minpoly) == (9 * cand.v) ** 2
+
+
+def test_no_nonzero_class_has_a_rational_root():
+    # a nonzero exponent vector is no cube in Z[w], so X^3 - 3cX - t is
+    # irreducible over Q: build_generator and the cubic walk need no check
+    # for a rational root
+    basis = PlaceBasis(3, (7, 13, 19, 31))
+    vectors = [v for v in itertools.product(range(3), repeat=basis.width) if any(v)]
+    assert len(vectors) == 242
+    for v in vectors:
+        assert integer_root(build_generator(v, basis).minpoly) is None, v
 
 
 def test_emitted_polynomial_has_the_symmetric_root():

@@ -8,10 +8,20 @@ from subfieldscan.arith import primes_up_to
 from subfieldscan.errors import NotSquarefree
 from subfieldscan.poly import Poly, disc_poly
 from subfieldscan.sieve import class_decided, classify_prime_cubic, classify_prime_quadratic
+from tests_poly_helpers import factor_mod_p
 
 
 def rand_intpoly(rng, deg, bound=20):
     return Poly([rng.randint(-bound, bound) for _ in range(deg)] + [1])
+
+
+def factorize(f, p):
+    """The library's factorization of f mod p: a DDF, then its split."""
+    return modp.split_stages(modp.ddf_degrees(f, p), p)
+
+
+def degrees(f, p):
+    return modp.degree_counts(modp.ddf_degrees(f, p))
 
 
 def test_squarefree_examples():
@@ -21,19 +31,22 @@ def test_squarefree_examples():
 
 
 def test_ddf_examples():
-    assert modp.ddf_degrees(Poly.from_desc([1, 0, 0, 0, 1]), 5) == {2: 2}
-    assert modp.ddf_degrees(Poly.from_desc([1, 0, -2]), 3) == {2: 1}
-    assert modp.ddf_degrees(Poly.from_desc([1, 0, -1]), 7) == {1: 2}
+    assert modp.ddf_degrees(Poly.from_desc([1, 0, 0, 0, 1]), 5) == {2: [1, 0, 0, 0, 1]}
+    assert degrees(Poly.from_desc([1, 0, 0, 0, 1]), 5) == {2: 2}
+    assert degrees(Poly.from_desc([1, 0, -2]), 3) == {2: 1}
+    assert degrees(Poly.from_desc([1, 0, -1]), 7) == {1: 2}
+    # x (x + 1) (x^3 + x + 1) mod 2
+    assert modp.ddf_degrees(Poly.from_desc([1, 1, 1, 0, 1, 0]), 2) == {1: [0, 1, 1], 3: [1, 1, 0, 1]}
     with pytest.raises(NotSquarefree):
         modp.ddf_degrees(Poly.from_desc([1, 0, -2]), 2)
 
 
 def test_factor_examples():
-    fs = modp.factor_mod_p(Poly.from_desc([1, 0, 0, 0, 1]), 5)
+    fs = factorize(Poly.from_desc([1, 0, 0, 0, 1]), 5)
     assert fs == [[2, 0, 1], [3, 0, 1]]
-    fs = modp.factor_mod_p(Poly.from_desc([1, 0, -1]), 7)
+    fs = factorize(Poly.from_desc([1, 0, -1]), 7)
     assert fs == [[1, 1], [6, 1]]
-    fs = modp.factor_mod_p(Poly.from_desc([1, 0, -2]), 3)
+    fs = factorize(Poly.from_desc([1, 0, -2]), 3)
     assert fs == [[1, 0, 1]]  # x^2 - 2 = x^2 + 1 mod 3, irreducible
 
 
@@ -45,32 +58,32 @@ def test_ddf_and_factor_agree():
         p = rng.choice(primes)
         f = rand_intpoly(rng, rng.randint(2, 9))
         try:
-            degs = modp.ddf_degrees(f, p)
+            stages = modp.ddf_degrees(f, p)
         except NotSquarefree:
             continue
         checked += 1
+        degs = modp.degree_counts(stages)
         assert sum(d * c for d, c in degs.items()) == f.degree
-        factors = modp.factor_mod_p(f, p)
+        fs = modp.split_stages(stages, p)
         got = {}
-        for fac in factors:
+        for fac in fs:
             got[len(fac) - 1] = got.get(len(fac) - 1, 0) + 1
         assert got == degs
         # product of factors reproduces f (monic) and each factor is irreducible
         prod = [1]
-        for fac in factors:
+        for fac in fs:
             prod = modp.mul(prod, fac, p)
         assert prod == modp.monic(modp.from_poly(f, p), p)
-        for fac in factors:
-            sub = modp.ddf_degrees(Poly(fac), p)
-            assert sub == {len(fac) - 1: 1}
+        for fac in fs:
+            assert degrees(Poly(fac), p) == {len(fac) - 1: 1}
 
 
 def test_factor_gf2():
     f = Poly.from_desc([1, 0, 1, 1])  # irreducible mod 2? x^3+x+1 yes
-    assert modp.factor_mod_p(f, 2) == [[1, 1, 0, 1]]
+    assert factorize(f, 2) == [[1, 1, 0, 1]]
     g = Poly.from_desc([1, 1, 0, 1])  # x^3+x^2+1 irreducible
     h = (f * g)
-    fs = modp.factor_mod_p(h, 2)
+    fs = factorize(h, 2)
     assert sorted(fs) == sorted([[1, 1, 0, 1], [1, 0, 1, 1]])
 
 
@@ -327,25 +340,42 @@ def test_cubic_and_quartic_roots_match_brute_force(desc):
 def test_ddf_matches_factor_degrees(p, low):
     f = Poly(low + [1])
     try:
-        degs = modp.ddf_degrees(f, p)
+        stages = modp.ddf_degrees(f, p)
     except NotSquarefree:
         assume(False)
-    factors = modp.factor_mod_p(f, p)
+    fs = modp.split_stages(stages, p)
     got = {}
-    for fac in factors:
+    for fac in fs:
         got[len(fac) - 1] = got.get(len(fac) - 1, 0) + 1
-    assert got == degs
+    assert got == modp.degree_counts(stages)
     prod = [1]
-    for fac in factors:
+    for fac in fs:
         prod = modp.mul(prod, fac, p)
     assert prod == modp.from_poly(f, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 31, 257]),
+       st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=16),
+       st.booleans())
+def test_split_of_the_ddf_stages_is_the_reference_factorization(p, low, barrett):
+    # the library factors f mod p one way: the stages of one DDF, with or
+    # without the field's Barrett constant, split; the reference runs its
+    # own gcd(f, f') test and DDF, and both draw from the stream seeded by p
+    f = Poly(low + [1])
+    try:
+        expect = factor_mod_p(f, p)
+    except NotSquarefree:
+        assume(False)
+    mu = modp.barrett_constant(low + [1]) if barrett else None
+    assert modp.split_stages(modp.ddf_degrees(f, p, barrett=mu), p) == expect
 
 
 @pytest.mark.parametrize("p", [2, 3, 31, 257])
 def test_split_equal_degree_gives_the_same_factors_under_any_stream(p):
     # several factors of one degree, whose order only the sort fixes: the
     # stream a split draws from changes its steps, not its factors, so no
-    # caller chooses one (factor_mod_p seeds it with p)
+    # caller chooses one (split_stages seeds it with p)
     groups = {1: [[-a % p, 1] for a in range(min(p, 5))]}
     if p == 2:
         groups[3] = [[1, 1, 0, 1], [1, 0, 1, 1]]
@@ -360,7 +390,7 @@ def test_split_equal_degree_gives_the_same_factors_under_any_stream(p):
         assert len(factors) >= 2 and splits[0] == splits[1] == sorted(factors)
     expect = sorted((fac for factors in groups.values() for fac in factors),
                     key=lambda a: (len(a), tuple(reversed(a))))
-    assert modp.factor_mod_p(Poly(f), p) == expect
+    assert factorize(Poly(f), p) == expect
 
 
 @settings(max_examples=300, deadline=None)
@@ -374,10 +404,12 @@ def test_disc_decides_squarefree_and_stopped_ddf_keeps_the_class(low, q):
     squarefree = modp.squarefree_mod_p(f, q)
     assert (disc_poly(f) % q == 0) == (not squarefree)
     assume(squarefree)
-    full = modp.ddf_degrees(f, q)
+    stages = modp.ddf_degrees(f, q)
+    full = modp.degree_counts(stages)
     for ell in (2, 3):
-        part = modp.ddf_degrees(f, q, stop=class_decided(ell))
-        assert part.items() <= full.items()
+        part_stages = modp.ddf_degrees(f, q, stop=class_decided(ell))
+        assert part_stages.items() <= stages.items()
+        part = modp.degree_counts(part_stages)
         if ell == 2 and f.degree % 2 == 0:
             assert classify_prime_quadratic(part, f.degree) == \
                 classify_prime_quadratic(full, f.degree)

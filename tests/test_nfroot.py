@@ -6,14 +6,14 @@ import pytest
 from subfieldscan import modp
 from subfieldscan.arith import primes_up_to
 from subfieldscan.errors import NoPrimeFound, NotSquarefree
-from subfieldscan.modp import ddf_degrees, factor_mod_p, roots_mod_p, squarefree_mod_p
+from subfieldscan.modp import ddf_degrees, degree_counts, roots_mod_p, squarefree_mod_p
 from subfieldscan.nfroot import (NOT_FOUND, PROVED, NumberField, PrimeData, RootCertificate,
                                  find_root, integer_root, knapsack_precision, knapsack_size,
                                  scaled_root_bits, select_prime, verify_certificate)
 from subfieldscan.poly import Poly, compositum_minpoly
 from subfieldscan.testkit import (CYCLOTOMIC_QUAD_TRUTH, corpus_generate,
                                   multiquadratic_certificates, multiquadratic_minpoly)
-from tests_poly_helpers import taylor_shift
+from tests_poly_helpers import factor_mod_p, taylor_shift
 
 ZETA8 = Poly.from_desc([1, 0, 0, 0, 1])
 Y2M2 = Poly.from_desc([1, 0, -2])
@@ -37,7 +37,7 @@ def test_select_prime_conditions():
     # the chosen prime minimizes the factor count among qualifying primes;
     # 7 qualifies with r = 2, 17 qualifies with r = 4
     assert pd.p == 7 and pd.r == 2
-    assert sum(ddf_degrees(field.f, 17).values()) == 4
+    assert sum(degree_counts(ddf_degrees(field.f, 17)).values()) == 4
     assert len(roots_mod_p(Y2M2, 17)) == 2
 
 
@@ -52,7 +52,7 @@ def exhaustive_select_prime(field, h, first_at_most_deg_h=True):
         if len(roots) != h.degree:
             continue
         try:
-            r = sum(ddf_degrees(field.f, p).values())
+            r = sum(degree_counts(ddf_degrees(field.f, p)).values())
         except NotSquarefree:
             continue
         qualifying.append((r, p, tuple(sorted(roots))))
@@ -108,7 +108,8 @@ def test_early_stop_picks_the_25_prime_rules_prime_for_true_subfields():
     for field, h in _true_subfields():
         for p in primes_up_to(300)[1:]:
             if len(roots_mod_p(h, p)) == h.degree and squarefree_mod_p(field.f, p):
-                assert sum(ddf_degrees(field.f, p).values()) >= h.degree, (field.f, h, p)
+                assert sum(degree_counts(ddf_degrees(field.f, p)).values()) >= h.degree, \
+                    (field.f, h, p)
         chosen = select_prime(field, h)
         assert chosen == exhaustive_select_prime(field, h) == \
             exhaustive_select_prime(field, h, first_at_most_deg_h=False), h
@@ -646,7 +647,7 @@ def test_newton_lift_invariant():
         assert (s * s - 2) % 17**k == 0
 
 
-def test_factor_degrees_are_kept_per_prime(monkeypatch):
+def test_ddf_stages_are_kept_per_prime(monkeypatch):
     # the field answers from what it kept when the entry is complete or the
     # caller's stop rule holds on it, and runs the DDF again otherwise
     from subfieldscan.sieve import class_decided
@@ -657,25 +658,72 @@ def test_factor_degrees_are_kept_per_prime(monkeypatch):
         calls.append(q)
         return real_ddf(g, q, stop, barrett)
 
+    def counts(entry):
+        return degree_counts(entry[0]), entry[1]
+
     real_ddf = modp.ddf_degrees
     monkeypatch.setattr(modp, "ddf_degrees", ddf_degrees)
     field = NumberField(S4_QUARTIC)
     # mod 11 the degrees are 1 and 3: the class rule for l = 2 stops at 1
-    assert field.factor_degrees(11, class_decided(2)) == ({1: 1}, 3)
-    assert field.factor_degrees(11, class_decided(2)) == ({1: 1}, 3)
-    assert field.factor_degrees(11, lambda degrees, left: sum(degrees.values()) >= 1) == \
-        ({1: 1}, 3)
+    first = field.ddf(11, class_decided(2))
+    assert counts(first) == ({1: 1}, 3)
+    assert field.ddf(11, class_decided(2)) is first
+    assert counts(field.ddf(11, lambda degrees, left: sum(degrees.values()) >= 1)) == ({1: 1}, 3)
     assert calls == [11]
     # a rule that does not hold on the entry: the DDF runs again, and its
     # complete answer replaces the entry and answers every later rule
-    assert field.factor_degrees(11, lambda degrees, left: False) == ({1: 1, 3: 1}, 0)
-    assert field.factor_degrees(11, class_decided(3)) == ({1: 1, 3: 1}, 0)
+    full = field.ddf(11, lambda degrees, left: False)
+    assert counts(full) == ({1: 1, 3: 1}, 0)
+    assert full[0] == real_ddf(S4_QUARTIC, 11)
+    assert field.ddf(11, class_decided(3)) is full
     assert calls == [11, 11]
     # an answer that is not kept is computed at every call
     for _ in range(2):
-        assert field.factor_degrees(13, lambda degrees, left: False, keep=False) == \
+        assert counts(field.ddf(13, lambda degrees, left: False, keep=False)) == \
             ({1: 1, 3: 1}, 0)
     assert calls == [11, 11, 13, 13]
+
+
+@pytest.mark.parametrize("f, h, sieve", [
+    (S4_SQRT5, Poly([-5, 0, 1]), False),   # not Galois: the selection's own DDF decides p
+    (ZETA8, Y2M2, True),                   # Galois: the sieve's kept DDF at p = 7 decides it
+], ids=["not-galois", "sieve-kept"])
+def test_a_root_test_factors_f_mod_p_by_the_ddf_that_chose_p(monkeypatch, f, h, sieve):
+    # the factors of f mod p are the split of the stages of the DDF that
+    # chose p: no gcd(f, f') test mod p and no DDF outside ddf_degrees
+    import subfieldscan.scan as scan_mod
+    from subfieldscan.config import ScanConfig
+    from subfieldscan.ramify import candidate_ramified_primes
+
+    field = NumberField(f)
+    pd = select_prime(field, h)
+    if sieve:
+        kind = scan_mod._Quad(field, candidate_ramified_primes(field, 2))
+        walked = scan_mod.sieve_rows(field, kind.basis, kind.gcd_value,
+                                     ScanConfig().sieve_prime_bound).walked
+        assert pd.p <= walked
+    squarefree, stages, ddf = [], [], []
+
+    def squarefree_mod_p(g, q):
+        squarefree.append(q)
+        return real_squarefree(g, q)
+
+    def ddf_stages(fb, q, barrett=None):
+        stages.append(q)
+        return real_stages(fb, q, barrett)
+
+    def ddf_degrees(g, q, stop=None, barrett=None):
+        ddf.append(q)
+        return real_ddf(g, q, stop, barrett)
+
+    real_squarefree, real_stages, real_ddf = (modp.squarefree_mod_p, modp._ddf_stages,
+                                              modp.ddf_degrees)
+    monkeypatch.setattr(modp, "squarefree_mod_p", squarefree_mod_p)
+    monkeypatch.setattr(modp, "_ddf_stages", ddf_stages)
+    monkeypatch.setattr(modp, "ddf_degrees", ddf_degrees)
+    assert find_root(field, h).status == PROVED
+    assert squarefree == [] and stages == ddf
+    assert (pd.p not in ddf) if sieve else (ddf[-1] == pd.p)
 
 
 def test_root_tests_on_one_field_repeat_their_work(monkeypatch):

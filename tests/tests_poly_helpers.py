@@ -9,13 +9,18 @@ subresultant PRS that NumberField.squarefree_mod uses.  The rational
 extended Euclid and the quadratic twist product over Q it gives are the
 reference for the scan's products mod a prime power.  Also test inputs
 the corpus does not code: the Taylor shift f(x + c) and composita of
-Gauss's period cubics."""
+Gauss's period cubics.  And the complete factorization of f mod p by a
+gcd(f, f') test, a DDF and the split of its stages in one call, the
+reference for the library's one path (modp.ddf_degrees, then
+modp.split_stages)."""
 
+import random
 from fractions import Fraction
 from math import gcd, isqrt
 
 from subfieldscan.arith import factor_integer
 from subfieldscan.errors import DegreeNotDivisible, NotSquarefree
+from subfieldscan.modp import _ddf_stages, _split_equal_degree, from_poly, monic, squarefree_mod_p
 from subfieldscan.poly import Poly, compositum_minpoly, disc_poly
 
 
@@ -224,3 +229,22 @@ def mixed_compositum(conductors, deltas) -> Poly:
     for d in deltas:
         f = compositum(Poly([-d, 0, 1]), f)
     return f
+
+
+def factor_mod_p(f: Poly, p: int) -> list[list[int]]:
+    """Complete factorization of squarefree f mod p into monic irreducibles,
+    sorted by degree then coefficients.
+
+    The Cantor-Zassenhaus splitting draws from a stream seeded with p.  The
+    sort makes the output independent of the draws: they change the time
+    the split takes, not its result.
+    """
+    if not squarefree_mod_p(f, p):
+        raise NotSquarefree(f"f mod {p} is not squarefree")
+    fb = monic(from_poly(f, p), p)
+    rng = random.Random(p)
+    factors = []
+    for d, g in _ddf_stages(fb, p):
+        factors.extend(_split_equal_degree(g, d, p, rng))
+    factors.sort(key=lambda a: (len(a), tuple(reversed(a))))
+    return factors
