@@ -6,8 +6,14 @@ certificates), corpus (emit test polynomials with ground-truth sidecars).
 All integers in report JSON are serialized as decimal strings so values
 beyond 53 bits survive every JSON implementation.  Exit codes: 0 complete,
 1 an invalid certificate (certify), 2 complete with unproven absences,
-3 input error, a usage error of the command line included (one line
-"input error: ..." on stderr), 4 a factoring or splitting budget exceeded.
+3 input error (one line "input error: ..." on stderr): a file that cannot
+be read, a polynomial or corpus parameter that the input gate refuses
+(errors.InputError: the parser, normalize_input, NumberField,
+testkit.corpus_generate), certify's JSON that is not a report, or a usage
+error of the command line; 4 an exhausted budget (errors.BudgetExceeded:
+factoring, splitting, prime selection).  Any other exception is a fault
+of the library, not of the input: it reaches the caller with its
+traceback, and python exits 1.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .config import ScanConfig
-from .errors import BudgetExceeded, MultipleVariables, PolyParseError, SubfieldScanError
+from .errors import BudgetExceeded, InputError, PolyParseError
 from .nfroot import NumberField, RootCertificate, verify_certificate
 from .poly import Poly, normalize_input
 from .scan import (ExcludedEntry, ScanReport, SieveSummary, SubfieldEntry,
@@ -98,7 +104,7 @@ def _parse_expression(text: str) -> Poly:
             raise PolyParseError(f"cannot parse near {text[pos:pos+10]!r}", pos)
         if var is not None:
             if var not in ("x", "X"):
-                raise MultipleVariables(f"unexpected variable {var!r}", pos)
+                raise PolyParseError(f"unexpected variable {var!r}", pos)
             if var_seen is None:
                 var_seen = var
             exp = int(exp_s) if exp_s is not None else 1
@@ -144,8 +150,12 @@ def render_poly(p: Poly) -> str:
 
 
 def read_poly_file(path: str) -> Poly:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise PolyParseError(f"{path} is not text ({exc.reason})") from None
     lines = []
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             lines.append(line)
@@ -280,21 +290,9 @@ def _add_scan_args(sp):
                          "earlier once its rows stop adding information")
 
 
-def _run_scan(args, kind: str) -> int:
-    try:
-        f_raw = read_poly_file(args.input)
-    except (OSError, ValueError, PolyParseError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
-        scan_fn = quad_subfield_scan if kind == "quad" else cubic_subfield_scan
-        report = scan_fn(f_raw, ScanConfig(sieve_prime_bound=args.sieve_bound))
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ValueError, SubfieldScanError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+def _run_scan(args) -> int:
+    scan_fn = quad_subfield_scan if args.command == "quad" else cubic_subfield_scan
+    report = scan_fn(read_poly_file(args.input), ScanConfig(sieve_prime_bound=args.sieve_bound))
     text = report_json(report)
     if args.json:
         Path(args.json).write_text(text)
@@ -335,21 +333,20 @@ def _certificate_entries(data) -> list[dict]:
 
 
 def _cmd_certify(args) -> int:
+    field = NumberField(normalize_input(read_poly_file(args.input))[0])
     try:
-        f, _ = normalize_input(read_poly_file(args.input))
-        field = NumberField(f)
         entries = _certificate_entries(json.loads(Path(args.cert).read_text()))
-    except (OSError, ValueError, PolyParseError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except ValueError as exc:   # not JSON, or JSON of the wrong shape
+        return _input_error(exc)
     bad = 0
     for i, e in enumerate(entries):
         try:
             h = _entry_h(e)
             cert = _cert_from_dict(e["certificate"], h)
-            ok = verify_certificate(field, h, cert)
-        except (KeyError, TypeError, ValueError, PolyParseError):
+        except (KeyError, TypeError, ValueError, OverflowError):   # an entry of the wrong shape
             ok = False
+        else:
+            ok = verify_certificate(field, h, cert)
         label = e.get("delta") or e.get("minpoly") or f"entry {i}"
         print(f"  certificate for {label}: {'VALID' if ok else 'INVALID'}")
         bad += 0 if ok else 1
@@ -361,11 +358,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    try:
-        entry = testkit.corpus_generate(args.kind, args.params)
-    except (ValueError, SubfieldScanError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    entry = testkit.corpus_generate(args.kind, args.params)
     poly_text = render_poly(entry.poly)
     sidecar = {
         "poly": poly_text,
@@ -418,15 +411,20 @@ def main(argv=None) -> int:
     sp.add_argument("-o", "--output", help="polynomial file to write")
 
     args = parser.parse_args(argv)
-    if args.command == "quad":
-        return _run_scan(args, "quad")
-    if args.command == "cubic":
-        return _run_scan(args, "cubic")
-    if args.command == "certify":
-        return _cmd_certify(args)
-    if args.command == "corpus":
-        return _cmd_corpus(args)
-    parser.error("unknown command")
+    command = {"quad": _run_scan, "cubic": _run_scan, "certify": _cmd_certify,
+               "corpus": _cmd_corpus}[args.command]
+    try:
+        return command(args)
+    except (InputError, OSError) as exc:
+        return _input_error(exc)
+    except BudgetExceeded as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+
+
+def _input_error(exc: Exception) -> int:
+    print(f"input error: {exc}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 from .arith import sqrt_mod_prime
-from .errors import BadPrime, NotSplitPrime
 
 
 @dataclass(frozen=True)
@@ -31,15 +30,19 @@ class EisensteinInt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        result = EisensteinInt(1, 0)
-        base = self
+    def __pow__(self, e: int, q: int | None = None):
+        """self**e; with q, as the built-in pow(a, e, q): each product is
+        reduced mod q, so the powers stay in F_q[w]/(w^2 + w + 1)."""
+        def reduce(a):
+            return a if q is None else EisensteinInt(a.x % q, a.y % q)
+
+        result, base = ONE, self
         while e:
             if e & 1:
-                result = result * base
+                result = reduce(result * base)
             e >>= 1
             if e:
-                base = base * base
+                base = reduce(base * base)
         return result
 
     def conj(self) -> "EisensteinInt":
@@ -67,7 +70,7 @@ def split_prime(p: int) -> EisensteinInt:
     x^2 - x*y + y^2 = p.
     """
     if p % 3 != 1:
-        raise NotSplitPrime(f"{p} does not split (p mod 3 = {p % 3})")
+        raise ValueError(f"{p} does not split (p mod 3 = {p % 3})")
     for y in range(math.isqrt(4 * p // 3) + 2):
         disc = 4 * p - 3 * y * y
         if disc < 0:
@@ -88,28 +91,11 @@ def omega_residue(q: int) -> int:
     """The smaller root of w^2 + w + 1 mod a prime q = 1 (mod 3)."""
     s = sqrt_mod_prime(q - 3, q)
     if s is None:
-        raise BadPrime(f"-3 is not a square mod {q}")
+        raise ValueError(f"-3 is not a square mod {q}")
     inv2 = (q + 1) // 2
     r1 = (-1 + s) * inv2 % q
     r2 = (-1 - s) * inv2 % q
     return min(r1, r2)
-
-
-def _fq2_mul(a, b, q):
-    """Multiply in F_q[w]/(w^2 + w + 1), elements as (x, y) pairs."""
-    c = a[1] * b[1] % q
-    return ((a[0] * b[0] - c) % q, (a[0] * b[1] + a[1] * b[0] - c) % q)
-
-
-def _fq2_pow(a, e, q):
-    result = (1, 0)
-    while e:
-        if e & 1:
-            result = _fq2_mul(result, a, q)
-        e >>= 1
-        if e:
-            a = _fq2_mul(a, a, q)
-    return result
 
 
 def cubic_residue_class(a: EisensteinInt, q: int) -> int:
@@ -121,10 +107,10 @@ def cubic_residue_class(a: EisensteinInt, q: int) -> int:
     m = 0 means a is a cube locally at q.
     """
     if q == 3 or q < 2:
-        raise BadPrime(f"unsupported prime {q}")
+        raise ValueError(f"unsupported prime {q}")
     n = a.norm()
     if n % q == 0:
-        raise BadPrime(f"{q} divides the norm of {a}")
+        raise ValueError(f"{q} divides the norm of {a}")
     if q % 3 == 1:
         w = omega_residue(q)
         r = (a.x + a.y * w) % q
@@ -136,11 +122,11 @@ def cubic_residue_class(a: EisensteinInt, q: int) -> int:
         if c == w * w % q:
             return 2
         raise ArithmeticError("character value is not a cube root of unity")
-    c = _fq2_pow((a.x % q, a.y % q), (q * q - 1) // 3, q)
-    if c == (1, 0):
+    c = pow(a, (q * q - 1) // 3, q)
+    if c == ONE:
         return 0
-    if c == (0, 1):
+    if c == OMEGA:
         return 1
-    if c == ((q - 1) % q, (q - 1) % q):
+    if c == EisensteinInt(q - 1, q - 1):
         return 2
     raise ArithmeticError("character value is not a power of w")

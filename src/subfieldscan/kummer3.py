@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 from .eisenstein import EisensteinInt, ONE
-from .errors import ZeroExponentVector
 from .poly import Poly
 from .ramify import CandidateSet
 from .sieve import PlaceBasis
@@ -46,7 +45,7 @@ def build_generator(exps, basis: PlaceBasis) -> CubicCandidate:
     """
     exps = tuple(e % 3 for e in exps)
     if not any(exps):
-        raise ZeroExponentVector("zero exponent vector gives the trivial class")
+        raise ValueError("zero exponent vector gives the trivial class")
     if len(exps) != basis.width:
         raise ValueError("exponent vector width does not match the place basis")
     a = ONE

@@ -8,7 +8,6 @@ and results are reproducible bit for bit.
 
 from __future__ import annotations
 
-from .errors import DependentBasis
 
 # The Lovasz condition of every reduction, delta = 3/4 (1/4 < delta < 1),
 # as numerator and denominator
@@ -23,7 +22,7 @@ def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
     """LLL-reduced basis of the lattice spanned by the input rows.
 
     The output spans the same lattice, is size-reduced (|mu_ij| <= 1/2) and
-    satisfies the Lovasz condition for LOVASZ_DELTA.  Raises DependentBasis
+    satisfies the Lovasz condition for LOVASZ_DELTA.  Raises ValueError
     on dependent input rows.
     """
     b = [[int(x) for x in row] for row in basis]
@@ -32,7 +31,7 @@ def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
         return []
     width = len(b[0])
     if any(len(row) != width for row in b) or n > width:
-        raise DependentBasis("basis shape is not r <= n row vectors of equal length")
+        raise ValueError("basis shape is not r <= n row vectors of equal length")
     nd, dd = LOVASZ_DELTA
 
     d = [0] * (n + 1)
@@ -48,7 +47,7 @@ def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
                 lam[k][j] = u
             else:
                 if u <= 0:
-                    raise DependentBasis("dependent basis vectors")
+                    raise ValueError("dependent basis vectors")
                 d[k + 1] = u
 
     def red(k, l):

@@ -53,7 +53,7 @@ import random
 import struct
 
 from .arith import sqrt_mod_prime
-from .errors import LeadingCoefficientVanishes, NotSquarefree, RetryLimitExceeded
+from .errors import BudgetExceeded, NotSquarefree
 from .poly import Poly
 
 _CZ_RETRY_CAP = 64
@@ -373,7 +373,7 @@ def center_lift(a, m) -> list[int]:
 def squarefree_mod_p(f: Poly, p: int) -> bool:
     """True iff gcd(f mod p, f' mod p) = 1."""
     if int(f.lc) % p == 0:
-        raise LeadingCoefficientVanishes(f"leading coefficient vanishes mod {p}")
+        raise ValueError(f"leading coefficient vanishes mod {p}")
     fb = from_poly(f, p)
     g = gcd(fb, derivative(fb, p), p)
     return deg(g) == 0
@@ -486,7 +486,7 @@ def _split_equal_degree(g, d, p, rng: random.Random):
         if 0 < deg(w) < deg(g):
             rest = pdivmod(g, w, p)[0]
             return _split_equal_degree(w, d, p, rng) + _split_equal_degree(rest, d, p, rng)
-    raise RetryLimitExceeded(f"equal-degree splitting stalled mod {p}")
+    raise BudgetExceeded(f"equal-degree splitting stalled mod {p}")
 
 
 def split_stages(stages: dict[int, list[int]], p: int) -> list[list[int]]:

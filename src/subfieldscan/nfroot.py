@@ -12,10 +12,11 @@ The reconstruction is a knapsack in the style of van Hoeij (J. Number
 Theory 95, 2002; relative form: Belabas, JSC 37, 2004).  At a prime p
 where f mod p is squarefree and h mod p splits into distinct roots, a root
 of h in L is fixed by which root of h mod p it reduces to in each p-adic
-completion of L.  Pinning the first completion to the smallest root leaves
-a 0/1 choice per other completion, which LLL recovers from the leading
-bits of a few fixed combinations of the coefficients: a lattice of
-dimension about r plus a few, with small entries, whatever the precision.
+completion of L.  Pinning the first completion to one root of h mod p
+leaves a 0/1 choice per other completion, which LLL recovers from the
+leading bits of a few fixed combinations of the coefficients: a lattice
+of dimension about r plus a few, with small entries, whatever the
+precision.
 The precision comes once, from a bound on the certificate's coefficients
 (scaled_root_bits) and the widest lattice's bits.  From that one lift the
 bit columns are fed in rounds (Novocin, Stehle and van Hoeij, ISSAC 2011):
@@ -40,6 +41,15 @@ prime with r < deg h proves that h has no root in L, with no lattice
 (find_root still answers not_found: the report takes its proofs of
 absence from Frobenius witnesses).
 
+One pin, the smallest root of h mod p, serves when every root of h that
+lies in L has all its conjugates in L too: then some root of h takes that
+root in the first completion.  That holds for a quadratic h and for a
+cubic h of square discriminant (cyclic, so each of its roots lies in the
+field of any one), the only h the scans test.  The root of a cubic h of
+non-square discriminant, such as X^3 - 2 in Q(2^(1/3)), may be the only one
+in L and take any root of h mod p there, so find_root tries each root as
+the pin, at the same prime.
+
 f mod p is factored by one DDF per prime (NumberField.ddf), which keeps
 the stages the DDFs of the scans' prime walks found.  In a Galois field
 all factors of f mod p have one degree, so each of those DDFs is complete,
@@ -53,12 +63,13 @@ squarefree test or DDF.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import modp
 from .arith import is_probable_prime, iter_primes
-from .errors import NoPrimeFound
+from .errors import BudgetExceeded, InputError
 from .lattice import lll_reduce
 from .poly import Poly, disc_poly, is_squarefree_q
 
@@ -79,8 +90,8 @@ class NumberField:
     """Q[X]/(f) for a monic integral squarefree f; theta is the class of X.
 
     The constructor is the scan's one input gate, run before any answer:
-    it raises ValueError unless f is monic, integral, of degree >= 2 and
-    squarefree, and every layer after it takes f as valid.
+    it raises errors.InputError unless f is monic, integral, of degree >= 2
+    and squarefree, and every layer after it takes f as valid.
 
     Besides f it keeps what is computed once per field: disc(f) when it is
     cheap, the Barrett constant of f and the DDF stages of f mod p that the
@@ -90,11 +101,11 @@ class NumberField:
 
     def __init__(self, f: Poly):
         if not (f.is_monic() and f.is_integral()):
-            raise ValueError("defining polynomial must be monic and integral")
+            raise InputError("defining polynomial must be monic and integral")
         if f.degree < 2:
-            raise ValueError("degree must be at least 2")
+            raise InputError("degree must be at least 2")
         if not is_squarefree_q(f):
-            raise ValueError("defining polynomial has repeated roots")
+            raise InputError("defining polynomial has repeated roots")
         self.f = f
         self.n = f.degree
         self.fprime = f.derivative()
@@ -191,7 +202,9 @@ def select_prime(field: NumberField, h: Poly) -> PrimeData:
     A prime's DDF is abandoned as soon as the factors found, plus one for
     any degree left, reach the best count so far: the prime can then only
     tie with an earlier one or lose.  It still counts as qualifying.  The
-    factors of f mod p are the split of the DDF stages that chose p."""
+    factors of f mod p are the split of the DDF stages that chose p.
+    Raises BudgetExceeded when no prime below SELECT_PRIME_BOUND
+    qualifies."""
     best = None   # (r, p, roots, stages)
 
     def cannot_win(degrees, left):
@@ -210,7 +223,7 @@ def select_prime(field: NumberField, h: Poly) -> PrimeData:
         if qualifying >= SELECT_PRIME_QUALIFYING or best[0] <= h.degree:
             break
     if best is None:
-        raise NoPrimeFound(f"no usable prime below {SELECT_PRIME_BOUND}")
+        raise BudgetExceeded(f"no usable prime below {SELECT_PRIME_BOUND}")
     _, p, roots, stages = best
     return PrimeData(p, tuple(tuple(fac) for fac in modp.split_stages(stages, p)), roots)
 
@@ -505,7 +518,8 @@ def find_root(field: NumberField, h: Poly, config=None, rng=None) -> RootSearch:
     """An integer root of h gives its certificate at once.  Otherwise h is
     irreducible: select a prime, and unless it has fewer completions than
     deg(h), which proves that h has no root in L, run the knapsack
-    reconstruction.
+    reconstruction, once per pin (one, or each root of h mod p for a cubic
+    h of non-square discriminant; see the module docstring).
 
     config and rng are ignored.  They stay as the third and fourth
     positional parameters only because the benchmark harness
@@ -525,4 +539,10 @@ def find_root(field: NumberField, h: Poly, config=None, rng=None) -> RootSearch:
     pdata = select_prime(field, h)
     if pdata.r < h.degree:
         return RootSearch(NOT_FOUND)
-    return root_knapsack(field, h, pdata)
+    disc = disc_poly(h) if h.degree == 3 else 0
+    pins = 1 if disc >= 0 and math.isqrt(disc) ** 2 == disc else 3
+    for i in range(pins):
+        result = root_knapsack(field, h, replace(pdata, roots=pdata.roots[i:] + pdata.roots[:i]))
+        if result.status == PROVED:
+            break
+    return result

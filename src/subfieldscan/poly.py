@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import arith
-from .errors import DegreeNotDivisible, NotSquarefree
+from .errors import InputError, NotSquarefree
 
 
 def _norm(c):
@@ -319,7 +319,7 @@ def eth_root_coeffs(f: Poly, e: int) -> Poly:
     if e < 2:
         raise ValueError("e must be >= 2")
     if f.degree % e != 0 or f.degree == 0:
-        raise DegreeNotDivisible(f"degree {f.degree} not divisible by {e}")
+        raise ValueError(f"degree {f.degree} not divisible by {e}")
     N, n = f.degree, f.degree // e
     m = e * e * f.clear_denominators()[1]
     G, _ = eth_power_top_down([int(c * m ** (N - i)) for i, c in enumerate(f.coeffs)], e)
@@ -386,9 +386,9 @@ def normalize_input(f_raw: Poly) -> tuple[Poly, int]:
     rescales by lam**deg with the smallest lam clearing all denominators.
     """
     if not f_raw:
-        raise ValueError("zero polynomial")
+        raise InputError("zero polynomial")
     if f_raw.degree < 2:
-        raise ValueError("degree must be >= 2")
+        raise InputError("degree must be >= 2")
     f1 = f_raw.monic()
     n = f1.degree
     dens = {}

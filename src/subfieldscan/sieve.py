@@ -29,7 +29,6 @@ from functools import cached_property
 
 from .arith import legendre
 from .eisenstein import EisensteinInt, OMEGA, cubic_residue_class, split_prime
-from .errors import PrimeInBasis
 
 
 class QuadClass(Enum):
@@ -187,7 +186,7 @@ def quad_constraint(p: int, cls: QuadClass, basis: PlaceBasis) -> Row:
     if cls == QuadClass.NO_INFO:
         raise ValueError("no constraint from an unclassified prime")
     if p in basis.primes:
-        raise PrimeInBasis(f"{p} is in the place basis")
+        raise ValueError(f"{p} is in the place basis")
     coeffs = [(1 - legendre(-1, p)) // 2]
     for q in basis.primes:
         coeffs.append((1 - legendre(q, p)) // 2)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .arith import factor_integer, is_probable_prime
+from .errors import InputError
 from .kummer3 import build_generator
 from .poly import Poly, compositum_minpoly
 from .sieve import PlaceBasis
@@ -145,14 +146,9 @@ def multiquadratic_certificates(primes) -> dict[int, tuple[int, ...]]:
 
 
 def multiquadratic_minpoly(primes) -> Poly:
-    """Defining polynomial of Q(sqrt p1, ..., sqrt pm) via iterated composita,
-    verified exactly against the subset algebra."""
+    """Defining polynomial of Q(sqrt p1, ..., sqrt pm), for distinct primes,
+    via iterated composita, verified exactly against the subset algebra."""
     primes = tuple(primes)
-    if len(set(primes)) != len(primes):
-        raise ValueError("primes must be distinct")
-    for p in primes:
-        if not is_probable_prime(p):
-            raise ValueError(f"{p} is not prime")
     f = Poly([-primes[0], 0, 1])
     for p in primes[1:]:
         f = compositum_minpoly(f, Poly([-p, 0, 1]))
@@ -233,10 +229,16 @@ def corpus_generate(kind: str, params: str) -> CorpusEntry:
 
     kinds: multiquadratic (params: comma-separated primes), cyclotomic
     (params: m from the coded table), cubic-compositum (params: tokens from
-    {7, 9, q5}, e.g. '7,9' or '7,q5').
+    {7, 9, q5}, e.g. '7,9' or '7,q5').  A kind or params outside these
+    raise InputError.
     """
     if kind == "multiquadratic":
-        primes = tuple(int(t) for t in params.split(","))
+        primes = tuple(_integers(params))
+        if len(set(primes)) != len(primes):
+            raise InputError("primes must be distinct")
+        for p in primes:
+            if not is_probable_prime(p):
+                raise InputError(f"{p} is not prime")
         f = multiquadratic_minpoly(primes)
         truth = []
         for mask in range(1, 1 << len(primes)):
@@ -248,9 +250,10 @@ def corpus_generate(kind: str, params: str) -> CorpusEntry:
         return CorpusEntry(f, quad=sorted(truth),
                            recipe=f"multiquadratic over primes {list(primes)}")
     if kind == "cyclotomic":
-        m = int(params)
-        if m not in CYCLOTOMIC_QUAD_TRUTH:
-            raise ValueError(f"no coded ground truth for m = {m}")
+        ms = _integers(params)
+        m = ms[0]
+        if len(ms) > 1 or m not in CYCLOTOMIC_QUAD_TRUTH:
+            raise InputError(f"no coded ground truth for m = {params}")
         f = cyclotomic_poly(m)
         return CorpusEntry(f, quad=list(CYCLOTOMIC_QUAD_TRUTH[m]),
                            cubic=list(CYCLOTOMIC_CUBIC_TRUTH.get(m, [])),
@@ -258,7 +261,15 @@ def corpus_generate(kind: str, params: str) -> CorpusEntry:
     if kind == "cubic-compositum":
         tokens = [t.strip().lower() for t in params.split(",")]
         return _cubic_compositum_entry(tokens)
-    raise ValueError(f"unknown corpus kind {kind!r}")
+    raise InputError(f"unknown corpus kind {kind!r}")
+
+
+def _integers(params: str) -> list[int]:
+    """The comma-separated integers of a corpus parameter string."""
+    try:
+        return [int(t) for t in params.split(",")]
+    except ValueError:
+        raise InputError(f"params {params!r} are not comma-separated integers") from None
 
 
 def _cubic_compositum_entry(tokens) -> CorpusEntry:
@@ -277,4 +288,4 @@ def _cubic_compositum_entry(tokens) -> CorpusEntry:
         f = compositum_minpoly(_CUBIC_COND63, Poly([-5, 0, 1]))
         return CorpusEntry(f, quad=[5], cubic=[_CUBIC_COND63],
                            recipe="compositum of a coded cyclic cubic with Q(sqrt 5)")
-    raise ValueError(f"no coded cubic compositum for params {tokens}")
+    raise InputError(f"no coded cubic compositum for params {tokens}")

@@ -8,7 +8,7 @@ from subfieldscan.cli import (EXIT_BUDGET, EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNPRO
                               canonical_report_bytes, parse_poly, render_poly,
                               report_from_dict, report_json, report_to_dict)
 from subfieldscan.config import ScanConfig
-from subfieldscan.errors import MultipleVariables, PolyParseError
+from subfieldscan.errors import PolyParseError
 from subfieldscan.poly import Poly
 from subfieldscan.scan import cubic_subfield_scan, quad_subfield_scan
 
@@ -16,7 +16,7 @@ from subfieldscan.scan import cubic_subfield_scan, quad_subfield_scan
 def test_parse_examples():
     assert parse_poly("x^4 - 10*x^2 + 1") == Poly.from_desc([1, 0, -10, 0, 1])
     assert parse_poly("1 0 -10 0 1") == Poly.from_desc([1, 0, -10, 0, 1])
-    with pytest.raises(MultipleVariables):
+    with pytest.raises(PolyParseError, match="unexpected variable"):
         parse_poly("x^2 + y")
 
 
@@ -301,3 +301,67 @@ def test_quad_flags(capsys):
     assert exc.value.code == EXIT_OK
     flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
     assert flags == {"--help", "--input", "--json", "--sieve-bound"}
+
+
+def _corpus_file(tmp_path, kind, params):
+    path = tmp_path / "f.txt"
+    assert main(["corpus", "--kind", kind, "--params", params, "-o", str(path)]) == EXIT_OK
+    return path
+
+
+def test_a_fault_in_the_hensel_tree_reaches_the_caller(tmp_path, capsys, monkeypatch):
+    # past the input gate a ValueError is a fault of the library: it is not
+    # reported as an input error (exit 3) but reaches the caller
+    import subfieldscan.modp as modp_mod
+
+    poly_file = _corpus_file(tmp_path, "cyclotomic", "12")
+
+    def invert(a, b, p):
+        raise ValueError("not invertible: a and b have a common factor")
+
+    monkeypatch.setattr(modp_mod, "invert", invert)
+    with pytest.raises(ValueError, match="not invertible"):
+        main(["quad", "-i", str(poly_file)])
+    assert "input error" not in capsys.readouterr().err
+
+
+def test_a_fault_in_the_cubic_character_reaches_the_caller(tmp_path, capsys, monkeypatch):
+    import subfieldscan.sieve as sieve_mod
+
+    poly_file = _corpus_file(tmp_path, "cyclotomic", "7")
+
+    def cubic_residue_class(a, q):
+        raise ValueError(f"unsupported prime {q}")
+
+    monkeypatch.setattr(sieve_mod, "cubic_residue_class", cubic_residue_class)
+    with pytest.raises(ValueError, match="unsupported prime"):
+        main(["cubic", "-i", str(poly_file)])
+    assert "input error" not in capsys.readouterr().err
+
+
+def test_prime_selection_out_of_primes_exits_as_a_budget_failure(tmp_path, capsys, monkeypatch):
+    import subfieldscan.nfroot as nfroot
+
+    poly_file = _corpus_file(tmp_path, "cyclotomic", "12")
+    capsys.readouterr()
+    monkeypatch.setattr(nfroot, "SELECT_PRIME_BOUND", 3)
+    assert main(["quad", "-i", str(poly_file)]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err == "budget exceeded: no usable prime below 3\n"
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("cyclotomic", "abc"), ("cyclotomic", "9"), ("cyclotomic", "8,12"),
+    ("multiquadratic", "2,2"), ("multiquadratic", "2,4"), ("multiquadratic", ""),
+    ("cubic-compositum", "7,11"),
+])
+def test_corpus_rejects_bad_params(capsys, kind, params):
+    assert main(["corpus", "--kind", kind, "--params", params]) == EXIT_INPUT_ERROR
+    assert _one_input_error_line(capsys)
+
+
+def test_an_unreadable_polynomial_file_is_an_input_error(tmp_path, capsys):
+    poly_file = tmp_path / "f.bin"
+    poly_file.write_bytes(b"\xff\xfe x^2 + 1\n")
+    assert main(["quad", "-i", str(poly_file)]) == EXIT_INPUT_ERROR
+    assert _one_input_error_line(capsys)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from subfieldscan.arith import primes_up_to
 from subfieldscan.eisenstein import (OMEGA, EisensteinInt, cubic_residue_class,
                                      omega_residue, split_prime)
-from subfieldscan.errors import BadPrime, NotSplitPrime
 
 eis = st.builds(EisensteinInt,
                 st.integers(min_value=-50, max_value=50),
@@ -34,9 +33,9 @@ def test_norm_and_conj_multiplicative(a, b):
 def test_split_prime_examples():
     assert split_prime(7) == EisensteinInt(3, 1)
     assert split_prime(13) == EisensteinInt(4, 1)
-    with pytest.raises(NotSplitPrime):
+    with pytest.raises(ValueError, match="does not split"):
         split_prime(5)
-    with pytest.raises(NotSplitPrime):
+    with pytest.raises(ValueError, match="does not split"):
         split_prime(3)
 
 
@@ -66,10 +65,18 @@ def test_cubic_class_examples():
     assert cubic_residue_class(EisensteinInt(1, 0), 11) == 0
     assert cubic_residue_class(EisensteinInt(1, 0), 13) == 0
     assert cubic_residue_class(EisensteinInt(2, 0), 5) == 0
-    with pytest.raises(BadPrime):
+    # q = 5 is inert: w**((25 - 1) / 3) = w**8 = w**2 in F_25
+    assert cubic_residue_class(OMEGA, 5) == 2
+    with pytest.raises(ValueError, match="unsupported prime 3"):
         cubic_residue_class(EisensteinInt(2, 0), 3)
-    with pytest.raises(BadPrime):
+    with pytest.raises(ValueError, match="7 divides the norm"):
         cubic_residue_class(EisensteinInt(7, 0), 7)
+
+
+@given(eis, st.integers(min_value=0, max_value=40), st.sampled_from([2, 5, 7, 101]))
+def test_pow_with_a_modulus_reduces_the_power(a, e, q):
+    power = a ** e
+    assert pow(a, e, q) == EisensteinInt(power.x % q, power.y % q)
 
 
 def test_cubic_class_additive_and_cubes():

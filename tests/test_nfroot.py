@@ -5,7 +5,7 @@ import pytest
 
 from subfieldscan import modp
 from subfieldscan.arith import primes_up_to
-from subfieldscan.errors import NoPrimeFound, NotSquarefree
+from subfieldscan.errors import BudgetExceeded, NotSquarefree
 from subfieldscan.modp import ddf_degrees, degree_counts, roots_mod_p, squarefree_mod_p
 from subfieldscan.nfroot import (NOT_FOUND, PROVED, NumberField, PrimeData, RootCertificate,
                                  find_root, integer_root, knapsack_precision, knapsack_size,
@@ -120,7 +120,7 @@ def test_select_prime_pool_exhaustion(monkeypatch):
 
     monkeypatch.setattr(nfroot, "SELECT_PRIME_BOUND", 6)
     field = NumberField(ZETA8)
-    with pytest.raises(NoPrimeFound):
+    with pytest.raises(BudgetExceeded, match="no usable prime below 6"):
         select_prime(field, Y2M2)
 
 
@@ -623,6 +623,43 @@ def test_cubic_roots_over_three_completions():
         assert select_prime(field, h).r >= 3
         res = find_root(field, h)
         assert res.status == PROVED and verify_certificate(field, h, res.certificate)
+
+
+@pytest.mark.parametrize("f, h, p", [
+    (Poly.from_desc([1, 0, 0, -2]), Poly.from_desc([1, 0, 0, -2]), 31),
+    (Poly.from_desc([1, 0, 0, -3]), Poly.from_desc([1, 0, 0, -3]), 61),
+    (Poly.from_desc([1, 0, 0, 0, 0, 0, -2]), Poly.from_desc([1, 0, 0, -2]), 43),
+])
+def test_a_non_galois_cubic_root_is_found_under_any_pin(f, h, p):
+    # the one root of h in L (a cube root) may take any root of h mod p in
+    # the first completion, so each is tried as the pin, at the one prime
+    field = NumberField(f)
+    assert select_prime(field, h).p == p
+    res = find_root(field, h)
+    assert res.status == PROVED and verify_certificate(field, h, res.certificate)
+
+
+def test_every_pin_fails_without_a_root(monkeypatch):
+    # neither the cube root of 3 nor that of 23 is in Q(2^(1/3)); at 61,
+    # 2 is no cube, so r = 1 < 3 answers the first with no knapsack, and at
+    # 31, r = 3: three knapsacks, one per pin, and no root
+    import subfieldscan.nfroot as nfroot
+
+    pins = []
+    real_knapsack = nfroot.root_knapsack
+
+    def root_knapsack(field, h, pdata):
+        pins.append(pdata.roots)
+        return real_knapsack(field, h, pdata)
+
+    monkeypatch.setattr(nfroot, "root_knapsack", root_knapsack)
+    field = NumberField(Poly.from_desc([1, 0, 0, -2]))
+    assert find_root(field, Poly.from_desc([1, 0, 0, -3])).status == NOT_FOUND
+    assert select_prime(field, Poly.from_desc([1, 0, 0, -3])).r == 1 and not pins
+    h = Poly.from_desc([1, 0, 0, -23])
+    assert find_root(field, h).status == NOT_FOUND and select_prime(field, h).p == 31
+    assert len(pins) == 3 and len({roots[0] for roots in pins}) == 3
+    assert all(sorted(roots) == sorted(pins[0]) for roots in pins)
 
 
 def test_verify_certificate_tampering():

@@ -2,8 +2,6 @@
 
 from fractions import Fraction
 
-from subfieldscan.errors import DependentBasis
-
 
 def gram_schmidt(basis: list[list[int]]):
     """Exact rational Gram-Schmidt: (orthogonal vectors, mu coefficients)."""
@@ -15,7 +13,7 @@ def gram_schmidt(basis: list[list[int]]):
         for j in range(i):
             denom = _dot(bstar[j], bstar[j])
             if denom == 0:
-                raise DependentBasis("dependent basis vectors")
+                raise ValueError("dependent basis vectors")
             mu[i][j] = _dot(v, bstar[j]) / denom
             v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
         bstar.append(v)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from subfieldscan.arith import factor_integer
-from subfieldscan.errors import DegreeNotDivisible, NotSquarefree
+from subfieldscan.errors import NotSquarefree
 from subfieldscan.modp import _ddf_stages, _split_equal_degree, from_poly, monic, squarefree_mod_p
 from subfieldscan.poly import Poly, compositum_minpoly, disc_poly
 
@@ -74,7 +74,7 @@ def eth_root_newton(f: Poly, e: int) -> Poly:
     if e < 2:
         raise ValueError("e must be >= 2")
     if f.degree % e != 0 or f.degree == 0:
-        raise DegreeNotDivisible(f"degree {f.degree} not divisible by {e}")
+        raise ValueError(f"degree {f.degree} not divisible by {e}")
     n = f.degree // e
     s = power_sums(f, n)
     return poly_from_power_sums([Fraction(si, e) for si in s])
