@@ -107,15 +107,16 @@ def _parse_expression(text: str) -> Poly:
                 raise PolyParseError(f"unexpected variable {var!r}", pos)
             if var_seen is None:
                 var_seen = var
-            exp = int(exp_s) if exp_s is not None else 1
-        else:
-            if exp_s is not None:
-                raise PolyParseError("exponent without variable", pos)
-            exp = 0
+            exp_s = "1" if exp_s is None else exp_s
+        elif exp_s is not None:
+            raise PolyParseError("exponent without variable", pos)
         try:
+            exp = 0 if var is None else int(exp_s)
             coeff = Fraction(coeff_s) if coeff_s is not None else Fraction(1)
         except ZeroDivisionError:
             raise PolyParseError(f"zero denominator in {coeff_s!r}", pos) from None
+        except ValueError as exc:   # past Python's limit on integer digits
+            raise PolyParseError(str(exc), pos) from None
         terms[exp] = terms.get(exp, Fraction(0)) + sign * coeff
         sign = 1
         expect_term = False

@@ -25,25 +25,21 @@ class EisensteinInt:
     def __mul__(self, other):
         if isinstance(other, int):
             return EisensteinInt(self.x * other, self.y * other)
-        c = self.y * other.y
-        return EisensteinInt(self.x * other.x - c, self.x * other.y + self.y * other.x - c)
+        return EisensteinInt(*_product(self.x, self.y, other.x, other.y))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int, q: int | None = None):
         """self**e; with q, as the built-in pow(a, e, q): each product is
         reduced mod q, so the powers stay in F_q[w]/(w^2 + w + 1)."""
-        def reduce(a):
-            return a if q is None else EisensteinInt(a.x % q, a.y % q)
-
-        result, base = ONE, self
+        rx, ry, bx, by = 1, 0, self.x, self.y
         while e:
             if e & 1:
-                result = reduce(result * base)
+                rx, ry = _product(rx, ry, bx, by, q)
             e >>= 1
             if e:
-                base = reduce(base * base)
-        return result
+                bx, by = _product(bx, by, bx, by, q)
+        return EisensteinInt(rx, ry)
 
     def conj(self) -> "EisensteinInt":
         """The image under the nontrivial automorphism w -> w^2."""
@@ -61,6 +57,14 @@ class EisensteinInt:
 
 OMEGA = EisensteinInt(0, 1)
 ONE = EisensteinInt(1, 0)
+
+
+def _product(ax, ay, bx, by, q=None):
+    """(ax + ay*w)(bx + by*w) as a pair (x, y), reduced mod q when q is given.
+    Powers multiply plain pairs, so no step builds an EisensteinInt."""
+    c = ay * by
+    x, y = ax * bx - c, ax * by + ay * bx - c
+    return (x, y) if q is None else (x % q, y % q)
 
 
 def split_prime(p: int) -> EisensteinInt:

@@ -149,6 +149,11 @@ def multiquadratic_minpoly(primes) -> Poly:
     """Defining polynomial of Q(sqrt p1, ..., sqrt pm), for distinct primes,
     via iterated composita, verified exactly against the subset algebra."""
     primes = tuple(primes)
+    if len(set(primes)) != len(primes):
+        raise ValueError("primes must be distinct")
+    for p in primes:
+        if not is_probable_prime(p):
+            raise ValueError(f"{p} is not prime")
     f = Poly([-primes[0], 0, 1])
     for p in primes[1:]:
         f = compositum_minpoly(f, Poly([-p, 0, 1]))
@@ -234,12 +239,10 @@ def corpus_generate(kind: str, params: str) -> CorpusEntry:
     """
     if kind == "multiquadratic":
         primes = tuple(_integers(params))
-        if len(set(primes)) != len(primes):
-            raise InputError("primes must be distinct")
-        for p in primes:
-            if not is_probable_prime(p):
-                raise InputError(f"{p} is not prime")
-        f = multiquadratic_minpoly(primes)
+        try:
+            f = multiquadratic_minpoly(primes)
+        except ValueError as exc:   # primes not distinct, or not prime
+            raise InputError(str(exc)) from None
         truth = []
         for mask in range(1, 1 << len(primes)):
             d = 1

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -239,6 +240,22 @@ def test_certify_rejects_a_bad_polynomial(tmp_path, capsys, text):
     poly_file.write_text(text + "\n")
     cert.write_text("[]")
     assert main(["certify", "-i", str(poly_file), "--cert", str(cert)]) == EXIT_INPUT_ERROR
+    assert _one_input_error_line(capsys)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter has no limit on integer digits")
+@pytest.mark.parametrize("command", ["quad", "certify"])
+@pytest.mark.parametrize("text", ["x^2 - " + "7" * 5000, "x^" + "7" * 5000 + " - 2"],
+                         ids=["coefficient", "exponent"])
+def test_an_integer_past_the_digit_limit_is_an_input_error(tmp_path, capsys, command, text):
+    # int() refuses more than sys.get_int_max_str_digits() digits with a
+    # ValueError; the parser reports it as a PolyParseError
+    poly_file, cert = tmp_path / "f.txt", tmp_path / "c.json"
+    poly_file.write_text(text + "\n")
+    cert.write_text("[]")
+    args = ["--cert", str(cert)] if command == "certify" else []
+    assert main([command, "-i", str(poly_file), *args]) == EXIT_INPUT_ERROR
     assert _one_input_error_line(capsys)
 
 

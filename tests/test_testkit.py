@@ -1,5 +1,6 @@
 import pytest
 
+from subfieldscan.errors import InputError
 from subfieldscan.nfroot import NumberField, RootCertificate, verify_certificate
 from subfieldscan.poly import Poly, disc_poly
 from subfieldscan.testkit import (CYCLOTOMIC_QUAD_TRUTH, MultiquadraticAlgebra,
@@ -61,6 +62,17 @@ def test_corpus_multiquadratic():
         corpus_generate("multiquadratic", "2,2")
     with pytest.raises(ValueError):
         corpus_generate("multiquadratic", "2,9")
+
+
+@pytest.mark.parametrize("primes, message", [((2, 4), "4 is not prime"),
+                                             ((3, 3), "primes must be distinct")])
+def test_multiquadratic_minpoly_checks_its_primes(primes, message):
+    # (2, 4) would pass the compositum check and give the reducible
+    # x^4 - 12x^2 + 4; corpus_generate reports the same check as an InputError
+    with pytest.raises(ValueError, match=message):
+        multiquadratic_minpoly(primes)
+    with pytest.raises(InputError, match=message):
+        corpus_generate("multiquadratic", ",".join(map(str, primes)))
 
 
 def test_corpus_cyclotomic():
