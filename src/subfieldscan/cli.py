@@ -107,11 +107,10 @@ def _parse_expression(text: str) -> Poly:
                 raise PolyParseError(f"unexpected variable {var!r}", pos)
             if var_seen is None:
                 var_seen = var
-            exp_s = "1" if exp_s is None else exp_s
         elif exp_s is not None:
             raise PolyParseError("exponent without variable", pos)
         try:
-            exp = 0 if var is None else int(exp_s)
+            exp = 0 if var is None else int(exp_s or 1)
             coeff = Fraction(coeff_s) if coeff_s is not None else Fraction(1)
         except ZeroDivisionError:
             raise PolyParseError(f"zero denominator in {coeff_s!r}", pos) from None

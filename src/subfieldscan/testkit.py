@@ -145,15 +145,21 @@ def multiquadratic_certificates(primes) -> dict[int, tuple[int, ...]]:
     return out
 
 
-def multiquadratic_minpoly(primes) -> Poly:
-    """Defining polynomial of Q(sqrt p1, ..., sqrt pm), for distinct primes,
-    via iterated composita, verified exactly against the subset algebra."""
+def _check_primes(primes) -> tuple[int, ...]:
+    """The primes as a tuple; ValueError unless they are distinct primes."""
     primes = tuple(primes)
     if len(set(primes)) != len(primes):
         raise ValueError("primes must be distinct")
     for p in primes:
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
+    return primes
+
+
+def multiquadratic_minpoly(primes) -> Poly:
+    """Defining polynomial of Q(sqrt p1, ..., sqrt pm), for distinct primes,
+    via iterated composita, verified exactly against the subset algebra."""
+    primes = _check_primes(primes)
     f = Poly([-primes[0], 0, 1])
     for p in primes[1:]:
         f = compositum_minpoly(f, Poly([-p, 0, 1]))
@@ -167,8 +173,7 @@ def multiquadratic_minpoly(primes) -> Poly:
 
 
 def _divisors(m: int) -> list[int]:
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
+    return [d for d in range(1, m + 1) if m % d == 0]
 
 
 def _moebius(n: int) -> int:
@@ -238,11 +243,12 @@ def corpus_generate(kind: str, params: str) -> CorpusEntry:
     raise InputError.
     """
     if kind == "multiquadratic":
-        primes = tuple(_integers(params))
+        primes = _integers(params)
         try:
-            f = multiquadratic_minpoly(primes)
-        except ValueError as exc:   # primes not distinct, or not prime
+            primes = _check_primes(primes)
+        except ValueError as exc:
             raise InputError(str(exc)) from None
+        f = multiquadratic_minpoly(primes)
         truth = []
         for mask in range(1, 1 << len(primes)):
             d = 1
