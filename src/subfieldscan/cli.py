@@ -43,6 +43,11 @@ EXIT_BUDGET = 4
 
 # -- polynomial text ----------------------------------------------------------
 
+# The parser refuses an exponent above this, before it builds the dense
+# coefficient list: far above the degree-128 stretch field, and far below
+# the memory that x^(10^9) would ask for.
+MAX_DEGREE = 4096
+
 _TERM_RE = re.compile(r"""
     (?P<coeff>[0-9]+(?:/[0-9]+)?)?          # optional coefficient
     (?:\s*\*\s*)?                            # optional *
@@ -53,7 +58,8 @@ _TERM_RE = re.compile(r"""
 
 def parse_poly(text: str) -> Poly:
     """Parse either an expression in one variable (x or X) or a whitespace
-    separated descending coefficient line."""
+    separated descending coefficient line.  An expression's exponents are
+    at most MAX_DEGREE."""
     if not isinstance(text, str):
         raise TypeError(f"a polynomial is a string, not {type(text).__name__}")
     text = text.strip()
@@ -116,6 +122,8 @@ def _parse_expression(text: str) -> Poly:
             raise PolyParseError(f"zero denominator in {coeff_s!r}", pos) from None
         except ValueError as exc:   # past Python's limit on integer digits
             raise PolyParseError(str(exc), pos) from None
+        if exp > MAX_DEGREE:
+            raise PolyParseError(f"exponent {exp} above the degree cap {MAX_DEGREE}", pos)
         terms[exp] = terms.get(exp, Fraction(0)) + sign * coeff
         sign = 1
         expect_term = False

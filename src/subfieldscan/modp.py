@@ -19,17 +19,20 @@ keeps it while factors are divided out.  Its first stage, x^p, takes
 squarings alone; the later ones compose with a table of the powers of x^p
 whose size (none, sqrt(n) baby steps, all n) follows the products spent.
 gcd is a remainder-only Euclid that fuses each one-degree step into a
-single pass and keeps no quotient.  pdivmod remains for exact division,
-a ring without a given Barrett constant and one-off reductions; division
-needs a divisor with a unit leading coefficient.  mul, a plain product
-packed the same way, with pdivmod is the reference the ring's products
-are tested against; invert is an extended Euclid over F_p, and
-QuotientRing.inverse lifts its answer to Z/p^k.
+single pass and keeps no quotient.  pdivmod (exact division, a ring
+without a given Barrett constant, one-off reductions, the Hensel tree)
+needs a divisor with a unit leading coefficient and reduces mod m only
+what fixes the next quotient term until the end; mul sums a short
+product's term products and packs a longer one as the ring does.  With
+pdivmod it is the reference the ring's products are tested against;
+invert is an extended Euclid over F_p, and QuotientRing.inverse lifts
+its answer to Z/p^k.
 
 Public operations: squarefree test, distinct-degree factorization
 (ddf_degrees, stage products by degree; degree_counts), its
 Cantor-Zassenhaus split (split_stages), the one way f mod p is factored,
-and root extraction (the quadratic formula for a quadratic).  The split
+the test x^(p^2) = x (frobenius_square_fixes_x), and root extraction
+(the quadratic formula for a quadratic).  The split
 draws from a stream seeded by p, which no caller chooses: the factors,
 and the work spent finding them, depend on the polynomial and p alone.
 The root tests' Hensel lifts to Z/p^k, of the factors of f and of the
@@ -42,7 +45,8 @@ otherwise gcd(f, f') mod p) and give ddf_degrees a stop rule, which also
 tells it to skip its own gcd(f, f') test: the scans stop at the first
 stage whose degree decides the Frobenius class (odd for l = 2, prime to 3
 for l = 3), and prime selection stops once the prime cannot have fewer
-factors than the best one so far.
+factors than the best one so far, or skips a DDF that x^(p^2) = x
+shows cannot win.
 """
 
 from __future__ import annotations
@@ -57,6 +61,9 @@ from .errors import BudgetExceeded, NotSquarefree
 from .poly import Poly
 
 _CZ_RETRY_CAP = 64
+# mul packs a product of more terms: up to 64 the sums were faster at every
+# modulus tried (5 to 340 bits, CPython 3.11), the break-even near 80-100
+MUL_SHORT_TERMS = 64
 
 
 def trim(a: list[int]) -> list[int]:
@@ -84,10 +91,17 @@ def sub(a, b, m):
 
 
 def mul(a, b, m):
-    """a*b for reduced a and b by Kronecker substitution: one big-integer
-    product, with slots wide enough for min(len(a), len(b)) * m^2."""
+    """a*b for reduced a and b: sums of the term products when there are at
+    most MUL_SHORT_TERMS of them, else Kronecker substitution, one
+    big-integer product with slots wide enough for min(len(a), len(b)) * m^2."""
     if not a or not b:
         return []
+    if len(a) * len(b) <= MUL_SHORT_TERMS:
+        c = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b, i):
+                c[j] += x * y
+        return trim([t % m for t in c])
     width = -(-(min(len(a), len(b)) * m * m).bit_length() // 8)
     x = int.from_bytes(b"".join([c.to_bytes(width, "little") for c in a]), "little")
     y = int.from_bytes(b"".join([c.to_bytes(width, "little") for c in b]), "little")
@@ -102,25 +116,26 @@ def scale(a, k, m):
 
 
 def pdivmod(a, b, m):
-    """Division with remainder; b's leading coefficient must be a unit mod m."""
+    """Division with remainder; b's leading coefficient must be a unit mod m.
+    Only the coefficient that fixes the next quotient term is taken mod m;
+    the rest of the remainder, at most len(b) products below m^2 off, once
+    at the end."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return [], trim(list(a))
     inv = 1 if b[-1] == 1 else pow(b[-1], -1, m)
     rem = list(a)
-    db = len(b) - 1
-    if len(rem) - 1 < db:
-        return [], trim(rem)
     q = [0] * (len(rem) - db)
     low = b[:-1]
     for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] % m
-        if c == 0:
-            continue
-        t = c * inv % m
-        q[i - db] = t
-        rem[i - db:i] = [(r - t * bc) % m for r, bc in zip(rem[i - db:i], low)]
-        rem[i] = 0
-    return trim(q), trim(rem)
+        t = rem[i] * inv % m
+        if t:
+            q[i - db] = t
+            for j, c in enumerate(low, i - db):
+                rem[j] -= t * c
+    return trim(q), trim([r % m for r in rem[:db]])
 
 
 def pmod(a, b, m):
@@ -455,6 +470,14 @@ def ddf_degrees(f: Poly, p: int, stop=None, barrett=None) -> dict[int, list[int]
         if stop is not None and stop(degree_counts(stages), left):
             break
     return stages
+
+
+def frobenius_square_fixes_x(f: Poly, p: int, barrett=None) -> bool:
+    """Whether x^(p^2) = x modulo a monic f of degree >= 2 and p, by
+    squarings alone: for f squarefree mod p, whether every factor of f mod
+    p has degree 1 or 2 (x^(p^2) - x is the product of the monic
+    irreducibles of those degrees).  barrett is as for ddf_degrees."""
+    return QuotientRing(from_poly(f, p), p, barrett).xpow(p * p) == [0, 1]
 
 
 def degree_counts(stages: dict[int, list[int]]) -> dict[int, int]:

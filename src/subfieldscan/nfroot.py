@@ -58,7 +58,12 @@ stopped; it keeps none of its own.  Squarefreeness mod p comes from
 NumberField.squarefree_mod, and each DDF stops as soon as its prime cannot
 beat the best so far, so only the winner's stages cover f.  Their split
 (modp.split_stages) gives the factors of f mod p, with no second
-squarefree test or DDF.
+squarefree test or DDF.  Once the best count r has n // r = 2, a prime
+with no kept stages where x^(p^2) = x mod (f, p) (squarings alone) has
+factors of degree 1 or 2 only, at least n/2 >= r of them: it cannot win,
+and runs no DDF, so the check never changes the prime.  In a
+multiquadratic field it settles every qualifying prime after the first
+with n/2 factors.
 """
 
 from __future__ import annotations
@@ -132,6 +137,14 @@ class NumberField:
             return self._disc % p != 0
         return modp.squarefree_mod_p(self.f, p)
 
+    def kept(self, p: int, stop) -> tuple[dict[int, list[int]], int] | None:
+        """The kept answer of ddf(p, stop) when there is one that answers
+        it (see ddf), else None."""
+        entry = self._stages.get(p)
+        if entry is None or (entry[1] and not stop(modp.degree_counts(entry[0]), entry[1])):
+            return None
+        return entry
+
     def ddf(self, p: int, stop, keep: bool = True) -> tuple[dict[int, list[int]], int]:
         """(DDF stages of f mod p, degree of f left unfactored), for a p
         modulo which f is squarefree, from a DDF that ends once
@@ -143,8 +156,8 @@ class NumberField:
         again.  Either way the caller learns at least what its own DDF
         would tell it.  With keep, a DDF's answer replaces the one kept.
         The stages are shared: do not change them."""
-        entry = self._stages.get(p)
-        if entry is None or (entry[1] and not stop(modp.degree_counts(entry[0]), entry[1])):
+        entry = self.kept(p, stop)
+        if entry is None:
             stages = modp.ddf_degrees(self.f, p, stop=stop, barrett=self.barrett())
             entry = stages, self.n - sum(modp.deg(g) for g in stages.values())
             if keep:
@@ -201,8 +214,12 @@ def select_prime(field: NumberField, h: Poly) -> PrimeData:
 
     A prime's DDF is abandoned as soon as the factors found, plus one for
     any degree left, reach the best count so far: the prime can then only
-    tie with an earlier one or lose.  It still counts as qualifying.  The
-    factors of f mod p are the split of the DDF stages that chose p.
+    tie with an earlier one or lose.  Once the best count r has
+    n // r = 2, a prime the field's kept stages do not answer runs no DDF
+    if x^(p^2) = x mod (f, p) (modp.frobenius_square_fixes_x, which keeps
+    no state): its at least n/2 >= r factors cannot win.  Either way the
+    prime counts as qualifying.  The factors of f mod p are the split of
+    the DDF stages that chose p.
     Raises BudgetExceeded when no prime below SELECT_PRIME_BOUND
     qualifies."""
     best = None   # (r, p, roots, stages)
@@ -216,10 +233,14 @@ def select_prime(field: NumberField, h: Poly) -> PrimeData:
         if len(roots) != h.degree or not field.squarefree_mod(p):
             continue
         qualifying += 1
-        stages, left = field.ddf(p, cannot_win, keep=False)
-        r = sum(modp.degree_counts(stages).values())
-        if not left and (best is None or r < best[0]):
-            best = (r, p, tuple(sorted(roots)), stages)
+        entry = field.kept(p, cannot_win)
+        loses = entry is None and best is not None and field.n // best[0] == 2 and \
+            modp.frobenius_square_fixes_x(field.f, p, field.barrett())
+        if not loses:
+            stages, left = entry or field.ddf(p, cannot_win, keep=False)
+            r = sum(modp.degree_counts(stages).values())
+            if not left and (best is None or r < best[0]):
+                best = (r, p, tuple(sorted(roots)), stages)
         if qualifying >= SELECT_PRIME_QUALIFYING or best[0] <= h.degree:
             break
     if best is None:

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from subfieldscan.cli import (EXIT_BUDGET, EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNPROVEN, main,
-                              canonical_report_bytes, parse_poly, render_poly,
+from subfieldscan.cli import (EXIT_BUDGET, EXIT_INPUT_ERROR, EXIT_OK, EXIT_UNPROVEN, MAX_DEGREE,
+                              main, canonical_report_bytes, parse_poly, render_poly,
                               report_from_dict, report_json, report_to_dict)
 from subfieldscan.config import ScanConfig
 from subfieldscan.errors import PolyParseError
@@ -257,6 +257,20 @@ def test_an_integer_past_the_digit_limit_is_an_input_error(tmp_path, capsys, com
     args = ["--cert", str(cert)] if command == "certify" else []
     assert main([command, "-i", str(poly_file), *args]) == EXIT_INPUT_ERROR
     assert _one_input_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["quad", "certify"])
+def test_an_exponent_above_the_degree_cap_is_an_input_error(tmp_path, capsys, command):
+    # the parser refuses x^(10^9) before it builds 10^9 + 1 dense coefficients
+    poly_file, cert = tmp_path / "f.txt", tmp_path / "c.json"
+    poly_file.write_text("x^1000000000 - 2\n")
+    cert.write_text("[]")
+    args = ["--cert", str(cert)] if command == "certify" else []
+    assert main([command, "-i", str(poly_file), *args]) == EXIT_INPUT_ERROR
+    assert _one_input_error_line(capsys)
+    assert parse_poly(f"x^{MAX_DEGREE} - 2").degree == MAX_DEGREE
+    with pytest.raises(PolyParseError, match="degree cap"):
+        parse_poly(f"x^{MAX_DEGREE + 1} - 2")
 
 
 def test_quad_rejects_a_repeated_root_of_odd_degree(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -157,13 +158,62 @@ def schoolbook_pow(a, e, v, m):
     return result
 
 
+@st.composite
+def near_the_short_cutoff(draw, m):
+    """Full-length operands whose term count len(a) * len(b) lies near
+    MUL_SHORT_TERMS, on either side of mul's choice of path."""
+    la = draw(st.integers(min_value=1, max_value=16))
+    near = modp.MUL_SHORT_TERMS // la
+    lb = draw(st.integers(min_value=max(1, near - 2), max_value=near + 2))
+    digits = st.integers(min_value=0, max_value=m - 1)
+    a, b = (draw(st.lists(digits, min_size=k - 1, max_size=k - 1)) + [m - 1] for k in (la, lb))
+    return a, b
+
+
 @settings(max_examples=300, deadline=None)
 @given(moduli, st.data())
 def test_mul_matches_the_convolution(m, data):
-    a, b = data.draw(residues(m, 40)), data.draw(residues(m, 40))
+    # short products are sums of term products, longer ones packed
+    a, b = data.draw(st.one_of(st.tuples(residues(m, 40), residues(m, 40)),
+                               near_the_short_cutoff(m)))
     conv = [sum(a[i] * b[t - i] for i in range(len(a)) if 0 <= t - i < len(b)) % m
             for t in range(len(a) + len(b) - 1)]
     assert modp.mul(a, b, m) == modp.trim(conv)
+
+
+def reference_divmod(a, b, m):
+    """Schoolbook division that reduces every coefficient at every step."""
+    inv, db = pow(b[-1], -1, m), len(b) - 1
+    q, r = [0] * max(0, len(a) - db), list(a)
+    for i in range(len(a) - 1 - db, -1, -1):
+        t = q[i] = r[i + db] * inv % m
+        for j, c in enumerate(b):
+            r[i + j] = (r[i + j] - t * c) % m
+    return modp.trim(q), modp.trim(r[:db])
+
+
+@st.composite
+def divisions(draw):
+    """(a, b, m): a reduced dividend, of a degree below deg b or not, and
+    a divisor b that is monic or has another unit leading coefficient, mod
+    a prime or a prime power."""
+    m = draw(moduli)
+    db = draw(st.integers(min_value=0, max_value=30))
+    units = st.integers(min_value=1, max_value=m - 1).filter(lambda c: math.gcd(c, m) == 1)
+    lead = draw(st.one_of(st.just(1), units))
+    b = draw(st.lists(st.integers(min_value=0, max_value=m - 1), min_size=db, max_size=db)) + [lead]
+    a = draw(st.one_of(residues(m, db), residues(m, 70)))
+    return a, b, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(divisions())
+def test_pdivmod_matches_the_reduced_schoolbook_division(case):
+    # pdivmod reduces only the coefficient that fixes each quotient term
+    a, b, m = case
+    q, r = modp.pdivmod(a, b, m)
+    assert (q, r) == reference_divmod(a, b, m)
+    assert modp.add(modp.mul(q, b, m), r, m) == modp.trim(list(a)) and len(r) < len(b)
 
 
 def test_invert_is_the_inverse_modulo_b():

@@ -77,13 +77,20 @@ S4_QUARTIC = Poly.from_desc([1, 0, 0, -1, -1])   # Galois group S4
     ("S4", "", [Y2M2, Poly.from_desc([1, 0, 3]), Poly.from_desc([1, 0, -7])]),
     ("S4 with sqrt5", "", [Poly.from_desc([1, 0, -5]), Poly.from_desc([1, 0, 11])]),
     ("S5", "", [Y2M2, Poly.from_desc([1, 0, 1]), Poly.from_desc([1, 1, -2, -1])]),
+    # every factor mod p has degree 1 or 2, and r = 16 = n/2 at each
+    # qualifying prime: all after the first are x^(p^2) checks
+    ("multiquadratic", "2,3,5,7,11", [Poly([-5, 0, 1]), Poly([-13, 0, 1])]),
+    # x^6 - 2: an x^(p^2) check fails at the prime that then wins (19 for
+    # x^2 + 2, 61 for x^2 - 13)
+    ("x^6 - 2", "", [Poly([2, 0, 1]), Poly([-13, 0, 1])]),
 ])
 def test_select_prime_matches_exhaustive_rule(kind, params, hs):
-    # the pruned DDFs, the kept factor degrees and the discriminant test
-    # pick the same prime, roots and factors as the plain rule
+    # the pruned DDFs, the kept factor degrees, the x^(p^2) checks and the
+    # discriminant test pick the same prime, roots and factors as the plain rule
     f = {"S4": S4_QUARTIC,
          "S4 with sqrt5": compositum_minpoly(Poly.from_desc([1, 0, -5]), S4_QUARTIC),
-         "S5": Poly.from_desc([1, 0, 0, 0, -1, -1])}.get(kind)
+         "S5": Poly.from_desc([1, 0, 0, 0, -1, -1]),
+         "x^6 - 2": Poly.from_desc([1, 0, 0, 0, 0, 0, -2])}.get(kind)
     field = NumberField(f or corpus_generate(kind, params).poly)
     for h in hs:
         assert select_prime(field, h) == exhaustive_select_prime(field, h), h
@@ -113,6 +120,49 @@ def test_early_stop_picks_the_25_prime_rules_prime_for_true_subfields():
         chosen = select_prime(field, h)
         assert chosen == exhaustive_select_prime(field, h) == \
             exhaustive_select_prime(field, h, first_at_most_deg_h=False), h
+
+
+def _record_ddfs_and_checks(monkeypatch):
+    """Record each DDF's (coefficients, prime) and each x^(p^2) check's
+    (prime, held)."""
+    ddfs, checks = [], []
+
+    def ddf_degrees(g, q, stop=None, barrett=None):
+        ddfs.append((g.coeffs, q))
+        return real_ddf(g, q, stop, barrett)
+
+    def frobenius_square_fixes_x(g, q, barrett=None):
+        checks.append((q, real_check(g, q, barrett)))
+        return checks[-1][1]
+
+    real_ddf, real_check = modp.ddf_degrees, modp.frobenius_square_fixes_x
+    monkeypatch.setattr(modp, "ddf_degrees", ddf_degrees)
+    monkeypatch.setattr(modp, "frobenius_square_fixes_x", frobenius_square_fixes_x)
+    return ddfs, checks
+
+
+def test_a_root_test_on_mq32_runs_one_ddf(monkeypatch):
+    # Q(sqrt 2, ..., sqrt 11): r = 16 = n/2 at the first qualifying prime,
+    # and each of the 24 later ones passes the x^(p^2) check, which proves
+    # at least 16 factors, so no DDF runs there
+    field = NumberField(multiquadratic_minpoly((2, 3, 5, 7, 11)))
+    ddfs, checks = _record_ddfs_and_checks(monkeypatch)
+    assert find_root(field, Poly([-5, 0, 1])).status == PROVED
+    assert len(ddfs) == 1 and len(checks) == 24 and all(held for _, held in checks)
+    assert ddfs[0][1] < min(q for q, _ in checks)
+
+
+def test_a_failed_frobenius_check_leaves_the_prime_to_its_ddf(monkeypatch):
+    # x^6 - 2 and x^2 + 2: r = 3 at 11 (n // r = 2), then a held check at 17
+    # (degrees 1, 1, 2, 2) skips its DDF, and a failed one at 19 runs it:
+    # f is irreducible mod 19, and that one factor proves that sqrt(-2) is
+    # not in the field
+    field = NumberField(Poly.from_desc([1, 0, 0, 0, 0, 0, -2]))
+    ddfs, checks = _record_ddfs_and_checks(monkeypatch)
+    pd = select_prime(field, Poly([2, 0, 1]))
+    assert (pd.p, pd.r) == (19, 1)
+    assert [q for q, held in checks if not held] == [19]
+    assert not {q for q, held in checks if held} & {q for _, q in ddfs} and ddfs[-1][1] == 19
 
 
 def test_select_prime_pool_exhaustion(monkeypatch):
@@ -783,10 +833,15 @@ def test_root_tests_on_one_field_repeat_their_work(monkeypatch):
     assert runs[0] and runs[0] == runs[1]
 
 
-# DDFs a corpus scan runs twice, all at primes above the last prime its
-# sieve walked: the root tests' prime selection walks on past the sieve's
-# stop, and select_prime keeps nothing of its own
-DDF_REPEATS_ABOVE_SIEVE = {("cyclotomic", "24"): 14, ("multiquadratic", "2,3,5"): 6}
+# DDFs a corpus scan runs twice: none, since the root tests' prime
+# selection replaces each DDF that could not win by an x^(p^2) check
+DDF_REPEATS_ABOVE_SIEVE = {}
+# (x^(p^2) checks, of them repeats) of a corpus scan, all at primes above
+# the last prime its sieve walked: select_prime walks on past the sieve's
+# stop and keeps nothing of its own, so its root tests repeat the checks
+FROBENIUS_CHECKS_ABOVE_SIEVE = {("cyclotomic", "15"): (6, 0), ("cyclotomic", "20"): (6, 0),
+                                ("cyclotomic", "24"): (37, 14),
+                                ("multiquadratic", "2,3,5"): (15, 6)}
 
 
 def test_corpus_scans_run_no_ddf_twice_up_to_the_sieve_stop(monkeypatch):
@@ -795,19 +850,15 @@ def test_corpus_scans_run_no_ddf_twice_up_to_the_sieve_stop(monkeypatch):
     # own at witness primes, and none of these scans has one
     import subfieldscan.scan as scan_mod
 
-    calls, walked = [], []
-
-    def ddf_degrees(g, q, stop=None, barrett=None):
-        calls.append((g.coeffs, q))
-        return real_ddf(g, q, stop, barrett)
+    walked = []
 
     def sieve_rows(*args):
         sieve = real_sieve(*args)
         walked.append(sieve.walked)
         return sieve
 
-    real_ddf, real_sieve = modp.ddf_degrees, scan_mod.sieve_rows
-    monkeypatch.setattr(modp, "ddf_degrees", ddf_degrees)
+    real_sieve = scan_mod.sieve_rows
+    calls, checks = _record_ddfs_and_checks(monkeypatch)
     monkeypatch.setattr(scan_mod, "sieve_rows", sieve_rows)
     plan = [("cyclotomic", str(m), scan_mod.quad_subfield_scan) for m in CYCLOTOMIC_QUAD_TRUTH]
     plan += [("cyclotomic", "7", scan_mod.cubic_subfield_scan)]
@@ -817,6 +868,7 @@ def test_corpus_scans_run_no_ddf_twice_up_to_the_sieve_stop(monkeypatch):
              ("cubic-compositum", "7,q5", scan_mod.cubic_subfield_scan)]
     for kind, params, scan in plan:
         calls.clear()
+        checks.clear()
         walked.clear()
         report = scan(corpus_generate(kind, params).poly)
         assert report.direct_tests > 0 and calls and len(walked) == 1, (kind, params)
@@ -824,3 +876,7 @@ def test_corpus_scans_run_no_ddf_twice_up_to_the_sieve_stop(monkeypatch):
         assert all(q > walked[0] for _, q in repeats), (kind, params)
         assert sum(repeats.values()) == DDF_REPEATS_ABOVE_SIEVE.get((kind, params), 0), \
             (kind, params)
+        primes = [q for q, _ in checks]
+        assert all(q > walked[0] for q in primes), (kind, params)
+        assert (len(primes), len(primes) - len(set(primes))) == \
+            FROBENIUS_CHECKS_ABOVE_SIEVE.get((kind, params), (0, 0)), (kind, params)
