@@ -38,15 +38,15 @@ and the work spent finding them, depend on the polynomial and p alone.
 The root tests' Hensel lifts to Z/p^k, of the factors of f and of the
 roots of h, live in nfroot (_lift_factors, _lift_root).
 
-The prime walks of the scans and the root tests' prime selection ask only
-part of this.  They settle squarefreeness themselves (NumberField.
-squarefree_mod: p not dividing disc(f) when the discriminant is cheap,
-otherwise gcd(f, f') mod p) and give ddf_degrees a stop rule, which also
-tells it to skip its own gcd(f, f') test: the scans stop at the first
-stage whose degree decides the Frobenius class (odd for l = 2, prime to 3
-for l = 3), and prime selection stops once the prime cannot have fewer
-factors than the best one so far, or skips a DDF that x^(p^2) = x
-shows cannot win.
+ddf_degrees takes f squarefree mod p and does not test it: every caller
+settles squarefreeness first, the prime walks of the scans and the root
+tests' prime selection with NumberField.squarefree_mod (p not dividing
+disc(f) when the discriminant is cheap, otherwise gcd(f, f') mod p), a
+witness check with squarefree_mod_p.  The walks ask only part of a DDF
+and give it a stop rule: the scans stop at the first stage whose degree
+decides the Frobenius class (odd for l = 2, prime to 3 for l = 3), and
+prime selection stops once the prime cannot have fewer factors than the
+best one so far, or skips a DDF that x^(p^2) = x shows cannot win.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import random
 import struct
 
 from .arith import sqrt_mod_prime
-from .errors import BudgetExceeded, NotSquarefree
+from .errors import BudgetExceeded
 from .poly import Poly
 
 _CZ_RETRY_CAP = 64
@@ -450,17 +450,13 @@ def ddf_degrees(f: Poly, p: int, stop=None, barrett=None) -> dict[int, list[int]
     """Distinct-degree factorization of f mod p: degree d -> the monic
     product of its irreducible factors of degree d, d increasing.
 
-    Without a stop rule, raises NotSquarefree when f mod p is not
-    squarefree.  A caller that gives stop has already made sure that f mod
-    p is squarefree, and the gcd(f, f') test is skipped.  stop(degrees,
-    left) is asked after each stage that finds factors, with the factor
-    degrees so far (degree_counts) and the degree of f not yet factored;
-    when it is true the DDF ends there and returns the stages so far, which
-    cover all of f exactly when left is 0.  barrett is barrett_constant(f)
-    for a monic f (NumberField.barrett).
+    f mod p must be squarefree (squarefree_mod_p), which is not checked
+    here.  stop(degrees, left) is asked after each stage that finds
+    factors, with the factor degrees so far (degree_counts) and the degree
+    of f not yet factored; when it is true the DDF ends there and returns
+    the stages so far, which cover all of f exactly when left is 0.
+    barrett is barrett_constant(f) for a monic f (NumberField.barrett).
     """
-    if stop is None and not squarefree_mod_p(f, p):
-        raise NotSquarefree(f"f mod {p} is not squarefree")
     fb = monic(from_poly(f, p), p)
     left = deg(fb)
     stages: dict[int, list[int]] = {}

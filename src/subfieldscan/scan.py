@@ -45,7 +45,9 @@ it once, with every certificate, and raises if it fails.
 
 Every positive entry in the report carries a certificate that passes
 verify_certificate; exclusions are either witnessed by a Frobenius
-constraint (certified) or reported as unproven.
+constraint (certified) or reported as unproven.  check_invariants
+re-checks a witness with its class (sieve.frobenius_class) but not its
+row: it tests the candidate at q its own way.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from . import modp
-from .arith import factor_integer, iter_primes, legendre
+from .arith import factor_integer, is_probable_prime, iter_primes, legendre
 from .config import ScanConfig
 from .eisenstein import OMEGA, split_prime
 from .kummer3 import CubicCandidate, build_generator, cubic_place_basis
@@ -63,9 +65,8 @@ from .nfroot import (PROVED, SELECT_PRIME_QUALIFYING, NumberField, RootCertifica
                      find_root, scaled_root_bits, verify_certificate)
 from .poly import Poly, normalize_input
 from .ramify import candidate_ramified_primes
-from .sieve import (CubicClass, PlaceBasis, QuadClass, Row, Span, canonical_f3, class_decided,
-                    classify_prime_cubic, classify_prime_quadratic, frobenius_row,
-                    kernel_vectors, vector_satisfies)
+from .sieve import (PlaceBasis, Row, Span, canonical_f3, class_decided, frobenius_class,
+                    frobenius_row, kernel_vectors, vector_satisfies)
 
 STATUS_PROVED = "proved"
 STATUS_CERTIFIED_ABSENT = "certified_absent"
@@ -117,7 +118,14 @@ class ScanReport:
     def check_invariants(self, field: NumberField | None = None) -> None:
         """Verify every certificate (the one check of a twist product's),
         every witness prime, and the group closure of the found quadratic
-        set.  Witness primes get a full, gcd-checked DDF of their own."""
+        set; raise AssertionError for any claim that fails, in a scan's
+        report or in a loaded one.  A witness must be a prime q > l at
+        which f is squarefree; a full DDF of its own gives its class
+        (sieve.frobenius_class), and the candidate is tested at q without
+        the row: q splits in every quadratic subfield while delta is no
+        square mod q, or is inert in every one while delta is a square; or
+        q splits in every cyclic cubic subfield while the candidate's
+        minimal polynomial is squarefree with no root mod q."""
         if field is None:
             field = NumberField(self.poly)
         for e in self.subfields:
@@ -138,13 +146,14 @@ class ScanReport:
             q = e.witness_prime
             if e.status != STATUS_CERTIFIED_ABSENT or q is None:
                 continue
-            degrees = modp.degree_counts(modp.ddf_degrees(field.f, q))
+            ell = 2 if e.delta is not None else 3
+            if not (q > ell and is_probable_prime(q) and modp.squarefree_mod_p(field.f, q)):
+                raise AssertionError(f"witness {q} is not a prime above {ell} "
+                                     "at which f is squarefree")
+            cls = frobenius_class(modp.degree_counts(modp.ddf_degrees(field.f, q)), field.n, ell)
             if e.delta is not None:
-                cls = classify_prime_quadratic(degrees, field.n)
-                sym = legendre(e.delta, q)
-                violated = ((cls == QuadClass.SPLIT and sym == -1)
-                            or (cls == QuadClass.INERT and sym == 1))
-                if not violated:
+                # split (0) contradicts a non-square delta, inert (1) a square
+                if cls is None or legendre(e.delta, q) != 2 * cls - 1:
                     raise AssertionError(f"witness {q} does not exclude {e.delta}")
             elif e.minpoly is not None:
                 # q splits in every cyclic cubic subfield, but not in the
@@ -153,7 +162,7 @@ class ScanReport:
                 # 81 v^2 for the class a = x + v w, yet a prime dividing v
                 # is no witness: then a = x mod q and x^2 = N(a) = c^3, so
                 # x = (x / c)^3 is a cube at q, and q splits there too.
-                if classify_prime_cubic(degrees) != CubicClass.SPLITS_ALL:
+                if cls != 0:
                     raise AssertionError(f"witness {q} does not split in every cubic subfield")
                 if not modp.squarefree_mod_p(e.minpoly, q) or modp.roots_mod_p(e.minpoly, q):
                     raise AssertionError(f"witness {q} does not exclude {e.minpoly}")
@@ -214,8 +223,9 @@ def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int
 
     - at once when it is full: for l = 2 the system is inconsistent, for
       l = 3 its kernel is 0, and no later row can change the solutions;
-    - after STABLE_PRIMES class-deciding primes in a row (SPLIT or
-      INERT for l = 2, SPLITS_ALL for l = 3) that leave it as it was,
+    - after STABLE_PRIMES class-deciding primes in a row (split or
+      inert for l = 2, split in every cyclic cubic subfield for l = 3;
+      sieve.frobenius_class) that leave it as it was,
       counting those whose row is trivial;
     - or once SELECT_PRIME_QUALIFYING primes that decide nothing have
       been walked since it last grew, and at least one class-deciding
@@ -231,7 +241,7 @@ def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int
       prime where the sieve stopped.
 
     For l = 2 both counts wait while only the zero vector solves the
-    rows: no candidate is left, and only an INERT prime, which may be
+    rows: no candidate is left, and only an inert prime, which may be
     rare, can still make the system inconsistent, as the report says.
     Otherwise the sieve walks on to the bound; a bound below the first
     prime (3 for l = 2, 5 for l = 3) keeps no row."""

@@ -7,10 +7,13 @@ Kummer class over Q(zeta_3), whose slot generators the cubic basis carries
 constrains every such subfield at once: frobenius_row gives its F_l row,
 and a candidate whose vector fails that row (vector_satisfies) is no
 subfield.  That one rule gives every sieve row and every absence witness.
-It takes nothing but q, the factor degrees of f mod q and the basis: it
-decides the class (None for a prime that decides nothing) and makes the
-row, which may be trivial (Row.trivial); a cubic row's residue classes
-are computed only at a prime that splits in every cyclic cubic subfield.
+It takes nothing but q, the factor degrees of f mod q and the basis.
+Its right-hand side is the Frobenius class of q (frobenius_class): 0
+when q splits in every subfield of the kind, 1 when it is inert in every
+quadratic one, None when the cycle type decides nothing, and then there
+is no row; a row may be trivial (Row.trivial).  A cubic row's residue
+classes are computed only at a prime that splits in every cyclic cubic
+subfield.
 Span, a span in reduced echelon form, is the one elimination over F_l:
 the sieve of the scans builds the span of its rows once, and the scans
 read their candidates from it with kernel_vectors, the one enumeration of
@@ -24,22 +27,10 @@ tag slot that names it (scan._walk): a Span holds vectors only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 from .arith import legendre
 from .eisenstein import EisensteinInt, OMEGA, cubic_residue_class, split_prime
-
-
-class QuadClass(Enum):
-    SPLIT = "split"          # splits in every quadratic subfield
-    INERT = "inert"          # inert in every quadratic subfield
-    NO_INFO = "no_info"
-
-
-class CubicClass(Enum):
-    SPLITS_ALL = "splits_in_all_cubic"
-    NO_INFO = "no_info"
 
 
 @dataclass(frozen=True)
@@ -153,85 +144,53 @@ def kernel_vectors(span: Span):
             yield canonical_f3(v)
 
 
-def classify_prime_quadratic(degrees: dict[int, int], n: int) -> QuadClass:
-    """Split / inert classification from the factor-degree multiset mod p.
-
-    An odd factor degree forces p to split in every quadratic subfield.  If
-    no sub-multiset of the degrees sums to n/2, p cannot split in any, so it
-    is inert in every quadratic subfield.  Otherwise no information.  The
-    degrees may come from a DDF stopped by class_decided(2): they hold an
-    odd degree then, and the class is the full multiset's.
-    """
-    if n % 2 != 0:
-        raise ValueError("degree must be even")
-    if any(d % 2 == 1 for d in degrees):
-        return QuadClass.SPLIT
+def frobenius_class(degrees: dict[int, int], n: int, ell: int) -> int | None:
+    """The Frobenius class over F_l of a prime q at which f of degree n is
+    squarefree with the given factor degrees, as the right-hand side of its
+    row: 0 when q splits in every subfield of the kind (a factor degree
+    prime to l), 1 when it is inert in every quadratic one (l = 2, and no
+    sub-multiset of the degrees sums to n/2, so q splits in none), None
+    when the cycle type decides nothing.  The degrees may come from a DDF
+    stopped by class_decided(l): they hold a degree prime to l then, and
+    the class is the full multiset's."""
+    if any(d % ell for d in degrees):
+        return 0
+    if ell == 3:
+        return None
     half = n // 2
     reachable = 1
     mask = (1 << (half + 1)) - 1
     for d, count in degrees.items():
         for _ in range(count):
             reachable |= (reachable << d) & mask
-    if (reachable >> half) & 1:
-        return QuadClass.NO_INFO
-    return QuadClass.INERT
-
-
-def quad_constraint(p: int, cls: QuadClass, basis: PlaceBasis) -> Row:
-    """The F2 row contributed by an odd prime with known classification.
-
-    Coefficient for slot m is (1 - legendre(m, p)) / 2; right-hand side is
-    0 for split, 1 for inert.  The row may be trivial (Row.trivial).
-    """
-    if cls == QuadClass.NO_INFO:
-        raise ValueError("no constraint from an unclassified prime")
-    if p in basis.primes:
-        raise ValueError(f"{p} is in the place basis")
-    coeffs = [(1 - legendre(-1, p)) // 2]
-    for q in basis.primes:
-        coeffs.append((1 - legendre(q, p)) // 2)
-    return Row(tuple(coeffs), 0 if cls == QuadClass.SPLIT else 1, p)
-
-
-def classify_prime_cubic(degrees: dict[int, int]) -> CubicClass:
-    """A factor degree not divisible by 3 forces splitting in every cyclic
-    cubic subfield; otherwise nothing can be concluded.  The degrees may
-    come from a DDF stopped by class_decided(3)."""
-    if any(d % 3 != 0 for d in degrees):
-        return CubicClass.SPLITS_ALL
-    return CubicClass.NO_INFO
+    return None if (reachable >> half) & 1 else 1
 
 
 def class_decided(ell: int):
     """The stop rule for modp.ddf_degrees when only the class of the prime
-    over F_l is asked: a factor degree prime to l decides it (SPLIT for
-    l = 2, SPLITS_ALL for l = 3), whatever the degrees still to come."""
+    over F_l is asked (frobenius_class): a factor degree prime to l decides
+    it, whatever the degrees still to come."""
     return lambda degrees, left: any(d % ell for d in degrees)
-
-
-def cubic_constraint(q: int, basis: PlaceBasis) -> Row:
-    """Homogeneous F3 row at a prime q that splits in all cubic subfields:
-    the cubic residue classes of the slot generators at q, all 0 (a
-    trivial row) when every generator is a cube there.  q is neither 3 nor
-    in the basis, so it divides no generator's norm (1 or p**3)."""
-    return Row(tuple(cubic_residue_class(g, q) for g in basis.generators), 0, q)
 
 
 def frobenius_row(q: int, degrees: dict[int, int], n: int, basis: PlaceBasis) -> Row | None:
     """The F_l row (l = basis.e) of a prime q outside the basis at which f
-    of degree n is squarefree and has the given factor degrees, which may
-    come from a DDF stopped by class_decided(l): None when the cycle type
-    decides nothing, else the row of the class it decides (SPLIT or INERT
-    for l = 2, SPLITS_ALL for l = 3), which may be trivial.  Nothing else
-    goes in: the row is fixed by f and q alone.  For l = 3 it does not
-    depend on the degrees beyond the class, and its residue classes are
-    computed only once the class is decided."""
-    if basis.e == 2:
-        cls = classify_prime_quadratic(degrees, n)
-        return None if cls == QuadClass.NO_INFO else quad_constraint(q, cls, basis)
-    if classify_prime_cubic(degrees) == CubicClass.NO_INFO:
+    of degree n is squarefree and has the given factor degrees: None when
+    the cycle type decides nothing, else the class (frobenius_class) as
+    right-hand side, with the coefficient (1 - legendre(m, q)) / 2 per
+    slot m for l = 2, and for l = 3 the cubic residue classes at q of the
+    slot generators, all 0 (a trivial row) when every one is a cube there;
+    q is neither 3 nor in the basis, so it divides no generator's norm (1
+    or p**3).  The residue classes are computed only once the class is
+    decided.  Nothing else goes in: the row is fixed by f and q alone."""
+    rhs = frobenius_class(degrees, n, basis.e)
+    if rhs is None:
         return None
-    return cubic_constraint(q, basis)
+    if basis.e == 2:
+        coeffs = tuple((1 - legendre(m, q)) // 2 for m in (-1, *basis.primes))
+    else:
+        coeffs = tuple(cubic_residue_class(g, q) for g in basis.generators)
+    return Row(coeffs, rhs, q)
 
 
 def canonical_f3(vec) -> tuple[int, ...]:

@@ -5,7 +5,7 @@ import pytest
 
 from subfieldscan import modp
 from subfieldscan.arith import primes_up_to
-from subfieldscan.errors import BudgetExceeded, NotSquarefree
+from subfieldscan.errors import BudgetExceeded
 from subfieldscan.modp import ddf_degrees, degree_counts, roots_mod_p, squarefree_mod_p
 from subfieldscan.nfroot import (NOT_FOUND, PROVED, NumberField, PrimeData, RootCertificate,
                                  find_root, integer_root, knapsack_precision, knapsack_size,
@@ -42,8 +42,8 @@ def test_select_prime_conditions():
 
 
 def exhaustive_select_prime(field, h, first_at_most_deg_h=True):
-    """The selection rule with nothing skipped: a full, gcd-checked DDF at
-    each qualifying prime, up to the first with r <= deg h or else the 25th,
+    """The selection rule with nothing skipped: a gcd test of f mod p and a
+    full DDF at each qualifying prime, up to the first with r <= deg h or else the 25th,
     then the least (r, p).  Without first_at_most_deg_h, the 25-prime rule:
     the least (r, p) among the first 25 qualifying primes."""
     qualifying = []
@@ -51,10 +51,9 @@ def exhaustive_select_prime(field, h, first_at_most_deg_h=True):
         roots = roots_mod_p(h, p)
         if len(roots) != h.degree:
             continue
-        try:
-            r = sum(degree_counts(ddf_degrees(field.f, p)).values())
-        except NotSquarefree:
+        if not squarefree_mod_p(field.f, p):
             continue
+        r = sum(degree_counts(ddf_degrees(field.f, p)).values())
         qualifying.append((r, p, tuple(sorted(roots))))
         if len(qualifying) >= 25 or (first_at_most_deg_h and r <= h.degree):
             break

@@ -235,8 +235,8 @@ def test_cubic_span_member_without_root_is_an_error(monkeypatch):
     (cubic_subfield_scan, "cyclotomic", "7", 2, "absence_witness"),
 ])
 def test_ddf_fault_reaches_the_caller(monkeypatch, scan, kind, params, bound, where):
-    # only NotSquarefree means "no information at this prime"; any other
-    # error from the DDF kernel must not change the rows or the witnesses.
+    # an error from the DDF kernel is never read as "no information at this
+    # prime": it must not change the rows or the witnesses.
     # The fault hits the factor degrees the prime walk asks the field for
     # (and keeps); the root tests' prime selection, which keeps none, works.
     real = NumberField.ddf
@@ -268,6 +268,29 @@ def test_check_invariants_rejects_a_wrong_cubic_witness(prime, reason):
     rep.excluded[index] = dataclasses.replace(entry, witness_prime=prime)
     with pytest.raises(AssertionError, match=reason):
         rep.check_invariants()
+
+
+@pytest.mark.parametrize("scan, kind, params, bound, found, witnesses", [
+    (quad_subfield_scan, "cyclotomic", "15", 31, 61, (121, 391, 9, 5, 3, 2)),
+    (cubic_subfield_scan, "cubic-compositum", "7,q5", 2, 23, (3, 7, 25)),
+])
+def test_check_invariants_rejects_a_witness_that_is_no_usable_prime(scan, kind, params, bound,
+                                                                   found, witnesses):
+    # a loaded report's witness must be a prime q > l at which f is
+    # squarefree: 121, 391, 9 and 25 are composite (121 and 391 pass the
+    # Frobenius re-check as if prime), f mod 3, 5 or 7 has repeated factors
+    # where they divide disc(f), and 2 (l = 2) and 3 (l = 3) are too small
+    from subfieldscan.cli import report_from_dict, report_to_dict
+
+    f = corpus_generate(kind, params).poly
+    d = report_to_dict(scan(f, ScanConfig(sieve_prime_bound=bound)))
+    entry = next(e for e in d["excluded"] if e.get("witness_prime"))
+    assert entry["witness_prime"] == str(found)
+    report_from_dict(d).check_invariants()
+    for q in witnesses:
+        entry["witness_prime"] = str(q)
+        with pytest.raises(AssertionError, match=f"witness {q} is not a prime"):
+            report_from_dict(d).check_invariants()
 
 
 SPLIT_PRIMES = (7, 13, 19, 31, 37, 43)
@@ -416,7 +439,6 @@ def test_quad_witness_is_the_first_prime_where_split_or_inert_contradicts_legend
     import subfieldscan.scan as scan_mod
     from subfieldscan.arith import legendre
     from subfieldscan.ramify import candidate_ramified_primes
-    from subfieldscan.sieve import QuadClass, classify_prime_quadratic
 
     monkeypatch.setattr(scan_mod, "ABSENCE_PRIME_BOUND", 1_000)
     f = corpus_generate(kind, params).poly
@@ -424,13 +446,24 @@ def test_quad_witness_is_the_first_prime_where_split_or_inert_contradicts_legend
     kind_ = scan_mod._Quad(field, candidate_ramified_primes(field, 2))
     basis, gcd_value = kind_.basis, kind_.gcd_value
 
+    def split_or_inert(q):
+        """1: a full DDF mod q has an odd factor degree, so q splits in
+        every quadratic subfield; -1: no product of factors of f mod q
+        has degree n/2, so q is inert in every one; 0: neither."""
+        degrees = [d for d, c in modp.degree_counts(modp.ddf_degrees(f, q)).items()
+                   for _ in range(c)]
+        if any(d % 2 for d in degrees):
+            return 1
+        sums = {0}
+        for d in degrees:
+            sums |= {s + d for s in sums}
+        return 0 if field.n // 2 in sums else -1
+
+    classes = {q: split_or_inert(q)
+               for q, _ in scan_mod._frobenius_primes(field, basis, gcd_value, 1_000)}
+
     def legendre_witness(delta):
-        for q, degrees in scan_mod._frobenius_primes(field, basis, gcd_value, 1_000):
-            cls = classify_prime_quadratic(degrees, field.n)
-            sym = legendre(delta, q)
-            if (cls == QuadClass.SPLIT and sym == -1) or (cls == QuadClass.INERT and sym == 1):
-                return q
-        return None
+        return next((q for q, cls in classes.items() if cls and legendre(delta, q) == -cls), None)
 
     witnesses = []
     for vec in itertools.product((0, 1), repeat=basis.width):
@@ -450,10 +483,10 @@ def test_cubic_witness_is_the_first_splits_all_prime_where_the_minpoly_has_no_ro
     # while the class's minimal polynomial is squarefree with no root mod q
     import subfieldscan.scan as scan_mod
     from subfieldscan.arith import iter_primes
+    from subfieldscan.eisenstein import cubic_residue_class
     from subfieldscan.kummer3 import build_generator
     from subfieldscan.ramify import candidate_ramified_primes
-    from subfieldscan.sieve import (CubicClass, classify_prime_cubic, cubic_constraint,
-                                    kernel_vectors)
+    from subfieldscan.sieve import kernel_vectors
 
     monkeypatch.setattr(scan_mod, "ABSENCE_PRIME_BOUND", 1_000)
     kind, params = ("cyclotomic", params) if params == "7" else ("cubic-compositum", params)
@@ -463,8 +496,7 @@ def test_cubic_witness_is_the_first_splits_all_prime_where_the_minpoly_has_no_ro
     basis, gcd_value = kind_.basis, kind_.gcd_value
     splits_all = [q for q in iter_primes(5, 1_000) if q not in basis.primes and gcd_value % q
                   and modp.squarefree_mod_p(field.f, q)
-                  and classify_prime_cubic(modp.degree_counts(modp.ddf_degrees(field.f, q)))
-                  == CubicClass.SPLITS_ALL]
+                  and any(d % 3 for d in modp.degree_counts(modp.ddf_degrees(field.f, q)))]
 
     def minpoly_witness(h, after):
         return next((q for q in splits_all if q > after
@@ -472,7 +504,8 @@ def test_cubic_witness_is_the_first_splits_all_prime_where_the_minpoly_has_no_ro
 
     # the walks also start at primes where every slot generator is a cube:
     # their row is trivial, and no class has a witness there
-    cubes = [q for q in splits_all if not any(cubic_constraint(q, basis).coeffs)]
+    cubes = [q for q in splits_all
+             if not any(cubic_residue_class(g, q) for g in basis.generators)]
     assert cubes
     first = []
     for vec in kernel_vectors(Span(3, basis.width)):
@@ -496,7 +529,7 @@ def test_cubic_residue_classes_only_at_primes_that_split_in_every_cubic_subfield
     import subfieldscan.sieve as sieve_mod
     from subfieldscan.arith import iter_primes
     from subfieldscan.ramify import candidate_ramified_primes
-    from subfieldscan.sieve import CubicClass, classify_prime_cubic
+    from subfieldscan.sieve import frobenius_class
 
     f = corpus_generate("cubic-compositum", "7,9").poly
     field = NumberField(f)
@@ -506,8 +539,7 @@ def test_cubic_residue_classes_only_at_primes_that_split_in_every_cubic_subfield
     walk = [q for q in iter_primes(5, walked) if q not in kind.basis.primes
             and kind.gcd_value % q and modp.squarefree_mod_p(f, q)]
     splits_all = [q for q in walk
-                  if classify_prime_cubic(modp.degree_counts(modp.ddf_degrees(f, q)))
-                  == CubicClass.SPLITS_ALL]
+                  if frobenius_class(modp.degree_counts(modp.ddf_degrees(f, q)), field.n, 3) == 0]
     assert 0 < len(splits_all) < len(walk)
     calls = []
 
@@ -795,7 +827,7 @@ def test_absence_search_starts_after_the_sieve(monkeypatch, kind, params, bound,
 
 
 def test_absence_search_starts_after_a_stable_sieve(monkeypatch):
-    # Q(zeta_8) gives no row: a prime is NO_INFO or splits completely with
+    # Q(zeta_8) gives no row: a prime decides nothing or splits completely with
     # a trivial row, so the default sieve stops on the stable count at a
     # prime that gives no row.  The first root test is made to fail, so the
     # walk searches for a witness against a true subfield: it finds none

@@ -1,15 +1,12 @@
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from subfieldscan.arith import iter_primes
 from subfieldscan.eisenstein import EisensteinInt, OMEGA, cubic_residue_class, split_prime
-from subfieldscan.sieve import (CubicClass, PlaceBasis, QuadClass, Row, Span, canonical_f3,
-                                classify_prime_cubic, classify_prime_quadratic,
-                                cubic_constraint, frobenius_row, kernel_vectors,
-                                quad_constraint, vector_satisfies)
+from subfieldscan.sieve import (PlaceBasis, Row, Span, canonical_f3, frobenius_class,
+                                frobenius_row, kernel_vectors, vector_satisfies)
 from tests_sieve_helpers import f2_solutions, row_span
 
 
@@ -21,13 +18,13 @@ def brute_force_f2(rows, width):
     return set(sols)
 
 
-def test_classify_quadratic_examples():
-    assert classify_prime_quadratic({1: 1, 3: 1}, 4) == QuadClass.SPLIT
-    assert classify_prime_quadratic({2: 2}, 4) == QuadClass.NO_INFO
-    assert classify_prime_quadratic({4: 3}, 12) == QuadClass.INERT
+def test_frobenius_class_quadratic_examples():
+    assert frobenius_class({1: 1, 3: 1}, 4, 2) == 0       # splits in every quadratic subfield
+    assert frobenius_class({2: 2}, 4, 2) is None           # decides nothing
+    assert frobenius_class({4: 3}, 12, 2) == 1             # inert in every one
 
 
-def test_classify_quadratic_subset_sum_matches_bruteforce():
+def test_frobenius_class_quadratic_subset_sum_matches_bruteforce():
     rng = random.Random(0)
     for _ in range(200):
         n = rng.choice([4, 6, 8, 10, 12])
@@ -37,31 +34,28 @@ def test_classify_quadratic_subset_sum_matches_bruteforce():
             d = rng.randint(1, left)
             degs[d] = degs.get(d, 0) + 1
             left -= d
-        cls = classify_prime_quadratic(degs, n)
+        cls = frobenius_class(degs, n, 2)
         items = [d for d, c in degs.items() for _ in range(c)]
         reachable = set()
         for mask in range(1 << len(items)):
             reachable.add(sum(items[i] for i in range(len(items)) if (mask >> i) & 1))
         if any(d % 2 for d in degs):
-            assert cls == QuadClass.SPLIT
+            assert cls == 0
         elif n // 2 in reachable:
-            assert cls == QuadClass.NO_INFO
+            assert cls is None
         else:
-            assert cls == QuadClass.INERT
+            assert cls == 1
 
 
-def test_quad_constraint_examples():
+def test_frobenius_row_quadratic_examples():
+    # (1 - legendre(m, q)) / 2 on the slots -1 and 2, the class as rhs
     basis = PlaceBasis(2, (2,))
-    row = quad_constraint(5, QuadClass.INERT, basis)
-    assert row.coeffs == (0, 1) and row.rhs == 1
-    row = quad_constraint(3, QuadClass.INERT, basis)
+    row = frobenius_row(5, {4: 1}, 4, basis)
+    assert row.coeffs == (0, 1) and row.rhs == 1 and row.prime == 5
+    row = frobenius_row(3, {4: 1}, 4, basis)
     assert row.coeffs == (1, 1) and row.rhs == 1
-    row = quad_constraint(17, QuadClass.SPLIT, basis)
+    row = frobenius_row(17, {1: 1, 3: 1}, 4, basis)
     assert row.coeffs == (0, 0) and row.rhs == 0 and row.trivial
-    with pytest.raises(ValueError, match="is in the place basis"):
-        quad_constraint(2, QuadClass.SPLIT, basis)
-    with pytest.raises(ValueError):
-        quad_constraint(7, QuadClass.NO_INFO, basis)
 
 
 def test_f2_kernel_vectors_examples():
@@ -98,13 +92,15 @@ def test_zero_vector_never_solves_inert_system():
             assert tuple([0] * width) not in set(sols)
 
 
-def test_classify_cubic_examples():
-    assert classify_prime_cubic({1: 1, 3: 1}) == CubicClass.SPLITS_ALL
-    assert classify_prime_cubic({3: 3}) == CubicClass.NO_INFO
-    assert classify_prime_cubic({6: 1, 3: 1}) == CubicClass.NO_INFO
+def test_frobenius_class_cubic_examples():
+    # a degree prime to 3 splits q in every cyclic cubic subfield; no
+    # cubic class is inert in all of them
+    assert frobenius_class({1: 1, 3: 1}, 4, 3) == 0
+    assert frobenius_class({3: 3}, 9, 3) is None
+    assert frobenius_class({6: 1, 3: 1}, 9, 3) is None
 
 
-def test_cubic_constraint_slot_values():
+def test_frobenius_row_cubic_slot_values():
     assert cubic_residue_class(OMEGA, 7) == 2
     b7 = split_prime(7)
     gen = b7 * b7.conj() * b7.conj()
@@ -112,7 +108,7 @@ def test_cubic_constraint_slot_values():
     basis = PlaceBasis(3, (7,))
     gens = basis.generators
     assert gens[0] == OMEGA and gens[1] == gen
-    row = cubic_constraint(13, basis)
+    row = frobenius_row(13, {1: 3}, 3, basis)
     assert row.coeffs == (cubic_residue_class(OMEGA, 13), cubic_residue_class(gen, 13))
     assert row.rhs == 0 and row.prime == 13
 
@@ -129,12 +125,12 @@ def test_frobenius_row_tells_a_trivial_row_from_no_information():
     # a class-deciding prime gives a row even when it is all zero; a prime
     # whose cycle type decides nothing gives None
     basis2 = PlaceBasis(2, (2,))
-    assert frobenius_row(17, {1: 1, 3: 1}, 4, basis2).trivial           # SPLIT, 2 = 6^2 mod 17
-    assert frobenius_row(5, {4: 1}, 4, basis2) == Row((0, 1), 1, 5)       # INERT
-    assert frobenius_row(17, {2: 2}, 4, basis2) is None                   # NO_INFO
+    assert frobenius_row(17, {1: 1, 3: 1}, 4, basis2).trivial           # split, 2 = 6^2 mod 17
+    assert frobenius_row(5, {4: 1}, 4, basis2) == Row((0, 1), 1, 5)       # inert
+    assert frobenius_row(17, {2: 2}, 4, basis2) is None                   # decides nothing
     basis3 = PlaceBasis(3, (7,))
     cubes = next(q for q in iter_primes(5, 10_000)
-                 if q != 7 and not any(cubic_constraint(q, basis3).coeffs))
+                 if q != 7 and not any(cubic_residue_class(g, q) for g in basis3.generators))
     assert frobenius_row(cubes, {1: 3}, 3, basis3) == Row((0, 0), 0, cubes)
     assert frobenius_row(cubes, {1: 3}, 3, basis3).trivial
     assert frobenius_row(cubes, {3: 1}, 3, basis3) is None

@@ -33,7 +33,7 @@ GENERIC_PLANTED = [
     ("quad", (3, 1, 2, 0, 1, 0, -5, 3, 3, 4, 4, 0, 1), (-2, 0, 1)),
     ("cubic", (2, 4, -5, -2, 5, -3, 1), (-1, -2, 1, 1)),
     ("cubic", (3, 4, -3, -4, 3, -1, -5, 1), (-1, -4, -1, 1)),
-    # seed 102: the INERT row at 173 that grows the span comes after 7 stale
+    # seed 102: the inert row at 173 that grows the span comes after 7 stale
     # class-deciding primes and 20 no-information ones; a budget of 25 that
     # counted every prime would stop at 157 and leave a solution too many
     ("quad", (-3, -2, 3, 1, -3, -3, 1), (3, 0, 1)),
@@ -46,7 +46,7 @@ GENERIC_EMPTY = [
     ("cubic", (-2, 2, 2, 3, -2, 0, 1)),
     ("cubic", (-2, 5, -2, 2, -1, -5, 1, 3, 5, 1)),
     # generic-mix fields of seeds 101, 106 and 107 whose rows leave only the
-    # zero vector for 8 SPLIT primes or more before an INERT prime makes
+    # zero vector for 8 split primes or more before an inert prime makes
     # them inconsistent
     ("quad", (5, 0, 5, -1, 1, 1, -2, 1, -4, 1, 5, 1, 1)),
     ("quad", (2, 3, -2, 3, -5, -2, -4, 1, -4, 0, 1)),
@@ -130,8 +130,8 @@ def test_stopped_sieve_spans_every_row_up_to_the_bound_at_scale(make, scan):
 
 
 @pytest.mark.parametrize("kind, params, scan", [
-    ("cyclotomic", "8", "quad"),          # every prime is NO_INFO or a trivial SPLIT
-    ("cubic-compositum", "7,9", "cubic"), # no SPLITS_ALL prime gives a nonzero row
+    ("cyclotomic", "8", "quad"),          # every prime decides nothing or splits trivially
+    ("cubic-compositum", "7,9", "cubic"), # no split prime gives a nonzero row
 ])
 def test_sieve_without_rows_stops_early(monkeypatch, kind, params, scan):
     field, adapter = _setting(corpus_generate(kind, params).poly, scan)
@@ -188,7 +188,7 @@ def _made_up_sieve(monkeypatch, basis, plan):
 
 def test_stable_count_restarts_when_the_span_grows(monkeypatch):
     # a made-up prime walk over F_3, width 4: every row grows the span or
-    # repeats a row before it; NO_INFO primes (None) do not count
+    # repeats a row before it; no-information primes (None) do not count
     basis = PlaceBasis(3, (7, 13, 19))
     units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     plan = ([units[0]] + [units[0], None] * 7 + [units[1]] + [units[1], None] * 7
@@ -202,20 +202,20 @@ def test_stable_count_restarts_when_the_span_grows(monkeypatch):
 
 
 def test_budget_stops_after_as_many_no_information_primes_as_select_prime_takes(monkeypatch):
-    # over F_3, width 4; None is a NO_INFO prime
+    # over F_3, width 4; None is a no-information prime
     basis = PlaceBasis(3, (7, 13, 19))
     units = [(tuple(int(i == j) for j in range(4)), 0) for i in range(4)]
     idle = [None] * (SELECT_PRIME_QUALIFYING - 1)
-    # 30 NO_INFO primes with no stale class-deciding prime since the span
+    # 30 no-information primes with no stale class-deciding prime since the span
     # grew; 24 after a stale one, then a growth that restarts the count;
-    # a stale prime and the 25th NO_INFO prime after that growth stop it
+    # a stale prime and the 25th no-information prime after that growth stop it
     plan = ([units[0]] + [None] * 30 + [units[1], units[1]] + idle + [units[2], units[2]]
             + idle + [None] * 5)
     sieve, primes = _made_up_sieve(monkeypatch, basis, plan)
     stop = len(plan) - 5
     assert sieve.walked == primes[stop]
     assert [r.coeffs for r in sieve.rows] == [units[i][0] for i in (0, 1, 1, 2, 2)]
-    # the 30 NO_INFO primes count once a stale prime comes: it stops there
+    # the 30 no-information primes count once a stale prime comes: it stops there
     plan = [units[0]] + [None] * 30 + [units[0], units[1]]
     sieve, primes = _made_up_sieve(monkeypatch, basis, plan)
     assert sieve.walked == primes[31]
@@ -223,8 +223,8 @@ def test_budget_stops_after_as_many_no_information_primes_as_select_prime_takes(
 
 def test_budget_waits_while_only_zero_solves_the_quadratic_rows(monkeypatch):
     # over F_2, width 2 with the right-hand side last: once the rows leave
-    # only 0, NO_INFO primes (None) and SPLIT primes that add
-    # nothing do not stop the sieve; the INERT row that makes the system
+    # only 0, no-information primes (None) and split primes that add
+    # nothing do not stop the sieve; the inert row that makes the system
     # inconsistent does
     basis = PlaceBasis(2, (2,))
     plan = ([((1, 0), 0), ((0, 1), 0)] + ([None] * 20 + [((1, 1), 0)]) * 3
