@@ -4,18 +4,20 @@ A candidate is an exponent vector over F_l on a basis of the possibly
 ramified places (sieve.py).  A scan validates f first (NumberField), bounds
 the ramified primes, keeps one F_l row per prime whose Frobenius cycle type
 is usable (sieve_rows) and walks the candidates the rows leave in increasing
-size (_walk).  The sieve keeps the span of its rows and stops once that span
-is full, once STABLE_PRIMES class-deciding primes in a row have not grown
-it, or once it has spent on primes that decide nothing since the span
-grew as many DDFs as a root test's prime selection may run: the rows a
-longer walk would add then most likely change nothing, and a row missed
-costs one failed root test, never a wrong answer.  It hands that
-span over, and the candidates are read from it (sieve.kernel_vectors):
-the rows are eliminated once per scan.  The walk keeps the span of the
-found vectors: a candidate in it is a subfield by closure, one in the
-coset of an excluded vector is excluded with it, and any other gets one
-exact root test, followed on failure by a search for an absence
-witness.  A witness is a prime whose Frobenius row
+size (_walk).  The sieve keeps the span of its rows, which for l = 2
+starts with the real place's row when f < 0 at a point tried
+(sieve.real_place_row): every quadratic subfield is real then.  It stops
+once that span is full, once STABLE_PRIMES class-deciding primes in a row
+have not grown it, or once it has spent on primes that decide nothing
+since the span grew as many DDFs as a root test's prime selection may
+run: the rows a longer walk would add then most likely change nothing,
+and a row missed costs one failed root test, never a wrong answer.  It
+hands that span over, and the candidates are read from it
+(sieve.kernel_vectors): the rows are eliminated once per scan.  The
+walk keeps the span of the found vectors: a candidate in it is a
+subfield by closure, one in the coset of an excluded vector is excluded
+with it, and any other gets one exact root test, followed on failure by
+a search for an absence witness.  A witness is a prime whose Frobenius row
 (sieve.frobenius_row) the candidate's exponent vector fails, for both
 kinds: absence_witness is the one search, the sieve and it share one prime
 walk (_frobenius_primes), and a witness search goes on from the last prime
@@ -66,7 +68,7 @@ from .nfroot import (PROVED, SELECT_PRIME_QUALIFYING, NumberField, RootCertifica
 from .poly import Poly, normalize_input
 from .ramify import candidate_ramified_primes
 from .sieve import (PlaceBasis, Row, Span, canonical_f3, class_decided, frobenius_class,
-                    frobenius_row, kernel_vectors, vector_satisfies)
+                    frobenius_row, kernel_vectors, real_place_row, vector_satisfies)
 
 STATUS_PROVED = "proved"
 STATUS_CERTIFIED_ABSENT = "certified_absent"
@@ -119,13 +121,14 @@ class ScanReport:
         """Verify every certificate (the one check of a twist product's),
         every witness prime, and the group closure of the found quadratic
         set; raise AssertionError for any claim that fails, in a scan's
-        report or in a loaded one.  A witness must be a prime q > l at
-        which f is squarefree; a full DDF of its own gives its class
-        (sieve.frobenius_class), and the candidate is tested at q without
-        the row: q splits in every quadratic subfield while delta is no
-        square mod q, or is inert in every one while delta is a square; or
-        q splits in every cyclic cubic subfield while the candidate's
-        minimal polynomial is squarefree with no root mod q."""
+        report or in a loaded one, and for an excluded entry that names
+        no candidate (neither delta nor minpoly).  A witness must be a
+        prime q > l at which f is squarefree; a full DDF of its own gives
+        its class (sieve.frobenius_class), and the candidate is tested at
+        q without the row: q splits in every quadratic subfield while
+        delta is no square mod q, or is inert in every one while delta is
+        a square; or q splits in every cyclic cubic subfield while the
+        candidate's minimal polynomial is squarefree with no root mod q."""
         if field is None:
             field = NumberField(self.poly)
         for e in self.subfields:
@@ -143,6 +146,8 @@ class ScanReport:
                     if prod != 1 and prod not in deltas:
                         raise AssertionError("found set is not twist-closed")
         for e in self.excluded:
+            if e.delta is None and e.minpoly is None:
+                raise AssertionError(f"a {e.status} entry names no candidate")
             q = e.witness_prime
             if e.status != STATUS_CERTIFIED_ABSENT or q is None:
                 continue
@@ -155,7 +160,7 @@ class ScanReport:
                 # split (0) contradicts a non-square delta, inert (1) a square
                 if cls is None or legendre(e.delta, q) != 2 * cls - 1:
                     raise AssertionError(f"witness {q} does not exclude {e.delta}")
-            elif e.minpoly is not None:
+            else:
                 # q splits in every cyclic cubic subfield, but not in the
                 # candidate's field: its minimal polynomial X^3 - 3cX - t
                 # stays irreducible.  That polynomial has discriminant
@@ -219,37 +224,56 @@ class SieveRows:
 def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int) -> SieveRows:
     """The nontrivial F_l rows (l = basis.e) of the primes up to bound,
     walked in order until the span of the rows (with the right-hand side
-    for l = 2) stops growing:
+    for l = 2) stops growing.  For l = 2 the span starts with the real
+    place's row when f < 0 at a point tried (sieve.real_place_row): every
+    quadratic subfield is real then.  That row is not in rows, since no
+    prime gives it.  The walk stops:
 
-    - at once when it is full: for l = 2 the system is inconsistent, for
-      l = 3 its kernel is 0, and no later row can change the solutions;
+    - at once when the span is full: for l = 2 the system is inconsistent,
+      for l = 3 its kernel is 0, and no later row can change the solutions;
     - after STABLE_PRIMES class-deciding primes in a row (split or
       inert for l = 2, split in every cyclic cubic subfield for l = 3;
       sieve.frobenius_class) that leave it as it was,
       counting those whose row is trivial;
     - or once SELECT_PRIME_QUALIFYING primes that decide nothing have
-      been walked since it last grew, and at least one class-deciding
-      prime since then has left it as it was.  This is a ski rental
-      counted in DDFs of f: each further prime costs one, and a row
-      missed by stopping costs at most one failed root test, whose
-      prime selection runs up to as many DDFs before it lifts anything.
-      Unlike the stable count it bounds the cost of a miss, not its
-      chance: where few primes decide the class (Galois groups of small
-      exponent) it stops well before the bound and may leave out a row.
-      The scan stays sound: a candidate the missed row would have ruled
-      out fails its root test, and the witness search goes on from the
-      prime where the sieve stopped.
+      been walked since it last grew, and a place whose row the span
+      already held has been seen: a class-deciding prime since the last
+      growth that left the span as it was, or the real place.
 
-    For l = 2 both counts wait while only the zero vector solves the
-    rows: no candidate is left, and only an inert prime, which may be
-    rare, can still make the system inconsistent, as the report says.
-    Otherwise the sieve walks on to the bound; a bound below the first
-    prime (3 for l = 2, 5 for l = 3) keeps no row."""
+    The last stop is a ski rental counted in DDFs of f: each further prime
+    costs one, and a row missed by stopping costs at most one failed root
+    test, whose prime selection runs up to SELECT_PRIME_QUALIFYING DDFs
+    before it lifts anything; the walk stops once the primes walked in vain
+    since the span grew have cost as much as a miss would.
+    Unlike the stable count it bounds the cost of a miss, not its chance:
+    where few primes decide the class (Galois groups of small exponent)
+    it stops well before the bound and may leave out a row.  The scan stays
+    sound: a candidate the missed row would have ruled out fails its root
+    test, and the witness search goes on from the prime where the sieve
+    stopped.  The seen place keeps the rental from starting while every
+    class-deciding place so far has grown the span: until one repeats
+    what the span holds, a row may still come at each of them.  The real
+    place is a class-deciding place whose row the span holds from the
+    start, so with it the rental starts at prime 3.  The cost of a miss is
+    bounded as before; what the real row saves is the walk to the first
+    finite primes in the class of complex conjugation, which in a field of
+    small exponent gave that same row after many primes that decide
+    nothing.
+
+    For l = 2 the budget waits while only the zero vector solves the
+    rows, and the stable count restarts: no candidate is left, and only
+    an inert prime, which may be rare, can still make the system
+    inconsistent, as the report says.  Otherwise the sieve walks on to
+    the bound; a bound below the first prime (3 for l = 2, 5 for l = 3)
+    keeps no row, the real one included."""
     ell, width = basis.e, basis.width
     span = Span(ell, width + 1 if ell == 2 else width)
+    real = real_place_row(field.f, basis) if bound >= 3 else None
+    if real is not None:
+        span.insert((*real[0].coeffs, real[0].rhs))
     rows: list[Row] = []
     stale = idle = 0
-    full = False
+    full = zero_only = False
     for q, degrees in _frobenius_primes(field, basis, gcd_value, bound):
         row = frobenius_row(q, degrees, field.n, basis)
         if row is None:
@@ -262,13 +286,16 @@ def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int
             stale = 0 if len(span.rows) > rank else stale + 1
             if ell == 2:
                 full = width in span.rows
-                if len(span.rows) == width and not any(r[width] for r in span.rows.values()):
-                    stale = 0   # only 0 solves the rows: what is left to learn is inconsistency
+                zero_only = (len(span.rows) == width
+                             and not any(r[width] for r in span.rows.values()))
+                if zero_only:
+                    stale = 0   # what is left to learn is inconsistency
             else:
                 full = len(span.rows) == width
             if not stale:
                 idle = 0
-        if full or stale >= STABLE_PRIMES or (stale and idle >= SELECT_PRIME_QUALIFYING):
+        seen = stale or (real is not None and not zero_only)
+        if full or stale >= STABLE_PRIMES or (seen and idle >= SELECT_PRIME_QUALIFYING):
             return SieveRows(rows, span, q)
     return SieveRows(rows, span, bound)
 

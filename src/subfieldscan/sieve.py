@@ -14,6 +14,12 @@ quadratic one, None when the cycle type decides nothing, and then there
 is no row; a row may be trivial (Row.trivial).  A cubic row's residue
 classes are computed only at a prime that splits in every cyclic cubic
 subfield.
+The real place is a place too, and its Frobenius is complex conjugation.
+When f has a real root, conjugation fixes that root, its cycle type has a
+fixed point, and its class is 0: every quadratic subfield is real.
+real_place_row gives that row, (1, 0, ..., 0 | 0), what frobenius_row
+would give at R, once one exact evaluation f(x) < 0 proves a real root.
+There is no cubic row: cyclic cubic fields are totally real.
 Span, a span in reduced echelon form, is the one elimination over F_l:
 the sieve of the scans builds the span of its rows once, and the scans
 read their candidates from it with kernel_vectors, the one enumeration of
@@ -27,6 +33,7 @@ tag slot that names it (scan._walk): a Span holds vectors only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .arith import legendre
@@ -191,6 +198,32 @@ def frobenius_row(q: int, degrees: dict[int, int], n: int, basis: PlaceBasis) ->
     else:
         coeffs = tuple(cubic_residue_class(g, q) for g in basis.generators)
     return Row(coeffs, rhs, q)
+
+
+# The points x = a / b that real_place_row tries, in order: 0, then k, -k,
+# k - 1/2, 1/2 - k for k = 1, ..., 4.
+REAL_PLACE_POINTS = ((0, 1), *((s * a, b) for k in range(1, 5)
+                               for a, b in ((k, 1), (2 * k - 1, 2)) for s in (1, -1)))
+
+
+def real_place_row(f, basis: PlaceBasis) -> tuple[Row, Fraction] | None:
+    """(the row of the real place, x) for l = 2 and the first x in
+    REAL_PLACE_POINTS at which the monic integral f is negative: f then has
+    a real root above x, so the real place splits in every quadratic
+    subfield.  The row is 1 on the sign slot, 0 on every prime slot, with
+    right-hand side 0; its prime 0 names the real place.  None for a cubic
+    basis, or when f is negative at no point tried.  The sign of f(a / b)
+    is that of b**n f(a / b), an exact integer Horner sum."""
+    if basis.e != 2:
+        return None
+    for a, b in REAL_PLACE_POINTS:
+        value, power = 0, 1
+        for c in reversed(f.coeffs):
+            value = value * a + c * power
+            power *= b
+        if value < 0:
+            return Row((1, *(0 for _ in basis.primes)), 0, 0), Fraction(a, b)
+    return None
 
 
 def canonical_f3(vec) -> tuple[int, ...]:

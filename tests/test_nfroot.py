@@ -837,10 +837,13 @@ def test_root_tests_on_one_field_repeat_their_work(monkeypatch):
 DDF_REPEATS_ABOVE_SIEVE = {}
 # (x^(p^2) checks, of them repeats) of a corpus scan, all at primes above
 # the last prime its sieve walked: select_prime walks on past the sieve's
-# stop and keeps nothing of its own, so its root tests repeat the checks
+# stop and keeps nothing of its own, so its root tests repeat the checks.
+# The real place's row stops the sieves of the two largest multiquadratic
+# fields at 109 and 127, so their root tests check more primes
 FROBENIUS_CHECKS_ABOVE_SIEVE = {("cyclotomic", "15"): (6, 0), ("cyclotomic", "20"): (6, 0),
                                 ("cyclotomic", "24"): (37, 14),
-                                ("multiquadratic", "2,3,5"): (15, 6)}
+                                ("multiquadratic", "2,3,5"): (38, 15),
+                                ("multiquadratic", "2,3,5,7"): (54, 27)}
 
 
 def test_corpus_scans_run_no_ddf_twice_up_to_the_sieve_stop(monkeypatch):

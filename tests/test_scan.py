@@ -184,16 +184,17 @@ def test_cubic_compositum_of_four_conductors(monkeypatch):
 def test_mixed_compositum_of_degree_36(monkeypatch):
     # C3^2 x V4 (conductors 7 and 13, with sqrt 2 and sqrt 5; 48-bit
     # coefficients): the quadratic scan proves sqrt 2 and sqrt 5 by root
-    # tests, fails one on -1 (a witness excludes it) and gets sqrt 10 as a
-    # product; the cubic scan finds 4 cyclic cubic subfields from 2 root tests
+    # tests and gets sqrt 10 as a product; f has a real root, so the real
+    # place's row leaves no negative delta to test; the cubic scan finds 4
+    # cyclic cubic subfields from 2 root tests
     from subfieldscan.nfroot import PROVED
 
     calls = _count_find_root(monkeypatch)
     f = mixed_compositum((7, 13), (2, 5))
     assert f.degree == 36 and max(abs(c) for c in f.coeffs).bit_length() == 48
     rep = quad_subfield_scan(f)
-    assert deltas(rep) == [2, 5, 10] and rep.direct_tests == len(calls) == 3
-    assert [e.witness_prime for e in rep.excluded if e.delta == -1] == [151]
+    assert deltas(rep) == [2, 5, 10] and rep.direct_tests == len(calls) == 2
+    assert all(e.delta > 0 for e in rep.subfields + rep.excluded)
     assert [h for h, status in calls if status == PROVED] == [Poly([-2, 0, 1]), Poly([-5, 0, 1])]
     del calls[:]
     rep = cubic_subfield_scan(f)
@@ -291,6 +292,30 @@ def test_check_invariants_rejects_a_witness_that_is_no_usable_prime(scan, kind, 
         entry["witness_prime"] = str(q)
         with pytest.raises(AssertionError, match=f"witness {q} is not a prime"):
             report_from_dict(d).check_invariants()
+
+
+@pytest.mark.parametrize("scan, kind, params, bound, label", [
+    (quad_subfield_scan, "cyclotomic", "15", 31, "delta"),
+    (cubic_subfield_scan, "cubic-compositum", "7,q5", 2, "minpoly"),
+])
+def test_check_invariants_rejects_an_excluded_entry_without_candidate(scan, kind, params,
+                                                                     bound, label):
+    # a loaded excluded entry that names neither a delta nor a minimal
+    # polynomial excludes nothing, witness or not
+    import copy
+
+    from subfieldscan.cli import report_from_dict, report_to_dict
+
+    d = report_to_dict(scan(corpus_generate(kind, params).poly,
+                            ScanConfig(sieve_prime_bound=bound)))
+    statuses = {e["status"] for e in d["excluded"]}
+    assert {STATUS_CERTIFIED_ABSENT, STATUS_TWIST_EXCLUDED} <= statuses
+    for status in statuses:
+        loaded = copy.deepcopy(d)
+        entry = next(e for e in loaded["excluded"] if e["status"] == status)
+        del entry[label]
+        with pytest.raises(AssertionError, match="names no candidate"):
+            report_from_dict(loaded).check_invariants()
 
 
 SPLIT_PRIMES = (7, 13, 19, 31, 37, 43)
@@ -791,7 +816,7 @@ def test_sieve_rows_sound_for_true_cubic_subfields(kind, params, vec):
 
 @pytest.mark.parametrize("kind, params, bound, witnesses", [
     ("cyclotomic", "15", 31, [61]),
-    ("cubic-compositum", "7,q5", 13, [17, 17]),
+    ("cubic-compositum", "7,q5", 13, [17]),   # the real row leaves out -2
 ])
 def test_absence_search_starts_after_the_sieve(monkeypatch, kind, params, bound, witnesses):
     # with one sieve row (the sieve's primes end at bound) the walk needs

@@ -1,13 +1,16 @@
 import itertools
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from subfieldscan.arith import iter_primes
 from subfieldscan.eisenstein import EisensteinInt, OMEGA, cubic_residue_class, split_prime
-from subfieldscan.sieve import (PlaceBasis, Row, Span, canonical_f3, frobenius_class,
-                                frobenius_row, kernel_vectors, vector_satisfies)
-from tests_sieve_helpers import f2_solutions, row_span
+from subfieldscan.poly import Poly
+from subfieldscan.sieve import (REAL_PLACE_POINTS, PlaceBasis, Row, Span, canonical_f3,
+                                frobenius_class, frobenius_row, kernel_vectors, real_place_row,
+                                vector_satisfies)
+from tests_sieve_helpers import f2_solutions, row_span, value_at
 
 
 def brute_force_f2(rows, width):
@@ -134,6 +137,37 @@ def test_frobenius_row_tells_a_trivial_row_from_no_information():
     assert frobenius_row(cubes, {1: 3}, 3, basis3) == Row((0, 0), 0, cubes)
     assert frobenius_row(cubes, {1: 3}, 3, basis3).trivial
     assert frobenius_row(cubes, {3: 1}, 3, basis3) is None
+
+
+def test_real_place_row_is_the_first_listed_point_where_f_is_negative():
+    basis = PlaceBasis(2, (2, 3))
+    row = Row((1, 0, 0), 0, 0)
+    assert real_place_row(Poly([-2, 0, 1]), basis) == (row, 0)
+    # (x - 2)(x - 3) is 0 at 2 and 3 and negative between: first at 5/2
+    assert real_place_row(Poly([6, -5, 1]), basis) == (row, Fraction(5, 2))
+    assert real_place_row(Poly([6, 5, 1]), basis) == (row, Fraction(-5, 2))
+    # x^2 + 1 has no real root; (x - 4)(x - 5) is negative only above 4
+    assert real_place_row(Poly([1, 0, 1]), basis) is None
+    assert real_place_row(Poly([20, -9, 1]), basis) is None
+    assert max(abs(Fraction(a, b)) for a, b in REAL_PLACE_POINTS) == 4
+    # the row is frobenius_row's at R: a fixed point gives class 0, and
+    # (1 - sign(m)) / 2 per slot m
+    assert row.rhs == frobenius_class({1: 1, 3: 1}, 4, 2)
+
+
+def test_real_place_row_is_exact_where_floats_are_not():
+    # x^2 - (B + 2) x + B is B at 0 and -1 at 1, which floats round to 0
+    big = 2**200
+    f = Poly([big, -(big + 2), 1])
+    assert value_at(f, Fraction(1)) == -1
+    assert (1.0 + float(-(big + 2))) + float(big) == 0
+    assert real_place_row(f, PlaceBasis(2, (2,))) == (Row((1, 0), 0, 0), 1)
+
+
+def test_real_place_row_never_for_a_cubic_basis():
+    # x^3 - 2 is negative at 0, yet cyclic cubic fields have no sign slot
+    assert real_place_row(Poly([-2, 0, 0, 1]), PlaceBasis(3, (7,))) is None
+    assert real_place_row(Poly([-1, -2, 1, 1]), PlaceBasis(3, (7,))) is None
 
 
 def test_f3_kernel_vectors_examples():

@@ -3,7 +3,11 @@ spent its budget of primes that decide nothing; on the fields below it
 must lose nothing the rows of every prime up to the bound would give."""
 
 import os
+import sys
 import types
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +17,16 @@ from subfieldscan.config import ScanConfig
 from subfieldscan.nfroot import SELECT_PRIME_QUALIFYING, NumberField
 from subfieldscan.poly import Poly, compositum_minpoly, normalize_input
 from subfieldscan.ramify import candidate_ramified_primes
-from subfieldscan.sieve import PlaceBasis, Row, Span, frobenius_row, kernel_vectors
+from subfieldscan.sieve import (REAL_PLACE_POINTS, PlaceBasis, Row, Span, frobenius_row,
+                                kernel_vectors, real_place_row)
 from subfieldscan.testkit import CYCLOTOMIC_QUAD_TRUTH, corpus_generate
 from tests_poly_helpers import cyclic_cubic_compositum
+from tests_sieve_helpers import value_at
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench.workloads import QUAD, corpus_ops, generic_mix_ops  # noqa: E402
 
 CORPUS = ([("cyclotomic", str(m), "quad") for m in CYCLOTOMIC_QUAD_TRUTH]
           + [("cyclotomic", "7", "cubic")]
@@ -79,10 +90,16 @@ def _insert(span, row):
     span.insert((*row.coeffs, row.rhs) if span.ell == 2 else row.coeffs)
 
 
+def _real_rows(field, kind):
+    """The row of the real place, as a list of at most one row."""
+    real = real_place_row(field.f, kind.basis)
+    return [real[0]] if real else []
+
+
 def _span_up_to(field, kind, bound):
-    """The span of the rows of every prime up to bound; the walk ends once
-    it is full."""
-    span, width = _span(kind), kind.basis.width
+    """The span of the real place's row and the rows of every prime up to
+    bound; the walk ends once it is full."""
+    span, width = _span(kind, _real_rows(field, kind)), kind.basis.width
     for q, degrees in scan_mod._frobenius_primes(field, kind.basis, kind.gcd_value, bound):
         row = frobenius_row(q, degrees, field.n, kind.basis)
         if row is not None:
@@ -108,10 +125,65 @@ def _cases():
 def test_stopped_sieve_spans_every_row_up_to_the_bound(poly, scan):
     field, kind = _setting(poly, scan)
     sieve = scan_mod.sieve_rows(field, kind.basis, kind.gcd_value, BOUND)
-    kept = _span(kind, sieve.rows).rows   # pivot -> row
+    kept = _span(kind, _real_rows(field, kind) + sieve.rows).rows   # pivot -> row
     # the span the sieve hands to the scans is the span of its rows
     assert sieve.span.rows == kept
     assert kept == _span_up_to(field, kind, BOUND).rows
+
+
+def test_scans_use_the_real_row_only_where_no_delta_is_negative(monkeypatch):
+    # the corpus and generic-mix fields of the benchmark's seeds 1-3: where a
+    # scan's sieve takes the real place's row, f is negative at its x and
+    # the planted quadratic subfields are all real; a cubic basis never
+    # gets the row
+    calls = []
+
+    def recording(f, basis):
+        calls.append((f, basis, real_place_row(f, basis)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(scan_mod, "real_place_row", recording)
+    used = Counter()
+    for seed in (1, 2, 3):
+        for op in corpus_ops(seed) + generic_mix_ops(seed):
+            calls.clear()
+            run = scan_mod.quad_subfield_scan if op.kind == QUAD else scan_mod.cubic_subfield_scan
+            report = run(Poly(list(op.poly)))
+            [(f, basis, real)] = calls
+            assert (basis.e == 2) == (op.kind == QUAD)
+            used[op.kind, real is not None] += 1
+            if real is not None:
+                assert basis.e == 2 and value_at(f, real[1]) < 0
+                assert all(d > 0 for d in op.truth)
+                assert all(e.delta > 0 for e in report.subfields + report.excluded)
+    assert used[QUAD, True] and used[QUAD, False] and not used["cubic", True]
+
+
+@pytest.mark.parametrize("m", sorted(CYCLOTOMIC_QUAD_TRUTH))
+def test_no_cyclotomic_field_gets_a_real_row(m):
+    # Q(zeta_m) is totally imaginary: f is positive on R, shifted or not
+    polys = [corpus_generate("cyclotomic", str(m)).poly]
+    polys += [Poly(list(op.poly)) for op in corpus_ops(1)
+              if op.label.startswith(f"cyclotomic:{m}:")]
+    for f in polys:
+        assert real_place_row(f, PlaceBasis(2, (2,))) is None
+        assert all(value_at(f, Fraction(a, b)) > 0 for a, b in REAL_PLACE_POINTS)
+
+
+@pytest.mark.parametrize("kind, params", [("multiquadratic", "2,3,5"),
+                                          ("cubic-compositum", "7,q5")])
+def test_no_row_below_the_first_prime(kind, params):
+    # f has a real root, yet a sieve bound of 2 keeps neither the real
+    # place's row nor a finite one: every candidate, negative ones too, is
+    # left to the walk
+    field, adapter = _setting(corpus_generate(kind, params).poly, "quad")
+    real = real_place_row(field.f, adapter.basis)
+    assert real and value_at(field.f, real[1]) < 0
+    sieve = scan_mod.sieve_rows(field, adapter.basis, adapter.gcd_value, 2)
+    assert sieve.rows == [] and sieve.span.rows == {}
+    report = scan_mod.quad_subfield_scan(field.f, ScanConfig(sieve_prime_bound=2))
+    assert report.sieve.solution_dim == adapter.basis.width
+    assert any(e.delta < 0 for e in report.excluded)
 
 
 @pytest.mark.skipif(not os.environ.get("SUBFIELDSCAN_STRETCH"),
@@ -173,16 +245,21 @@ def test_field_without_subfield_stops_at_the_row_that_empties_the_solutions(scan
         assert list(kernel_vectors(sieve.span)) == []
 
 
-def _made_up_sieve(monkeypatch, basis, plan):
+# x^2 + 1 has no real root, x^2 - 2 is negative at 0
+NO_REAL_ROOT, REAL_ROOT = Poly([1, 0, 1]), Poly([-2, 0, 1])
+
+
+def _made_up_sieve(monkeypatch, basis, plan, f=NO_REAL_ROOT):
     """sieve_rows over a made-up prime walk: None in plan is a prime that
     decides nothing, any other entry (coeffs, rhs) a class-deciding prime
-    with that row (frobenius_row's two kinds of answer)."""
+    with that row (frobenius_row's two kinds of answer).  f gives the real
+    place its row, or none."""
     walk = list(zip(range(101, 10_000, 2), plan))
     rows = {q: entry and Row(*entry, q) for q, entry in walk}
     monkeypatch.setattr(scan_mod, "_frobenius_primes",
                         lambda *args, **kwargs: ((q, {}) for q, _ in walk))
     monkeypatch.setattr(scan_mod, "frobenius_row", lambda q, *args: rows[q])
-    sieve = scan_mod.sieve_rows(types.SimpleNamespace(n=0), basis, 1, BOUND)
+    sieve = scan_mod.sieve_rows(types.SimpleNamespace(n=0, f=f), basis, 1, BOUND)
     return sieve, [q for q, _ in walk]
 
 
@@ -221,14 +298,29 @@ def test_budget_stops_after_as_many_no_information_primes_as_select_prime_takes(
     assert sieve.walked == primes[31]
 
 
-def test_budget_waits_while_only_zero_solves_the_quadratic_rows(monkeypatch):
+@pytest.mark.parametrize("f", [NO_REAL_ROOT, REAL_ROOT], ids=["no-real-root", "real-root"])
+def test_real_row_stands_in_for_a_stale_prime(monkeypatch, f):
+    # over F_2, width 4 with the right-hand side last: with the real place's
+    # row in the span, the 25th no-information prime since the span last
+    # grew stops the sieve, though no class-deciding prime has left the
+    # span as it was; without it the sieve walks to the bound
+    basis = PlaceBasis(2, (2, 3, 5))
+    idle = [None] * (SELECT_PRIME_QUALIFYING - 1)
+    plan = idle + [((0, 1, 0, 0), 0)] + idle + [((0, 0, 1, 0), 0)] + idle + [None, None]
+    sieve, primes = _made_up_sieve(monkeypatch, basis, plan, f)
+    assert sieve.walked == (primes[-2] if f is REAL_ROOT else BOUND)
+    assert [r.coeffs for r in sieve.rows] == [(0, 1, 0, 0), (0, 0, 1, 0)]
+
+
+@pytest.mark.parametrize("f", [NO_REAL_ROOT, REAL_ROOT], ids=["no-real-root", "real-root"])
+def test_budget_waits_while_only_zero_solves_the_quadratic_rows(monkeypatch, f):
     # over F_2, width 2 with the right-hand side last: once the rows leave
     # only 0, no-information primes (None) and split primes that add
-    # nothing do not stop the sieve; the inert row that makes the system
-    # inconsistent does
+    # nothing do not stop the sieve, the real place's row or none; the
+    # inert row that makes the system inconsistent does
     basis = PlaceBasis(2, (2,))
     plan = ([((1, 0), 0), ((0, 1), 0)] + ([None] * 20 + [((1, 1), 0)]) * 3
             + [None] * 30 + [((0, 0), 1), None])
-    sieve, primes = _made_up_sieve(monkeypatch, basis, plan)
+    sieve, primes = _made_up_sieve(monkeypatch, basis, plan, f)
     assert sieve.walked == primes[len(plan) - 2]
     assert sieve.rows[-1].rhs == 1 and 2 in sieve.span.rows

@@ -1,5 +1,7 @@
 """The sieve's span of a list of rows, and the F2 solutions read from it,
-shared by the solver tests."""
+shared by the solver tests; f(x) over Q, for the real place's row."""
+
+from fractions import Fraction
 
 from subfieldscan.sieve import Span, kernel_vectors
 
@@ -19,3 +21,8 @@ def f2_solutions(span, width):
     if width in span.rows:
         return None
     return [v[:width] for v in kernel_vectors(span) if v[width]]
+
+
+def value_at(f, x) -> Fraction:
+    """f(x) for a rational x, term by term over Q."""
+    return sum(Fraction(c) * Fraction(x) ** i for i, c in enumerate(f.coeffs))
