@@ -3,9 +3,9 @@
 Every prime that is tamely (totally) ramified in a degree-e cyclic
 subfield divides the gcd of the numerators of f - g**e, where g is the
 degree-(n/e) candidate e-th root of f.  That gcd is tiny compared to
-disc(f), so the candidate place set costs almost nothing.  The shortcut
-takes the NumberField of f, whose constructor has already checked that f
-is monic, integral and squarefree.
+disc(f), so the place basis of the candidates costs almost nothing.  The
+shortcut takes the NumberField of f, whose constructor has already checked
+that f is monic, integral and squarefree.
 
 Run with: python3 demos/ramified_primes_shortcut.py
 """
@@ -33,8 +33,8 @@ def main():
     cs = candidate_ramified_primes(field, 2)
     dt_gcd = time.perf_counter() - t0
     print(f"numerator gcd: {cs.gcd_value}")
-    print(f"candidate ramified primes: tame {list(cs.tame_primes)}, "
-          f"wild {list(cs.wild_primes)}, real place tracked: {cs.include_minus_one}")
+    print(f"place basis: {cs.basis.width} slots, the real place (-1) and the primes "
+          f"{list(cs.basis.primes)} (2 always)")
     print(f"shortcut time: {dt_gcd * 1000:.1f} ms\n")
 
     t0 = time.perf_counter()
@@ -43,9 +43,9 @@ def main():
     print(f"disc(f) has {len(str(abs(d)))} digits "
           f"(computing it alone took {dt_disc * 1000:.0f} ms;")
     print("factoring a number that size is the cost the shortcut avoids)")
-    for p in cs.tame_primes:
-        assert d % p == 0
-    print("every tame candidate divides disc(f), as it must")
+    for p in cs.basis.primes:
+        assert p == 2 or d % p == 0
+    print("every odd prime of the basis, a prime of the gcd, divides disc(f), as it must")
 
 
 if __name__ == "__main__":

@@ -18,6 +18,12 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded
 
+
+def is_square(n: int) -> bool:
+    """True when the integer n is a perfect square, 0 included."""
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Largest n for which the fixed witness set above is known to be exact.

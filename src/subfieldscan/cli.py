@@ -313,9 +313,10 @@ def _print_summary(report: ScanReport):
     print(f"{name} subfields of degree-{report.degree} field "
           f"(scale {report.scale}, candidate primes {report.candidate_primes}, "
           f"gcd {report.gcd_value})")
-    print(f"sieve: {report.sieve.rows} rows from primes up to "
-          f"{report.sieve.primes_used[-1] if report.sieve.primes_used else '-'}; "
-          f"solution dimension {report.sieve.solution_dim}"
+    used = report.sieve.primes_used
+    print("sieve: " + (f"{report.sieve.rows} rows from primes up to {used[-1]}" if used
+                       else "no finite prime gave a row")
+          + f"; solution dimension {report.sieve.solution_dim}"
           + ("; inconsistent (no subfield exists)" if report.sieve.inconsistent else ""))
     for e in report.subfields:
         label = f"delta = {e.delta}" if e.delta is not None else render_poly(e.minpoly)

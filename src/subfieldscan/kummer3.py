@@ -9,8 +9,10 @@ integer cube root of the norm of a, the element u + c/u is real and
 satisfies X**3 - 3cX - Tr(a), which is the emitted minimal polynomial.
 
 The factors w and pi_i * conj(pi_i)**2 are the slot generators of the
-cubic place basis (sieve.PlaceBasis.generators), which the basis builds
-once; the sieve rows and the absence witnesses read the same generators.
+cubic place basis that ramify builds (sieve.PlaceBasis.generators, from
+its prime elements PlaceBasis.split_primes), computed once per basis; the
+sieve rows, the absence witnesses and the twist products read the same
+elements.
 For a nonzero exponent vector a is no cube in Z[w], so the emitted cubic
 is irreducible over Q: it has no rational root, and defines a cubic field.
 """
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 
 from .eisenstein import EisensteinInt, ONE
 from .poly import Poly
-from .ramify import CandidateSet
 from .sieve import PlaceBasis
 
 
@@ -58,14 +59,3 @@ def build_generator(exps, basis: PlaceBasis) -> CubicCandidate:
     t = a.trace()
     return CubicCandidate(exps, a, c, t, a.y, Poly([-t, -3 * c, 0, 1]))
 
-
-def cubic_place_basis(candidate_set: CandidateSet) -> PlaceBasis:
-    """Slots for the F3 exponent space of a cubic candidate set.
-
-    Only tame primes p = 1 (mod 3) can carry tame total ramification of a
-    cyclic cubic (3 | p - 1 is forced), so the others are dropped; the wild
-    prime 3 is represented by the unit axis.
-    """
-    if candidate_set.e != 3:
-        raise ValueError("cubic basis needs a degree-3 candidate set")
-    return PlaceBasis(3, tuple(p for p in candidate_set.tame_primes if p % 3 == 1))

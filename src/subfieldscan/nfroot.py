@@ -68,12 +68,11 @@ with n/2 factors.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, replace
 
 from . import modp
-from .arith import is_probable_prime, iter_primes
+from .arith import is_probable_prime, is_square, iter_primes
 from .errors import BudgetExceeded, InputError
 from .lattice import lll_reduce
 from .poly import Poly, disc_poly, is_squarefree_q
@@ -561,7 +560,7 @@ def find_root(field: NumberField, h: Poly, config=None, rng=None) -> RootSearch:
     if pdata.r < h.degree:
         return RootSearch(NOT_FOUND)
     disc = disc_poly(h) if h.degree == 3 else 0
-    pins = 1 if disc >= 0 and math.isqrt(disc) ** 2 == disc else 3
+    pins = 1 if is_square(disc) else 3
     for i in range(pins):
         result = root_knapsack(field, h, replace(pdata, roots=pdata.roots[i:] + pdata.roots[:i]))
         if result.status == PROVED:

@@ -1,6 +1,6 @@
-"""Candidate ramified primes of the degree-e cyclic subfields of a
-NumberField, whose constructor has checked that f is squarefree, without
-factoring the discriminant of the defining polynomial.
+"""The place basis of the degree-e cyclic subfields of a NumberField, whose
+constructor has checked that f is squarefree, without factoring the
+discriminant of the defining polynomial.
 
 The shortcut: compute the unique monic candidate g with deg g = deg(f)/e
 whose e-th power matches the top coefficients of f, and take the gcd D of
@@ -11,6 +11,15 @@ compared to disc(f), so factoring it is cheap.  D comes from integers
 alone: with s = e**2, the top-down recurrence on s**N f(X/s) gives
 s**N (f - g**e)(X/s), whose coefficient at X**i is s**(N - i) times that
 of f - g**e.
+
+Every candidate subfield is an exponent vector over the one basis built
+here (sieve.PlaceBasis).  For e = 2 its slots are the real place and the
+primes 2 and those of D; for e = 3 the unit axis, which carries the wild
+prime 3, and the primes of D that are 1 mod 3, the only ones that can
+ramify tamely in a cyclic cubic field.  A prime q of D with q prime to e
+needs no other care: F = s**N f(X/s) is then G**e mod q, so f is no
+squarefree polynomial mod q, and the prime walk of the scans
+(NumberField.squarefree_mod) skips q.
 """
 
 from __future__ import annotations
@@ -21,31 +30,22 @@ from dataclasses import dataclass
 from .arith import factor_integer
 from .nfroot import NumberField
 from .poly import eth_power_top_down
+from .sieve import PlaceBasis
 
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Possibly ramified places of a degree-e cyclic subfield.
+    """The place basis of the degree-e cyclic subfields, and the numerator
+    gcd D it comes from, kept for diagnostics since no a priori bound on it
+    is known."""
 
-    tame_primes come from the numerator gcd; wild_primes are the divisors of
-    e (plus 2 for e = 2, where 2 is both wild and the even prime); the -1
-    slot tracks the real place and exists only for e = 2.  gcd_value is kept
-    for diagnostics since no a priori bound on it is known.
-    """
-
-    e: int
-    tame_primes: tuple[int, ...]
-    wild_primes: tuple[int, ...]
-    include_minus_one: bool
+    basis: PlaceBasis
     gcd_value: int
-
-    def all_finite_primes(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.tame_primes) | set(self.wild_primes)))
 
 
 def candidate_ramified_primes(field: NumberField, e: int) -> CandidateSet:
-    """Superset of the ramified primes of any degree-e cyclic subfield of
-    the field Q[X]/(f), for e in {2, 3}.
+    """The place basis of every degree-e cyclic subfield of the field
+    Q[X]/(f), for e in {2, 3}, and D.
 
     NumberField has made f monic, integral and squarefree; irreducibility
     is the caller's responsibility.
@@ -63,16 +63,7 @@ def candidate_ramified_primes(field: NumberField, e: int) -> CandidateSet:
         h = F[i] - ge[i]
         if h:
             d = math.gcd(d, h // math.gcd(h, s ** (N - i)))
-    tame = []
-    if d > 1:
-        for p in factor_integer(d).primes():
-            if e % p != 0:
-                tame.append(p)
-    wild = (2,) if e == 2 else (3,)
-    return CandidateSet(
-        e=e,
-        tame_primes=tuple(sorted(tame)),
-        wild_primes=wild,
-        include_minus_one=(e == 2),
-        gcd_value=d,
-    )
+    primes = factor_integer(d).primes() if d > 1 else ()
+    if e == 2:
+        return CandidateSet(PlaceBasis(2, tuple(sorted({2, *primes}))), d)
+    return CandidateSet(PlaceBasis(3, tuple(p for p in primes if p % 3 == 1)), d)

@@ -1,12 +1,14 @@
 """Subfield scans: one algorithm over F_l, l = 2 (quadratic) or 3 (cyclic cubic).
 
 A candidate is an exponent vector over F_l on a basis of the possibly
-ramified places (sieve.py).  A scan validates f first (NumberField), bounds
-the ramified primes, keeps one F_l row per prime whose Frobenius cycle type
-is usable (sieve_rows) and walks the candidates the rows leave in increasing
-size (_walk).  The sieve keeps the span of its rows, which for l = 2
-starts with the real place's row when f < 0 at a point tried
-(sieve.real_place_row): every quadratic subfield is real then.  It stops
+ramified places (sieve.PlaceBasis).  A scan validates f first (NumberField),
+takes that basis from the numerator gcd (ramify.candidate_ramified_primes),
+keeps one F_l row per prime whose Frobenius cycle type is usable
+(sieve_rows) and walks the candidates the rows leave in increasing size
+(_walk); the sieve, the walk and the witness search read the basis alone.
+The sieve keeps the span of its rows, which for l = 2 starts with the
+real place's row when f < 0 at a point tried (sieve.real_place_row):
+every quadratic subfield is real then.  It stops
 once that span is full, once STABLE_PRIMES class-deciding primes in a row
 have not grown it, or once it has spent on primes that decide nothing
 since the span grew as many DDFs as a root test's prime selection may
@@ -59,13 +61,13 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from . import modp
-from .arith import factor_integer, is_probable_prime, iter_primes, legendre
+from .arith import factor_integer, is_probable_prime, is_square, iter_primes, legendre
 from .config import ScanConfig
-from .eisenstein import OMEGA, split_prime
-from .kummer3 import CubicCandidate, build_generator, cubic_place_basis
+from .eisenstein import OMEGA
+from .kummer3 import CubicCandidate, build_generator
 from .nfroot import (PROVED, SELECT_PRIME_QUALIFYING, NumberField, RootCertificate,
-                     find_root, scaled_root_bits, verify_certificate)
-from .poly import Poly, normalize_input
+                     find_root, integer_root, scaled_root_bits, verify_certificate)
+from .poly import Poly, disc_poly, normalize_input
 from .ramify import candidate_ramified_primes
 from .sieve import (PlaceBasis, Row, Span, canonical_f3, class_decided, frobenius_class,
                     frobenius_row, kernel_vectors, real_place_row, vector_satisfies)
@@ -122,7 +124,10 @@ class ScanReport:
         every witness prime, and the group closure of the found quadratic
         set; raise AssertionError for any claim that fails, in a scan's
         report or in a loaded one, and for an excluded entry that names
-        no candidate (neither delta nor minpoly).  A witness must be a
+        no candidate (neither delta nor minpoly).  A found delta must be
+        neither 0 nor a square, and a found minimal polynomial a monic
+        integral cubic with no integer root, so irreducible over Q, whose
+        discriminant is a positive square, so cyclic.  A witness must be a
         prime q > l at which f is squarefree; a full DDF of its own gives
         its class (sieve.frobenius_class), and the candidate is tested at
         q without the row: q splits in every quadratic subfield while
@@ -132,7 +137,16 @@ class ScanReport:
         if field is None:
             field = NumberField(self.poly)
         for e in self.subfields:
-            h = Poly([-e.delta, 0, 1]) if e.delta is not None else e.minpoly
+            if e.delta is not None:
+                if is_square(e.delta):
+                    raise AssertionError(f"delta = {e.delta} is 0 or a square: no quadratic field")
+                h = Poly([-e.delta, 0, 1])
+            else:
+                h = e.minpoly
+                cubic = h and h.degree == 3 and h.is_monic() and h.is_integral()
+                disc = disc_poly(h) if cubic else 0
+                if disc <= 0 or not is_square(disc) or integer_root(h) is not None:
+                    raise AssertionError(f"{h} defines no cyclic cubic field")
             if not verify_certificate(field, h, e.certificate):
                 raise AssertionError(f"certificate fails for {e.delta or e.minpoly}")
         if self.kind == "quad":
@@ -185,18 +199,18 @@ def _squarefree_kernel(d: int) -> int:
 # -- the prime walk and the sieve ------------------------------------------------
 
 
-def _frobenius_primes(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int,
-                      after: int = 0):
+def _frobenius_primes(field: NumberField, basis: PlaceBasis, bound: int, after: int = 0):
     """(q, factor degrees of f mod q) for the primes after < q <= bound,
-    from 3 (l = basis.e = 2) or 5 (l = 3), that are not in the basis, do
-    not divide gcd_value, and modulo which f is squarefree (NumberField.
-    squarefree_mod).  The degrees come from the field, which keeps its DDF
-    stages (NumberField.ddf): a DDF stops at the first degree that
-    decides the class (sieve.class_decided), and a kept answer on which
-    that rule holds is used as it is."""
+    from 3 (l = basis.e = 2) or 5 (l = 3), that are not in the basis and
+    modulo which f is squarefree (NumberField.squarefree_mod); that skips
+    every prime of the numerator gcd prime to l (see ramify).  The degrees
+    come from the field, which keeps its DDF stages (NumberField.ddf): a
+    DDF stops at the first degree that decides the class
+    (sieve.class_decided), and a kept answer on which that rule holds is
+    used as it is."""
     stop = class_decided(basis.e)
     for q in iter_primes(max(after + 1, 3 if basis.e == 2 else 5), bound):
-        if q not in basis.primes and gcd_value % q and field.squarefree_mod(q):
+        if q not in basis.primes and field.squarefree_mod(q):
             yield q, modp.degree_counts(field.ddf(q, stop)[0])
 
 
@@ -221,7 +235,7 @@ class SieveRows:
     walked: int
 
 
-def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int) -> SieveRows:
+def sieve_rows(field: NumberField, basis: PlaceBasis, bound: int) -> SieveRows:
     """The nontrivial F_l rows (l = basis.e) of the primes up to bound,
     walked in order until the span of the rows (with the right-hand side
     for l = 2) stops growing.  For l = 2 the span starts with the real
@@ -274,7 +288,7 @@ def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int
     rows: list[Row] = []
     stale = idle = 0
     full = zero_only = False
-    for q, degrees in _frobenius_primes(field, basis, gcd_value, bound):
+    for q, degrees in _frobenius_primes(field, basis, bound):
         row = frobenius_row(q, degrees, field.n, basis)
         if row is None:
             idle += 1
@@ -305,12 +319,11 @@ def sieve_rows(field: NumberField, basis: PlaceBasis, gcd_value: int, bound: int
 ABSENCE_PRIME_BOUND = 10_000
 
 
-def absence_witness(field: NumberField, basis: PlaceBasis, gcd_value: int, vec,
-                    after: int = 0) -> int | None:
+def absence_witness(field: NumberField, basis: PlaceBasis, vec, after: int = 0) -> int | None:
     """The first prime above after whose Frobenius row the exponent vector
     vec over basis fails: at such a prime the candidate of vec cannot be a
     subfield.  None if no prime up to ABSENCE_PRIME_BOUND is a witness."""
-    for q, degrees in _frobenius_primes(field, basis, gcd_value, ABSENCE_PRIME_BOUND, after):
+    for q, degrees in _frobenius_primes(field, basis, ABSENCE_PRIME_BOUND, after):
         row = frobenius_row(q, degrees, field.n, basis)
         if row is not None and not vector_satisfies(row, vec, basis.e):
             return q
@@ -326,8 +339,8 @@ class _Kind:
     the module docstring).  Each prefix product is kept, so a member costs
     one product."""
 
-    def __init__(self, field, cs):
-        self.field, self.gcd_value, self.basis = field, cs.gcd_value, self.place_basis(cs)
+    def __init__(self, field, basis):
+        self.field, self.basis = field, basis
         self.candidates, self.roots, self.conjugates = {}, {}, {}
         self.products: dict[tuple, tuple] = {}  # ((find, tag), ...) -> (tag-weighted sum, y)
         self._ring = None
@@ -385,7 +398,6 @@ class _Quad(_Kind):
 
     name, ell = "quad", 2
     test_representative = True
-    place_basis = staticmethod(lambda cs: PlaceBasis(2, cs.all_finite_primes()))
 
     def solve(self, span):
         """(candidates in walk order, or None if the rows are inconsistent;
@@ -421,7 +433,6 @@ class _Cubic(_Kind):
 
     name, ell = "cubic", 3
     test_representative = False
-    place_basis = staticmethod(cubic_place_basis)
 
     def solve(self, span):
         """(candidates in walk order; the dimension of the kernel of the
@@ -466,8 +477,9 @@ class _Cubic(_Kind):
             if any(x % 3 for x in d):
                 continue
             g, den = OMEGA ** (d[0] // 3 % 3), 1   # g * den, in Z[w]
-            for q, e, ebar in zip(self.basis.primes, d[1::2], d[2::2]):
-                lift, pi = max(0, -e // 3, -ebar // 3), split_prime(q)   # 1 / pi = conj(pi) / q
+            for q, pi, e, ebar in zip(self.basis.primes, self.basis.split_primes,
+                                      d[1::2], d[2::2]):
+                lift = max(0, -e // 3, -ebar // 3)   # 1 / pi = conj(pi) / q
                 g, den = g * pi ** (e // 3 + lift) * pi.conj() ** (ebar // 3 + lift), den * q**lift
             t1, t2 = ([c[0], c[2], c[1]] if flip else c for c, flip in zip(conj, flips))
             s = []   # g0 D_0 + g1 D_2, one product per conjugate of theta1
@@ -526,12 +538,12 @@ def _scan(kind_type, f_raw: Poly, config: ScanConfig) -> ScanReport:
     t0 = time.perf_counter()
     cs = candidate_ramified_primes(field, kind_type.ell)
     phase("ramify", t0)
-    kind = kind_type(field, cs)
+    kind = kind_type(field, cs.basis)
     report.candidate_primes = list(kind.basis.primes)
     report.gcd_value = cs.gcd_value
 
     t0 = time.perf_counter()
-    sieve = sieve_rows(field, kind.basis, cs.gcd_value, config.sieve_prime_bound)
+    sieve = sieve_rows(field, kind.basis, config.sieve_prime_bound)
     rows = sieve.rows
     candidates, dim = kind.solve(sieve.span)
     phase("sieve", t0)
@@ -603,7 +615,7 @@ def _walk(kind, rows: list[Row], candidates, walked: int):
                         else kind.member_certificate(vec, reduce(vec)[1]))
                 subfields.append(SubfieldEntry(cert, **label))
                 continue
-            witness = absence_witness(field, kind.basis, kind.gcd_value, target, walked)
+            witness = absence_witness(field, kind.basis, target, walked)
             outcome = (target, STATUS_CERTIFIED_ABSENT if witness else STATUS_UNPROVEN_ABSENT,
                        witness)
             settled.append(outcome)
@@ -615,33 +627,24 @@ def _walk(kind, rows: list[Row], candidates, walked: int):
     return subfields, excluded, direct_tests
 
 
-def absence_certificate_search(field: NumberField, target,
-                               basis: PlaceBasis | None = None) -> ExcludedEntry:
-    """Try to upgrade a not-found candidate to a certified absence.
+def absence_certificate_search(field: NumberField, delta: int) -> ExcludedEntry:
+    """Try to upgrade the quadratic candidate Q(sqrt(delta)), not found, to
+    a certified absence.
 
-    target is either a nonzero integer delta (quadratic candidate) or a
-    CubicCandidate with its cubic place basis.  A delta is searched as its
-    exponent-parity vector over its own basis, the primes of delta and 2.
-    Returns an ExcludedEntry with status certified_absent and a witness
-    prime, or unproven_absent when no prime up to ABSENCE_PRIME_BOUND is a
-    witness.  A delta that is 0 or a square raises ValueError:
-    Q(sqrt(delta)) is Q then, a subfield of every field, and no prime can
-    witness its absence.
+    delta is searched as its exponent-parity vector over its own basis, the
+    primes of delta and 2.  Returns an ExcludedEntry with status
+    certified_absent and a witness prime, or unproven_absent when no prime
+    up to ABSENCE_PRIME_BOUND is a witness.  A delta that is 0 or a square
+    raises ValueError: Q(sqrt(delta)) is Q then, a subfield of every field,
+    and no prime can witness its absence.
     """
-    if isinstance(target, CubicCandidate):
-        if basis is None:
-            raise ValueError("cubic absence search needs the place basis")
-        vec = target.exponents
-        label = {"minpoly": target.minpoly}
-    else:
-        delta = int(target)
-        if delta >= 0 and math.isqrt(delta) ** 2 == delta:
-            raise ValueError(f"delta = {delta} is 0 or a square: Q(sqrt(delta)) is no "
-                             "quadratic field")
-        fd = factor_integer(delta)
-        basis = PlaceBasis(2, tuple(sorted(fd.factors.keys() | {2})))
-        vec = (int(delta < 0), *(fd.factors.get(p, 0) % 2 for p in basis.primes))
-        label = {"delta": delta}
-    witness = absence_witness(field, basis, 1, vec)
+    delta = int(delta)
+    if is_square(delta):
+        raise ValueError(f"delta = {delta} is 0 or a square: Q(sqrt(delta)) is no "
+                         "quadratic field")
+    fd = factor_integer(delta)
+    basis = PlaceBasis(2, tuple(sorted(fd.factors.keys() | {2})))
+    vec = (int(delta < 0), *(fd.factors.get(p, 0) % 2 for p in basis.primes))
+    witness = absence_witness(field, basis, vec)
     status = STATUS_CERTIFIED_ABSENT if witness else STATUS_UNPROVEN_ABSENT
-    return ExcludedEntry(status, witness_prime=witness, **label)
+    return ExcludedEntry(status, delta=delta, witness_prime=witness)

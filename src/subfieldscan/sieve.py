@@ -46,7 +46,8 @@ class PlaceBasis:
 
     e = 2: slot 0 is the sign place (-1), slots 1.. are primes (2 always
     present).  e = 3: slot 0 is the cube-root-of-unity axis, slots 1.. are
-    primes p = 1 (mod 3) with a fixed split prime element each.
+    primes p = 1 (mod 3) with a fixed split prime element each.  A scan's
+    basis comes from the numerator gcd (ramify.candidate_ramified_primes).
     """
 
     e: int
@@ -57,13 +58,19 @@ class PlaceBasis:
         return len(self.primes) + 1
 
     @cached_property
+    def split_primes(self) -> tuple[EisensteinInt, ...]:
+        """e = 3 only: the fixed prime element pi = split_prime(p) of norm p
+        per prime slot, computed once; the generators and the twist
+        products (scan._Cubic.merge) read the same elements."""
+        if self.e != 3:
+            raise ValueError("prime elements belong to a cubic basis")
+        return tuple(split_prime(p) for p in self.primes)
+
+    @cached_property
     def generators(self) -> tuple[EisensteinInt, ...]:
         """e = 3 only: the slot generators in Z[w], computed once: w for the
-        unit axis, then pi * conj(pi)**2 per prime, pi = split_prime(p)."""
-        if self.e != 3:
-            raise ValueError("slot generators belong to a cubic basis")
-        pis = [split_prime(p) for p in self.primes]
-        return (OMEGA, *(pi * pi.conj() * pi.conj() for pi in pis))
+        unit axis, then pi * conj(pi)**2 per prime slot."""
+        return (OMEGA, *(pi * pi.conj() * pi.conj() for pi in self.split_primes))
 
     def delta_of_vector(self, vec) -> int:
         """e = 2 only: the squarefree discriminant for an exponent vector."""

@@ -105,6 +105,24 @@ def test_cli_cubic(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kind, params, line", [
+    ("multiquadratic", "2,3,5,7", "sieve: no finite prime gave a row; solution dimension 4"),
+    ("cyclotomic", "12", "sieve: 4 rows from primes up to 109; solution dimension 2"),
+])
+def test_cli_summary_names_the_last_row_prime_or_says_there_is_none(tmp_path, capsys, kind,
+                                                                    params, line):
+    # Q(sqrt 2, sqrt 3, sqrt 5, sqrt 7) is totally real: the real place's
+    # row cuts its candidates and no finite prime gives a row
+    from subfieldscan.testkit import corpus_generate
+
+    poly_file = tmp_path / "f.txt"
+    poly_file.write_text(render_poly(corpus_generate(kind, params).poly) + "\n")
+    assert main(["quad", "-i", str(poly_file)]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert line + "\n" in text
+    assert "up to -" not in text
+
+
 def test_cli_certify_accepts_and_rejects(tmp_path, capsys):
     poly_file = tmp_path / "zeta8.txt"
     poly_file.write_text("x^4 + 1\n")

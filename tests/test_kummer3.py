@@ -4,10 +4,10 @@ import random
 import mpmath
 import pytest
 
-from subfieldscan.kummer3 import build_generator, cubic_place_basis
-from subfieldscan.nfroot import integer_root
+from subfieldscan.kummer3 import build_generator
+from subfieldscan.nfroot import NumberField, integer_root
 from subfieldscan.poly import Poly, disc_poly
-from subfieldscan.ramify import CandidateSet
+from subfieldscan.ramify import candidate_ramified_primes
 from subfieldscan.sieve import PlaceBasis, Span, kernel_vectors
 
 
@@ -74,36 +74,32 @@ def test_emitted_polynomial_has_the_symmetric_root():
         assert residual < mpmath.mpf(10) ** (-30)
 
 
-def candidates(cs, width):
+def candidates(basis):
     """One candidate per representative of the unconstrained F3 space."""
-    basis = cubic_place_basis(cs)
-    return [build_generator(rep, basis) for rep in kernel_vectors(Span(3, width))]
+    return [build_generator(rep, basis) for rep in kernel_vectors(Span(3, basis.width))]
 
 
 def test_enumerate_examples():
-    cs = CandidateSet(3, (7,), (3,), False, 7)
-    cands = candidates(cs, 2)
+    cands = candidates(PlaceBasis(3, (7,)))
     assert len(cands) == 4
     assert len({(c.c, c.t) for c in cands}) == 4
 
-    cs = CandidateSet(3, (), (3,), False, 1)
-    cands = candidates(cs, 1)
+    cands = candidates(PlaceBasis(3, ()))
     assert len(cands) == 1
     assert cands[0].minpoly == Poly.from_desc([1, 0, -3, 1])
 
-    cs = CandidateSet(3, (5,), (3,), False, 5)
-    basis = cubic_place_basis(cs)
-    assert basis.primes == ()  # 5 = 2 mod 3 discarded
-    cands = candidates(cs, 1)
+    cs = candidate_ramified_primes(NumberField(Poly.from_desc([1, 0, 0, -5])), 3)
+    assert cs.gcd_value == 5
+    assert cs.basis.primes == ()  # 5 = 2 mod 3 discarded
+    cands = candidates(cs.basis)
     assert len(cands) == 1
 
 
 def test_distinct_classes_give_distinct_fields():
     # cross root tests: no candidate's cubic has a root in another's field
-    from subfieldscan.nfroot import NOT_FOUND, PROVED, NumberField, find_root
+    from subfieldscan.nfroot import NOT_FOUND, PROVED, find_root
 
-    cs = CandidateSet(3, (7,), (3,), False, 7)
-    cands = candidates(cs, 2)
+    cands = candidates(PlaceBasis(3, (7,)))
     for i, ci in enumerate(cands):
         field = NumberField(ci.minpoly)
         for j, cj in enumerate(cands):

@@ -784,9 +784,8 @@ def test_a_root_test_factors_f_mod_p_by_the_ddf_that_chose_p(monkeypatch, f, h, 
     field = NumberField(f)
     pd = select_prime(field, h)
     if sieve:
-        kind = scan_mod._Quad(field, candidate_ramified_primes(field, 2))
-        walked = scan_mod.sieve_rows(field, kind.basis, kind.gcd_value,
-                                     ScanConfig().sieve_prime_bound).walked
+        basis = candidate_ramified_primes(field, 2).basis
+        walked = scan_mod.sieve_rows(field, basis, ScanConfig().sieve_prime_bound).walked
         assert pd.p <= walked
     squarefree, stages, ddf = [], [], []
 

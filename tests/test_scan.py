@@ -318,6 +318,62 @@ def test_check_invariants_rejects_an_excluded_entry_without_candidate(scan, kind
             report_from_dict(loaded).check_invariants()
 
 
+def _scaled_root(field, y):
+    """The certificate vector of the scaled root y, padded to length n."""
+    return tuple(y.coeffs) + (0,) * (field.n - len(y.coeffs))
+
+
+@pytest.mark.parametrize("delta, root", [(0, 0), (1, 1), (4, 2)])
+def test_check_invariants_rejects_a_found_delta_that_is_0_or_a_square(delta, root):
+    # Q(sqrt(delta)) is Q: X^2 - delta has the rational root `root` in every
+    # field, so its certificate root * f' passes verify_certificate, and a
+    # found entry for it names no quadratic subfield; the refusal comes
+    # before the closure check, which cannot factor 0
+    from subfieldscan.nfroot import verify_certificate
+    from subfieldscan.scan import SubfieldEntry
+
+    field = NumberField(ZETA8)
+    rep = quad_subfield_scan(ZETA8)
+    rep.check_invariants(field)
+    h = Poly([-delta, 0, 1])
+    cert = RootCertificate(_scaled_root(field, field.fprime.scale(root)), h)
+    assert verify_certificate(field, h, cert)
+    rep.subfields.append(SubfieldEntry(cert, delta=delta))
+    with pytest.raises(AssertionError, match="0 or a square"):
+        rep.check_invariants(field)
+
+
+def test_check_invariants_rejects_a_found_polynomial_that_defines_no_cyclic_cubic_field():
+    # each forged entry's certificate passes verify_certificate: X^3 - 1 has
+    # the root 1 in Q(zeta_7) but is reducible, and so is X^3 - X, root 0,
+    # though its discriminant 4 is a positive square; X^3 - 2 has the root x
+    # in Q(2^(1/3)) but discriminant -108, and X^3 - 4X + 1 the root x in
+    # its own field but discriminant 229, so neither field is cyclic; X^2 + 7
+    # has a root in Q(zeta_7) and X^4 + 1 in Q(zeta_8), of discriminant 16^2,
+    # but neither is a cubic
+    from subfieldscan.nfroot import verify_certificate
+    from subfieldscan.scan import SubfieldEntry
+
+    zeta7, zeta8 = NumberField(corpus_generate("cyclotomic", "7").poly), NumberField(ZETA8)
+    cbrt2, s3 = NumberField(Poly([-2, 0, 0, 1])), NumberField(Poly([1, -4, 0, 1]))
+    [sqrt_m7] = [e.certificate for e in quad_subfield_scan(zeta7.f).subfields]
+    assert sqrt_m7.h == Poly([7, 0, 1])
+    forged = [(zeta7, Poly([-1, 0, 0, 1]), _scaled_root(zeta7, zeta7.fprime)),
+              (zeta7, Poly([0, -1, 0, 1]), _scaled_root(zeta7, Poly())),
+              (cbrt2, cbrt2.f, (6, 0, 0)),
+              (s3, s3.f, (-3, 8, 0)),   # x f'(x) = 3x^3 - 4x = 8x - 3
+              (zeta7, sqrt_m7.h, sqrt_m7.scaled_root),
+              (zeta8, ZETA8, (-4, 0, 0, 0))]   # x f'(x) = 4x^4 = -4
+    for field, h, y in forged:
+        rep = cubic_subfield_scan(field.f)
+        rep.check_invariants(field)
+        cert = RootCertificate(y, h)
+        assert verify_certificate(field, h, cert)
+        rep.subfields.append(SubfieldEntry(cert, minpoly=h))
+        with pytest.raises(AssertionError, match="defines no cyclic cubic field"):
+            rep.check_invariants(field)
+
+
 SPLIT_PRIMES = (7, 13, 19, 31, 37, 43)
 
 
@@ -468,8 +524,7 @@ def test_quad_witness_is_the_first_prime_where_split_or_inert_contradicts_legend
     monkeypatch.setattr(scan_mod, "ABSENCE_PRIME_BOUND", 1_000)
     f = corpus_generate(kind, params).poly
     field = NumberField(f)
-    kind_ = scan_mod._Quad(field, candidate_ramified_primes(field, 2))
-    basis, gcd_value = kind_.basis, kind_.gcd_value
+    basis = candidate_ramified_primes(field, 2).basis
 
     def split_or_inert(q):
         """1: a full DDF mod q has an odd factor degree, so q splits in
@@ -485,7 +540,7 @@ def test_quad_witness_is_the_first_prime_where_split_or_inert_contradicts_legend
         return 0 if field.n // 2 in sums else -1
 
     classes = {q: split_or_inert(q)
-               for q, _ in scan_mod._frobenius_primes(field, basis, gcd_value, 1_000)}
+               for q, _ in scan_mod._frobenius_primes(field, basis, 1_000)}
 
     def legendre_witness(delta):
         return next((q for q, cls in classes.items() if cls and legendre(delta, q) == -cls), None)
@@ -494,7 +549,7 @@ def test_quad_witness_is_the_first_prime_where_split_or_inert_contradicts_legend
     for vec in itertools.product((0, 1), repeat=basis.width):
         if any(vec):
             expect = legendre_witness(basis.delta_of_vector(vec))
-            assert scan_mod.absence_witness(field, basis, gcd_value, vec) == expect, vec
+            assert scan_mod.absence_witness(field, basis, vec) == expect, vec
             witnesses.append(expect)
     # both outcomes occur: true subfields have no witness, the others one
     assert None in witnesses and any(witnesses)
@@ -517,9 +572,8 @@ def test_cubic_witness_is_the_first_splits_all_prime_where_the_minpoly_has_no_ro
     kind, params = ("cyclotomic", params) if params == "7" else ("cubic-compositum", params)
     entry = corpus_generate(kind, params)
     field = NumberField(entry.poly)
-    kind_ = scan_mod._Cubic(field, candidate_ramified_primes(field, 3))
-    basis, gcd_value = kind_.basis, kind_.gcd_value
-    splits_all = [q for q in iter_primes(5, 1_000) if q not in basis.primes and gcd_value % q
+    basis = candidate_ramified_primes(field, 3).basis
+    splits_all = [q for q in iter_primes(5, 1_000) if q not in basis.primes
                   and modp.squarefree_mod_p(field.f, q)
                   and any(d % 3 for d in modp.degree_counts(modp.ddf_degrees(field.f, q)))]
 
@@ -537,8 +591,7 @@ def test_cubic_witness_is_the_first_splits_all_prime_where_the_minpoly_has_no_ro
         h = build_generator(vec, basis).minpoly
         for after in (0, *(q - 1 for q in cubes[:3])):
             expect = minpoly_witness(h, after)
-            assert scan_mod.absence_witness(field, basis, gcd_value, vec, after) == expect, \
-                (vec, after)
+            assert scan_mod.absence_witness(field, basis, vec, after) == expect, (vec, after)
         first.append(minpoly_witness(h, 0))
     # exactly the true subfields have no witness
     assert first.count(None) == len(entry.cubic)
@@ -558,11 +611,10 @@ def test_cubic_residue_classes_only_at_primes_that_split_in_every_cubic_subfield
 
     f = corpus_generate("cubic-compositum", "7,9").poly
     field = NumberField(f)
-    kind = scan_mod._Cubic(field, candidate_ramified_primes(field, 3))
-    walked = scan_mod.sieve_rows(field, kind.basis, kind.gcd_value,
-                                 ScanConfig().sieve_prime_bound).walked
+    kind = scan_mod._Cubic(field, candidate_ramified_primes(field, 3).basis)
+    walked = scan_mod.sieve_rows(field, kind.basis, ScanConfig().sieve_prime_bound).walked
     walk = [q for q in iter_primes(5, walked) if q not in kind.basis.primes
-            and kind.gcd_value % q and modp.squarefree_mod_p(f, q)]
+            and modp.squarefree_mod_p(f, q)]
     splits_all = [q for q in walk
                   if frobenius_class(modp.degree_counts(modp.ddf_degrees(f, q)), field.n, 3) == 0]
     assert 0 < len(splits_all) < len(walk)
@@ -767,16 +819,14 @@ def test_galois_conjugates_take_u_to_w_u(vec):
 def test_sieve_rows_sound_for_true_quadratic_subfields():
     from subfieldscan.ramify import candidate_ramified_primes
     from subfieldscan.scan import sieve_rows
-    from subfieldscan.sieve import PlaceBasis, vector_satisfies
+    from subfieldscan.sieve import vector_satisfies
 
     for kind, params in (("multiquadratic", "2,3,5"), ("cyclotomic", "24"),
                          ("cyclotomic", "15")):
         entry = corpus_generate(kind, params)
         field = NumberField(entry.poly)
-        cs = candidate_ramified_primes(field, 2)
-        basis = PlaceBasis(2, cs.all_finite_primes())
-        rows = sieve_rows(field, basis, cs.gcd_value,
-                          ScanConfig().sieve_prime_bound).rows
+        basis = candidate_ramified_primes(field, 2).basis
+        rows = sieve_rows(field, basis, ScanConfig().sieve_prime_bound).rows
         # zero rows is legitimate (e.g. elementary abelian fields give no
         # usable constraints); generated rows must never exclude the truth
         for delta in entry.quad:
@@ -794,7 +844,7 @@ def test_sieve_rows_sound_for_true_cubic_subfields(kind, params, vec):
     # vec is the class over [omega-axis, 7] of the field's one cubic
     # subfield; the sieve keeps rows here (none for the C3 x C3 field 7,9)
     # and the true class satisfies every one of them
-    from subfieldscan.kummer3 import build_generator, cubic_place_basis
+    from subfieldscan.kummer3 import build_generator
     from subfieldscan.nfroot import PROVED, find_root
     from subfieldscan.ramify import candidate_ramified_primes
     from subfieldscan.scan import sieve_rows
@@ -802,13 +852,12 @@ def test_sieve_rows_sound_for_true_cubic_subfields(kind, params, vec):
 
     entry = corpus_generate(kind, params)
     field = NumberField(entry.poly)
-    cs = candidate_ramified_primes(field, 3)
-    basis = cubic_place_basis(cs)
+    basis = candidate_ramified_primes(field, 3).basis
     assert basis.primes == (7,)
     [cubic] = entry.cubic
     candidate = build_generator(vec, basis).minpoly
     assert find_root(NumberField(cubic), candidate).status == PROVED
-    rows = sieve_rows(field, basis, cs.gcd_value, 100_000).rows
+    rows = sieve_rows(field, basis, 100_000).rows
     assert rows
     for row in rows:
         assert vector_satisfies(row, vec, 3), row

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from subfieldscan.arith import iter_primes
@@ -114,6 +115,41 @@ def test_frobenius_row_cubic_slot_values():
     row = frobenius_row(13, {1: 3}, 3, basis)
     assert row.coeffs == (cubic_residue_class(OMEGA, 13), cubic_residue_class(gen, 13))
     assert row.rhs == 0 and row.prime == 13
+
+
+def test_cubic_basis_owns_its_prime_elements():
+    # one fixed pi of norm p per prime slot, computed once; the generators
+    # are built from the same elements
+    basis = PlaceBasis(3, (7, 13, 19))
+    pis = basis.split_primes
+    assert pis == tuple(split_prime(p) for p in basis.primes)
+    assert [pi.norm() for pi in pis] == list(basis.primes)
+    assert basis.split_primes is pis
+    assert basis.generators == (OMEGA, *(pi * pi.conj() ** 2 for pi in pis))
+    with pytest.raises(ValueError, match="cubic basis"):
+        PlaceBasis(2, (2, 7)).split_primes
+
+
+def test_a_cubic_scan_finds_each_prime_element_once(monkeypatch):
+    # the twist products (scan._Cubic.merge) read the basis's elements, so
+    # each is found once per scan: without sieve rows the C3 x C3 field of
+    # conductors 7 and 9 gets 2 of its 4 subfields as products
+    import subfieldscan.scan as scan_mod
+    import subfieldscan.sieve as sieve_mod
+    from subfieldscan.config import ScanConfig
+    from subfieldscan.testkit import corpus_generate
+
+    f, calls = corpus_generate("cubic-compositum", "7,9").poly, []
+
+    def counted(p):
+        calls.append(p)
+        return split_prime(p)
+
+    for mod in (sieve_mod, scan_mod):
+        monkeypatch.setattr(mod, "split_prime", counted, raising=False)
+    report = scan_mod.cubic_subfield_scan(f, ScanConfig(sieve_prime_bound=2))
+    assert len(report.subfields) == 4 and report.direct_tests == 2
+    assert calls == report.candidate_primes == [7]
 
 
 def test_slot_generator_norms_are_one_or_the_cube_of_their_prime():

@@ -74,8 +74,7 @@ def _setting(poly, scan):
     f, _ = normalize_input(poly)
     field = NumberField(f)
     kind_type = scan_mod._Quad if scan == "quad" else scan_mod._Cubic
-    cs = candidate_ramified_primes(field, kind_type.ell)
-    return field, kind_type(field, cs)
+    return field, kind_type(field, candidate_ramified_primes(field, kind_type.ell).basis)
 
 
 def _span(kind, rows=()):
@@ -100,7 +99,7 @@ def _span_up_to(field, kind, bound):
     """The span of the real place's row and the rows of every prime up to
     bound; the walk ends once it is full."""
     span, width = _span(kind, _real_rows(field, kind)), kind.basis.width
-    for q, degrees in scan_mod._frobenius_primes(field, kind.basis, kind.gcd_value, bound):
+    for q, degrees in scan_mod._frobenius_primes(field, kind.basis, bound):
         row = frobenius_row(q, degrees, field.n, kind.basis)
         if row is not None:
             _insert(span, row)
@@ -124,7 +123,7 @@ def _cases():
 @pytest.mark.parametrize("poly, scan", _cases())
 def test_stopped_sieve_spans_every_row_up_to_the_bound(poly, scan):
     field, kind = _setting(poly, scan)
-    sieve = scan_mod.sieve_rows(field, kind.basis, kind.gcd_value, BOUND)
+    sieve = scan_mod.sieve_rows(field, kind.basis, BOUND)
     kept = _span(kind, _real_rows(field, kind) + sieve.rows).rows   # pivot -> row
     # the span the sieve hands to the scans is the span of its rows
     assert sieve.span.rows == kept
@@ -179,7 +178,7 @@ def test_no_row_below_the_first_prime(kind, params):
     field, adapter = _setting(corpus_generate(kind, params).poly, "quad")
     real = real_place_row(field.f, adapter.basis)
     assert real and value_at(field.f, real[1]) < 0
-    sieve = scan_mod.sieve_rows(field, adapter.basis, adapter.gcd_value, 2)
+    sieve = scan_mod.sieve_rows(field, adapter.basis, 2)
     assert sieve.rows == [] and sieve.span.rows == {}
     report = scan_mod.quad_subfield_scan(field.f, ScanConfig(sieve_prime_bound=2))
     assert report.sieve.solution_dim == adapter.basis.width
@@ -207,7 +206,7 @@ def test_stopped_sieve_spans_every_row_up_to_the_bound_at_scale(make, scan):
 ])
 def test_sieve_without_rows_stops_early(monkeypatch, kind, params, scan):
     field, adapter = _setting(corpus_generate(kind, params).poly, scan)
-    walk = list(scan_mod._frobenius_primes(field, adapter.basis, adapter.gcd_value, BOUND))
+    walk = list(scan_mod._frobenius_primes(field, adapter.basis, BOUND))
     # no prime below the bound gives a nontrivial row, so a sieve that waits
     # for rows runs one DDF at each of these primes
     rows = [frobenius_row(q, d, field.n, adapter.basis) for q, d in walk]
@@ -221,7 +220,7 @@ def test_sieve_without_rows_stops_early(monkeypatch, kind, params, scan):
     real = modp.ddf_degrees
     monkeypatch.setattr(modp, "ddf_degrees", ddf_degrees)
     # a fresh field: the walk above left its factor degrees in this one
-    sieve = scan_mod.sieve_rows(NumberField(field.f), adapter.basis, adapter.gcd_value, BOUND)
+    sieve = scan_mod.sieve_rows(NumberField(field.f), adapter.basis, BOUND)
     assert sieve.rows == [] and 0 < sieve.walked < BOUND
     assert max(calls) == sieve.walked
     assert 4 * len(calls) <= len(walk)
@@ -232,7 +231,7 @@ def test_sieve_without_rows_stops_early(monkeypatch, kind, params, scan):
     for i, (scan, poly) in enumerate(GENERIC_EMPTY)])
 def test_field_without_subfield_stops_at_the_row_that_empties_the_solutions(scan, poly):
     field, kind = _setting(Poly(list(poly)), scan)
-    sieve = scan_mod.sieve_rows(field, kind.basis, kind.gcd_value, BOUND)
+    sieve = scan_mod.sieve_rows(field, kind.basis, BOUND)
     assert sieve.walked == sieve.rows[-1].prime
     width = kind.basis.width
     before = _span(kind, sieve.rows[:-1])
@@ -259,7 +258,7 @@ def _made_up_sieve(monkeypatch, basis, plan, f=NO_REAL_ROOT):
     monkeypatch.setattr(scan_mod, "_frobenius_primes",
                         lambda *args, **kwargs: ((q, {}) for q, _ in walk))
     monkeypatch.setattr(scan_mod, "frobenius_row", lambda q, *args: rows[q])
-    sieve = scan_mod.sieve_rows(types.SimpleNamespace(n=0, f=f), basis, 1, BOUND)
+    sieve = scan_mod.sieve_rows(types.SimpleNamespace(n=0, f=f), basis, BOUND)
     return sieve, [q for q, _ in walk]
 
 
