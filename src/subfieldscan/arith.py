@@ -119,12 +119,6 @@ class FactoredInt:
     sign: int
     factors: dict[int, int] = field(default_factory=dict)
 
-    def value(self) -> int:
-        v = self.sign
-        for p, e in self.factors.items():
-            v *= p**e
-        return v
-
     def primes(self) -> list[int]:
         return sorted(self.factors)
 

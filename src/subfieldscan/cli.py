@@ -4,7 +4,10 @@ Subcommands: quad, cubic (the scans), certify (re-verify a report's
 certificates), corpus (emit test polynomials with ground-truth sidecars).
 
 All integers in report JSON are serialized as decimal strings so values
-beyond 53 bits survive every JSON implementation.  Exit codes: 0 complete,
+beyond 53 bits survive every JSON implementation.  Both lists of a
+report, subfields and excluded, hold scan.Entry records, which one pair
+(_entry_to_dict, _entry_from_dict) writes and reads; report_from_dict
+inverts report_to_dict.  Exit codes: 0 complete,
 1 an invalid certificate (certify), 2 complete with unproven absences,
 3 input error (one line "input error: ..." on stderr): a file that cannot
 be read, a polynomial or corpus parameter that the input gate refuses
@@ -29,8 +32,7 @@ from .config import ScanConfig
 from .errors import BudgetExceeded, InputError, PolyParseError
 from .nfroot import NumberField, RootCertificate, verify_certificate
 from .poly import Poly, normalize_input
-from .scan import (ExcludedEntry, ScanReport, SieveSummary, SubfieldEntry,
-                   cubic_subfield_scan, quad_subfield_scan)
+from .scan import Entry, ScanReport, SieveSummary, cubic_subfield_scan, quad_subfield_scan
 from . import testkit
 
 SCHEMA_VERSION = 2
@@ -175,10 +177,6 @@ def read_poly_file(path: str) -> Poly:
 # -- report JSON ----------------------------------------------------------------
 
 
-def _cert_to_dict(cert: RootCertificate) -> dict:
-    return {"scaled_root": [str(c) for c in cert.scaled_root], "scaling": "fprime"}
-
-
 def _cert_from_dict(d: dict, h: Poly) -> RootCertificate:
     return RootCertificate(tuple(int(s) for s in d["scaled_root"]), h)
 
@@ -189,28 +187,34 @@ def _entry_h(entry_dict: dict) -> Poly:
     return parse_poly(entry_dict["minpoly"])
 
 
+def _entry_to_dict(e: Entry) -> dict:
+    """The JSON object of an entry: its delta or minpoly, then its
+    certificate, status and witness prime, each only when present."""
+    d = {}
+    if e.delta is not None:
+        d["delta"] = str(e.delta)
+    elif e.minpoly is not None:
+        d["minpoly"] = render_poly(e.minpoly)
+    if e.certificate is not None:
+        d["certificate"] = {"scaled_root": [str(c) for c in e.certificate.scaled_root],
+                            "scaling": "fprime"}
+    d["status"] = e.status
+    if e.witness_prime is not None:
+        d["witness_prime"] = str(e.witness_prime)
+    return d
+
+
+def _entry_from_dict(d: dict) -> Entry:
+    return Entry(
+        d["status"],
+        delta=int(d["delta"]) if "delta" in d else None,
+        minpoly=parse_poly(d["minpoly"]) if "minpoly" in d else None,
+        certificate=_cert_from_dict(d["certificate"], _entry_h(d)) if "certificate" in d else None,
+        witness_prime=int(d["witness_prime"]) if "witness_prime" in d else None,
+    )
+
+
 def report_to_dict(report: ScanReport, include_timings: bool = True) -> dict:
-    subfields = []
-    for e in report.subfields:
-        d = {}
-        if e.delta is not None:
-            d["delta"] = str(e.delta)
-        else:
-            d["minpoly"] = render_poly(e.minpoly)
-        d["certificate"] = _cert_to_dict(e.certificate)
-        d["status"] = e.status
-        subfields.append(d)
-    excluded = []
-    for e in report.excluded:
-        d = {}
-        if e.delta is not None:
-            d["delta"] = str(e.delta)
-        elif e.minpoly is not None:
-            d["minpoly"] = render_poly(e.minpoly)
-        d["status"] = e.status
-        if e.witness_prime is not None:
-            d["witness_prime"] = str(e.witness_prime)
-        excluded.append(d)
     stats = {"direct_tests": str(report.direct_tests)}
     stats["phase_ms"] = ({k: str(v) for k, v in report.phase_ms.items()}
                          if include_timings else {})
@@ -227,8 +231,8 @@ def report_to_dict(report: ScanReport, include_timings: bool = True) -> dict:
             "solution_dim": str(report.sieve.solution_dim),
             "inconsistent": report.sieve.inconsistent,
         },
-        "subfields": subfields,
-        "excluded": excluded,
+        "subfields": [_entry_to_dict(e) for e in report.subfields],
+        "excluded": [_entry_to_dict(e) for e in report.excluded],
         "stats": stats,
     }
 
@@ -237,24 +241,6 @@ def report_from_dict(d: dict) -> ScanReport:
     """The report of a schema 1 or 2 dict.  Schema 2 dropped the seed from
     the stats, where it changed no answer; a schema-1 report's seed is
     ignored."""
-    subfields = []
-    for e in d["subfields"]:
-        h = _entry_h(e)
-        entry = SubfieldEntry(
-            certificate=_cert_from_dict(e["certificate"], h),
-            delta=int(e["delta"]) if "delta" in e else None,
-            minpoly=parse_poly(e["minpoly"]) if "minpoly" in e else None,
-            status=e["status"],
-        )
-        subfields.append(entry)
-    excluded = []
-    for e in d["excluded"]:
-        excluded.append(ExcludedEntry(
-            status=e["status"],
-            delta=int(e["delta"]) if "delta" in e else None,
-            minpoly=parse_poly(e["minpoly"]) if "minpoly" in e else None,
-            witness_prime=int(e["witness_prime"]) if "witness_prime" in e else None,
-        ))
     sieve = SieveSummary(
         primes_used=[int(p) for p in d["sieve"]["primes_used"]],
         rows=int(d["sieve"]["rows"]),
@@ -269,15 +255,15 @@ def report_from_dict(d: dict) -> ScanReport:
         candidate_primes=[int(p) for p in d["candidate_primes"]],
         gcd_value=int(d["gcd_value"]),
         sieve=sieve,
-        subfields=subfields,
-        excluded=excluded,
+        subfields=[_entry_from_dict(e) for e in d["subfields"]],
+        excluded=[_entry_from_dict(e) for e in d["excluded"]],
         phase_ms={k: int(v) for k, v in d["stats"].get("phase_ms", {}).items()},
         direct_tests=int(d["stats"]["direct_tests"]),
     )
 
 
-def report_json(report: ScanReport, include_timings: bool = True) -> str:
-    return json.dumps(report_to_dict(report, include_timings), indent=2) + "\n"
+def report_json(report: ScanReport) -> str:
+    return json.dumps(report_to_dict(report), indent=2) + "\n"
 
 
 def canonical_report_bytes(report: ScanReport) -> bytes:
@@ -293,7 +279,7 @@ def canonical_report_bytes(report: ScanReport) -> bytes:
 def _add_scan_args(sp):
     sp.add_argument("-i", "--input", required=True, help="polynomial file")
     sp.add_argument("--json", help="write the JSON report here")
-    sp.add_argument("--sieve-bound", type=int, default=10_000,
+    sp.add_argument("--sieve-bound", type=int, default=ScanConfig.sieve_prime_bound,
                     help="the largest prime the Frobenius sieve walks; it stops "
                          "earlier once its rows stop adding information")
 
@@ -318,17 +304,19 @@ def _print_summary(report: ScanReport):
                        else "no finite prime gave a row")
           + f"; solution dimension {report.sieve.solution_dim}"
           + ("; inconsistent (no subfield exists)" if report.sieve.inconsistent else ""))
-    for e in report.subfields:
-        label = f"delta = {e.delta}" if e.delta is not None else render_poly(e.minpoly)
-        print(f"  subfield: {label}  [{e.status}]")
-    for e in report.excluded:
-        label = f"delta = {e.delta}" if e.delta is not None else (
-            render_poly(e.minpoly) if e.minpoly is not None else "?")
-        extra = f" (witness prime {e.witness_prime})" if e.witness_prime else ""
-        print(f"  excluded: {label}  [{e.status}]{extra}")
+    for name, entries in (("subfield", report.subfields), ("excluded", report.excluded)):
+        for e in entries:
+            extra = f" (witness prime {e.witness_prime})" if e.witness_prime else ""
+            print(f"  {name}: {_entry_label(e)}  [{e.status}]{extra}")
     print(f"found {len(report.subfields)}, excluded {len(report.excluded)}, "
           f"direct root tests {report.direct_tests}, "
           f"total {report.phase_ms.get('total', 0)} ms")
+
+
+def _entry_label(e: Entry) -> str:
+    if e.delta is not None:
+        return f"delta = {e.delta}"
+    return render_poly(e.minpoly) if e.minpoly is not None else "?"
 
 
 def _certificate_entries(data) -> list[dict]:

@@ -173,7 +173,8 @@ def _disc_bits_bound(f: Poly) -> float:
 
 @dataclass(frozen=True)
 class RootCertificate:
-    """Scaled root y(theta) = f'(theta) * x with h(x) = 0; length-n vector."""
+    """Scaled root y(theta) = f'(theta) * x with h(x) = 0; at most n entries
+    (a twist product's has its trailing zeros stripped)."""
 
     scaled_root: tuple[int, ...]
     h: Poly

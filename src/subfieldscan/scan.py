@@ -47,11 +47,14 @@ p**k exceeds 2**(B + 2) for every candidate's scaled_root_bits B, so its
 scaled root is the centred lift of its residue.  check_invariants checks
 it once, with every certificate, and raises if it fails.
 
-Every positive entry in the report carries a certificate that passes
-verify_certificate; exclusions are either witnessed by a Frobenius
-constraint (certified) or reported as unproven.  check_invariants
-re-checks a witness with its class (sieve.frobenius_class) but not its
-row: it tests the candidate at q its own way.
+A report says what it found about each candidate in one record, Entry,
+in one of two lists: a subfield carries a certificate that passes
+verify_certificate; an exclusion is either witnessed by a Frobenius
+constraint (certified, with its witness prime) or reported as unproven
+or as twist-excluded.  check_invariants refuses an entry that breaks
+that shape, and re-checks a witness with its class
+(sieve.frobenius_class) but not its row: it tests the candidate at q its
+own way.
 """
 
 from __future__ import annotations
@@ -76,22 +79,26 @@ STATUS_PROVED = "proved"
 STATUS_CERTIFIED_ABSENT = "certified_absent"
 STATUS_UNPROVEN_ABSENT = "unproven_absent"
 STATUS_TWIST_EXCLUDED = "twist_excluded"
+EXCLUSION_STATUSES = (STATUS_CERTIFIED_ABSENT, STATUS_UNPROVEN_ABSENT, STATUS_TWIST_EXCLUDED)
 
 
 @dataclass
-class SubfieldEntry:
-    certificate: RootCertificate
-    delta: int | None = None
-    minpoly: Poly | None = None
-    status: str = STATUS_PROVED
-
-
-@dataclass
-class ExcludedEntry:
+class Entry:
+    """What a report says about one candidate, named by delta (l = 2) or
+    its minimal polynomial (l = 3): a subfield (status proved) with its
+    certificate, or an exclusion (one of EXCLUSION_STATUSES) with a
+    witness prime exactly when it is certified_absent."""
     status: str
     delta: int | None = None
     minpoly: Poly | None = None
+    certificate: RootCertificate | None = None
     witness_prime: int | None = None
+
+    @property
+    def h(self) -> Poly | None:
+        """X^2 - delta, or the minimal polynomial; None if the entry names
+        neither."""
+        return Poly([-self.delta, 0, 1]) if self.delta is not None else self.minpoly
 
 
 @dataclass
@@ -111,8 +118,8 @@ class ScanReport:
     candidate_primes: list[int]
     gcd_value: int
     sieve: SieveSummary
-    subfields: list[SubfieldEntry]
-    excluded: list[ExcludedEntry]
+    subfields: list[Entry]
+    excluded: list[Entry]
     phase_ms: dict[str, int]
     direct_tests: int
 
@@ -123,8 +130,12 @@ class ScanReport:
         """Verify every certificate (the one check of a twist product's),
         every witness prime, and the group closure of the found quadratic
         set; raise AssertionError for any claim that fails, in a scan's
-        report or in a loaded one, and for an excluded entry that names
-        no candidate (neither delta nor minpoly).  A found delta must be
+        report or in a loaded one.  Every entry must name a candidate
+        (delta or minpoly), and no candidate may be both found and
+        excluded.  A found entry must be proved, with a certificate and no
+        witness prime; an excluded one must have no certificate, one of
+        EXCLUSION_STATUSES, and a witness prime exactly when it is
+        certified_absent.  A found delta must be
         neither 0 nor a square, and a found minimal polynomial a monic
         integral cubic with no integer root, so irreducible over Q, whose
         discriminant is a positive square, so cyclic.  A witness must be a
@@ -136,14 +147,19 @@ class ScanReport:
         candidate's minimal polynomial is squarefree with no root mod q."""
         if field is None:
             field = NumberField(self.poly)
+        for e in self.subfields + self.excluded:
+            if e.h is None:
+                raise AssertionError(f"a {e.status} entry names no candidate")
         for e in self.subfields:
+            h = e.h
+            if e.status != STATUS_PROVED or e.certificate is None or e.witness_prime is not None:
+                raise AssertionError(f"found {h} is not {STATUS_PROVED} with a certificate "
+                                     "and no witness")
             if e.delta is not None:
                 if is_square(e.delta):
                     raise AssertionError(f"delta = {e.delta} is 0 or a square: no quadratic field")
-                h = Poly([-e.delta, 0, 1])
             else:
-                h = e.minpoly
-                cubic = h and h.degree == 3 and h.is_monic() and h.is_integral()
+                cubic = h.degree == 3 and h.is_monic() and h.is_integral()
                 disc = disc_poly(h) if cubic else 0
                 if disc <= 0 or not is_square(disc) or integer_root(h) is not None:
                     raise AssertionError(f"{h} defines no cyclic cubic field")
@@ -159,11 +175,16 @@ class ScanReport:
                     prod = k1 * k2 // math.gcd(k1, k2) ** 2
                     if prod != 1 and prod not in deltas:
                         raise AssertionError("found set is not twist-closed")
+        found = {e.h for e in self.subfields}
         for e in self.excluded:
-            if e.delta is None and e.minpoly is None:
-                raise AssertionError(f"a {e.status} entry names no candidate")
-            q = e.witness_prime
-            if e.status != STATUS_CERTIFIED_ABSENT or q is None:
+            h, q = e.h, e.witness_prime
+            if e.certificate is not None or e.status not in EXCLUSION_STATUSES:
+                raise AssertionError(f"excluded {h} has status {e.status} or a certificate")
+            if (q is not None) != (e.status == STATUS_CERTIFIED_ABSENT):
+                raise AssertionError(f"{e.status} {h} has witness prime {q}")
+            if h in found:
+                raise AssertionError(f"{h} is both found and excluded")
+            if q is None:
                 continue
             ell = 2 if e.delta is not None else 3
             if not (q > ell and is_probable_prime(q) and modp.squarefree_mod_p(field.f, q)):
@@ -183,8 +204,8 @@ class ScanReport:
                 # x = (x / c)^3 is a cube at q, and q splits there too.
                 if cls != 0:
                     raise AssertionError(f"witness {q} does not split in every cubic subfield")
-                if not modp.squarefree_mod_p(e.minpoly, q) or modp.roots_mod_p(e.minpoly, q):
-                    raise AssertionError(f"witness {q} does not exclude {e.minpoly}")
+                if not modp.squarefree_mod_p(h, q) or modp.roots_mod_p(h, q):
+                    raise AssertionError(f"witness {q} does not exclude {h}")
 
 
 def _squarefree_kernel(d: int) -> int:
@@ -587,8 +608,8 @@ def _walk(kind, rows: list[Row], candidates, walked: int):
         r = span.reduce((*vec, *no_tags))
         return r[:width], [(g, tag, cert) for (g, cert), tag in zip(found, r[width:]) if tag]
 
-    subfields: list[SubfieldEntry] = []
-    excluded: list[ExcludedEntry] = []
+    subfields: list[Entry] = []
+    excluded: list[Entry] = []
     settled: list[tuple[tuple[int, ...], str, int | None]] = []  # (vector, status, witness)
     direct_tests = 0
 
@@ -596,7 +617,8 @@ def _walk(kind, rows: list[Row], candidates, walked: int):
         label = kind.label(vec)
         rep, used = reduce(vec)
         if not any(rep):
-            subfields.append(SubfieldEntry(kind.member_certificate(vec, used), **label))
+            cert = kind.member_certificate(vec, used)
+            subfields.append(Entry(STATUS_PROVED, certificate=cert, **label))
             continue
         outcome = next((s for s in settled if reduce(s[0])[0] == rep), None)
         if outcome is None:  # only inhomogeneous (F2) rows can reject a representative
@@ -613,7 +635,7 @@ def _walk(kind, rows: list[Row], candidates, walked: int):
                 found.append((target, result.certificate))
                 cert = (result.certificate if target == vec
                         else kind.member_certificate(vec, reduce(vec)[1]))
-                subfields.append(SubfieldEntry(cert, **label))
+                subfields.append(Entry(STATUS_PROVED, certificate=cert, **label))
                 continue
             witness = absence_witness(field, kind.basis, target, walked)
             outcome = (target, STATUS_CERTIFIED_ABSENT if witness else STATUS_UNPROVEN_ABSENT,
@@ -621,18 +643,18 @@ def _walk(kind, rows: list[Row], candidates, walked: int):
             settled.append(outcome)
         evec, status, witness = outcome
         if evec == vec:
-            excluded.append(ExcludedEntry(status, witness_prime=witness, **label))
+            excluded.append(Entry(status, witness_prime=witness, **label))
         else:
-            excluded.append(ExcludedEntry(STATUS_TWIST_EXCLUDED, **label))
+            excluded.append(Entry(STATUS_TWIST_EXCLUDED, **label))
     return subfields, excluded, direct_tests
 
 
-def absence_certificate_search(field: NumberField, delta: int) -> ExcludedEntry:
+def absence_certificate_search(field: NumberField, delta: int) -> Entry:
     """Try to upgrade the quadratic candidate Q(sqrt(delta)), not found, to
     a certified absence.
 
     delta is searched as its exponent-parity vector over its own basis, the
-    primes of delta and 2.  Returns an ExcludedEntry with status
+    primes of delta and 2.  Returns an Entry with status
     certified_absent and a witness prime, or unproven_absent when no prime
     up to ABSENCE_PRIME_BOUND is a witness.  A delta that is 0 or a square
     raises ValueError: Q(sqrt(delta)) is Q then, a subfield of every field,
@@ -647,4 +669,4 @@ def absence_certificate_search(field: NumberField, delta: int) -> ExcludedEntry:
     vec = (int(delta < 0), *(fd.factors.get(p, 0) % 2 for p in basis.primes))
     witness = absence_witness(field, basis, vec)
     status = STATUS_CERTIFIED_ABSENT if witness else STATUS_UNPROVEN_ABSENT
-    return ExcludedEntry(status, delta=delta, witness_prime=witness)
+    return Entry(status, delta=delta, witness_prime=witness)

@@ -8,6 +8,7 @@ from subfieldscan import arith
 from subfieldscan.arith import (factor_integer, is_probable_prime, legendre, primes_up_to,
                                 sqrt_mod_prime)
 from subfieldscan.errors import BudgetExceeded
+from tests_arith_helpers import factored_value
 
 PRIMES_1M = primes_up_to(100_000)
 
@@ -18,7 +19,7 @@ def test_factor_examples():
     fi = factor_integer(1)
     assert fi.factors == {} and fi.sign == 1
     assert factor_integer(-12).sign == -1
-    assert factor_integer(-12).value() == -12
+    assert factored_value(factor_integer(-12)) == -12
 
 
 def test_factor_zero_rejected():
@@ -31,7 +32,7 @@ def test_factor_recombines_small():
     for _ in range(1500):
         n = rng.randrange(2, 1 << 48)
         fi = factor_integer(n)
-        assert fi.value() == n
+        assert factored_value(fi) == n
         assert all(is_probable_prime(p) for p in fi.factors)
 
 
@@ -47,7 +48,7 @@ def test_factor_recombines_large_within_budget(monkeypatch):
             fi = factor_integer(n)
         except BudgetExceeded:
             continue
-        assert fi.value() == n
+        assert factored_value(fi) == n
         assert all(is_probable_prime(p) for p in fi.factors)
         done += 1
     assert done > 10

@@ -318,6 +318,81 @@ def test_check_invariants_rejects_an_excluded_entry_without_candidate(scan, kind
             report_from_dict(loaded).check_invariants()
 
 
+def _entry(entries, **fields):
+    return next(e for e in entries if all(e.get(k) == v for k, v in fields.items()))
+
+
+def _drop_witness(d):
+    del _entry(d["excluded"], delta="2")["witness_prime"]
+
+
+def _witness_on_twist(d):
+    _entry(d["excluded"], status=STATUS_TWIST_EXCLUDED)["witness_prime"] = "61"
+
+
+def _bogus_status(d):
+    _entry(d["excluded"], status=STATUS_TWIST_EXCLUDED)["status"] = "bogus"
+
+
+def _certificate_on_excluded(d):
+    _entry(d["excluded"], delta="2")["certificate"] = d["subfields"][0]["certificate"]
+
+
+def _unproven_find(d):
+    d["subfields"][0]["status"] = STATUS_UNPROVEN_ABSENT
+
+
+def _find_with_witness(d):
+    d["subfields"][0]["witness_prime"] = "61"
+
+
+def _find_without_certificate(d):
+    del d["subfields"][0]["certificate"]
+
+
+def _found_and_excluded(d):
+    d["excluded"].append({"delta": "5", "status": STATUS_TWIST_EXCLUDED})
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (_drop_witness, "certified_absent .* has witness prime None"),
+    (_witness_on_twist, "twist_excluded .* has witness prime 61"),
+    (_bogus_status, "has status bogus"),
+    (_certificate_on_excluded, "or a certificate"),
+    (_unproven_find, "is not proved"),
+    (_find_with_witness, "is not proved"),
+    (_find_without_certificate, "is not proved"),
+    (_found_and_excluded, "both found and excluded"),
+])
+def test_check_invariants_refuses_an_entry_that_claims_what_its_shape_denies(edit, reason):
+    # Q(zeta_15) at bound 31 finds -3, 5 and -15 and excludes 2 with the
+    # witness 61: a found entry is proved, with a certificate and no
+    # witness; an excluded one has no certificate, one of the three
+    # exclusion statuses, and a witness exactly when certified_absent; and
+    # no candidate is both
+    import copy
+
+    from subfieldscan.cli import report_from_dict, report_to_dict
+
+    d = report_to_dict(quad_subfield_scan(corpus_generate("cyclotomic", "15").poly,
+                                          ScanConfig(sieve_prime_bound=31)))
+    assert _entry(d["excluded"], delta="2")["witness_prime"] == "61"
+    assert _entry(d["subfields"], delta="5")
+    report_from_dict(d).check_invariants()
+    loaded = copy.deepcopy(d)
+    edit(loaded)
+    with pytest.raises(AssertionError, match=reason):
+        report_from_dict(loaded).check_invariants()
+
+
+def test_entry_h_is_the_candidate_polynomial():
+    from subfieldscan.scan import Entry
+
+    assert Entry(STATUS_TWIST_EXCLUDED, delta=-3).h == Poly([3, 0, 1])
+    assert Entry(STATUS_TWIST_EXCLUDED, minpoly=Poly([1, -3, 0, 1])).h == Poly([1, -3, 0, 1])
+    assert Entry(STATUS_TWIST_EXCLUDED).h is None
+
+
 def _scaled_root(field, y):
     """The certificate vector of the scaled root y, padded to length n."""
     return tuple(y.coeffs) + (0,) * (field.n - len(y.coeffs))
@@ -330,7 +405,7 @@ def test_check_invariants_rejects_a_found_delta_that_is_0_or_a_square(delta, roo
     # found entry for it names no quadratic subfield; the refusal comes
     # before the closure check, which cannot factor 0
     from subfieldscan.nfroot import verify_certificate
-    from subfieldscan.scan import SubfieldEntry
+    from subfieldscan.scan import STATUS_PROVED, Entry
 
     field = NumberField(ZETA8)
     rep = quad_subfield_scan(ZETA8)
@@ -338,7 +413,7 @@ def test_check_invariants_rejects_a_found_delta_that_is_0_or_a_square(delta, roo
     h = Poly([-delta, 0, 1])
     cert = RootCertificate(_scaled_root(field, field.fprime.scale(root)), h)
     assert verify_certificate(field, h, cert)
-    rep.subfields.append(SubfieldEntry(cert, delta=delta))
+    rep.subfields.append(Entry(STATUS_PROVED, delta=delta, certificate=cert))
     with pytest.raises(AssertionError, match="0 or a square"):
         rep.check_invariants(field)
 
@@ -352,7 +427,7 @@ def test_check_invariants_rejects_a_found_polynomial_that_defines_no_cyclic_cubi
     # has a root in Q(zeta_7) and X^4 + 1 in Q(zeta_8), of discriminant 16^2,
     # but neither is a cubic
     from subfieldscan.nfroot import verify_certificate
-    from subfieldscan.scan import SubfieldEntry
+    from subfieldscan.scan import STATUS_PROVED, Entry
 
     zeta7, zeta8 = NumberField(corpus_generate("cyclotomic", "7").poly), NumberField(ZETA8)
     cbrt2, s3 = NumberField(Poly([-2, 0, 0, 1])), NumberField(Poly([1, -4, 0, 1]))
@@ -369,7 +444,7 @@ def test_check_invariants_rejects_a_found_polynomial_that_defines_no_cyclic_cubi
         rep.check_invariants(field)
         cert = RootCertificate(y, h)
         assert verify_certificate(field, h, cert)
-        rep.subfields.append(SubfieldEntry(cert, minpoly=h))
+        rep.subfields.append(Entry(STATUS_PROVED, minpoly=h, certificate=cert))
         with pytest.raises(AssertionError, match="defines no cyclic cubic field"):
             rep.check_invariants(field)
 
