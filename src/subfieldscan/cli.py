@@ -177,7 +177,7 @@ def read_poly_file(path: str) -> Poly:
 # -- report JSON ----------------------------------------------------------------
 
 
-def _cert_from_dict(d: dict, h: Poly) -> RootCertificate:
+def _cert_from_dict(d: dict, h: Poly | None) -> RootCertificate:
     return RootCertificate(tuple(int(s) for s in d["scaled_root"]), h)
 
 
@@ -205,13 +205,18 @@ def _entry_to_dict(e: Entry) -> dict:
 
 
 def _entry_from_dict(d: dict) -> Entry:
-    return Entry(
+    """The entry of a JSON object.  Its certificate's h is Entry.h: None for
+    an entry that names neither delta nor minpoly, which check_invariants
+    refuses."""
+    entry = Entry(
         d["status"],
         delta=int(d["delta"]) if "delta" in d else None,
         minpoly=parse_poly(d["minpoly"]) if "minpoly" in d else None,
-        certificate=_cert_from_dict(d["certificate"], _entry_h(d)) if "certificate" in d else None,
         witness_prime=int(d["witness_prime"]) if "witness_prime" in d else None,
     )
+    if "certificate" in d:
+        entry.certificate = _cert_from_dict(d["certificate"], entry.h)
+    return entry
 
 
 def report_to_dict(report: ScanReport, include_timings: bool = True) -> dict:

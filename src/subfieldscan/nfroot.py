@@ -4,8 +4,9 @@ Decides whether a monic integral h of degree 2 or 3 has a root in
 L = Q[X]/(f) and, in the positive case, produces an independently
 verifiable certificate.  Positive answers are always sound: the returned
 scaled root y = f'(theta) * x satisfies a division-free integer polynomial
-congruence that verify_certificate rechecks from scratch.  Negative
-answers are "not found by one knapsack" and are NOT proofs of absence;
+congruence that verify_certificate rechecks independently and exactly,
+on one packed integer (a Kronecker image under a coefficient bound).
+Negative answers are "not found by one knapsack" and are NOT proofs of absence;
 the scan layer upgrades them with Frobenius witnesses when it can.
 
 The reconstruction is a knapsack in the style of van Hoeij (J. Number
@@ -63,7 +64,10 @@ with no kept stages where x^(p^2) = x mod (f, p) (squarings alone) has
 factors of degree 1 or 2 only, at least n/2 >= r of them: it cannot win,
 and runs no DDF, so the check never changes the prime.  In a
 multiquadratic field it settles every qualifying prime after the first
-with n/2 factors.
+with n/2 factors.  Its outcome depends on f and p alone, and find_root
+takes a record of the outcomes (checks) that a scan shares among its root
+tests, so each prime is checked once per scan; a find_root called alone
+starts a record of its own, and the field keeps none.
 """
 
 from __future__ import annotations
@@ -99,7 +103,8 @@ class NumberField:
 
     Besides f it keeps what is computed once per field: disc(f) when it is
     cheap, the Barrett constant of f and the DDF stages of f mod p that the
-    prime walks learn (ddf).  Root tests keep none (keep=False): the
+    prime walks learn (ddf).  Root tests keep none (keep=False), and their
+    record of x^(p^2) checks lives in the scan that shares it, not here: the
     benchmark harness reuses a field across passes and compares their DDF
     counts, so no DDF state may cross from one root test to the next."""
 
@@ -174,10 +179,11 @@ def _disc_bits_bound(f: Poly) -> float:
 @dataclass(frozen=True)
 class RootCertificate:
     """Scaled root y(theta) = f'(theta) * x with h(x) = 0; at most n entries
-    (a twist product's has its trailing zeros stripped)."""
+    (a twist product's has its trailing zeros stripped).  h is None only in
+    a loaded report entry that names no candidate."""
 
     scaled_root: tuple[int, ...]
-    h: Poly
+    h: Poly | None
 
 
 @dataclass(frozen=True)
@@ -203,7 +209,7 @@ SELECT_PRIME_BOUND = 50_000
 SELECT_PRIME_QUALIFYING = 25
 
 
-def select_prime(field: NumberField, h: Poly) -> PrimeData:
+def select_prime(field: NumberField, h: Poly, checks: dict[int, bool] | None = None) -> PrimeData:
     """An odd prime where f mod p is squarefree and h mod p splits into
     deg(h) distinct roots: the first such prime with at most deg(h) factors
     of f mod p, or else the one with the fewest factors among the first
@@ -216,13 +222,17 @@ def select_prime(field: NumberField, h: Poly) -> PrimeData:
     any degree left, reach the best count so far: the prime can then only
     tie with an earlier one or lose.  Once the best count r has
     n // r = 2, a prime the field's kept stages do not answer runs no DDF
-    if x^(p^2) = x mod (f, p) (modp.frobenius_square_fixes_x, which keeps
-    no state): its at least n/2 >= r factors cannot win.  Either way the
-    prime counts as qualifying.  The factors of f mod p are the split of
-    the DDF stages that chose p.
+    if x^(p^2) = x mod (f, p) (modp.frobenius_square_fixes_x): its at least
+    n/2 >= r factors cannot win.  Either way the prime counts as
+    qualifying.  checks records each check's outcome by prime (a fresh dict
+    when None): the outcome depends on f and p alone, so a scan that passes
+    one dict to all its root tests checks each prime once, and the prime
+    chosen never changes.  The factors of f mod p are the split of the DDF
+    stages that chose p.
     Raises BudgetExceeded when no prime below SELECT_PRIME_BOUND
     qualifies."""
     best = None   # (r, p, roots, stages)
+    checks = {} if checks is None else checks
 
     def cannot_win(degrees, left):
         return best is not None and sum(degrees.values()) + (left > 0) >= best[0]
@@ -235,7 +245,7 @@ def select_prime(field: NumberField, h: Poly) -> PrimeData:
         qualifying += 1
         entry = field.kept(p, cannot_win)
         loses = entry is None and best is not None and field.n // best[0] == 2 and \
-            modp.frobenius_square_fixes_x(field.f, p, field.barrett())
+            _fixes_x(field, p, checks)
         if not loses:
             stages, left = entry or field.ddf(p, cannot_win, keep=False)
             r = sum(modp.degree_counts(stages).values())
@@ -247,6 +257,13 @@ def select_prime(field: NumberField, h: Poly) -> PrimeData:
         raise BudgetExceeded(f"no usable prime below {SELECT_PRIME_BOUND}")
     _, p, roots, stages = best
     return PrimeData(p, tuple(tuple(fac) for fac in modp.split_stages(stages, p)), roots)
+
+
+def _fixes_x(field: NumberField, p: int, checks: dict[int, bool]) -> bool:
+    """modp.frobenius_square_fixes_x for f and p, recorded in checks."""
+    if p not in checks:
+        checks[p] = modp.frobenius_square_fixes_x(field.f, p, field.barrett())
+    return checks[p]
 
 
 def integer_root(h: Poly) -> int | None:
@@ -265,27 +282,53 @@ def integer_root(h: Poly) -> int | None:
 # -- certificate checking -------------------------------------------------------
 
 
-def _certificate_residual(field: NumberField, h: Poly, y: Poly) -> Poly:
-    """sum_j h_j * y**j * f'**(deg h - j) mod f, over Z; zero iff y proves
-    a root (it is f'**deg(h) * h(y / f') cleared of denominators)."""
-    m = h.degree
-    fp = field.fprime
-    acc = Poly([1])
-    for j in range(m - 1, -1, -1):
-        acc = (acc * y) % field.f
-        if h[j] != 0:
-            acc = acc + (fp ** (m - j) * h[j]) % field.f
-    return acc % field.f
-
-
 def verify_certificate(field: NumberField, h: Poly, cert: RootCertificate) -> bool:
-    """Exact integer re-check of the division-free root identity."""
-    if len(cert.scaled_root) > field.n:
+    """Exact integer re-check of the division-free root identity: with y the
+    scaled root and m = deg h, R = sum_j h_j * y**j * f'**(m-j), which is
+    f'**m * h(y / f') cleared of denominators, is 0 mod f over Z.
+
+    R is one signed Kronecker image (Harvey, JSC 44, 2009).  Each of its
+    coefficients over Z is at most sum_j |h_j| * n**(m-1) * Y**j * F**(m-j)
+    in size, for Y and F the largest |y_i| and |f'_i|, so y and f' are
+    packed as integers at a slot width W (whole bytes) with 2**(W-1) above
+    that bound, the powers are exact integer products, and R is unpacked
+    once, each slot offset by 2**(W-1).  Its remainder modulo the monic f,
+    on int lists, must vanish.  No modulus: the check is exact.
+
+    False, never an exception, for a y longer than n or with an entry that
+    is no int, and for an h of degree below 1 or with a coefficient that is
+    no int."""
+    y, hc, fc = cert.scaled_root, h.coeffs, field.f.coeffs
+    n, m = field.n, len(hc) - 1
+    if len(y) > n or m < 1 or not all(isinstance(c, int) for c in (*y, *hc)):
         return False
-    y = Poly(cert.scaled_root)
-    if not y.is_integral():
-        return False
-    return not _certificate_residual(field, h, y)
+    fp = field.fprime.coeffs
+    big_y, big_f = max(map(abs, y), default=0), max(map(abs, fp))
+    bound = n ** (m - 1) * sum(abs(c) * big_y**j * big_f**(m - j) for j, c in enumerate(hc))
+    width = bound.bit_length() // 8 + 1   # bytes per slot: 2**(8 * width - 1) > bound
+    shift = 8 * width
+    packed_y, packed_f = (_pack(v, shift) for v in (y, fp))
+    r, power = hc[m], packed_f   # Horner: r = sum_j h_j * Y**j * F**(m-j) as integers
+    for j in range(m - 1, -1, -1):
+        r = r * packed_y + hc[j] * power
+        if j:
+            power *= packed_f
+    slots = m * (n - 1) + 1
+    half = 1 << (shift - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    data = (r + offset).to_bytes(slots * width, "little")
+    rem = [int.from_bytes(data[i:i + width], "little") - half
+           for i in range(0, slots * width, width)]
+    for i in range(slots - 1, n - 1, -1):   # rem mod f, f monic
+        c = rem[i]
+        if c:
+            rem[i - n:i] = [a - c * b for a, b in zip(rem[i - n:i], fc)]
+    return not any(rem[:n])
+
+
+def _pack(coeffs, shift: int) -> int:
+    """sum_i coeffs[i] * 2**(shift * i), the signed Kronecker image."""
+    return sum(c << (shift * i) for i, c in enumerate(coeffs))
 
 
 # -- lifting to Z/p^k ------------------------------------------------------------
@@ -535,12 +578,17 @@ def _knapsack_attempt(field: NumberField, h: Poly, pdata: PrimeData, c: int,
 # -- entry point -----------------------------------------------------------------
 
 
-def find_root(field: NumberField, h: Poly, config=None, rng=None) -> RootSearch:
+def find_root(field: NumberField, h: Poly, config=None, rng=None, *,
+              checks: dict[int, bool] | None = None) -> RootSearch:
     """An integer root of h gives its certificate at once.  Otherwise h is
     irreducible: select a prime, and unless it has fewer completions than
     deg(h), which proves that h has no root in L, run the knapsack
     reconstruction, once per pin (one, or each root of h mod p for a cubic
     h of non-square discriminant; see the module docstring).
+
+    checks is select_prime's record of x^(p^2) checks: a scan passes one
+    dict to all its root tests, and None starts a fresh one, so nothing
+    crosses from one standalone call to the next.
 
     config and rng are ignored.  They stay as the third and fourth
     positional parameters only because the benchmark harness
@@ -557,7 +605,7 @@ def find_root(field: NumberField, h: Poly, config=None, rng=None) -> RootSearch:
         if not verify_certificate(field, h, cert):
             raise AssertionError(f"integer root {root} of {h} fails verification")
         return RootSearch(PROVED, cert)
-    pdata = select_prime(field, h)
+    pdata = select_prime(field, h, checks)
     if pdata.r < h.degree:
         return RootSearch(NOT_FOUND)
     disc = disc_poly(h) if h.degree == 3 else 0

@@ -36,7 +36,9 @@ depends on f and q alone, the same for the sieve and a witness search.
 The walk asks the field for the DDF stages (NumberField.ddf), which keeps
 them: the root tests' prime selection, which splits the winner's stages
 into the factors of f mod p, and a later witness search read them instead
-of running the DDF again.
+of running the DDF again.  The root tests share one record the field does
+not keep: the outcome of each x^(p^2) check of their prime selection
+(_Kind.frobenius_checks), so each prime is checked once per scan.
 
 The twist closure works mod p**k, for the first odd prime p outside the
 place basis at which f is squarefree (_Kind.ring).  A member of the span of
@@ -45,7 +47,8 @@ it comes from: sqrt(d1) * sqrt(d2) / k for l = 2, Lagrange resolvents of
 their Galois conjugates for l = 3 (Cohen, GTM 138, 6.4; _Cubic.merge).
 p**k exceeds 2**(B + 2) for every candidate's scaled_root_bits B, so its
 scaled root is the centred lift of its residue.  check_invariants checks
-it once, with every certificate, and raises if it fails.
+it once, with every certificate (an exact check on one packed integer,
+verify_certificate), and raises if it fails.
 
 A report says what it found about each candidate in one record, Entry,
 in one of two lists: a subfield carries a certificate that passes
@@ -358,12 +361,14 @@ class _Kind:
     """What both kinds share: a span member's certificate, from the product
     of the scaled roots of the direct finds it comes from, mod p**k (see
     the module docstring).  Each prefix product is kept, so a member costs
-    one product."""
+    one product.  frobenius_checks is the scan's record of x^(p^2) checks,
+    which every root test of the walk passes to find_root."""
 
     def __init__(self, field, basis):
         self.field, self.basis = field, basis
         self.candidates, self.roots, self.conjugates = {}, {}, {}
         self.products: dict[tuple, tuple] = {}  # ((find, tag), ...) -> (tag-weighted sum, y)
+        self.frobenius_checks: dict[int, bool] = {}   # p -> x^(p^2) = x mod (f, p)
         self._ring = None
 
     def ring(self):
@@ -629,7 +634,7 @@ def _walk(kind, rows: list[Row], candidates, walked: int):
         if outcome is None:
             target = rep if kind.test_representative else vec
             direct_tests += 1
-            result = find_root(field, kind.h(target))
+            result = find_root(field, kind.h(target), checks=kind.frobenius_checks)
             if result.status == PROVED:
                 span.insert((*target, *(int(k == len(found)) for k in range(width))))
                 found.append((target, result.certificate))

@@ -316,6 +316,7 @@ def test_certify_rejects_json_of_the_wrong_shape(tmp_path, capsys, data):
     {"delta": "2", "certificate": "x"},
     {"delta": "2", "certificate": {"scaled_root": 5}},
     {"delta": "2", "certificate": {"scaled_root": [None]}},
+    {"minpoly": "3", "certificate": {"scaled_root": ["0", "1", "0", "1"]}},   # degree 0
 ])
 def test_certify_marks_an_entry_of_the_wrong_type_invalid(tmp_path, capsys, entry):
     # like an entry with a missing field: INVALID, exit 1

@@ -1,7 +1,10 @@
+import functools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subfieldscan import modp
 from subfieldscan.arith import primes_up_to
@@ -13,7 +16,7 @@ from subfieldscan.nfroot import (NOT_FOUND, PROVED, NumberField, PrimeData, Root
 from subfieldscan.poly import Poly, compositum_minpoly
 from subfieldscan.testkit import (CYCLOTOMIC_QUAD_TRUTH, corpus_generate,
                                   multiquadratic_certificates, multiquadratic_minpoly)
-from tests_poly_helpers import factor_mod_p, taylor_shift
+from tests_poly_helpers import factor_mod_p, taylor_shift, verify_certificate_reference
 
 ZETA8 = Poly.from_desc([1, 0, 0, 0, 1])
 Y2M2 = Poly.from_desc([1, 0, -2])
@@ -724,6 +727,107 @@ def test_verify_certificate_tampering():
     assert not verify_certificate(field, Poly.from_desc([1, 0, -3]), cert)
 
 
+@functools.cache
+def _valid_certificates() -> list[tuple[Poly, Poly, tuple[int, ...]]]:
+    """(f, h, scaled root): every quadratic certificate of the
+    multiquadratic fields of degree 2-16, three of degree 32, and the
+    quadratic and cyclic cubic ones of the cyclotomic fields and the cubic
+    composita, the last from find_root."""
+    pool = []
+    for primes in ((2,), (2, 3), (2, 3, 5), (2, 3, 5, 7)):
+        f = multiquadratic_minpoly(primes)
+        pool += [(f, Poly([-d, 0, 1]), y) for d, y in multiquadratic_certificates(primes).items()]
+    plan = [("multiquadratic", "2,3,5,7,11", [5, 42, 2310], [])]
+    plan += [("cyclotomic", str(m), CYCLOTOMIC_QUAD_TRUTH[m], []) for m in (8, 12, 15, 24)]
+    for kind, params in (("cyclotomic", "7"), ("cubic-compositum", "7,9"),
+                         ("cubic-compositum", "7,q5")):
+        entry = corpus_generate(kind, params)
+        plan.append((kind, params, entry.quad, entry.cubic))
+    for kind, params, deltas, cubics in plan:
+        f = corpus_generate(kind, params).poly
+        field = NumberField(f)
+        for h in [Poly([-d, 0, 1]) for d in deltas] + list(cubics):
+            pool.append((f, h, find_root(field, h).certificate.scaled_root))
+    return pool
+
+
+@functools.cache
+def _field(coeffs: tuple[int, ...]) -> NumberField:
+    return NumberField(Poly(coeffs))
+
+
+def _edit(y: list[int], how: str, i: int) -> list[int]:
+    """y with its i-th entry changed by +-1, negated or doubled, or all of
+    y negated or doubled."""
+    y = list(y)
+    i %= len(y)
+    if how in ("+1", "-1"):
+        y[i] += int(how)
+    elif how == "negate one":
+        y[i] = -y[i]
+    elif how == "double one":
+        y[i] *= 2
+    elif how == "negate all":
+        y = [-c for c in y]
+    elif how == "double all":
+        y = [2 * c for c in y]
+    return y
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_packed_certificate_check_agrees_with_the_poly_reference(data):
+    # a valid certificate for h, in the field of f(x + c) (negative
+    # coefficients of f) and scaled by k (a root k * x of h_k(X) = k**m *
+    # h(X / k): coefficients up to 2**200), verifies, and an edited copy
+    # gets the reference's answer
+    f, h, y = data.draw(st.sampled_from(_valid_certificates()))
+    c = data.draw(st.integers(-2, 2))
+    k = data.draw(st.sampled_from([1, -3, 2**190 + 1]))
+    how = data.draw(st.sampled_from(["none", "+1", "-1", "negate one", "double one",
+                                     "negate all", "double all"]))
+    field = _field(taylor_shift(f, c).coeffs)
+    m = h.degree
+    hk = Poly([a * k ** (m - j) for j, a in enumerate(h.coeffs)])
+    yk = [k * a for a in taylor_shift(Poly(y), c).coeffs]
+    cert = RootCertificate(tuple(_edit(yk, how, data.draw(st.integers(0, field.n - 1)))), hk)
+    assert verify_certificate(field, hk, cert) == verify_certificate_reference(field, hk, cert)
+    if how == "none":
+        assert verify_certificate(field, hk, cert)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_certificate_check_agrees_on_random_input(data):
+    # random scaled roots and monic h of degree 1-3 with entries up to 2**200
+    f = data.draw(st.sampled_from([ZETA8, Poly.from_desc([1, -3, -1, 7]),
+                                   taylor_shift(multiquadratic_minpoly((2, 3)), -2)]))
+    field = _field(f.coeffs)
+    big = st.integers(-2**200, 2**200) | st.integers(-3, 3)
+    y = data.draw(st.lists(big, min_size=0, max_size=field.n))
+    h = Poly(data.draw(st.lists(big, min_size=1, max_size=3)) + [1])
+    cert = RootCertificate(tuple(y), h)
+    assert verify_certificate(field, h, cert) == verify_certificate_reference(field, h, cert)
+
+
+def test_verify_certificate_refuses_what_it_cannot_check():
+    # False, never an exception: an entry that is no int, a y longer than
+    # n, an h with a rational coefficient (which the Poly reference takes
+    # over Q: x = sqrt(2) / 2 is a root of X^2 - 1/2 in Q(sqrt 2), and its
+    # scaled root f' * x = 2 sqrt(2) * x is 2) and an h of degree below 1
+    field = NumberField(Poly.from_desc([1, 0, -2]))
+    y = find_root(field, Y2M2).certificate.scaled_root
+    assert verify_certificate(field, Y2M2, RootCertificate(y, Y2M2))
+    for bad in ((Fraction(1, 2), 1), ("0", 1), (0.0, 1), (None, 1), y + (0,)):
+        assert not verify_certificate(field, Y2M2, RootCertificate(bad, Y2M2))
+    half = Poly([Fraction(-1, 2), 0, 1])
+    assert verify_certificate_reference(field, half, RootCertificate((2, 0), half))
+    assert not verify_certificate(field, half, RootCertificate((2, 0), half))
+    for h in (Poly([3]), Poly([-1]), Poly()):
+        assert not verify_certificate(field, h, RootCertificate(y, h))
+        assert not verify_certificate(field, h, RootCertificate((), h))
+
+
 def test_newton_lift_invariant():
     from subfieldscan.nfroot import _lift_root
 
@@ -813,22 +917,18 @@ def test_a_root_test_factors_f_mod_p_by_the_ddf_that_chose_p(monkeypatch, f, h, 
 
 def test_root_tests_on_one_field_repeat_their_work(monkeypatch):
     # select_prime reads the kept factor degrees but keeps none of its own,
-    # so a root test runs the same DDFs whatever ran on the field before
-    calls = []
-
-    def ddf_degrees(g, q, stop=None, barrett=None):
-        calls.append(q)
-        return real_ddf(g, q, stop, barrett)
-
-    real_ddf = modp.ddf_degrees
-    monkeypatch.setattr(modp, "ddf_degrees", ddf_degrees)
+    # and a standalone find_root records its x^(p^2) checks for itself
+    # alone, so a root test runs the same DDFs and the same checks whatever
+    # ran on the field before
+    ddfs, checks = _record_ddfs_and_checks(monkeypatch)
     field = NumberField(multiquadratic_minpoly((2, 3, 5, 7)))
     runs = []
     for _ in range(2):
-        calls.clear()
+        ddfs.clear()
+        checks.clear()
         assert find_root(field, Poly([-15, 0, 1])).status == PROVED
-        runs.append(list(calls))
-    assert runs[0] and runs[0] == runs[1]
+        runs.append(([q for _, q in ddfs], list(checks)))
+    assert runs[0][0] and runs[0][1] and runs[0] == runs[1]
 
 
 # DDFs a corpus scan runs twice: none, since the root tests' prime
@@ -836,13 +936,14 @@ def test_root_tests_on_one_field_repeat_their_work(monkeypatch):
 DDF_REPEATS_ABOVE_SIEVE = {}
 # (x^(p^2) checks, of them repeats) of a corpus scan, all at primes above
 # the last prime its sieve walked: select_prime walks on past the sieve's
-# stop and keeps nothing of its own, so its root tests repeat the checks.
-# The real place's row stops the sieves of the two largest multiquadratic
-# fields at 109 and 127, so their root tests check more primes
+# stop, and the scan records each check's outcome for its later root tests,
+# so none is repeated.  The real place's row stops the sieves of the two
+# largest multiquadratic fields at 109 and 127, so their root tests check
+# more primes
 FROBENIUS_CHECKS_ABOVE_SIEVE = {("cyclotomic", "15"): (6, 0), ("cyclotomic", "20"): (6, 0),
-                                ("cyclotomic", "24"): (37, 14),
-                                ("multiquadratic", "2,3,5"): (38, 15),
-                                ("multiquadratic", "2,3,5,7"): (54, 27)}
+                                ("cyclotomic", "24"): (23, 0),
+                                ("multiquadratic", "2,3,5"): (23, 0),
+                                ("multiquadratic", "2,3,5,7"): (27, 0)}
 
 
 def test_corpus_scans_run_no_ddf_twice_up_to_the_sieve_stop(monkeypatch):

@@ -152,8 +152,8 @@ def _count_find_root(monkeypatch):
 
     calls, real = [], scan_mod.find_root
 
-    def find_root(field, h, *args):
-        result = real(field, h, *args)
+    def find_root(field, h, *args, **kwargs):
+        result = real(field, h, *args, **kwargs)
         calls.append((h, result.status))
         return result
 
@@ -350,6 +350,10 @@ def _find_without_certificate(d):
     del d["subfields"][0]["certificate"]
 
 
+def _find_without_delta(d):
+    del d["subfields"][0]["delta"]
+
+
 def _found_and_excluded(d):
     d["excluded"].append({"delta": "5", "status": STATUS_TWIST_EXCLUDED})
 
@@ -362,14 +366,16 @@ def _found_and_excluded(d):
     (_unproven_find, "is not proved"),
     (_find_with_witness, "is not proved"),
     (_find_without_certificate, "is not proved"),
+    (_find_without_delta, "names no candidate"),
     (_found_and_excluded, "both found and excluded"),
 ])
 def test_check_invariants_refuses_an_entry_that_claims_what_its_shape_denies(edit, reason):
     # Q(zeta_15) at bound 31 finds -3, 5 and -15 and excludes 2 with the
     # witness 61: a found entry is proved, with a certificate and no
     # witness; an excluded one has no certificate, one of the three
-    # exclusion statuses, and a witness exactly when certified_absent; and
-    # no candidate is both
+    # exclusion statuses, and a witness exactly when certified_absent; each
+    # names a candidate (a found entry without one loads with its
+    # certificate and no h); and no candidate is both
     import copy
 
     from subfieldscan.cli import report_from_dict, report_to_dict
@@ -795,8 +801,8 @@ def test_twist_closure_makes_one_product_per_member(monkeypatch, kind, params, p
         members.append((self, vec, used, cert))
         return cert
 
-    def recording_find_root(field, h, *args):
-        result = find_root(field, h, *args)
+    def recording_find_root(field, h, *args, **kwargs):
+        result = find_root(field, h, *args, **kwargs)
         if result.status == PROVED:
             finds.append((-h[0], result.certificate))
         return result
@@ -1003,8 +1009,8 @@ def test_absence_search_starts_after_a_stable_sieve(monkeypatch):
         sieves.append(real_sieve(*args, **kwargs))
         return sieves[-1]
 
-    def find_root(field, h):
-        return RootSearch(NOT_FOUND) if not absence_primes else real_find(field, h)
+    def find_root(field, h, **kwargs):
+        return RootSearch(NOT_FOUND) if not absence_primes else real_find(field, h, **kwargs)
 
     real_ddf, real_witness = modp.ddf_degrees, scan_mod.absence_witness
     real_sieve, real_find = scan_mod.sieve_rows, scan_mod.find_root

@@ -12,7 +12,8 @@ the corpus does not code: the Taylor shift f(x + c) and composita of
 Gauss's period cubics.  And the complete factorization of f mod p by a
 gcd(f, f') test, a DDF and the split of its stages in one call, the
 reference for the library's one path (modp.ddf_degrees, then
-modp.split_stages)."""
+modp.split_stages).  And the certificate residual over Q, the reference
+for the packed integer check of nfroot.verify_certificate."""
 
 import random
 from fractions import Fraction
@@ -248,3 +249,26 @@ def factor_mod_p(f: Poly, p: int) -> list[list[int]]:
         factors.extend(_split_equal_degree(g, d, p, rng))
     factors.sort(key=lambda a: (len(a), tuple(reversed(a))))
     return factors
+
+
+def certificate_residual(field, h: Poly, y: Poly) -> Poly:
+    """sum_j h_j * y**j * f'**(deg h - j) mod f, by Horner in Poly
+    arithmetic over Q: zero iff y / f' is a root of h in the field (it is
+    f'**deg(h) * h(y / f') cleared of denominators)."""
+    m = h.degree
+    fp = field.fprime
+    acc = Poly([h[m]])
+    for j in range(m - 1, -1, -1):
+        acc = (acc * y) % field.f
+        if h[j] != 0:
+            acc = acc + (fp ** (m - j) * h[j]) % field.f
+    return acc % field.f
+
+
+def verify_certificate_reference(field, h: Poly, cert) -> bool:
+    """The Poly form of nfroot.verify_certificate: a scaled root of at most
+    n integral entries whose residual (certificate_residual) is zero."""
+    if len(cert.scaled_root) > field.n:
+        return False
+    y = Poly(cert.scaled_root)
+    return y.is_integral() and not certificate_residual(field, h, y)
